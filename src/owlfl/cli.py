@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .diagnostics import Diagnostic, ERROR, WARNING
+from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
 from .engine import (
     EngineError, KnowledgeBase, collect_set, insert_fact, load_program,
     query_goal, run_constraint_checks,
@@ -39,10 +39,6 @@ def _report(diags: Sequence[Diagnostic], stream=None):
         print(f"{d.severity}: {d.code}: {d.message}{loc}", file=stream)
 
 
-def _has_errors(diags: Sequence[Diagnostic]) -> bool:
-    return any(d.severity == ERROR for d in diags)
-
-
 # --- KB loading --------------------------------------------------------------
 
 
@@ -62,6 +58,8 @@ def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
         if path.endswith(".owl") or text.lstrip().startswith("<"):
             doc, d = parse_document(text)
             diags.extend(d)
+            if doc is None:
+                return None, diags
             prog, d2 = translate_ontology(doc)
             diags.extend(d2)
         else:
@@ -69,7 +67,7 @@ def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
             diags.extend(d)
         rules.extend(prog.rules)
         prefixes.update(prog.prefixes)
-    if _has_errors(diags):
+    if has_errors(diags):
         return None, diags
     merged = FlProgram(tuple(rules), prefixes)
     try:
@@ -138,6 +136,9 @@ def cmd_translate(args) -> int:
     if args.src == "owl":
         doc, d = parse_document(text)
         diags.extend(d)
+        if doc is None:
+            _report(diags)
+            return EXIT_ERROR
     else:
         prog, d = parse_program(text)
         diags.extend(d)
@@ -162,7 +163,7 @@ def cmd_translate(args) -> int:
     except OSError as e:
         diags.append(Diagnostic(ERROR, "io-error", str(e)))
     _report(diags)
-    return EXIT_ERROR if _has_errors(diags) else EXIT_OK
+    return EXIT_ERROR if has_errors(diags) else EXIT_OK
 
 
 # --- check -------------------------------------------------------------------
@@ -188,20 +189,19 @@ def cmd_check(args) -> int:
 
 
 def _strict_supers(kb: KnowledgeBase, c: FlSymbol) -> List[FlSymbol]:
-    return [s for (a, s) in kb.store.sub if a == c and s != c]
+    edges = kb.store.relations["sub"].lookup((0,), c)
+    return [s for _, s in edges if s != c]
 
 
 def _strict_subs(kb: KnowledgeBase, c: FlSymbol) -> List[FlSymbol]:
-    return [a for (a, s) in kb.store.sub if s == c and a != c]
+    edges = kb.store.relations["sub"].lookup((1,), c)
+    return [a for a, _ in edges if a != c]
 
 
 def _mid_inherited(kb: KnowledgeBase, sub: FlSymbol, sup: FlSymbol) -> bool:
     """True when sup is reachable from sub through a distinct middle class."""
-    sub_rel = kb.store.sub
-    for (a, mid) in sub_rel:
-        if a == sub and mid != sub and mid != sup and (mid, sup) in sub_rel:
-            return True
-    return False
+    return any(mid != sub and mid != sup and (mid, sup) in kb.store.sub
+               for mid in _strict_supers(kb, sub))
 
 
 QUERY_VERBS = ("is", "instances", "classes-of", "subclass", "superclasses",
@@ -315,7 +315,7 @@ def cmd_insert(args) -> int:
     if not fact_text.endswith("."):
         fact_text += "."
     prog, d = parse_program(fact_text, prefixes=kb.prefixes)
-    if _has_errors(d) or len(prog.rules) != 1 or not prog.rules[0].is_fact:
+    if has_errors(d) or len(prog.rules) != 1 or not prog.rules[0].is_fact:
         _report(d)
         _report([Diagnostic(ERROR, "non-ground-insert",
                             f"not a single ground fact: {args.fact!r}")])

@@ -1,16 +1,20 @@
 """Terminating bottom-up evaluation of F-logic programs.
 
 Semi-naive saturation with stratified negation over the finite constant
-domain of the loaded program.  Structural rules (subclass transitivity,
-membership inheritance, universal ``_object`` membership) are applied inside
-every stratum.  Constraint checking is closed-world: no equality inference,
-distinct-value counting for cardinality bounds.
+domain of the loaded program.  Facts live in one map of relations with hash
+indexes on the argument positions a lookup binds; rule bodies compile once
+into join plans over variable slots.  Structural rules (subclass
+transitivity, membership inheritance, universal ``_object`` membership) are
+applied to each new fact as it is added.  Constraint checking is
+closed-world: no equality inference, distinct-value counting for
+cardinality bounds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import (
@@ -19,7 +23,7 @@ from .checkers import (
 )
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
-    FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
+    FlIntersection, FlIsA, FlList, FlLit, FlMember, FlNaf,
     FlNeq, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
     FlTerm, FlUnion, FlVariable, print_literal, print_term,
 )
@@ -36,54 +40,86 @@ class EngineError(Exception):
 
 Binding = Dict[str, FlTerm]
 
+ISA, SUB, ATTR = "isa", "sub", "attr"
+
 
 # --- fact store --------------------------------------------------------------
 
 
-class FactStore:
-    """Ground facts partitioned by family.
+class Relation:
+    """A set of ground tuples with hash indexes on argument positions.
 
-    ``isa``: (individual, class) pairs; ``sub``: (class, class);
-    ``attr``: (subject, property, value); ``pred``: name -> argument tuples.
+    The index on a tuple of positions is built by the first lookup that
+    binds exactly those positions and kept up to date by ``add``.
+    """
+
+    __slots__ = ("facts", "indexes")
+
+    def __init__(self):
+        self.facts: Set[tuple] = set()
+        self.indexes: Dict[Tuple[int, ...], tuple] = {}
+
+    def add(self, t: tuple) -> bool:
+        if t in self.facts:
+            return False
+        self.facts.add(t)
+        for key_of, index in self.indexes.values():
+            index.setdefault(key_of(t), []).append(t)
+        return True
+
+    def lookup(self, positions: Tuple[int, ...], key) -> Sequence[tuple]:
+        """Tuples whose values at ``positions`` equal ``key``: one value for
+        one position, a tuple of values for several."""
+        entry = self.indexes.get(positions)
+        if entry is None:
+            key_of = itemgetter(*positions)
+            index: Dict[object, List[tuple]] = {}
+            for t in self.facts:
+                index.setdefault(key_of(t), []).append(t)
+            entry = self.indexes[positions] = (key_of, index)
+        return entry[1].get(key, ())
+
+
+class FactStore:
+    """Ground facts as relations: ``isa`` (individual, class), ``sub``
+    (class, class), ``attr`` (subject, property, value), and one relation
+    per predicate keyed by (name, arity).  ``individuals`` holds every term
+    that is a member, a subject or value of an attribute, or an element of a
+    ``oneOf`` list.
     """
 
     def __init__(self):
-        self.isa: Set[Tuple[FlTerm, FlTerm]] = set()
-        self.sub: Set[Tuple[FlTerm, FlTerm]] = set()
-        self.attr: Set[Tuple[FlTerm, FlTerm, FlTerm]] = set()
-        self.pred: Dict[str, Set[Tuple[FlTerm, ...]]] = {}
+        self.relations: Dict[object, Relation] = {
+            ISA: Relation(), SUB: Relation(), ATTR: Relation()}
         self.individuals: Set[FlTerm] = set()
+        self.isa: Set[Tuple[FlTerm, FlTerm]] = self.relations[ISA].facts
+        self.sub: Set[Tuple[FlTerm, FlTerm]] = self.relations[SUB].facts
+        self.attr: Set[Tuple[FlTerm, FlTerm, FlTerm]] = \
+            self.relations[ATTR].facts
 
-    def add_pred(self, name: str, args: Tuple[FlTerm, ...]) -> bool:
-        bucket = self.pred.setdefault(name, set())
-        if args in bucket:
-            return False
-        bucket.add(args)
-        return True
+    @property
+    def pred(self) -> Dict[str, Set[Tuple[FlTerm, ...]]]:
+        """Predicate name -> argument tuples of every arity."""
+        out: Dict[str, Set[Tuple[FlTerm, ...]]] = {}
+        for key, rel in self.relations.items():
+            if isinstance(key, tuple):
+                out.setdefault(key[0], set()).update(rel.facts)
+        return out
+
+    def add(self, key, t: tuple) -> bool:
+        rel = self.relations.get(key)
+        if rel is None:
+            rel = self.relations[key] = Relation()
+        return rel.add(t)
 
     def size(self) -> int:
-        return (len(self.isa) + len(self.sub) + len(self.attr)
-                + sum(len(v) for v in self.pred.values()))
+        return sum(len(rel.facts) for rel in self.relations.values())
 
     def all_facts(self):
-        for t in self.isa:
-            yield ("isa", t)
-        for t in self.sub:
-            yield ("sub", t)
-        for t in self.attr:
-            yield ("attr", t)
-        for name, tuples in self.pred.items():
-            for t in tuples:
-                yield ("pred", (name,) + t)
-
-    def copy(self) -> "FactStore":
-        out = FactStore()
-        out.isa = set(self.isa)
-        out.sub = set(self.sub)
-        out.attr = set(self.attr)
-        out.pred = {k: set(v) for k, v in self.pred.items()}
-        out.individuals = set(self.individuals)
-        return out
+        for key, rel in self.relations.items():
+            for t in rel.facts:
+                yield (key, t) if isinstance(key, str) else \
+                    ("pred", (key[0],) + t)
 
     def snapshot(self) -> FrozenSet:
         return frozenset(self.all_facts())
@@ -92,7 +128,6 @@ class FactStore:
 @dataclass(frozen=True)
 class Stratification:
     strata: Tuple[Tuple[FlRule, ...], ...]
-    level: Dict[Tuple, int] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -116,6 +151,7 @@ class KnowledgeBase:
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
+        self._compiled: Optional[List[List[_Rule]]] = None
 
     @property
     def store(self) -> FactStore:
@@ -130,53 +166,28 @@ class KnowledgeBase:
 # --- loading -----------------------------------------------------------------
 
 
-def _literal_vars(lit: FlLit, out: Set[str]):
-    def term_vars(t: FlTerm):
-        if isinstance(t, FlVariable):
-            out.add(t.name)
-        elif isinstance(t, FlList):
-            for e in t.elements:
-                term_vars(e)
+_PARTS = {
+    Atom: ("term",), FlUnion: ("a", "b"), FlIntersection: ("a", "b"),
+    FlDifference: ("a", "b"), FlIsA: ("obj", "cls"),
+    FlSubClass: ("sub", "super"), FlAttrValue: ("obj", "prop", "value"),
+    FlMember: ("item", "collection"), FlNeq: ("a", "b"), FlEquiv: ("a", "b"),
+    FlSignature: ("cls", "prop", "range"),
+}
 
-    def expr_vars(e: FlClassExpr):
-        if isinstance(e, Atom):
-            term_vars(e.term)
-        elif isinstance(e, (FlUnion, FlIntersection, FlDifference)):
-            expr_vars(e.a)
-            expr_vars(e.b)
 
-    if isinstance(lit, FlIsA):
-        term_vars(lit.obj)
-        expr_vars(lit.cls)
-    elif isinstance(lit, FlSubClass):
-        expr_vars(lit.sub)
-        expr_vars(lit.super)
-    elif isinstance(lit, FlAttrValue):
-        term_vars(lit.obj)
-        term_vars(lit.prop)
-        term_vars(lit.value)
-    elif isinstance(lit, FlPred):
-        for a in lit.args:
-            term_vars(a)
-    elif isinstance(lit, FlNaf):
-        for i in lit.inner:
-            _literal_vars(i, out)
-    elif isinstance(lit, FlMember):
-        term_vars(lit.item)
-        term_vars(lit.collection)
-    elif isinstance(lit, FlNeq):
-        term_vars(lit.a)
-        term_vars(lit.b)
-    elif isinstance(lit, FlFormat):
-        for a in lit.args:
-            term_vars(a)
-    elif isinstance(lit, FlEquiv):
-        expr_vars(lit.a)
-        expr_vars(lit.b)
-    elif isinstance(lit, FlSignature):
-        expr_vars(lit.cls)
-        term_vars(lit.prop)
-        expr_vars(lit.range)
+def _literal_vars(x, out: Set[str]):
+    """Collect the variables of a literal, class expression or term."""
+    if isinstance(x, FlVariable):
+        out.add(x.name)
+    elif isinstance(x, FlList):
+        for e in x.elements:
+            _literal_vars(e, out)
+    elif isinstance(x, (FlPred, FlFormat, FlNaf)):
+        for e in (x.inner if isinstance(x, FlNaf) else x.args):
+            _literal_vars(e, out)
+    else:
+        for part in _PARTS.get(type(x), ()):
+            _literal_vars(getattr(x, part), out)
 
 
 def literal_vars(lit: FlLit) -> Set[str]:
@@ -196,16 +207,10 @@ def _positive_body_vars(body) -> Set[str]:
 
 def _check_no_function_terms(lit: FlLit):
     # lists with variables in rule heads would invent new terms
-    vs: Set[str] = set()
-    if isinstance(lit, FlPred):
-        for a in lit.args:
-            if isinstance(a, FlList):
-                _literal_vars(lit, vs)
-                if vs:
-                    raise EngineError(
-                        "function-symbols-unsupported",
-                        f"non-ground list in head: {print_literal(lit)}",
-                    )
+    if isinstance(lit, FlPred) and literal_vars(lit) and \
+            any(isinstance(a, FlList) for a in lit.args):
+        raise EngineError("function-symbols-unsupported",
+                          f"non-ground list in head: {print_literal(lit)}")
 
 
 def load_program(program: FlProgram) -> KnowledgeBase:
@@ -398,366 +403,366 @@ def stratify(kb: KnowledgeBase) -> Stratification:
         tuple(rules[i] for i in range(n) if level[i] == lv)
         for lv in range(max_level + 1)
     )
-    key_level: Dict[Tuple, int] = {}
-    for i in range(n):
-        k = head_keys[i]
-        if k is not None:
-            key_level[k] = max(key_level.get(k, 0), level[i])
-    kb._stratification = Stratification(strata, key_level)
+    kb._stratification = Stratification(strata)
     return kb._stratification
 
 
-# --- matching / solving ------------------------------------------------------
+# --- compiled joins ----------------------------------------------------------
+#
+# A conjunction compiles once into a tuple of steps over an environment: a
+# list with one slot per variable, ``None`` while unbound.  A step is a
+# generator function of (env, store, delta) that binds slots for each of its
+# solutions in turn, yields, and unbinds them once exhausted.  A body
+# argument compiles to its slot (a variable), to a tuple of arguments (a
+# list with variables in it) or to itself (any other term).
 
 
-def _walk(t: FlTerm, b: Binding) -> FlTerm:
-    while isinstance(t, FlVariable) and t.name in b:
-        t = b[t.name]
+def _value(a, env) -> Optional[FlTerm]:
+    """The term an argument denotes under ``env``; ``None`` if unbound."""
+    if type(a) is int:
+        return env[a]
+    if type(a) is tuple:
+        elements = tuple(_value(e, env) for e in a)
+        return None if any(e is None for e in elements) else FlList(elements)
+    return a
+
+
+def _match(a, value: FlTerm, env, bound: List[int]) -> bool:
+    """Unify an argument with a ground term; newly bound slots go to
+    ``bound``."""
+    if type(a) is int:
+        if env[a] is None:
+            env[a] = value
+            bound.append(a)
+            return True
+        return env[a] == value
+    if type(a) is tuple:
+        return (isinstance(value, FlList) and len(value.elements) == len(a)
+                and all(_match(x, y, env, bound)
+                        for x, y in zip(a, value.elements)))
+    return a == value
+
+
+def _scan(rel_key, args: tuple, use_delta: bool):
+    """A positive literal over a stored relation, or over the round's new
+    facts of it.  The bound arguments select the index to probe."""
+    slots = [a for a in args if type(a) is int]
+    # every argument is a ground term or a variable occurring once
+    simple = len(slots) == len(set(slots)) and tuple not in map(type, args)
+
+    def run(env, store, delta):
+        rel = (delta if use_delta else store.relations).get(rel_key)
+        if rel is None:
+            return
+        positions, key, free = [], [], []
+        for p, a in enumerate(args):
+            v = _value(a, env)
+            if v is None:
+                free.append((p, a))
+            else:
+                positions.append(p)
+                key.append(v)
+        if not free:
+            if tuple(key) in rel.facts:
+                yield
+            return
+        facts = rel.lookup(tuple(positions),
+                           key[0] if len(key) == 1 else tuple(key)) \
+            if positions else rel.facts
+        if simple:
+            for t in facts:
+                for p, s in free:
+                    env[s] = t[p]
+                yield
+            for _, s in free:
+                env[s] = None
+            return
+        for t in facts:
+            bound: List[int] = []
+            if all(_match(a, t[p], env, bound) for p, a in free):
+                yield
+            for s in bound:
+                env[s] = None
+    return run
+
+
+def _alt(*plans):
+    """Alternative conjunctions: two for a union class, one for an
+    intersection or difference, none for a literal that never holds."""
+    def run(env, store, delta):
+        for plan in plans:
+            for _ in _solve(plan, env, store, delta):
+                yield
+    return run
+
+
+def _not(plan: tuple, check: tuple = ()):
+    """Negation as failure; ``check`` holds the (slot, name) pairs that must
+    be bound when it runs."""
+    def run(env, store, delta):
+        for s, name in check:
+            if env[s] is None:
+                raise EngineError("unsafe-goal",
+                                  f"unbound variable ?{name} under negation")
+        if not any(True for _ in _solve(plan, list(env), store, None)):
+            yield
+    return run
+
+
+def _neq(a, b):
+    def run(env, store, delta):
+        x, y = _value(a, env), _value(b, env)
+        if x is None or y is None:
+            raise EngineError("unsafe-goal", "unbound variable in disequality")
+        if x != y:
+            yield
+    return run
+
+
+def _member(item, coll):
+    def run(env, store, delta):
+        items = _value(coll, env)
+        for e in items.elements if isinstance(items, FlList) else ():
+            bound: List[int] = []
+            if _match(item, e, env, bound):
+                yield
+            for s in bound:
+                env[s] = None
+    return run
+
+
+def _solve(steps: tuple, env: list, store: FactStore, delta,
+           i: int = 0) -> Iterable[list]:
+    if i == len(steps):
+        yield env
+        return
+    for _ in steps[i](env, store, delta):
+        yield from _solve(steps, env, store, delta, i + 1)
+
+
+def _arg(t: FlTerm, slots: Dict[str, int]):
+    if isinstance(t, FlVariable):
+        return slots.setdefault(t.name, len(slots))
+    if isinstance(t, FlList):
+        parts = tuple(_arg(e, slots) for e in t.elements)
+        if any(type(p) in (int, tuple) for p in parts):
+            return parts
     return t
-
-
-def _unify_term(pattern: FlTerm, value: FlTerm, b: Binding) -> Optional[Binding]:
-    pattern = _walk(pattern, b)
-    if isinstance(pattern, FlVariable):
-        b2 = dict(b)
-        b2[pattern.name] = value
-        return b2
-    if isinstance(pattern, FlList) and isinstance(value, FlList):
-        if len(pattern.elements) != len(value.elements):
-            return None
-        for pe, ve in zip(pattern.elements, value.elements):
-            b = _unify_term(pe, ve, b)
-            if b is None:
-                return None
-        return b
-    return b if pattern == value else None
 
 
 def _expr_term(e: FlClassExpr) -> Optional[FlTerm]:
     return e.term if isinstance(e, Atom) else None
 
 
-def _solve_literal(lit: FlLit, b: Binding, store: FactStore,
-                   restrict=None) -> Iterable[Binding]:
-    """Enumerate bindings; ``restrict`` limits a positive literal to a
-    delta set of fact tuples for semi-naive evaluation."""
+def _isa_step(obj, cls: FlClassExpr, slots, use_delta: bool):
+    if isinstance(cls, Atom):
+        return _scan(ISA, (obj, _arg(cls.term, slots)), use_delta)
+    if isinstance(cls, FlUnion):
+        return _alt((_isa_step(obj, cls.a, slots, use_delta),),
+                    (_isa_step(obj, cls.b, slots, use_delta),))
+    if isinstance(cls, FlIntersection):
+        return _alt((_isa_step(obj, cls.a, slots, use_delta),
+                     _isa_step(obj, cls.b, slots, False)))
+    if isinstance(cls, FlDifference):
+        return _alt((_isa_step(obj, cls.a, slots, use_delta),
+                     _not((_isa_step(obj, cls.b, slots, False),))))
+    return _alt()
+
+
+def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool):
     if isinstance(lit, FlIsA):
-        cls = lit.cls
-        if isinstance(cls, FlUnion):
-            yield from _solve_literal(FlIsA(lit.obj, cls.a), b, store, restrict)
-            for bb in _solve_literal(FlIsA(lit.obj, cls.b), b, store, restrict):
-                yield bb
-            return
-        if isinstance(cls, FlIntersection):
-            for b1 in _solve_literal(FlIsA(lit.obj, cls.a), b, store, restrict):
-                yield from _solve_literal(FlIsA(lit.obj, cls.b), b1, store)
-            return
-        if isinstance(cls, FlDifference):
-            for b1 in _solve_literal(FlIsA(lit.obj, cls.a), b, store, restrict):
-                hits = list(_solve_literal(FlIsA(lit.obj, cls.b), b1, store))
-                if not hits:
-                    yield b1
-            return
-        ct = _expr_term(cls)
-        ct_w = _walk(ct, b) if ct is not None else None
-        obj_w = _walk(lit.obj, b)
-        if ct_w == OBJECT and not isinstance(ct_w, FlVariable):
-            source = ((ind, OBJECT) for ind in store.individuals) \
-                if restrict is None else restrict
-            for ind, c in source:
-                if c != OBJECT:
-                    continue
-                b1 = _unify_term(lit.obj, ind, b)
-                if b1 is not None:
-                    yield b1
-            return
-        source = store.isa if restrict is None else restrict
-        for ind, c in source:
-            b1 = _unify_term(lit.obj, ind, b)
-            if b1 is None:
-                continue
-            b2 = _unify_term(ct, c, b1)
-            if b2 is not None:
-                yield b2
-        return
+        return _isa_step(_arg(lit.obj, slots), lit.cls, slots, use_delta)
     if isinstance(lit, FlSubClass):
-        st = _expr_term(lit.sub)
-        tt = _expr_term(lit.super)
+        st, tt = _expr_term(lit.sub), _expr_term(lit.super)
         if st is None or tt is None:
-            return
-        source = store.sub if restrict is None else restrict
-        for a, c in source:
-            b1 = _unify_term(st, a, b)
-            if b1 is None:
-                continue
-            b2 = _unify_term(tt, c, b1)
-            if b2 is not None:
-                yield b2
-        return
+            return _alt()
+        return _scan(SUB, (_arg(st, slots), _arg(tt, slots)), use_delta)
     if isinstance(lit, FlAttrValue):
-        source = store.attr if restrict is None else restrict
-        for s, p, v in source:
-            b1 = _unify_term(lit.obj, s, b)
-            if b1 is None:
-                continue
-            b2 = _unify_term(lit.prop, p, b1)
-            if b2 is None:
-                continue
-            b3 = _unify_term(lit.value, v, b2)
-            if b3 is not None:
-                yield b3
-        return
+        return _scan(ATTR, (_arg(lit.obj, slots), _arg(lit.prop, slots),
+                            _arg(lit.value, slots)), use_delta)
     if isinstance(lit, FlPred):
-        source = store.pred.get(lit.name, set()) if restrict is None else restrict
-        for args in source:
-            if len(args) != len(lit.args):
-                continue
-            b1: Optional[Binding] = b
-            for pat, val in zip(lit.args, args):
-                b1 = _unify_term(pat, val, b1)
-                if b1 is None:
-                    break
-            if b1 is not None:
-                yield b1
-        return
+        return _scan((lit.name, len(lit.args)),
+                     tuple(_arg(a, slots) for a in lit.args), use_delta)
     if isinstance(lit, FlNaf):
-        for v in literal_vars(lit):
-            if _walk(FlVariable(v), b) == FlVariable(v) or \
-                    isinstance(_walk(FlVariable(v), b), FlVariable):
-                raise EngineError("unsafe-goal",
-                                  f"unbound variable ?{v} under negation")
-        if not any(True for _ in _solve_conj(list(lit.inner), b, store)):
-            yield b
-        return
+        return _not(_compile_conj(lit.inner, slots),
+                    tuple((_arg(FlVariable(v), slots), v)
+                          for v in sorted(literal_vars(lit))))
     if isinstance(lit, FlNeq):
-        a = _walk(lit.a, b)
-        c = _walk(lit.b, b)
-        if isinstance(a, FlVariable) or isinstance(c, FlVariable):
-            raise EngineError("unsafe-goal", "unbound variable in disequality")
-        if a != c:
-            yield b
-        return
+        return _neq(_arg(lit.a, slots), _arg(lit.b, slots))
     if isinstance(lit, FlMember):
-        coll = _walk(lit.collection, b)
-        if not isinstance(coll, FlList):
-            return
-        for e in coll.elements:
-            b1 = _unify_term(lit.item, e, b)
-            if b1 is not None:
-                yield b1
-        return
-    if isinstance(lit, FlFormat):
-        yield b
-        return
+        return _member(_arg(lit.item, slots), _arg(lit.collection, slots))
     raise EngineError("unsupported-literal",
                       f"cannot evaluate {print_literal(lit)}")
 
 
-def _solve_conj(literals: Sequence[FlLit], b: Binding, store: FactStore,
-                delta_at: Optional[int] = None, delta=None) -> Iterable[Binding]:
-    """Left-to-right join; negation and builtins are deferred until their
-    variables are bound."""
-    # order: positives in place, naf/builtins floated right only if unbound
-    def rec(i: int, b: Binding, pending: List[FlLit]):
-        if i == len(literals):
-            # flush pending guards
-            if pending:
-                lit = pending[0]
-                for b1 in _solve_literal(lit, b, store):
-                    yield from rec(i, b1, pending[1:])
-                return
-            yield b
-            return
-        lit = literals[i]
-        if isinstance(lit, (FlNaf, FlNeq)):
-            needed = literal_vars(lit)
-            bound = {v for v in needed
-                     if not isinstance(_walk(FlVariable(v), b), FlVariable)}
-            if needed - bound:
-                yield from rec(i + 1, b, pending + [lit])
-                return
-        restrict = delta if delta_at == i else None
-        for b1 in _solve_literal(lit, b, store, restrict):
-            yield from rec(i + 1, b1, pending)
-    yield from rec(0, b, [])
+def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
+                  delta_at: Optional[int] = None) -> tuple:
+    """Join plan of a conjunction, left to right; a negation or disequality
+    whose variables are not all bound yet moves to the end.  The literal at
+    ``delta_at`` reads only the new facts of the round."""
+    steps, pending = [], []
+    bound: Set[str] = set()
+    for i, lit in enumerate(literals):
+        if isinstance(lit, FlFormat):
+            continue
+        if isinstance(lit, (FlNaf, FlNeq)) and not literal_vars(lit) <= bound:
+            pending.append(lit)
+            continue
+        steps.append(_compile_literal(lit, slots, i == delta_at))
+        if isinstance(lit, (FlSubClass, FlAttrValue, FlPred)) or (
+                isinstance(lit, FlIsA) and isinstance(lit.cls, Atom)):
+            bound |= literal_vars(lit)
+    steps.extend(_compile_literal(lit, slots, False) for lit in pending)
+    return tuple(steps)
+
+
+_FAMILY = {FlIsA: ISA, FlSubClass: SUB, FlAttrValue: ATTR}
+
+
+def _relation_of(lit: FlLit):
+    """The stored relation a literal reads or writes, if any."""
+    if isinstance(lit, FlPred):
+        return (lit.name, len(lit.args))
+    return _FAMILY.get(type(lit))
+
+
+def _head(lit: FlLit) -> Tuple[object, tuple]:
+    """The relation and argument terms of a head literal."""
+    if isinstance(lit, FlIsA):
+        args = (lit.obj, _expr_term(lit.cls))
+    elif isinstance(lit, FlSubClass):
+        args = (_expr_term(lit.sub), _expr_term(lit.super))
+    elif isinstance(lit, FlAttrValue):
+        args = (lit.obj, lit.prop, lit.value)
+    elif isinstance(lit, FlPred):
+        args = lit.args
+    else:
+        raise EngineError("unsupported-rule", f"bad head {print_literal(lit)}")
+    if any(a is None for a in args):
+        raise EngineError("unsupported-rule",
+                          "compound class expression in rule head")
+    return _relation_of(lit), args
+
+
+class _Rule:
+    """A rule compiled for saturation: the head relation, the head
+    arguments (a slot per variable), the plan of the first pass, and a
+    (relation, plan) pair per positive body literal for the delta passes."""
+
+    def __init__(self, rule: FlRule):
+        slots: Dict[str, int] = {}
+        self.full = _compile_conj(rule.body, slots)
+        self.deltas = tuple(
+            (rel, _compile_conj(rule.body, slots, delta_at=i))
+            for i, rel in enumerate(map(_relation_of, rule.body))
+            if rel is not None)
+        self.rel, args = _head(rule.head)
+        self.head = tuple(slots.setdefault(t.name, len(slots))
+                          if isinstance(t, FlVariable) else t for t in args)
+        self.names = sorted(slots, key=slots.get)
+
+    def instantiate(self, env: list) -> tuple:
+        out = []
+        for a in self.head:
+            if type(a) is int:
+                if env[a] is None:
+                    raise EngineError(
+                        "non-range-restricted",
+                        f"unbound head variable ?{self.names[a]}")
+                a = env[a]
+            out.append(a)
+        return tuple(out)
 
 
 # --- saturation --------------------------------------------------------------
 
 
-def _fact_tuple(lit: FlLit, b: Binding):
-    """Instantiate a rule head into a (family, tuple) fact."""
-    def g(t: FlTerm) -> FlTerm:
-        t = _walk(t, b)
-        if isinstance(t, FlVariable):
-            raise EngineError("non-range-restricted",
-                              f"unbound head variable ?{t.name}")
-        return t
-    if isinstance(lit, FlIsA):
-        ct = _expr_term(lit.cls)
-        if ct is None:
-            raise EngineError("unsupported-rule",
-                              "compound class expression in rule head")
-        return ("isa", (g(lit.obj), g(ct)))
-    if isinstance(lit, FlSubClass):
-        st, tt = _expr_term(lit.sub), _expr_term(lit.super)
-        if st is None or tt is None:
-            raise EngineError("unsupported-rule",
-                              "compound class expression in rule head")
-        return ("sub", (g(st), g(tt)))
-    if isinstance(lit, FlAttrValue):
-        return ("attr", (g(lit.obj), g(lit.prop), g(lit.value)))
-    if isinstance(lit, FlPred):
-        return ("pred", (lit.name,) + tuple(g(a) for a in lit.args))
-    raise EngineError("unsupported-rule", f"bad head {print_literal(lit)}")
+def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
+            ) -> Dict[object, Relation]:
+    """Add facts and their structural consequences; return the new ones by
+    relation.
 
+    Each fact is closed against the store once, when it is added, so
+    ``sub`` stays transitively closed and ``isa`` closed under it.  A new
+    ``sub`` edge (a, c) adds every edge from a or a class below it to c or
+    a class above it, and gives each new edge's upper class the members of
+    its lower one.  A new ``isa`` fact adds the superclasses of its class,
+    and a new individual gets its ``_object`` membership.
+    """
+    isa, sub = store.relations[ISA], store.relations[SUB]
+    individuals = store.individuals
+    added: Dict[object, Relation] = {}
 
-def _add_fact(store: FactStore, family: str, data) -> bool:
-    if family == "isa":
-        if data in store.isa:
+    def add(key, t) -> bool:
+        if not store.add(key, t):
             return False
-        store.isa.add(data)
+        rel = added.get(key)
+        if rel is None:
+            rel = added[key] = Relation()
+        rel.add(t)
         return True
-    if family == "sub":
-        if data in store.sub:
-            return False
-        store.sub.add(data)
-        return True
-    if family == "attr":
-        if data in store.attr:
-            return False
-        store.attr.add(data)
-        return True
-    if family == "pred":
-        return store.add_pred(data[0], tuple(data[1:]))
-    raise AssertionError(family)
 
-
-def _collect_individuals(store: FactStore) -> Set[FlTerm]:
-    out: Set[FlTerm] = set()
-    for ind, _cls in store.isa:
-        out.add(ind)
-    for s, _p, v in store.attr:
-        out.add(s)
-        out.add(v)
-    for args in store.pred.get("oneOf", set()):
-        if len(args) == 2 and isinstance(args[1], FlList):
-            out.update(args[1].elements)
-    return out
-
-
-def _structural_closure(store: FactStore) -> List[Tuple[str, tuple]]:
-    """Apply the built-in closure rules to a fixpoint; returns new facts."""
-    added: List[Tuple[str, tuple]] = []
-    changed = True
-    while changed:
-        changed = False
-        store.individuals |= _collect_individuals(store)
-        for ind in list(store.individuals):
-            t = (ind, OBJECT)
-            if t not in store.isa:
-                store.isa.add(t)
-                added.append(("isa", t))
-                changed = True
-        # sub transitivity
-        by_sub: Dict[FlTerm, Set[FlTerm]] = {}
-        for a, c in store.sub:
-            by_sub.setdefault(a, set()).add(c)
-        new_sub = []
-        for a, c in store.sub:
-            for d in by_sub.get(c, ()):
-                if (a, d) not in store.sub:
-                    new_sub.append((a, d))
-        for t in new_sub:
-            if t not in store.sub:
-                store.sub.add(t)
-                added.append(("sub", t))
-                changed = True
-        # isa inheritance along sub
-        new_isa = []
-        for ind, c in store.isa:
-            for d in by_sub.get(c, ()):
-                if (ind, d) not in store.isa:
-                    new_isa.append((ind, d))
-        for t in new_isa:
-            if t not in store.isa:
-                store.isa.add(t)
-                added.append(("isa", t))
-                changed = True
+    work = list(facts)
+    while work:
+        key, t = work.pop()
+        if not add(key, t):
+            continue
+        members: Sequence[FlTerm] = ()
+        if key == ISA:
+            x, c = t
+            members = (x,)
+            for _, d in sub.lookup((0,), c):
+                add(ISA, (x, d))
+        elif key == SUB:
+            a, c = t
+            uppers = [c] + [d for _, d in sub.lookup((0,), c)]
+            for x in [a] + [b for b, _ in sub.lookup((1,), a)]:
+                for y in uppers:
+                    if (x, y) == t or add(SUB, (x, y)):
+                        for m, _ in isa.lookup((1,), x):
+                            add(ISA, (m, y))
+        elif key == ATTR:
+            members = (t[0], t[2])
+        elif key == ("oneOf", 2) and isinstance(t[1], FlList):
+            members = t[1].elements
+        for x in members:
+            if x not in individuals:
+                individuals.add(x)
+                work.append((ISA, (x, OBJECT)))
     return added
 
 
+def _compiled_strata(kb: KnowledgeBase) -> List[List[_Rule]]:
+    if kb._compiled is None:
+        kb._compiled = [[_Rule(r) for r in stratum]
+                        for stratum in stratify(kb).strata]
+    return kb._compiled
+
+
 def saturate(kb: KnowledgeBase) -> FactStore:
-    """Compute the least fixpoint stratum by stratum."""
-    strat = stratify(kb)
+    """Compute the least fixpoint stratum by stratum, semi-naively: after a
+    first pass over the whole store, a rule runs once per positive body
+    literal with that literal reading only the previous round's new
+    facts."""
+    strata = _compiled_strata(kb)
     store = FactStore()
-    for f in kb.base_facts:
-        family, data = _fact_tuple(f, {})
-        _add_fact(store, family, data)
-    _structural_closure(store)
-    for stratum in strat.strata:
-        delta: Optional[Set] = None  # None means first pass: use full store
+    _assert(store, [_head(f) for f in kb.base_facts])
+    for stratum in strata:
+        delta: Optional[Dict[object, Relation]] = None
         while True:
-            new_facts: Set[Tuple[str, tuple]] = set()
+            new: Set[Tuple[object, tuple]] = set()
             for rule in stratum:
-                body = list(rule.body)
-                positions = [i for i, l in enumerate(body)
-                             if not isinstance(l, (FlNaf, FlNeq, FlFormat,
-                                                   FlMember))]
-                if delta is None:
-                    passes = [(None, None)]
-                else:
-                    passes = []
-                    for i in positions:
-                        d = _delta_for(body[i], delta)
-                        if d:
-                            passes.append((i, d))
-                for pos, d in passes:
-                    for b in _solve_conj(body, {}, store, delta_at=pos, delta=d):
-                        family, data = _fact_tuple(rule.head, b)
-                        if not _fact_present(store, family, data):
-                            new_facts.add((family, data))
-            applied = []
-            for family, data in new_facts:
-                if _add_fact(store, family, data):
-                    applied.append((family, data))
-            applied.extend(_structural_closure(store))
-            if not applied and delta is not None:
-                break
-            if delta is None and not applied:
-                # nothing new beyond base facts: still need one delta round?
-                break
-            delta = set()
-            for family, data in applied:
-                delta.add((family, data))
+                plans = (rule.full,) if delta is None else \
+                    [plan for rel, plan in rule.deltas if rel in delta]
+                for plan in plans:
+                    for env in _solve(plan, [None] * len(rule.names), store,
+                                      delta):
+                        new.add((rule.rel, rule.instantiate(env)))
+            delta = _assert(store, new)
             if not delta:
                 break
     kb._store = store
     return store
-
-
-def _fact_present(store: FactStore, family: str, data) -> bool:
-    if family == "isa":
-        return data in store.isa
-    if family == "sub":
-        return data in store.sub
-    if family == "attr":
-        return data in store.attr
-    return tuple(data[1:]) in store.pred.get(data[0], set())
-
-
-def _delta_for(lit: FlLit, delta: Set[Tuple[str, tuple]]):
-    """Project the delta set onto the shape a literal enumerates."""
-    if isinstance(lit, FlIsA):
-        return [d for f, d in delta if f == "isa"]
-    if isinstance(lit, FlSubClass):
-        return [d for f, d in delta if f == "sub"]
-    if isinstance(lit, FlAttrValue):
-        return [d for f, d in delta if f == "attr"]
-    if isinstance(lit, FlPred):
-        return [tuple(d[1:]) for f, d in delta
-                if f == "pred" and d[0] == lit.name]
-    return []
 
 
 # --- queries -----------------------------------------------------------------
@@ -769,20 +774,22 @@ def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
     store = kb.store
     # goal safety: naf vars must be bound by earlier positive literals
     bound: Set[str] = set()
-    for lit in literals:
-        if isinstance(lit, (FlNaf, FlNeq)):
-            if not literal_vars(lit) <= bound:
-                raise EngineError("unsafe-goal",
-                                  "unbound variable under negation in goal")
-        else:
-            bound |= literal_vars(lit)
-    seen = set()
-    out: List[Binding] = []
     goal_vars: Set[str] = set()
     for lit in literals:
-        goal_vars |= literal_vars(lit)
-    for b in _solve_conj(literals, {}, store):
-        resolved = {v: _walk(FlVariable(v), b) for v in goal_vars}
+        lit_vars = literal_vars(lit)
+        if not isinstance(lit, (FlNaf, FlNeq)):
+            bound |= lit_vars
+        elif not lit_vars <= bound:
+            raise EngineError("unsafe-goal",
+                              "unbound variable under negation in goal")
+        goal_vars |= lit_vars
+    slots = {v: i for i, v in enumerate(sorted(goal_vars))}
+    plan = _compile_conj(literals, slots)
+    seen = set()
+    out: List[Binding] = []
+    for env in _solve(plan, [None] * len(slots), store, None):
+        resolved = {v: FlVariable(v) if env[s] is None else env[s]
+                    for v, s in slots.items()}
         key = tuple(sorted((v, print_term(t)) for v, t in resolved.items()))
         if key not in seen:
             seen.add(key)
@@ -826,59 +833,51 @@ def run_constraint_checks(kb: KnowledgeBase,
                           check_min_cardinality: bool = False
                           ) -> List[ConstraintViolation]:
     store = kb.store
+    isa, attr = store.relations[ISA], store.relations[ATTR]
+    preds = store.pred
     out: List[ConstraintViolation] = []
 
     def members(cls_term: FlTerm) -> List[FlTerm]:
-        if cls_term == OBJECT:
-            pool = store.individuals
-        else:
-            pool = {i for i, c in store.isa if c == cls_term}
-        return sorted(pool, key=print_term)
-
-    def values_of(x: FlTerm, p: FlTerm) -> List[FlTerm]:
-        return sorted({v for s, q, v in store.attr if s == x and q == p},
+        return sorted((x for x, _ in isa.lookup((1,), cls_term)),
                       key=print_term)
 
+    def values_of(x: FlTerm, p: FlTerm) -> List[FlTerm]:
+        return sorted((v for _, _, v in attr.lookup((0, 1), (x, p))),
+                      key=print_term)
+
+    def flag(checker: str, template: str, args, var: str, x: FlTerm):
+        out.append(ConstraintViolation(checker, _fmt(template, args),
+                                       (((var, print_term(x)),),)))
+
     # disjointness
-    for c1, c2 in _sorted_terms(store.pred.get("disjoint_classes", set())):
-        both = [x for x in members(c1) if (x, c2) in store.isa or c2 == OBJECT]
-        for x in both:
-            out.append(ConstraintViolation(
-                "check_disjoint_constraints", _fmt(DISJOINT_MSG, (c1, c2)),
-                ((("X", print_term(x)),),),
-            ))
+    for c1, c2 in _sorted_terms(preds.get("disjoint_classes", set())):
+        for x in members(c1):
+            if (x, c2) in store.isa or c2 == OBJECT:
+                flag("check_disjoint_constraints", DISJOINT_MSG, (c1, c2),
+                     "X", x)
     # enumerations
-    for args in _sorted_terms(store.pred.get("oneOf", set())):
-        cls_term, lst = args
+    for cls_term, lst in _sorted_terms(preds.get("oneOf", set())):
         if not isinstance(lst, FlList):
             continue
         allowed = set(lst.elements)
         for x in members(cls_term):
             if x not in allowed:
-                out.append(ConstraintViolation(
-                    "check_oneOf_constraints", _fmt(ONEOF_MSG, (x, cls_term)),
-                    ((("X", print_term(x)),),),
-                ))
+                flag("check_oneOf_constraints", ONEOF_MSG, (x, cls_term),
+                     "X", x)
     # existential value requirements
     for cls_term, p, filler in _sorted_terms(
-            store.pred.get("someValuesFrom", set())):
+            preds.get("someValuesFrom", set())):
         for x in members(cls_term):
             if not any((v, filler) in store.isa or filler == OBJECT
                        for v in values_of(x, p)):
-                out.append(ConstraintViolation(
-                    "check_someValuesFrom_constraints",
-                    _fmt(SOMEVALUES_MSG, (x, cls_term, x, p, filler)),
-                    ((("O", print_term(x)),),),
-                ))
+                flag("check_someValuesFrom_constraints", SOMEVALUES_MSG,
+                     (x, cls_term, x, p, filler), "O", x)
     # required specific values
-    for cls_term, p, value in _sorted_terms(store.pred.get("hasValue", set())):
+    for cls_term, p, value in _sorted_terms(preds.get("hasValue", set())):
         for x in members(cls_term):
             if (x, p, value) not in store.attr:
-                out.append(ConstraintViolation(
-                    "check_hasValue_constraints",
-                    _fmt(HASVALUE_MSG, (x, p, value)),
-                    ((("O", print_term(x)),),),
-                ))
+                flag("check_hasValue_constraints", HASVALUE_MSG,
+                     (x, p, value), "O", x)
     # signatures: cardinality bounds and range
     for sig in kb.signatures:
         cls_term = _expr_term(sig.cls)
@@ -890,33 +889,21 @@ def run_constraint_checks(kb: KnowledgeBase,
             if sig.card is not None:
                 low, high = sig.card
                 n = len(vals)
-                high_txt = "*" if high is None else high
-                if high is not None and n > high:
-                    out.append(ConstraintViolation(
-                        "check_cardinality_constraints",
-                        _fmt(CARDINALITY_MSG, (x, sig.prop, n, low, high_txt)),
-                        ((("O", print_term(x)),),),
-                    ))
-                if check_min_cardinality and n < low:
-                    out.append(ConstraintViolation(
-                        "check_cardinality_constraints",
-                        _fmt(CARDINALITY_MSG, (x, sig.prop, n, low, high_txt)),
-                        ((("O", print_term(x)),),),
-                    ))
+                if (high is not None and n > high) or \
+                        (check_min_cardinality and n < low):
+                    flag("check_cardinality_constraints", CARDINALITY_MSG,
+                         (x, sig.prop, n, low, "*" if high is None else high),
+                         "O", x)
             if rng_term != OBJECT:
                 for v in vals:
                     if (v, rng_term) not in store.isa:
-                        out.append(ConstraintViolation(
-                            "check_cardinality_constraints",
-                            _fmt(RANGE_MSG, (x, sig.prop, v, rng_term)),
-                            ((("O", print_term(x)),),),
-                        ))
+                        flag("check_cardinality_constraints", RANGE_MSG,
+                             (x, sig.prop, v, rng_term), "O", x)
     # inverse functionality without a declared inverse
-    for (p,) in _sorted_terms(store.pred.get("inverseFunctional", set())):
+    for (p,) in _sorted_terms(preds.get("inverseFunctional", set())):
         by_value: Dict[FlTerm, List[FlTerm]] = {}
-        for s, q, v in store.attr:
-            if q == p:
-                by_value.setdefault(v, []).append(s)
+        for s, _, v in attr.lookup((1,), p):
+            by_value.setdefault(v, []).append(s)
         for v in sorted(by_value, key=print_term):
             subjects = sorted(set(by_value[v]), key=print_term)
             if len(subjects) > 1:
@@ -932,7 +919,8 @@ def run_constraint_checks(kb: KnowledgeBase,
 
 
 def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
-    """Add one ground fact and re-saturate; duplicate inserts are no-ops."""
+    """Add one ground fact and re-saturate; a fact already among the base
+    facts changes nothing and keeps the saturated store."""
     if literal_vars(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
@@ -941,8 +929,9 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     elif isinstance(fact_lit, FlEquiv):
         kb.equiv_docs.append(fact_lit)
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
-        if fact_lit not in kb.base_facts:
-            kb.base_facts.append(fact_lit)
+        if fact_lit in kb.base_facts:
+            return kb
+        kb.base_facts.append(fact_lit)
     else:
         raise EngineError("non-ground-insert",
                           f"not an insertable fact: {print_literal(fact_lit)}")

@@ -168,6 +168,20 @@ def test_check_syntax_error_exits_2(tmp_path, capsys):
     assert main(["check", str(kb)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{owl}"],
+    ["query", "{owl}", "instances", "Wine"],
+    ["translate", "--from", "owl", "--to", "flora", "{owl}", "-o", "{out}"],
+], ids=["check", "query", "translate"])
+def test_truncated_owl_exits_2(argv, tmp_path, capsys):
+    owl = tmp_path / "truncated.owl"
+    owl.write_text("<rdf:RDF")
+    out = tmp_path / "out.flr"
+    assert main([a.format(owl=owl, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "malformed-xml" in err and "Traceback" not in err
+
+
 # --- query -------------------------------------------------------------------
 
 

@@ -140,6 +140,17 @@ def test_termination_on_cyclic_transitive_property():
     assert time.monotonic() - start < 1.0
 
 
+def test_repeated_variables_list_patterns_member_and_neq():
+    kb = kb_from("a[p -> a].\nb[p -> c].\nhas(c, [d, e]).\nhas(b, [b]).\n"
+                 "?X:Loop :- ?X[p -> ?X].\n"
+                 "?Y:Head :- has(?X, [?Y, ?Z]).\n"
+                 "?X:Listed :- has(?C, ?L), member(?X, ?L).\n"
+                 "?X:Moves :- ?X[p -> ?Y], ?X != ?Y.")
+    for cls, members in (("Loop", ["a"]), ("Head", ["d"]),
+                         ("Listed", ["b", "d", "e"]), ("Moves", ["b"])):
+        assert names(collect_set(kb, "X", FlIsA(X, atom(cls)))) == members
+
+
 def test_negation_as_failure():
     kb = kb_from("apple:Fruit.\nlemon:Fruit.\nlemon:Sour.\n"
                  "?X:Mild :- ?X:Fruit, \\naf ?X:Sour.")
@@ -332,20 +343,30 @@ def naive_evaluate(program):
     """Re-scan every rule against the full store until nothing changes,
     lower stratum first.  Deliberately dumb; shares no evaluation machinery
     with the engine under test."""
-    isa, sub, attr = set(), set(), set()
+    isa, sub, attr, preds = set(), set(), set(), set()
+
+    def term(t, b):
+        return b[t.name] if isinstance(t, FlVariable) else t
+
+    def add_head(h, b):
+        if isinstance(h, FlIsA):
+            isa.add((term(h.obj, b), term(h.cls.term, b)))
+        elif isinstance(h, FlSubClass):
+            sub.add((term(h.sub.term, b), term(h.super.term, b)))
+        elif isinstance(h, FlPred):
+            preds.add((h.name, tuple(term(a, b) for a in h.args)))
+        else:
+            attr.add((term(h.obj, b), term(h.prop, b), term(h.value, b)))
+
     for r in program.rules:
         if not r.body:
-            h = r.head
-            if isinstance(h, FlIsA):
-                isa.add((h.obj, h.cls.term))
-            elif isinstance(h, FlSubClass):
-                sub.add((h.sub.term, h.super.term))
-            else:
-                attr.add((h.obj, h.prop, h.value))
+            add_head(r.head, {})
 
     def individuals():
+        listed = {e for (name, args) in preds if name == "oneOf"
+                  for e in args[1].elements}
         return {i for (i, _) in isa} | {s for (s, _, _) in attr} | \
-               {v for (_, _, v) in attr}
+               {v for (_, _, v) in attr} | listed
 
     def closure():
         while True:
@@ -365,43 +386,62 @@ def naive_evaluate(program):
 
     def holds(lit, b):
         if isinstance(lit, FlIsA):
-            return (b[lit.obj.name], lit.cls.term) in isa
+            return (term(lit.obj, b), term(lit.cls.term, b)) in isa
+        if isinstance(lit, FlSubClass):
+            return (term(lit.sub.term, b), term(lit.super.term, b)) in sub
+        if isinstance(lit, FlPred):
+            return (lit.name, tuple(term(a, b) for a in lit.args)) in preds
         if isinstance(lit, FlNaf):
             return not holds(lit.inner[0], b)
-        return (b[lit.obj.name],
-                lit.prop,
-                b[lit.value.name] if isinstance(lit.value, FlVariable)
-                else lit.value) in attr
+        return (term(lit.obj, b), term(lit.prop, b),
+                term(lit.value, b)) in attr
+
+    def constants():
+        out = individuals() | {t for pair in isa | sub for t in pair} | \
+            {p for (_, p, _) in attr}
+        return out | {a for (_, args) in preds for a in args
+                      if isinstance(a, FlSymbol)}
 
     def run(rule_set):
         while True:
-            n = (len(isa), len(sub), len(attr))
+            n = (len(isa), len(sub), len(attr), len(preds))
             closure()
-            consts = sorted(individuals(), key=lambda t: t.name)
+            consts = sorted(constants(), key=lambda t: t.name)
             for r in rule_set:
                 vars_ = sorted({v.name for lit in r.body
                                 for v in _lit_vars(lit)})
-                import itertools
-                for combo in itertools.product(consts, repeat=len(vars_)):
-                    b = dict(zip(vars_, combo))
-                    if all(holds(l, b) for l in r.body):
-                        h = r.head
-                        if isinstance(h, FlIsA):
-                            isa.add((b[h.obj.name], h.cls.term))
-                        else:
-                            attr.add((b[h.obj.name], h.prop,
-                                      b[h.value.name]))
+                for b in assignments(r.body, vars_, consts, {}):
+                    add_head(r.head, b)
             closure()
-            if (len(isa), len(sub), len(attr)) == n:
+            if (len(isa), len(sub), len(attr), len(preds)) == n:
                 return
+
+    def assignments(body, vars_, consts, b):
+        """Every binding of ``vars_`` to constants that satisfies ``body``;
+        a partial binding is dropped once a literal it fully binds fails."""
+        if len(b) == len(vars_):
+            yield b
+            return
+        var = vars_[len(b)]
+        for c in consts:
+            b[var] = c
+            if all(holds(l, b) for l in body
+                   if all(v.name in b for v in _lit_vars(l))):
+                yield from assignments(body, vars_, consts, b)
+            del b[var]
 
     def _lit_vars(lit):
         if isinstance(lit, FlNaf):
             return _lit_vars(lit.inner[0])
         if isinstance(lit, FlIsA):
-            return [lit.obj]
-        return [t for t in (lit.obj, lit.value)
-                if isinstance(t, FlVariable)]
+            terms = [lit.obj, lit.cls.term]
+        elif isinstance(lit, FlSubClass):
+            terms = [lit.sub.term, lit.super.term]
+        elif isinstance(lit, FlPred):
+            terms = list(lit.args)
+        else:
+            terms = [lit.obj, lit.prop, lit.value]
+        return [t for t in terms if isinstance(t, FlVariable)]
 
     stratum0 = [r for r in program.rules
                 if r.body and not any(isinstance(l, FlNaf) for l in r.body)]
@@ -438,3 +478,84 @@ def test_insert_order_independence():
         insert_fact(incremental, extra)
         assert upfront.store.snapshot() == incremental.store.snapshot(), \
             f"trial {trial}"
+
+
+CLASSES_C = ["C0", "C1", "C2", "C3"]
+
+
+def random_structural_program(rng):
+    """Positive programs with what the two-stratum generator never makes:
+    ``::`` edges derived by rules once memberships exist (some only after a
+    derived membership), an attribute join over a variable property, and
+    individuals that occur only as attribute values or in a ``oneOf``
+    list."""
+    def cls():
+        return atom(rng.choice(CLASSES_C))
+
+    inds = [f"i{k}" for k in range(rng.randrange(2, 6))]
+    values = inds + [f"v{k}" for k in range(3)]
+    x, y, z, p = (FlVariable(n) for n in "XYZP")
+    rules = [fact(FlPred("TransitiveProperty", (FlSymbol("p"),)))]
+    for _ in range(rng.randrange(4, 16)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rules.append(fact(FlIsA(FlSymbol(rng.choice(inds)), cls())))
+        elif kind == 1:
+            rules.append(fact(FlSubClass(cls(), cls())))
+        elif kind == 2:
+            rules.append(fact(FlAttrValue(FlSymbol(rng.choice(inds)),
+                                          FlSymbol(rng.choice("pq")),
+                                          FlSymbol(rng.choice(values)))))
+        elif kind == 3:
+            rules.append(fact(FlPred("below", (cls().term, cls().term))))
+        else:
+            elements = rng.sample(inds + ["w0", "w1"], 2)
+            rules.append(fact(FlPred("oneOf", (cls().term, FlList(
+                tuple(FlSymbol(e) for e in elements))))))
+    for _ in range(rng.randrange(0, 6)):  # p-chains for the join rule
+        a, b = rng.sample(inds, 2)
+        rules.append(fact(FlAttrValue(FlSymbol(a), FlSymbol("p"),
+                                      FlSymbol(b))))
+    rules += [
+        FlRule(FlSubClass(Atom(x), Atom(y)), (FlPred("below", (x, y)),)),
+        FlRule(FlAttrValue(x, p, z),
+               (FlPred("TransitiveProperty", (p,)),
+                FlAttrValue(x, p, y), FlAttrValue(y, p, z))),
+    ]
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:  # an edge that appears only after a derived membership
+            rules.append(FlRule(FlPred("below", (cls().term, cls().term)),
+                                (FlIsA(x, cls()),)))
+        elif kind == 1:
+            rules.append(FlRule(FlIsA(x, cls()), (FlIsA(x, cls()),)))
+        elif kind == 2:
+            rules.append(FlRule(FlIsA(y, cls()), (
+                FlIsA(x, cls()), FlAttrValue(x, FlSymbol("p"), y))))
+        else:
+            rules.append(FlRule(FlAttrValue(x, FlSymbol("q"), y),
+                                (FlAttrValue(x, FlSymbol("p"), y),)))
+    return FlProgram(tuple(rules))
+
+
+def test_structural_closure_matches_naive_oracle():
+    rng = random.Random(20261018)
+    obj = FlSymbol("_object")
+    seen = {"late-sub": 0, "join": 0, "value-only": 0}
+    start = time.monotonic()
+    for trial in range(150):
+        program = random_structural_program(rng)
+        store = saturate(load_program(program))
+        isa, sub, attr = naive_evaluate(program)
+        assert (store.isa, store.sub, store.attr) == (isa, sub, attr), \
+            f"trial {trial}"
+        base = {r.head for r in program.rules if not r.body}
+        seen["late-sub"] += any(
+            FlSubClass(Atom(a), Atom(b)) not in base and (i, a) in isa
+            for (a, b) in sub for (i, _) in isa)
+        seen["join"] += any(FlAttrValue(s, p, v) not in base
+                            for (s, p, v) in attr if p == FlSymbol("p"))
+        seen["value-only"] += any(
+            (FlSymbol(n), obj) in isa for n in ("v0", "v1", "v2", "w0", "w1"))
+    assert all(seen.values()), seen
+    assert time.monotonic() - start < 30.0
