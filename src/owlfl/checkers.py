@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from .flogic import (
-    Atom, FlAttrValue, FlFormat, FlIsA, FlList, FlMember, FlNaf, FlNeq, FlPred,
+    Atom, FlAttrValue, FlFormat, FlIsA, FlMember, FlNaf, FlNeq, FlPred,
     FlRule, FlVariable,
 )
 
@@ -36,6 +36,11 @@ CHECKER_NAMES = (
     "check_inverseFunctional_constraints",
     "check_all_constraints",
 )
+
+
+def is_checker_rule(rule: FlRule) -> bool:
+    """True for a rule that defines an integrity checker (``check_*``)."""
+    return isinstance(rule.head, FlPred) and rule.head.name.startswith("check_")
 
 
 def _v(name: str) -> FlVariable:

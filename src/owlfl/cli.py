@@ -383,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        # the parsers and translators recurse once per nesting level
+        _report([Diagnostic(ERROR, "syntax-error",
+                            "input is nested too deeply")])
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

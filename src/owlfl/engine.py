@@ -18,8 +18,8 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import (
-    CARDINALITY_MSG, CHECKER_NAMES, DISJOINT_MSG, HASVALUE_MSG, INVFUNC_MSG,
-    ONEOF_MSG, RANGE_MSG, SOMEVALUES_MSG,
+    CARDINALITY_MSG, DISJOINT_MSG, HASVALUE_MSG, INVFUNC_MSG,
+    ONEOF_MSG, RANGE_MSG, SOMEVALUES_MSG, is_checker_rule,
 )
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
@@ -141,13 +141,11 @@ class ConstraintViolation:
 
 
 class KnowledgeBase:
-    def __init__(self, rules, base_facts, signatures, checker_rules, equiv_docs,
-                 prefixes):
+    def __init__(self, rules, base_facts, signatures, checker_rules, prefixes):
         self.rules: List[FlRule] = rules
         self.base_facts: List[FlLit] = base_facts
         self.signatures: List[FlSignature] = signatures
         self.checker_rules: List[FlRule] = checker_rules
-        self.equiv_docs: List[FlEquiv] = equiv_docs
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
@@ -219,11 +217,9 @@ def load_program(program: FlProgram) -> KnowledgeBase:
     base_facts: List[FlLit] = []
     signatures: List[FlSignature] = []
     checker: List[FlRule] = []
-    equiv_docs: List[FlEquiv] = []
     for rule in program.rules:
         head = rule.head
-        if isinstance(head, FlPred) and (
-                head.name in CHECKER_NAMES or head.name.startswith("check_")):
+        if is_checker_rule(rule):
             checker.append(rule)
             continue
         if rule.is_fact:
@@ -232,9 +228,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                                   f"fact with variables: {print_literal(head)}")
             if isinstance(head, FlSignature):
                 signatures.append(head)
-            elif isinstance(head, FlEquiv):
-                equiv_docs.append(head)
-            else:
+            elif not isinstance(head, FlEquiv):  # equivalences add no facts
                 base_facts.append(head)
             continue
         if isinstance(head, (FlSignature, FlEquiv)):
@@ -260,7 +254,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                         f"bound by a positive body literal",
                     )
         rules.append(rule)
-    return KnowledgeBase(rules, base_facts, signatures, checker, equiv_docs,
+    return KnowledgeBase(rules, base_facts, signatures, checker,
                          dict(program.prefixes))
 
 
@@ -927,7 +921,7 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     if isinstance(fact_lit, FlSignature):
         kb.signatures.append(fact_lit)
     elif isinstance(fact_lit, FlEquiv):
-        kb.equiv_docs.append(fact_lit)
+        return kb  # an equivalence adds no facts
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         if fact_lit in kb.base_facts:
             return kb

@@ -9,12 +9,12 @@ left over is reported as unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import owl_model as om
-from .checkers import CHECKER_NAMES
-from .diagnostics import Diagnostic, ERROR, INFO, WARNING
+from .checkers import is_checker_rule
+from .diagnostics import Diagnostic, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLit, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
@@ -93,21 +93,11 @@ def _atom_sym(e: FlClassExpr) -> Optional[FlSymbol]:
     return None
 
 
-def _union_atoms(e: FlClassExpr) -> Optional[List[FlSymbol]]:
-    if isinstance(e, FlUnion):
-        a = _union_atoms(e.a)
-        b = _union_atoms(e.b)
-        if a is None or b is None:
-            return None
-        return a + b
-    s = _atom_sym(e)
-    return [s] if s is not None else None
-
-
-def _intersection_atoms(e: FlClassExpr) -> Optional[List[FlSymbol]]:
-    if isinstance(e, FlIntersection):
-        a = _intersection_atoms(e.a)
-        b = _intersection_atoms(e.b)
+def _operand_atoms(e: FlClassExpr, kind) -> Optional[List[FlSymbol]]:
+    """The atoms that ``kind`` joins in e, or None if one is compound."""
+    if isinstance(e, kind):
+        a = _operand_atoms(e.a, kind)
+        b = _operand_atoms(e.b, kind)
         if a is None or b is None:
             return None
         return a + b
@@ -292,6 +282,13 @@ class _Recognizer:
         self.class_axioms: List[om.ClassAxiom] = []
         self.property_axioms: List[om.PropertyAxiom] = []
         self.assertions: List[om.Assertion] = []
+        # each rule's shapes, computed once; None where a shape does not fit
+        self.membership = [_membership_rule(r) for r in self.rules]
+        self.case_split = [_case_split_rule(r) for r in self.rules]
+        self.complement = [_complement_rule(r) for r in self.rules]
+        self.sub = [_sub_rule(r) for r in self.rules]
+        self.avf_dual = [_avf_dual_rule(r) for r in self.rules]
+        self.attr = [_attr_rule(r) for r in self.rules]
 
     # -- bookkeeping
 
@@ -310,6 +307,11 @@ class _Recognizer:
     def fact_head(self, i: int) -> Optional[FlLit]:
         r = self.rules[i]
         return r.head if r.is_fact else None
+
+    def gather(self, anchor: int, fits) -> List[int]:
+        """The anchor and every other open rule whose index ``fits``."""
+        return [anchor] + [j for j in self.open_indices()
+                           if j != anchor and fits(j)]
 
     # -- template passes, most specific first
 
@@ -330,12 +332,8 @@ class _Recognizer:
         self.pass_leftovers()
 
     def pass_checker_library(self):
-        claimed = []
-        for i in self.open_indices():
-            head = self.rules[i].head
-            if isinstance(head, FlPred) and (
-                    head.name in CHECKER_NAMES or head.name.startswith("check_")):
-                claimed.append(i)
+        claimed = [i for i in self.open_indices()
+                   if is_checker_rule(self.rules[i])]
         if claimed:
             self.claim("checker-library", claimed)
 
@@ -350,14 +348,14 @@ class _Recognizer:
             members = [m for m in h.args[1].elements if isinstance(m, FlSymbol)]
             if len(members) != len(h.args[1].elements):
                 continue
-            group = [i]
             member_set = set(members)
-            for j in self.open_indices():
+
+            def fits(j):
                 hj = self.fact_head(j)
-                if isinstance(hj, FlIsA) and isinstance(hj.obj, FlSymbol) and \
-                        hj.obj in member_set and _atom_sym(hj.cls) == cls_sym:
-                    group.append(j)
-            self.claim("oneof-definition", group, cls=cls_sym.name)
+                return isinstance(hj, FlIsA) and isinstance(hj.obj, FlSymbol) \
+                    and hj.obj in member_set and _atom_sym(hj.cls) == cls_sym
+            self.claim("oneof-definition", self.gather(i, fits),
+                       cls=cls_sym.name)
             self.class_axioms.append(om.EquivalentClass(
                 om.Named(self.namer.iri(cls_sym)),
                 om.OneOf(tuple(self.namer.iri(m) for m in members)),
@@ -368,91 +366,57 @@ class _Recognizer:
             h = self.fact_head(i)
             if not isinstance(h, FlEquiv):
                 continue
-            a = _atom_sym(h.a)
-            if a is None:
+            name = _atom_sym(h.a)
+            if name is None:
                 continue
             b = h.b
+            other = _atom_sym(b)
+            bindings = {"cls": name.name}
+            # a compound operand leaves ops empty (or operand None), so no
+            # companion rule fits and the fact is claimed alone
             if isinstance(b, FlUnion):
-                self._claim_union_definition(i, a, b)
+                template = "union-definition"
+                ops = set(_operand_atoms(b, FlUnion) or ())
+
+                def fits(j):
+                    m, cs = self.membership[j], self.case_split[j]
+                    if m is not None and m[0] == name and len(m[1]) == 1 \
+                            and m[1][0] in ops:
+                        return True
+                    return cs is not None and cs[0] in ops and \
+                        cs[1] == name and set(cs[2]) == ops - {cs[0]}
             elif isinstance(b, FlIntersection):
-                self._claim_intersection_definition(i, a, b)
+                template = "intersection-definition"
+                ops = set(_operand_atoms(b, FlIntersection) or ())
+
+                def fits(j):
+                    m = self.membership[j]
+                    if m is None:
+                        return False
+                    return (m[0] == name and set(m[1]) == ops) or \
+                        (m[0] in ops and m[1] == [name])
             elif isinstance(b, FlDifference) and _is_object_atom(b.a):
-                self._claim_complement_definition(i, a, b)
-            elif _atom_sym(b) is not None:
-                self._claim_named_equivalence(i, a, _atom_sym(b))
+                template = "complement-definition"
+                operand = _atom_sym(b.b)
 
-    def _claim_union_definition(self, i: int, name: FlSymbol, b: FlUnion):
-        ops = _union_atoms(b)
-        group = [i]
-        if ops is not None:
-            op_set = set(ops)
-            for j in self.open_indices():
-                if j == i:
-                    continue
-                m = _membership_rule(self.rules[j])
-                if m is not None and m[0] == name and len(m[1]) == 1 and \
-                        m[1][0] in op_set:
-                    group.append(j)
-                    continue
-                cs = _case_split_rule(self.rules[j])
-                if cs is not None and cs[0] in op_set and cs[1] == name and \
-                        set(cs[2]) == op_set - {cs[0]}:
-                    group.append(j)
-        self.claim("union-definition", group, cls=name.name)
-        self.class_axioms.append(om.EquivalentClass(
-            om.Named(self.namer.iri(name)), self.namer.cls(b)))
+                def fits(j):
+                    return self.complement[j] == (name, operand)
+            elif other is not None:
+                template = "named-equivalence"
+                bindings = {"a": name.name, "b": other.name}
+                pair = {name, other}
 
-    def _claim_intersection_definition(self, i: int, name: FlSymbol,
-                                       b: FlIntersection):
-        ops = _intersection_atoms(b)
-        group = [i]
-        if ops is not None:
-            op_set = set(ops)
-            for j in self.open_indices():
-                if j == i:
-                    continue
-                m = _membership_rule(self.rules[j])
-                if m is None:
-                    continue
-                if m[0] == name and set(m[1]) == op_set:
-                    group.append(j)
-                elif m[0] in op_set and m[1] == [name]:
-                    group.append(j)
-        self.claim("intersection-definition", group, cls=name.name)
-        self.class_axioms.append(om.EquivalentClass(
-            om.Named(self.namer.iri(name)), self.namer.cls(b)))
-
-    def _claim_complement_definition(self, i: int, name: FlSymbol,
-                                     b: FlDifference):
-        operand = _atom_sym(b.b)
-        group = [i]
-        if operand is not None:
-            for j in self.open_indices():
-                if j == i:
-                    continue
-                c = _complement_rule(self.rules[j])
-                if c is not None and c[0] == name and c[1] == operand:
-                    group.append(j)
-        self.claim("complement-definition", group, cls=name.name)
-        self.class_axioms.append(om.EquivalentClass(
-            om.Named(self.namer.iri(name)), self.namer.cls(b)))
-
-    def _claim_named_equivalence(self, i: int, a: FlSymbol, b: FlSymbol):
-        group = [i]
-        for j in self.open_indices():
-            if j == i:
+                def fits(j):
+                    m, s = self.membership[j], self.sub[j]
+                    if m is not None and len(m[1]) == 1 and \
+                            {m[0], m[1][0]} == pair:
+                        return True
+                    return s is not None and set(s) == pair
+            else:
                 continue
-            m = _membership_rule(self.rules[j])
-            if m is not None and len(m[1]) == 1 and \
-                    {m[0], m[1][0]} == {a, b}:
-                group.append(j)
-                continue
-            s = _sub_rule(self.rules[j])
-            if s is not None and {s[0], s[1]} == {a, b}:
-                group.append(j)
-        self.claim("named-equivalence", group, a=a.name, b=b.name)
-        self.class_axioms.append(om.EquivalentClass(
-            om.Named(self.namer.iri(a)), om.Named(self.namer.iri(b))))
+            self.claim(template, self.gather(i, fits), **bindings)
+            self.class_axioms.append(om.EquivalentClass(
+                om.Named(self.namer.iri(name)), self.namer.cls(b)))
 
     def pass_avf_dual_pairs(self):
         for i in self.open_indices():
@@ -463,16 +427,10 @@ class _Recognizer:
             cls_sym = _atom_sym(h.cls)
             if cls_sym is None or not isinstance(h.prop, FlSymbol):
                 continue
-            group = [i]
-            for j in self.open_indices():
-                if j == i:
-                    continue
-                d = _avf_dual_rule(self.rules[j])
-                if d is not None and d[0] == cls_sym and d[1] == h.prop and \
-                        d[2] == h.range:
-                    group.append(j)
-                    break
-            self.claim("allValuesFrom", group, cls=cls_sym.name,
+            dual = (cls_sym, h.prop, h.range)
+            group = self.gather(i, lambda j: self.avf_dual[j] == dual)
+            # one dual rule per signature; a second one is left over
+            self.claim("allValuesFrom", group[:2], cls=cls_sym.name,
                        prop=h.prop.name)
             self.class_axioms.append(om.SubClassOf(
                 om.Named(self.namer.iri(cls_sym)),
@@ -498,21 +456,13 @@ class _Recognizer:
                            prop=p.name)
                 self.property_axioms.append(
                     om.Characteristic(self.namer.iri(p), kind))
-            if prop_facts and generic:
-                self.claim(f"generic-{kind}-rule", generic)
-            elif generic:
-                # a support rule with no property facts is inert but harmless
+            if generic:
+                # claimed with or without property facts; with none it is inert
                 self.claim(f"generic-{kind}-rule", generic)
 
     def pass_inverse_and_equivalent_properties(self):
-        open_attr = {}
-        for i in self.open_indices():
-            r = self.rules[i]
-            if r.is_fact:
-                continue
-            a = _attr_rule(r)
-            if a is not None:
-                open_attr[i] = a
+        open_attr = {i: self.attr[i] for i in self.open_indices()
+                     if self.attr[i] is not None}
         done: Set[int] = set()
         indices = sorted(open_attr)
         for i in indices:
@@ -626,10 +576,7 @@ class _Recognizer:
 
     def pass_subproperty_rules(self):
         for i in self.open_indices():
-            r = self.rules[i]
-            if r.is_fact:
-                continue
-            a = _attr_rule(r)
+            a = self.attr[i]
             if a is None:
                 continue
             p, q, inv = a
@@ -650,9 +597,8 @@ class _Recognizer:
                 "restriction and are not reconstructed as OWL axioms",
             ))
         cases = [i for i in self.open_indices()
-                 if not self.rules[i].is_fact
-                 and _case_split_rule(self.rules[i]) is not None
-                 and _complement_rule(self.rules[i]) is None]
+                 if self.case_split[i] is not None
+                 and self.complement[i] is None]
         if cases:
             self.claim("case-split-group", cases)
             self.diagnostics.append(Diagnostic(
@@ -663,10 +609,7 @@ class _Recognizer:
 
     def pass_subclass_rules(self):
         for i in self.open_indices():
-            r = self.rules[i]
-            if r.is_fact:
-                continue
-            m = _membership_rule(r)
+            m = self.membership[i]
             if m is not None:
                 head_cls, body = m
                 sup = om.Named(self.namer.iri(head_cls))
@@ -678,7 +621,7 @@ class _Recognizer:
                 self.claim("membership-rule", [i], cls=head_cls.name)
                 self.class_axioms.append(om.SubClassOf(sub, sup))
                 continue
-            c = _complement_rule(r)
+            c = self.complement[i]
             if c is not None:
                 head_cls, operand = c
                 self.claim("complement-subclass", [i], cls=head_cls.name)
@@ -694,13 +637,6 @@ class _Recognizer:
                 if a is not None and b is not None:
                     self.claim("subclass-fact", [i], sub=a.name, super=b.name)
                     self.class_axioms.append(om.SubClassOf(
-                        om.Named(self.namer.iri(a)),
-                        om.Named(self.namer.iri(b))))
-            elif isinstance(h, FlEquiv):
-                a, b = _atom_sym(h.a), _atom_sym(h.b)
-                if a is not None and b is not None:
-                    self.claim("named-equivalence", [i], a=a.name, b=b.name)
-                    self.class_axioms.append(om.EquivalentClass(
                         om.Named(self.namer.iri(a)),
                         om.Named(self.namer.iri(b))))
 

@@ -305,8 +305,6 @@ def print_literal(l: FlLit) -> str:
         inner = ", ".join(print_literal(i) for i in l.inner)
         if l.style == "not":
             return f"not({inner})"
-        if len(l.inner) == 1 and not isinstance(l.inner[0], (FlPred,)):
-            return f"\\naf {inner}"
         if len(l.inner) == 1:
             return f"\\naf {inner}"
         return f"\\naf ({inner})"
@@ -585,17 +583,21 @@ class _Parser:
 
     # literals; may return several (combined frame molecules split here)
 
+    def parse_literals(self) -> List[FlLit]:
+        """Literals separated by ``,``, up to the first other token."""
+        lits = self.parse_literal()
+        while self.at("punct", ","):
+            self.next()
+            lits.extend(self.parse_literal())
+        return lits
+
     def parse_literal(self) -> List[FlLit]:
         t = self.peek()
         if t.kind == "naf" or (t.kind == "ident" and t.value == "naf"):
             self.next()
             if self.at("punct", "("):
                 self.next()
-                inner: List[FlLit] = []
-                inner.extend(self.parse_literal())
-                while self.at("punct", ","):
-                    self.next()
-                    inner.extend(self.parse_literal())
+                inner = self.parse_literals()
                 self.expect("punct", ")")
             else:
                 inner = self.parse_literal()
@@ -603,11 +605,7 @@ class _Parser:
         if t.kind == "ident" and t.value == "not":
             self.next()
             self.expect("punct", "(")
-            inner = []
-            inner.extend(self.parse_literal())
-            while self.at("punct", ","):
-                self.next()
-                inner.extend(self.parse_literal())
+            inner = self.parse_literals()
             self.expect("punct", ")")
             return [FlNaf(tuple(inner), style="not")]
         if t.kind == "ident" and t.value == "format":
@@ -736,11 +734,7 @@ class _Parser:
             if len(heads) != 1:
                 t = self.peek()
                 raise FlParseError("combined molecule as rule head", t.line, t.col)
-            body: List[FlLit] = []
-            body.extend(self.parse_literal())
-            while self.at("punct", ","):
-                self.next()
-                body.extend(self.parse_literal())
+            body = self.parse_literals()
             self.expect("punct", ".")
             return [FlRule(heads[0], tuple(body))]
         self.expect("punct", ".")

@@ -470,11 +470,6 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
     return done([], Translatability(UNTRANSLATABLE, "unsupported inclusion shape"))
 
 
-def emit_checker_library(program_so_far: Optional[FlProgram] = None
-                         ) -> List[FlRule]:
-    return checker_rules()
-
-
 # --- whole documents ---------------------------------------------------------
 
 
@@ -503,8 +498,7 @@ def translate_ontology(doc: om.OntologyDocument,
     # a Range folded into its Domain's signature is covered by that signature
     covered |= ctx.consumed_range_axioms
     if ctx.opts.emit_checkers:
-        for r in emit_checker_library():
-            rules.append(r)
+        rules.extend(checker_rules())
     program = FlProgram(tuple(rules), dict(doc.prefixes))
     program.provenance = provenance
     program.covered_axiom_ids = covered

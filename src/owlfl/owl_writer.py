@@ -6,7 +6,7 @@ order per axiom list).
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import List
 from xml.sax.saxutils import escape, quoteattr
 
 from .owl_model import (
@@ -62,7 +62,9 @@ class _Writer:
 
     # -- class expressions
 
-    def class_expr(self, expr):
+    def class_expr(self, expr, about: str = ""):
+        """Write expr; ``about`` is the rdf:about attribute of the owl:Class
+        element that a class definition writes in place of an anonymous one."""
         if isinstance(expr, Named):
             self.element("owl:Class", f" rdf:about={quoteattr(self.ref(expr.iri))}")
         elif isinstance(expr, (UnionOf, IntersectionOf)):
@@ -74,7 +76,7 @@ class _Writer:
                     for op in expr.operands:
                         self.class_expr(op)
                 self.element(inner_tag, ' rdf:parseType="Collection"', items)
-            self.element("owl:Class", "", ops)
+            self.element("owl:Class", about, ops)
         elif isinstance(expr, ComplementOf):
             def comp():
                 if isinstance(expr.operand, Named):
@@ -86,7 +88,7 @@ class _Writer:
                     def inner():
                         self.class_expr(expr.operand)
                     self.element("owl:complementOf", "", inner)
-            self.element("owl:Class", "", comp)
+            self.element("owl:Class", about, comp)
         elif isinstance(expr, OneOf):
             def one():
                 def items():
@@ -95,7 +97,7 @@ class _Writer:
                             "owl:Thing", f" rdf:about={quoteattr(self.ref(ind))}"
                         )
                 self.element("owl:oneOf", ' rdf:parseType="Collection"', items)
-            self.element("owl:Class", "", one)
+            self.element("owl:Class", about, one)
         elif isinstance(expr, Restriction):
             self.restriction(expr)
         else:
@@ -166,38 +168,15 @@ class _Writer:
                             "are not serializable in this subset")
         elif isinstance(ax, EquivalentClass) and isinstance(ax.a, Named):
             b = ax.b
-            if isinstance(b, Named):
+            if isinstance(b, (UnionOf, IntersectionOf, OneOf)) or \
+                    isinstance(b, ComplementOf) and isinstance(b.operand, Named):
+                self.class_expr(b, f" rdf:about={quoteattr(self.ref(ax.a.iri))}")
+            elif isinstance(b, Named):
                 def body():
                     self.element(
                         "owl:equivalentClass",
                         f" rdf:resource={quoteattr(self.ref(b.iri))}",
                     )
-                self.named_class(ax.a.iri, body)
-            elif isinstance(b, (UnionOf, IntersectionOf)):
-                tag = "owl:unionOf" if isinstance(b, UnionOf) else \
-                    "owl:intersectionOf"
-
-                def body():
-                    def items():
-                        for op in b.operands:
-                            self.class_expr(op)
-                    self.element(tag, ' rdf:parseType="Collection"', items)
-                self.named_class(ax.a.iri, body)
-            elif isinstance(b, ComplementOf) and isinstance(b.operand, Named):
-                def body():
-                    self.element(
-                        "owl:complementOf",
-                        f" rdf:resource={quoteattr(self.ref(b.operand.iri))}",
-                    )
-                self.named_class(ax.a.iri, body)
-            elif isinstance(b, OneOf):
-                def body():
-                    def items():
-                        for ind in b.individuals:
-                            self.element(
-                                "owl:Thing", f" rdf:about={quoteattr(self.ref(ind))}"
-                            )
-                    self.element("owl:oneOf", ' rdf:parseType="Collection"', items)
                 self.named_class(ax.a.iri, body)
             else:
                 def body():

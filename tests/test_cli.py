@@ -182,6 +182,43 @@ def test_truncated_owl_exits_2(argv, tmp_path, capsys):
     assert "malformed-xml" in err and "Traceback" not in err
 
 
+DEEP = 2000
+
+
+def _deep_flr():
+    # a:(((C0 ; C1) ; C2) ... ; C2000).
+    ops = "".join(f" ; C{i})" for i in range(1, DEEP + 1))
+    return "a:" + "(" * DEEP + "C0" + ops + ".\n"
+
+
+def _deep_owl():
+    nested = "<owl:Class><owl:complementOf>" * DEEP + \
+        '<owl:Class rdf:about="#C"/>' + \
+        "</owl:complementOf></owl:Class>" * DEEP
+    return OWL_DOC.replace(
+        "</rdf:RDF>",
+        '<owl:Class rdf:about="#D"><rdfs:subClassOf>' + nested +
+        "</rdfs:subClassOf></owl:Class>\n</rdf:RDF>")
+
+
+@pytest.mark.parametrize("suffix", ["flr", "owl"])
+@pytest.mark.parametrize("command", ["check", "query", "translate"])
+def test_deep_nesting_exits_2(suffix, command, tmp_path, capsys):
+    src = tmp_path / f"deep.{suffix}"
+    src.write_text(_deep_flr() if suffix == "flr" else _deep_owl())
+    argv = {
+        "check": ["check", str(src)],
+        "query": ["query", str(src), "instances", "C0"],
+        "translate": ["translate", "--from",
+                      "flora" if suffix == "flr" else "owl", "--to",
+                      "owl" if suffix == "flr" else "flora", str(src),
+                      "-o", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: syntax-error:" in err and "Traceback" not in err
+
+
 # --- query -------------------------------------------------------------------
 
 

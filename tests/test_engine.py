@@ -8,8 +8,9 @@ from owlfl.engine import (
     run_constraint_checks, saturate, stratify,
 )
 from owlfl.flogic import (
-    Atom, FlAttrValue, FlIsA, FlList, FlNaf, FlPred, FlProgram, FlRule,
-    FlSubClass, FlSymbol, FlVariable, atom, fact, parse_program, print_term,
+    Atom, FlAttrValue, FlEquiv, FlIsA, FlList, FlNaf, FlPred, FlProgram,
+    FlRule, FlSubClass, FlSymbol, FlVariable, atom, fact, parse_program,
+    print_term,
 )
 
 
@@ -284,6 +285,14 @@ def test_insert_duplicate_is_idempotent():
     kb = kb_from("a:C.")
     before = kb.store.snapshot()
     insert_fact(kb, FlIsA(FlSymbol("a"), atom("C")))
+    assert kb.store.snapshot() == before
+
+
+def test_equivalence_fact_adds_no_facts():
+    kb = kb_from("a:Vin.\nWine :=: Vin.")
+    assert kb.store.snapshot() == kb_from("a:Vin.").store.snapshot()
+    before = kb.store.snapshot()
+    insert_fact(kb, FlEquiv(atom("Red"), atom("Rouge")))
     assert kb.store.snapshot() == before
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from owlfl import owl_model as om
 from owlfl.fl_to_owl import recognize_templates, translate_program
-from owlfl.flogic import parse_program
+from owlfl.flogic import FlProgram, parse_program
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import TranslationOptions, translate_ontology
 
@@ -253,6 +253,204 @@ def test_unrepresentable_leftover_warns():
     assert diags[0].code == "unrepresentable-in-owl"
     assert diags[0].severity == "warning"
     assert "p(a, b, c, d)." in diags[0].message
+
+
+# --- one program with every template -----------------------------------------
+
+# Each template group, the lossy groups and leftovers of several kinds: a
+# second dual rule for one allValuesFrom signature, a lone inverse-orientation
+# rule, a definition whose operands are not all atoms, an equivalence with a
+# difference that is not a complement, a membership fact outside its oneOf.
+PIN_PROGRAM = (
+    "check_disjoint_constraints :- disjoint_classes(?C1, ?C2), "
+    "?X:?C1, ?X:?C2.\n"
+    "check_all_constraints :- check_disjoint_constraints.\n"
+    "White:WineColor.\n"
+    "Red:WineColor.\n"
+    "Red:Colour.\n"
+    "oneOf(WineColor, [White, Red]).\n"
+    "Fruit :=: (Sweet ; Sour).\n"
+    "?X:Fruit :- ?X:Sweet.\n"
+    "?X:Fruit :- ?X:Sour.\n"
+    "?X:Sweet :- ?X:Fruit, \\naf ?X:Sour.\n"
+    "?X:Sour :- ?X:Fruit, \\naf ?X:Sweet.\n"
+    "WhiteBurgundy :=: (Burgundy , WhiteWine).\n"
+    "?X:WhiteBurgundy :- ?X:Burgundy, ?X:WhiteWine.\n"
+    "?X:Burgundy :- ?X:WhiteBurgundy.\n"
+    "?X:WhiteWine :- ?X:WhiteBurgundy.\n"
+    "NonFood :=: (_object - Food).\n"
+    "?X:NonFood :- ?X:_object, \\naf ?X:Food.\n"
+    "Wine :=: Vin.\n"
+    "?X:Wine :- ?X:Vin.\n"
+    "?X:Vin :- ?X:Wine.\n"
+    "?X::Wine :- ?X::Vin.\n"
+    "?X::Vin :- ?X::Wine.\n"
+    "Merlot :=: Vino.\n"
+    "Mixed :=: (A ; (B , C)).\n"
+    "Odd :=: (Left - Right).\n"
+    "Wine::_object[hasMaker *=> Winery].\n"
+    "?Y:Winery :- ?X:Wine, ?X[hasMaker -> ?Y].\n"
+    "?Y:Winery :- ?X:Wine, ?X[hasMaker -> ?Y].\n"
+    "'TransitiveProperty'(locatedIn).\n"
+    "?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?Y[?P -> ?Z].\n"
+    "'SymmetricProperty'(adjacent).\n"
+    "?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].\n"
+    "?X[producesWine -> ?Y] :- ?Y[hasMaker -> ?X].\n"
+    "?X[hasMaker -> ?Y] :- ?Y[producesWine -> ?X].\n"
+    "?X[hasChild -> ?Y] :- ?X[hasOffspring -> ?Y].\n"
+    "?X[hasOffspring -> ?Y] :- ?X[hasChild -> ?Y].\n"
+    "?X[partOf -> ?Y] :- ?Y[hasPart -> ?X].\n"
+    "someValuesFrom(Wine, hasMaker, Winery).\n"
+    "hasValue(Burgundy, hasSugar, Dry).\n"
+    "disjoint_classes(Male, Female).\n"
+    "inverseFunctional(producesWine).\n"
+    "Country[locatedIn *=> Region].\n"
+    "_object[hasColor *=> WineColor].\n"
+    "_object[hasVintageYear{1:1} *=> _object].\n"
+    "_object[hasPet{2:3} *=> _object].\n"
+    "Person[hasParent{0:2} *=> _object].\n"
+    "Wine[hasMaker{1:*} *=> _object].\n"
+    "Person[hasSpouse{1:1} *=> _object].\n"
+    "?X[hasWineDescriptor -> ?Y] :- ?X[hasColor -> ?Y].\n"
+    "'_lt_aux1'(?X) :- ?X[p -> ?Y], \\naf ?Y:F.\n"
+    "?X:D :- ?X:_object, \\naf '_lt_aux1'(?X).\n"
+    "?X:C1 :- ?X:D2, \\naf ?X:C2.\n"
+    "?X:C2 :- ?X:D2, \\naf ?X:C1.\n"
+    "?X:Wine :- ?X:RedWine.\n"
+    "?X:GoodWine :- ?X:RedWine, ?X:DryWine.\n"
+    "?X:Visible :- ?X:_object, \\naf ?X:Hidden.\n"
+    "RedWine::Wine.\n"
+    "merlot7:RedWine.\n"
+    "merlot7[hasMaker -> chateau1].\n"
+    "grape1:WineGrape[hasColor -> 'Red'].\n"
+    "p(a, b, c, d).\n"
+)
+
+PIN_PRINTED = [
+    ("checker-library", (), (0, 1)),
+    ("oneof-definition", (("cls", "WineColor"),), (2, 3, 5)),
+    ("union-definition", (("cls", "Fruit"),), (6, 7, 8, 9, 10)),
+    ("intersection-definition", (("cls", "WhiteBurgundy"),), (11, 12, 13, 14)),
+    ("complement-definition", (("cls", "NonFood"),), (15, 16)),
+    ("named-equivalence", (("a", "Wine"), ("b", "Vin")), (17, 18, 19, 20, 21)),
+    ("named-equivalence", (("a", "Merlot"), ("b", "Vino")), (22,)),
+    ("union-definition", (("cls", "Mixed"),), (23,)),
+    ("allValuesFrom", (("cls", "Wine"), ("prop", "hasMaker")), (25, 26)),
+    ("transitiveProperty", (("prop", "locatedIn"),), (28,)),
+    ("generic-transitive-rule", (), (29,)),
+    ("symmetricProperty", (("prop", "adjacent"),), (30,)),
+    ("generic-symmetric-rule", (), (31,)),
+    ("inverse-of", (("a", "producesWine"), ("b", "hasMaker")), (32, 33)),
+    ("equivalent-property", (("a", "hasChild"), ("b", "hasOffspring")),
+     (34, 35)),
+    ("someValuesFrom", (("cls", "Wine"), ("prop", "hasMaker")), (37,)),
+    ("hasValue", (("cls", "Burgundy"), ("prop", "hasSugar")), (38,)),
+    ("disjoint-classes", (("a", "Female"), ("b", "Male")), (39,)),
+    ("inverse-functional", (("prop", "producesWine"),), (40,)),
+    ("domain-range", (("cls", "Country"), ("prop", "locatedIn")), (41,)),
+    ("range", (("prop", "hasColor"),), (42,)),
+    ("functional", (("prop", "hasVintageYear"),), (43,)),
+    ("cardinality-restriction", (("cls", "Person"), ("prop", "hasParent")),
+     (45,)),
+    ("cardinality-restriction", (("cls", "Wine"), ("prop", "hasMaker")),
+     (46,)),
+    ("cardinality-restriction", (("cls", "Person"), ("prop", "hasSpouse")),
+     (47,)),
+    ("sub-property", (("sub", "hasColor"), ("super", "hasWineDescriptor")),
+     (48,)),
+    ("lloyd-topor-aux", (), (49, 50)),
+    ("case-split-group", (), (51, 52)),
+    ("membership-rule", (("cls", "Wine"),), (53,)),
+    ("membership-rule", (("cls", "GoodWine"),), (54,)),
+    ("complement-subclass", (("cls", "Visible"),), (55,)),
+    ("subclass-fact", (("sub", "RedWine"), ("super", "Wine")), (56,)),
+    ("class-assertion", (("cls", "Colour"), ("ind", "Red")), (4,)),
+    ("class-assertion", (("cls", "RedWine"), ("ind", "merlot7")), (57,)),
+    ("property-assertion", (("prop", "hasMaker"), ("subj", "merlot7")), (58,)),
+    ("class-assertion", (("cls", "WineGrape"), ("ind", "grape1")), (59,)),
+    ("property-assertion", (("prop", "hasColor"), ("subj", "grape1")), (60,)),
+]
+PIN_REVERSED = [
+    ("checker-library", (), (60, 61)),
+    ("oneof-definition", (("cls", "WineColor"),), (56, 58, 59)),
+    ("union-definition", (("cls", "Mixed"),), (38,)),
+    ("named-equivalence", (("a", "Merlot"), ("b", "Vino")), (39,)),
+    ("named-equivalence", (("a", "Wine"), ("b", "Vin")), (40, 41, 42, 43, 44)),
+    ("complement-definition", (("cls", "NonFood"),), (45, 46)),
+    ("intersection-definition", (("cls", "WhiteBurgundy"),), (47, 48, 49, 50)),
+    ("union-definition", (("cls", "Fruit"),), (51, 52, 53, 54, 55)),
+    ("allValuesFrom", (("cls", "Wine"), ("prop", "hasMaker")), (34, 36)),
+    ("transitiveProperty", (("prop", "locatedIn"),), (33,)),
+    ("generic-transitive-rule", (), (32,)),
+    ("symmetricProperty", (("prop", "adjacent"),), (31,)),
+    ("generic-symmetric-rule", (), (30,)),
+    ("equivalent-property", (("a", "hasOffspring"), ("b", "hasChild")),
+     (26, 27)),
+    ("inverse-of", (("a", "hasMaker"), ("b", "producesWine")), (28, 29)),
+    ("inverse-functional", (("prop", "producesWine"),), (21,)),
+    ("disjoint-classes", (("a", "Female"), ("b", "Male")), (22,)),
+    ("hasValue", (("cls", "Burgundy"), ("prop", "hasSugar")), (23,)),
+    ("someValuesFrom", (("cls", "Wine"), ("prop", "hasMaker")), (24,)),
+    ("cardinality-restriction", (("cls", "Person"), ("prop", "hasSpouse")),
+     (14,)),
+    ("cardinality-restriction", (("cls", "Wine"), ("prop", "hasMaker")),
+     (15,)),
+    ("cardinality-restriction", (("cls", "Person"), ("prop", "hasParent")),
+     (16,)),
+    ("functional", (("prop", "hasVintageYear"),), (18,)),
+    ("range", (("prop", "hasColor"),), (19,)),
+    ("domain-range", (("cls", "Country"), ("prop", "locatedIn")), (20,)),
+    ("sub-property", (("sub", "hasColor"), ("super", "hasWineDescriptor")),
+     (13,)),
+    ("lloyd-topor-aux", (), (11, 12)),
+    ("case-split-group", (), (9, 10)),
+    ("complement-subclass", (("cls", "Visible"),), (6,)),
+    ("membership-rule", (("cls", "GoodWine"),), (7,)),
+    ("membership-rule", (("cls", "Wine"),), (8,)),
+    ("subclass-fact", (("sub", "RedWine"), ("super", "Wine")), (5,)),
+    ("property-assertion", (("prop", "hasColor"), ("subj", "grape1")), (1,)),
+    ("class-assertion", (("cls", "WineGrape"), ("ind", "grape1")), (2,)),
+    ("property-assertion", (("prop", "hasMaker"), ("subj", "merlot7")), (3,)),
+    ("class-assertion", (("cls", "RedWine"), ("ind", "merlot7")), (4,)),
+    ("class-assertion", (("cls", "Colour"), ("ind", "Red")), (57,)),
+]
+
+PIN_LOSSY = [
+    ("info", "lossy-origin",
+     "Lloyd-Topor auxiliary rules come from a lowered universal restriction "
+     "and are not reconstructed as OWL axioms"),
+    ("info", "lossy-origin",
+     "case-split rules come from a lowered disjunctive subsumer and are not "
+     "reconstructed as OWL axioms"),
+]
+PIN_LEFTOVERS = [
+    ("warning", "unrepresentable-in-owl",
+     "no OWL form for: Odd :=: (Left - Right)."),
+    ("warning", "unrepresentable-in-owl",
+     "no OWL form for: ?Y:Winery :- ?X:Wine, ?X[hasMaker -> ?Y]."),
+    ("warning", "unrepresentable-in-owl",
+     "no OWL form for: ?X[partOf -> ?Y] :- ?Y[hasPart -> ?X]."),
+    ("warning", "unrepresentable-in-owl",
+     "no OWL form for: _object[hasPet{2:3} *=> _object]."),
+    ("warning", "unrepresentable-in-owl",
+     "no OWL form for: p(a, b, c, d)."),
+]
+
+
+@pytest.mark.parametrize("order", ["printed", "reversed"])
+def test_every_template_matches_in_order(order):
+    program, diags = parse_program(PIN_PROGRAM)
+    assert not diags
+    rules = program.rules
+    expected, leftovers = PIN_PRINTED, PIN_LEFTOVERS
+    if order == "reversed":
+        rules = tuple(reversed(rules))
+        expected, leftovers = PIN_REVERSED, PIN_LEFTOVERS[::-1]
+    m, d = recognize_templates(FlProgram(rules, program.prefixes),
+                               base_iri=BASE)
+    assert [(x.template_id, x.bindings, x.consumed) for x in m] == expected
+    assert [(x.severity, x.code, x.message) for x in d] == \
+        PIN_LOSSY + leftovers
 
 
 # --- naming ------------------------------------------------------------------
