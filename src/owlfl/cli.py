@@ -42,6 +42,19 @@ def _report(diags: Sequence[Diagnostic], stream=None):
 # --- KB loading --------------------------------------------------------------
 
 
+def _read(path: str) -> Tuple[Optional[str], Optional[Diagnostic]]:
+    """The text of a UTF-8 file, or the diagnostic saying why there is
+    none."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read(), None
+    except OSError as e:
+        return None, Diagnostic(ERROR, "io-error", str(e))
+    except UnicodeDecodeError as e:
+        return None, Diagnostic(ERROR, "io-error",
+                                f"{path} is not UTF-8 text: {e}")
+
+
 def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
                                             List[Diagnostic]]:
     """Parse and merge one or more ``.flr``/``.owl`` files into one KB."""
@@ -49,12 +62,9 @@ def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
     rules = []
     prefixes = {}
     for path in paths:
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
-            diags.append(Diagnostic(ERROR, "io-error", str(e)))
-            return None, diags
+        text, error = _read(path)
+        if error is not None:
+            return None, diags + [error]
         if path.endswith(".owl") or text.lstrip().startswith("<"):
             doc, d = parse_document(text)
             diags.extend(d)
@@ -121,11 +131,9 @@ def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlSymbol]) -> bool:
 
 
 def cmd_translate(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        _report([Diagnostic(ERROR, "io-error", str(e))])
+    text, error = _read(args.input)
+    if error is not None:
+        _report([error])
         return EXIT_ERROR
     diags: List[Diagnostic] = []
     opts = TranslationOptions(

@@ -5,9 +5,10 @@ domain of the loaded program.  Facts live in one map of relations with hash
 indexes on the argument positions a lookup binds; rule bodies compile once
 into join plans over variable slots.  Structural rules (subclass
 transitivity, membership inheritance, universal ``_object`` membership) are
-applied to each new fact as it is added.  Constraint checking is
-closed-world: no equality inference, distinct-value counting for
-cardinality bounds.
+applied to each new fact as it is added.  The saturated store is kept on
+the KB, and inserted facts extend it when no rule body holds a negation.
+Constraint checking is closed-world: no equality inference, distinct-value
+counting for cardinality bounds.
 """
 
 from __future__ import annotations
@@ -149,16 +150,14 @@ class KnowledgeBase:
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
+        self._pending: List[FlLit] = []  # inserted, not yet in the store
+        # base_facts as a set, made on the first insert
+        self._base_set: Optional[Set[FlLit]] = None
         self._compiled: Optional[List[List[_Rule]]] = None
 
     @property
     def store(self) -> FactStore:
-        if self._store is None:
-            saturate(self)
-        return self._store
-
-    def invalidate(self):
-        self._store = None
+        return saturate(self)
 
 
 # --- loading -----------------------------------------------------------------
@@ -555,8 +554,13 @@ def _isa_step(obj, cls: FlClassExpr, slots, use_delta: bool):
         return _alt((_isa_step(obj, cls.a, slots, use_delta),),
                     (_isa_step(obj, cls.b, slots, use_delta),))
     if isinstance(cls, FlIntersection):
-        return _alt((_isa_step(obj, cls.a, slots, use_delta),
-                     _isa_step(obj, cls.b, slots, False)))
+        a, b = (_isa_step(obj, cls.a, slots, False),
+                _isa_step(obj, cls.b, slots, False))
+        if not use_delta:
+            return _alt((a, b))
+        # a new member of either operand can complete the intersection
+        return _alt((_isa_step(obj, cls.a, slots, True), b),
+                    (a, _isa_step(obj, cls.b, slots, True)))
     if isinstance(cls, FlDifference):
         return _alt((_isa_step(obj, cls.a, slots, use_delta),
                      _not((_isa_step(obj, cls.b, slots, False),))))
@@ -638,13 +642,25 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
     return _relation_of(lit), args
 
 
+def _negates(e) -> bool:
+    """Whether a body literal or class expression holds a negation: a
+    ``\\naf`` or a class difference, which compiles to one."""
+    if isinstance(e, FlIsA):
+        return _negates(e.cls)
+    if isinstance(e, (FlUnion, FlIntersection)):
+        return _negates(e.a) or _negates(e.b)
+    return isinstance(e, (FlNaf, FlDifference))
+
+
 class _Rule:
     """A rule compiled for saturation: the head relation, the head
-    arguments (a slot per variable), the plan of the first pass, and a
-    (relation, plan) pair per positive body literal for the delta passes."""
+    arguments (a slot per variable), the plan of the first pass, a
+    (relation, plan) pair per positive body literal for the delta passes,
+    and whether the body holds a negation."""
 
     def __init__(self, rule: FlRule):
         slots: Dict[str, int] = {}
+        self.negates = any(map(_negates, rule.body))
         self.full = _compile_conj(rule.body, slots)
         self.deltas = tuple(
             (rel, _compile_conj(rule.body, slots, delta_at=i))
@@ -733,28 +749,51 @@ def _compiled_strata(kb: KnowledgeBase) -> List[List[_Rule]]:
     return kb._compiled
 
 
+def _run_stratum(stratum: List[_Rule], store: FactStore,
+                 delta: Optional[Dict[object, Relation]]):
+    """Run a stratum's rules to their fixpoint, semi-naively: a rule runs
+    once per positive body literal with that literal reading only the
+    previous round's new facts.  The first round reads ``delta`` if given
+    (the store was closed under the stratum before those facts came),
+    and otherwise makes one pass over the whole store."""
+    while True:
+        new: Set[Tuple[object, tuple]] = set()
+        for rule in stratum:
+            plans = (rule.full,) if delta is None else \
+                [plan for rel, plan in rule.deltas if rel in delta]
+            for plan in plans:
+                for env in _solve(plan, [None] * len(rule.names), store,
+                                  delta):
+                    new.add((rule.rel, rule.instantiate(env)))
+        delta = _assert(store, new)
+        if not delta:
+            return
+
+
 def saturate(kb: KnowledgeBase) -> FactStore:
-    """Compute the least fixpoint stratum by stratum, semi-naively: after a
-    first pass over the whole store, a rule runs once per positive body
-    literal with that literal reading only the previous round's new
-    facts."""
+    """The KB's saturated store: its least model, computed stratum by
+    stratum.
+
+    The store is kept on the KB.  Facts inserted since it was built are
+    added to it in place, and the rules run from them only, when no rule
+    body holds a negation: the program then has a single stratum and its
+    least model only grows with more facts.  A program with negation is
+    saturated again from its base facts instead.
+    """
+    store, pending = kb._store, kb._pending
+    if store is not None and not pending:
+        return store
     strata = _compiled_strata(kb)
-    store = FactStore()
-    _assert(store, [_head(f) for f in kb.base_facts])
+    # an error below leaves no half-updated store behind
+    kb._store, kb._pending = None, []
+    if store is not None and not any(
+            rule.negates for stratum in strata for rule in stratum):
+        delta = _assert(store, [_head(f) for f in pending])
+    else:
+        store, delta = FactStore(), None
+        _assert(store, [_head(f) for f in kb.base_facts])
     for stratum in strata:
-        delta: Optional[Dict[object, Relation]] = None
-        while True:
-            new: Set[Tuple[object, tuple]] = set()
-            for rule in stratum:
-                plans = (rule.full,) if delta is None else \
-                    [plan for rel, plan in rule.deltas if rel in delta]
-                for plan in plans:
-                    for env in _solve(plan, [None] * len(rule.names), store,
-                                      delta):
-                        new.add((rule.rel, rule.instantiate(env)))
-            delta = _assert(store, new)
-            if not delta:
-                break
+        _run_stratum(stratum, store, delta)
     kb._store = store
     return store
 
@@ -828,8 +867,11 @@ def run_constraint_checks(kb: KnowledgeBase,
                           ) -> List[ConstraintViolation]:
     store = kb.store
     isa, attr = store.relations[ISA], store.relations[ATTR]
-    preds = store.pred
     out: List[ConstraintViolation] = []
+
+    def facts(name: str, arity: int) -> List[tuple]:
+        rel = store.relations.get((name, arity))
+        return _sorted_terms(rel.facts) if rel else []
 
     def members(cls_term: FlTerm) -> List[FlTerm]:
         return sorted((x for x, _ in isa.lookup((1,), cls_term)),
@@ -844,13 +886,13 @@ def run_constraint_checks(kb: KnowledgeBase,
                                        (((var, print_term(x)),),)))
 
     # disjointness
-    for c1, c2 in _sorted_terms(preds.get("disjoint_classes", set())):
+    for c1, c2 in facts("disjoint_classes", 2):
         for x in members(c1):
             if (x, c2) in store.isa or c2 == OBJECT:
                 flag("check_disjoint_constraints", DISJOINT_MSG, (c1, c2),
                      "X", x)
     # enumerations
-    for cls_term, lst in _sorted_terms(preds.get("oneOf", set())):
+    for cls_term, lst in facts("oneOf", 2):
         if not isinstance(lst, FlList):
             continue
         allowed = set(lst.elements)
@@ -859,15 +901,14 @@ def run_constraint_checks(kb: KnowledgeBase,
                 flag("check_oneOf_constraints", ONEOF_MSG, (x, cls_term),
                      "X", x)
     # existential value requirements
-    for cls_term, p, filler in _sorted_terms(
-            preds.get("someValuesFrom", set())):
+    for cls_term, p, filler in facts("someValuesFrom", 3):
         for x in members(cls_term):
             if not any((v, filler) in store.isa or filler == OBJECT
                        for v in values_of(x, p)):
                 flag("check_someValuesFrom_constraints", SOMEVALUES_MSG,
                      (x, cls_term, x, p, filler), "O", x)
     # required specific values
-    for cls_term, p, value in _sorted_terms(preds.get("hasValue", set())):
+    for cls_term, p, value in facts("hasValue", 3):
         for x in members(cls_term):
             if (x, p, value) not in store.attr:
                 flag("check_hasValue_constraints", HASVALUE_MSG,
@@ -894,7 +935,7 @@ def run_constraint_checks(kb: KnowledgeBase,
                         flag("check_cardinality_constraints", RANGE_MSG,
                              (x, sig.prop, v, rng_term), "O", x)
     # inverse functionality without a declared inverse
-    for (p,) in _sorted_terms(preds.get("inverseFunctional", set())):
+    for (p,) in facts("inverseFunctional", 1):
         by_value: Dict[FlTerm, List[FlTerm]] = {}
         for s, _, v in attr.lookup((1,), p):
             by_value.setdefault(v, []).append(s)
@@ -913,21 +954,24 @@ def run_constraint_checks(kb: KnowledgeBase,
 
 
 def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
-    """Add one ground fact and re-saturate; a fact already among the base
-    facts changes nothing and keeps the saturated store."""
+    """Add one ground fact to the base facts.  The next ``saturate`` adds
+    it to the saturated store (see there); a fact already among the base
+    facts, a signature or an equivalence leaves the store as it is.  A fact
+    the store cannot hold is rejected before the KB changes."""
     if literal_vars(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
     if isinstance(fact_lit, FlSignature):
         kb.signatures.append(fact_lit)
-    elif isinstance(fact_lit, FlEquiv):
-        return kb  # an equivalence adds no facts
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
-        if fact_lit in kb.base_facts:
-            return kb
-        kb.base_facts.append(fact_lit)
-    else:
+        _head(fact_lit)
+        if kb._base_set is None:
+            kb._base_set = set(kb.base_facts)
+        if fact_lit not in kb._base_set:
+            kb._base_set.add(fact_lit)
+            kb.base_facts.append(fact_lit)
+            kb._pending.append(fact_lit)
+    elif not isinstance(fact_lit, FlEquiv):  # an equivalence adds no facts
         raise EngineError("non-ground-insert",
                           f"not an insertable fact: {print_literal(fact_lit)}")
-    kb.invalidate()
     return kb

@@ -282,6 +282,8 @@ class _Recognizer:
         self.class_axioms: List[om.ClassAxiom] = []
         self.property_axioms: List[om.PropertyAxiom] = []
         self.assertions: List[om.Assertion] = []
+        # rules whose axiom is a general inclusion, which the writer lacks
+        self.general: List[int] = []
         # each rule's shapes, computed once; None where a shape does not fit
         self.membership = [_membership_rule(r) for r in self.rules]
         self.case_split = [_case_split_rule(r) for r in self.rules]
@@ -618,6 +620,7 @@ class _Recognizer:
                 else:
                     sub = om.IntersectionOf(tuple(
                         om.Named(self.namer.iri(b)) for b in body))
+                    self.general.append(i)
                 self.claim("membership-rule", [i], cls=head_cls.name)
                 self.class_axioms.append(om.SubClassOf(sub, sup))
                 continue
@@ -625,6 +628,7 @@ class _Recognizer:
             if c is not None:
                 head_cls, operand = c
                 self.claim("complement-subclass", [i], cls=head_cls.name)
+                self.general.append(i)
                 self.class_axioms.append(om.SubClassOf(
                     om.ComplementOf(om.Named(self.namer.iri(operand))),
                     om.Named(self.namer.iri(head_cls))))
@@ -692,7 +696,10 @@ def translate_program(program: FlProgram, base_iri: Optional[str] = None,
         property_axioms=list(rec.property_axioms),
         assertions=list(rec.assertions),
     )
-    return doc, rec.diagnostics
+    return doc, rec.diagnostics + [Diagnostic(
+        WARNING, "unrepresentable-in-owl",
+        "a general inclusion with a compound subclass is not written in "
+        f"RDF/XML: {print_rule(rec.rules[i])}") for i in rec.general]
 
 
 def _build(program: FlProgram, base_iri, prefixes) -> _Recognizer:

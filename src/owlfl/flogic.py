@@ -728,7 +728,12 @@ class _Parser:
         if self.at("implies"):
             self.parse_directive()
             return []
+        start = self.peek()
         heads = self.parse_literal()
+        for h in heads:
+            if not isinstance(h, MOLECULES + (FlPred,)):
+                raise FlParseError(f"{print_literal(h)} cannot head a "
+                                   "statement", start.line, start.col)
         if self.at("implies"):
             self.next()
             if len(heads) != 1:

@@ -64,6 +64,8 @@ class Context:
 
     def symbol(self, iri: om.Iri) -> FlSymbol:
         value = iri.value
+        if value.endswith("#"):  # no local name: keep the whole IRI
+            return FlSymbol(value, quoted=True, iri=value)
         if self.doc is not None:
             base = self.doc.base
             if base and value.startswith(base + "#"):

@@ -164,8 +164,7 @@ class _Writer:
                     self.element("rdfs:subClassOf", "", inner)
             self.named_class(ax.sub.iri, body)
         elif isinstance(ax, SubClassOf):
-            raise TypeError("general inclusions with a complex subclass "
-                            "are not serializable in this subset")
+            pass  # a compound subclass has no form in this subset
         elif isinstance(ax, EquivalentClass) and isinstance(ax.a, Named):
             b = ax.b
             if isinstance(b, (UnionOf, IntersectionOf, OneOf)) or \
@@ -282,4 +281,7 @@ class _Writer:
 
 
 def serialize_document(doc: OntologyDocument) -> str:
+    """RDF/XML text of ``doc``.  A general inclusion with a compound
+    subclass has no form in this subset and is left out; ``translate_program``
+    reports the rules such inclusions come from."""
     return _Writer(doc).run()

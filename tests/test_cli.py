@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from owlfl.cli import main
@@ -106,6 +108,27 @@ def test_translate_existential_subsumer_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "untranslatable-existential" in err
+
+
+@pytest.mark.parametrize("rule", [
+    "?X:G :- ?X:A, ?X:B.",
+    "?X:G :- ?X:_object, \\naf ?X:A.",
+], ids=["membership", "complement"])
+def test_translate_general_inclusion_keeps_other_axioms(rule, tmp_path,
+                                                        capsys):
+    src = tmp_path / "gci.flr"
+    src.write_text(f"G::T.\n{rule}\na:A.\n")
+    out = tmp_path / "out.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(out)]) == 0
+    text = out.read_text()
+    assert '<owl:Class rdf:about="#G">' in text
+    assert '<rdfs:subClassOf rdf:resource="#T"/>' in text
+    assert '<owl:Thing rdf:about="#a">' in text
+    assert text.endswith("</rdf:RDF>\n")
+    err = capsys.readouterr().err
+    assert err.startswith("warning: unrepresentable-in-owl:")
+    assert err.rstrip().endswith(rule)
 
 
 def test_translate_empty_program(tmp_path):
@@ -217,6 +240,46 @@ def test_deep_nesting_exits_2(suffix, command, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: syntax-error:" in err and "Traceback" not in err
+
+
+# Malformed inputs and the exit code each must give in every subcommand:
+# an empty program is a clean KB, anything unreadable is an error.
+FUZZ_INPUTS = {
+    "empty.flr": ("", 0),
+    "empty.owl": ("", 2),
+    "truncated.flr": ("A::B.\na:A.\n?X:C :- ?X:", 2),
+    "truncated.owl": (OWL_DOC[:OWL_DOC.index("<owl:Class") + 30], 2),
+    "binary.flr": (b"\xff\xfe\x00\x80abc\xc3", 2),
+    "binary.owl": (b"<?xml version='1.0'?>\xff\xfe<rdf:RDF/>", 2),
+    "deep.flr": (_deep_flr(), 2),
+    "deep.owl": (_deep_owl(), 2),
+    "neq-head.flr": ("2.5 != C .\n", 2),
+    "bare-oneOf.flr": ("oneOf.\ndisjoint_classes(A).\nx:A.\n", 0),
+    "empty-fragment.owl": (OWL_DOC.replace('"#Female"', '"#"'), 0),
+}
+
+
+def test_malformed_inputs_never_trace_back(tmp_path, capsys):
+    start = time.monotonic()
+    for name, (content, code) in FUZZ_INPUTS.items():
+        src = tmp_path / name
+        if isinstance(content, bytes):
+            src.write_bytes(content)
+        else:
+            src.write_text(content)
+        lang = "flora" if name.endswith(".flr") else "owl"
+        other = "owl" if lang == "flora" else "flora"
+        for argv in (
+                ["translate", "--from", lang, "--to", other, str(src),
+                 "-o", str(tmp_path / "out")],
+                ["translate", "--from", lang, "--to", lang, str(src),
+                 "-o", str(tmp_path / "out")],
+                ["check", str(src)],
+                ["query", str(src), "instances", "C"],
+                ["insert", str(src), "x:C."]):
+            assert main(argv) == code, (name, argv[0])
+            assert "Traceback" not in capsys.readouterr().err
+    assert time.monotonic() - start < 1.0
 
 
 # --- query -------------------------------------------------------------------

@@ -8,9 +8,9 @@ from owlfl.engine import (
     run_constraint_checks, saturate, stratify,
 )
 from owlfl.flogic import (
-    Atom, FlAttrValue, FlEquiv, FlIsA, FlList, FlNaf, FlPred, FlProgram,
-    FlRule, FlSubClass, FlSymbol, FlVariable, atom, fact, parse_program,
-    print_term,
+    Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
+    FlNaf, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
+    FlUnion, FlVariable, atom, fact, parse_program, print_term,
 )
 
 
@@ -150,6 +150,12 @@ def test_repeated_variables_list_patterns_member_and_neq():
     for cls, members in (("Loop", ["a"]), ("Head", ["d"]),
                          ("Listed", ["b", "d", "e"]), ("Moves", ["b"])):
         assert names(collect_set(kb, "X", FlIsA(X, atom(cls)))) == members
+
+
+def test_intersection_body_sees_a_late_operand():
+    # b:B is derived after the first round, when b:A is old
+    kb = kb_from("b:A.\nc:C.\nb:B :- c:C.\n?X:G :- ?X:(A , B).")
+    assert names(collect_set(kb, "X", FlIsA(X, atom("G")))) == ["b"]
 
 
 def test_negation_as_failure():
@@ -294,6 +300,20 @@ def test_equivalence_fact_adds_no_facts():
     before = kb.store.snapshot()
     insert_fact(kb, FlEquiv(atom("Red"), atom("Rouge")))
     assert kb.store.snapshot() == before
+
+
+def test_unstorable_insert_leaves_kb_unchanged():
+    kb = kb_from("a:C.\n?X:D :- ?X:C.")
+    before, facts = kb.store.snapshot(), list(kb.base_facts)
+    for bad in (FlIsA(FlSymbol("b"), FlUnion(atom("C"), atom("D"))),
+                FlSubClass(FlIntersection(atom("C"), atom("D")), atom("E"))):
+        with pytest.raises(EngineError) as e:
+            insert_fact(kb, bad)
+        assert e.value.code == "unsupported-rule"
+        assert kb.base_facts == facts
+        assert kb.store.snapshot() == before
+    insert_fact(kb, FlIsA(FlSymbol("b"), atom("C")))
+    assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["a", "b"]
 
 
 def test_insert_non_ground_rejected():
@@ -566,5 +586,96 @@ def test_structural_closure_matches_naive_oracle():
                             for (s, p, v) in attr if p == FlSymbol("p"))
         seen["value-only"] += any(
             (FlSymbol(n), obj) in isa for n in ("v0", "v1", "v2", "w0", "w1"))
+    assert all(seen.values()), seen
+    assert time.monotonic() - start < 30.0
+
+
+def _random_insert(rng, program, store, classes, props):
+    """One insertable fact and its kind: new facts of every stored family,
+    a ``oneOf`` list, a repeat of a base fact, an already derived fact, or a
+    signature."""
+    inds = [f"i{k}" for k in range(6)] + ["n0"]
+
+    def cls():
+        return atom(rng.choice(classes))
+
+    def sym(names):
+        return FlSymbol(rng.choice(names))
+
+    kind = rng.choice(["isa", "sub", "attr", "pred", "oneOf", "repeat",
+                       "derived", "signature"])
+    base = [r.head for r in program.rules if not r.body]
+    derived = [FlIsA(i, Atom(c)) for i, c in store.isa
+               if FlIsA(i, Atom(c)) not in base]
+    if kind == "isa":
+        return kind, FlIsA(sym(inds), cls())
+    if kind == "sub":
+        return kind, FlSubClass(cls(), cls())
+    if kind == "attr":
+        return kind, FlAttrValue(sym(inds), sym(props), sym(inds + ["v0"]))
+    if kind == "pred":
+        return kind, FlPred("below", (cls().term, cls().term))
+    if kind == "oneOf":
+        return kind, FlPred("oneOf", (cls().term, FlList(tuple(
+            FlSymbol(e) for e in rng.sample(inds + ["w0", "w2"], 2)))))
+    if kind == "repeat" and base:
+        return kind, rng.choice(base)
+    if kind == "derived" and derived:
+        return kind, rng.choice(derived)
+    return "signature", FlSignature(cls(), sym(props), cls(), (0, 1))
+
+
+def test_incremental_insert_matches_upfront_load():
+    """Facts inserted one after another into a saturated KB give the store
+    of loading them up front.  A negation-free KB keeps its store object
+    (the insert extends it); a KB with a ``\\naf`` or a class difference
+    in a rule body builds a new one."""
+    rng = random.Random(20261019)
+    x = FlVariable("X")
+    seen = {k: 0 for k in ("isa", "sub", "attr", "pred", "oneOf", "repeat",
+                           "derived", "signature", "kept", "rebuilt",
+                           "intersection", "difference")}
+    start = time.monotonic()
+    for trial in range(240):
+        if trial % 2:
+            program = random_structural_program(rng)
+            classes, props = CLASSES_C, ["p", "q"]
+            if rng.random() < 0.5:  # an intersection an insert can complete
+                a, b, c = rng.sample(CLASSES_C, 3)
+                program = FlProgram(program.rules + (FlRule(
+                    FlIsA(x, atom(c)),
+                    (FlIsA(x, FlIntersection(atom(a), atom(b))),)),))
+                seen["intersection"] += 1
+        else:
+            program = random_two_stratum_program(rng)
+            classes, props = CLASSES_A + CLASSES_B, PROPS
+            if rng.random() < 0.3:
+                a, b = rng.sample(CLASSES_A, 2)
+                program = FlProgram(program.rules + (FlRule(
+                    FlIsA(x, atom(rng.choice(CLASSES_B))),
+                    (FlIsA(x, FlDifference(atom(a), atom(b))),)),))
+                seen["difference"] += 1
+        negation = any(isinstance(lit, FlNaf) or (
+            isinstance(lit, FlIsA) and isinstance(lit.cls, FlDifference))
+            for r in program.rules for lit in r.body)
+        kb = load_program(program)
+        store = kb.store
+        inserted = []
+        for _ in range(rng.randrange(1, 5)):
+            kind, f = _random_insert(rng, program, kb.store, classes, props)
+            seen[kind] += 1
+            changes = kind != "signature" and f not in kb.base_facts
+            before = kb.store
+            insert_fact(kb, f)
+            inserted.append(f)
+            upfront = load_program(
+                FlProgram(program.rules + tuple(fact(g) for g in inserted)))
+            assert kb.store.snapshot() == upfront.store.snapshot(), \
+                f"trial {trial}: {inserted}"
+            if negation and changes:
+                assert kb.store is not before, f"trial {trial}"
+        if not negation:
+            assert kb.store is store, f"trial {trial}"
+        seen["rebuilt" if negation else "kept"] += 1
     assert all(seen.values()), seen
     assert time.monotonic() - start < 30.0
