@@ -59,7 +59,6 @@ def checker_rules() -> List[FlRule]:
                 FlIsA(x, Atom(c2)),
                 FlFormat(DISJOINT_MSG, (c1, c2)),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_oneOf_constraints"),
@@ -69,7 +68,6 @@ def checker_rules() -> List[FlRule]:
                 FlNaf((FlMember(x, _v("List")),), style="not"),
                 FlFormat(ONEOF_MSG, (x, _v("C"))),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_someValuesFrom_constraints"),
@@ -88,7 +86,6 @@ def checker_rules() -> List[FlRule]:
                          (_v("O"), _v("Class"), _v("O"), _v("Property"),
                           _v("PropertyClass"))),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_hasValue_constraints"),
@@ -99,7 +96,6 @@ def checker_rules() -> List[FlRule]:
                       style="not"),
                 FlFormat(HASVALUE_MSG, (_v("O"), _v("Property"), _v("Value"))),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_cardinality_constraints"),
@@ -109,7 +105,6 @@ def checker_rules() -> List[FlRule]:
                 FlFormat(CARDINALITY_MSG,
                          (_v("O"), _v("Property"), _v("N"), _v("Low"), _v("High"))),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_inverseFunctional_constraints"),
@@ -120,12 +115,10 @@ def checker_rules() -> List[FlRule]:
                 FlNeq(x, y),
                 FlFormat(INVFUNC_MSG, (_v("P"), x, y, _v("V"))),
             ),
-            tag="checker",
         ),
         FlRule(
             FlPred("check_all_constraints"),
             tuple(FlPred(name) for name in CHECKER_NAMES[:-1]),
-            tag="checker",
         ),
     ]
     return rules

@@ -13,7 +13,6 @@ counting for cardinality bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -154,6 +153,9 @@ class KnowledgeBase:
         # base_facts as a set, made on the first insert
         self._base_set: Optional[Set[FlLit]] = None
         self._compiled: Optional[List[List[_Rule]]] = None
+        # a rule body reads a relation under ``\naf`` or a class difference
+        self._negation = any(neg for r in rules
+                             for _, neg in _reads(r.body, False, []))
 
     @property
     def store(self) -> FactStore:
@@ -193,23 +195,6 @@ def literal_vars(lit: FlLit) -> Set[str]:
     return out
 
 
-def _positive_body_vars(body) -> Set[str]:
-    out: Set[str] = set()
-    for lit in body:
-        if isinstance(lit, (FlNaf, FlNeq, FlFormat)):
-            continue
-        _literal_vars(lit, out)
-    return out
-
-
-def _check_no_function_terms(lit: FlLit):
-    # lists with variables in rule heads would invent new terms
-    if isinstance(lit, FlPred) and literal_vars(lit) and \
-            any(isinstance(a, FlList) for a in lit.args):
-        raise EngineError("function-symbols-unsupported",
-                          f"non-ground list in head: {print_literal(lit)}")
-
-
 def load_program(program: FlProgram) -> KnowledgeBase:
     """Index rules and facts; reject unsafe or term-inventing rules."""
     rules: List[FlRule] = []
@@ -234,9 +219,16 @@ def load_program(program: FlProgram) -> KnowledgeBase:
             raise EngineError("unsupported-rule",
                               "signatures and equivalences cannot be derived "
                               "by rules")
-        _check_no_function_terms(head)
-        pos_vars = _positive_body_vars(rule.body)
         head_vars = literal_vars(head)
+        if isinstance(head, FlPred) and head_vars and \
+                any(isinstance(a, FlList) for a in head.args):
+            # lists with variables in rule heads would invent new terms
+            raise EngineError("function-symbols-unsupported",
+                              f"non-ground list in head: {print_literal(head)}")
+        pos_vars: Set[str] = set()
+        for lit in rule.body:
+            if not isinstance(lit, (FlNaf, FlNeq, FlFormat)):
+                _literal_vars(lit, pos_vars)
         if not head_vars <= pos_vars:
             raise EngineError(
                 "non-range-restricted",
@@ -244,159 +236,148 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                 f"a positive body literal in: {print_literal(head)}",
             )
         for lit in rule.body:
-            if isinstance(lit, FlNaf):
-                naf_vars = literal_vars(lit)
-                if not naf_vars <= pos_vars:
-                    raise EngineError(
-                        "non-range-restricted",
-                        f"negated variables {sorted(naf_vars - pos_vars)} not "
-                        f"bound by a positive body literal",
-                    )
+            naf_vars = literal_vars(lit) if isinstance(lit, FlNaf) else set()
+            if not naf_vars <= pos_vars:
+                raise EngineError(
+                    "non-range-restricted",
+                    f"negated variables {sorted(naf_vars - pos_vars)} not "
+                    f"bound by a positive body literal")
         rules.append(rule)
     return KnowledgeBase(rules, base_facts, signatures, checker,
                          dict(program.prefixes))
 
 
 # --- stratification ----------------------------------------------------------
+#
+# A node per relation: ``('isa', C)`` for the members of class C, ``('sub',)``,
+# ``('attr',)``, ``('pred', p)``, and ``ANY`` for the memberships written by a
+# rule with a variable class in its head.  A relation sits at or above each one
+# it is derived from, inheritance along ``::`` and ``_object`` included, and
+# strictly above each one it reads under negation (Apt, Blair, Walker 1988).
+
+ANY = (ISA, None)
+_OBJECT_KEY = (ISA, OBJECT.name)
 
 
-def _literal_key(lit: FlLit):
-    if isinstance(lit, FlIsA):
-        if isinstance(lit.cls, Atom) and isinstance(lit.cls.term, FlSymbol):
-            return ("isa", lit.cls.term.name)
-        return ("isa", None)
-    if isinstance(lit, FlSubClass):
-        return ("sub",)
-    if isinstance(lit, FlAttrValue):
-        return ("attr",)
-    if isinstance(lit, FlPred):
-        return ("pred", lit.name)
-    return None
+def _class_key(t: Optional[FlTerm]):
+    """Node of a class's members; ``None`` (every class) unless it is named."""
+    if t is None or isinstance(t, FlVariable):
+        return None
+    return ISA, t.name if isinstance(t, FlSymbol) else print_term(t)
 
 
-def _keys_match(body_key, head_key) -> bool:
-    if body_key is None or head_key is None:
-        return False
-    if body_key[0] != head_key[0]:
-        return False
-    if body_key[0] == "isa":
-        return body_key[1] is None or head_key[1] is None or \
-            body_key[1] == head_key[1]
-    return body_key == head_key
+def _reads(e, neg: bool, out: list) -> list:
+    """Add (node, negated?) for each relation a conjunction, literal or class
+    expression reads; the subtrahend of a difference is read negated."""
+    if isinstance(e, tuple):
+        for x in e:
+            _reads(x, neg, out)
+    elif isinstance(e, FlNaf):
+        _reads(e.inner, True, out)
+    elif isinstance(e, FlIsA):
+        _reads(e.cls, neg, out)
+    elif isinstance(e, (FlUnion, FlIntersection, FlDifference)):
+        _reads(e.a, neg, out)
+        _reads(e.b, neg or isinstance(e, FlDifference), out)
+    elif isinstance(e, Atom):
+        out.append((_class_key(e.term), neg))
+    elif isinstance(e, FlPred):
+        out.append((("pred", e.name), neg))
+    elif type(e) in _FAMILY:
+        out.append(((_FAMILY[type(e)],), neg))
+    return out
 
 
-def _rule_deps(rule: FlRule):
-    """Yield (body_key, negative?) pairs for a rule."""
-    for lit in rule.body:
-        if isinstance(lit, FlNaf):
-            for inner in lit.inner:
-                k = _literal_key(inner)
-                if k is not None:
-                    yield k, True
-        else:
-            k = _literal_key(lit)
-            if k is not None:
-                yield k, False
+def _makes_individuals(rule: FlRule) -> bool:
+    """Whether the head can put a new individual in the store: a constant, or
+    a variable no positive body membership or attribute value binds."""
+    head = rule.head
+    if isinstance(head, FlPred):
+        return (head.name, len(head.args)) == ("oneOf", 2)
+    terms = (head.obj,) if isinstance(head, FlIsA) else \
+        (head.obj, head.value) if isinstance(head, FlAttrValue) else ()
+    bound = {t for lit in rule.body if isinstance(lit, (FlIsA, FlAttrValue))
+             for t in (lit.obj, getattr(lit, "value", None))}
+    return any(not isinstance(t, FlVariable) or t not in bound for t in terms)
+
+
+def _reach(start, edges) -> Set:
+    seen, work = {start}, [start]
+    while work:
+        new = {node for node, _ in edges[work.pop()]} - seen
+        seen |= new
+        work.extend(new)
+    return seen
+
+
+def _negation_cycle(users: Dict[object, list]):
+    """Raise ``non-stratified-program`` naming the relations of a strongly
+    connected component that holds a negated edge."""
+    back: Dict[object, list] = {node: [] for node in users}
+    for src, readers in users.items():
+        for dst, _ in readers:
+            back[dst].append((src, False))
+    dst = next(dst for src, readers in users.items() for dst, neg in readers
+               if neg and src in _reach(dst, users))
+    cycle = sorted(map(str, _reach(dst, users) & _reach(dst, back)))
+    raise EngineError("non-stratified-program",
+                      "negation cycle through " + ", ".join(cycle))
+
+
+def _stratify(rules: Sequence[FlRule], facts: Iterable[FlLit]
+              ) -> Stratification:
+    users: Dict[object, List[Tuple[object, bool]]] = {_OBJECT_KEY: []}
+    every: List[Tuple[object, bool]] = []  # the readers of every class
+
+    def edge(src, dst, neg=False):
+        users.setdefault(dst, [])
+        (users.setdefault(src, []) if src else every).append((dst, neg))
+
+    heads = [_reads(rule.head, False, [])[0][0] or ANY for rule in rules]
+    for rule, key in zip(rules, heads):
+        for src, neg in _reads(rule.body, False, []):
+            edge(src, key, neg)
+        if isinstance(rule.head, FlSubClass):
+            # the members of S join T; a variable S is below the class S2 of
+            # a body literal ``?S::S2``
+            s, t = _expr_term(rule.head.sub), _expr_term(rule.head.super)
+            if isinstance(s, FlVariable):
+                s = next((_expr_term(lit.super) for lit in rule.body
+                          if isinstance(lit, FlSubClass) and lit.sub == Atom(s)
+                          ), None)
+            edge(key, _class_key(t) or ANY)
+            edge(_class_key(s), _class_key(t) or ANY)
+        if _makes_individuals(rule):
+            edge(key, _OBJECT_KEY)
+    for f in facts:
+        if isinstance(f, FlSubClass) and isinstance(f.sub, Atom) and \
+                isinstance(f.super, Atom):
+            edge(_class_key(f.sub.term), _class_key(f.super.term))
+    classes = [node for node in users if node[0] == ISA and node != ANY]
+    for c in classes:
+        users[c].extend(every)
+    users.get(ANY, []).extend((c, False) for c in classes)
+
+    level = dict.fromkeys(users, 0)
+    work = list(users)
+    while work:
+        src = work.pop()
+        for dst, neg in users[src]:
+            if level[src] + neg > level[dst]:
+                # a simple path has fewer negated edges than there are nodes
+                if level[src] + neg >= len(level):
+                    _negation_cycle(users)
+                level[dst] = level[src] + neg
+                work.append(dst)
+    return Stratification(tuple(
+        tuple(r for r, key in zip(rules, heads) if level[key] == lv)
+        for lv in sorted({level[key] for key in heads})))
 
 
 def stratify(kb: KnowledgeBase) -> Stratification:
-    """Assign each rule a stratum; negation below use.
-
-    Only explicit rules enter the dependency graph; the structural closure
-    rules run inside every stratum.
-    """
-    if kb._stratification is not None:
-        return kb._stratification
-    rules = kb.rules
-    n = len(rules)
-    head_keys = [_literal_key(r.head) for r in rules]
-    edges: List[List[Tuple[int, bool]]] = [[] for _ in range(n)]
-    for i, r in enumerate(rules):
-        for body_key, neg in _rule_deps(r):
-            for j in range(n):
-                if _keys_match(body_key, head_keys[j]):
-                    edges[i].append((j, neg))
-
-    # Tarjan SCC over the rule graph
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = itertools.count()
-
-    def strongconnect(v):
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = next(counter)
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(pi, len(edges[node])):
-                w = edges[node][k][0]
-                if index[w] is None:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for v in range(n):
-        if index[v] is None:
-            strongconnect(v)
-
-    comp_of = {}
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    # negative edge inside an SCC => no stratification
-    for i in range(n):
-        for j, neg in edges[i]:
-            if neg and comp_of[i] == comp_of[j]:
-                cycle = sorted({str(head_keys[v]) for v in sccs[comp_of[i]]})
-                raise EngineError(
-                    "non-stratified-program",
-                    "negation cycle through " + ", ".join(cycle),
-                )
-
-    # level per rule: positive deps same level, negative deps strictly below
-    level = [0] * n
-    # process SCCs in reverse topological order of Tarjan output
-    # (Tarjan emits SCCs in reverse topological order: dependencies first)
-    for comp in sccs:
-        lv = 0
-        for v in comp:
-            for j, neg in edges[v]:
-                if comp_of[j] == comp_of[v]:
-                    continue
-                lv = max(lv, level[j] + (1 if neg else 0))
-        for v in comp:
-            level[v] = lv
-
-    max_level = max(level, default=0)
-    strata = tuple(
-        tuple(rules[i] for i in range(n) if level[i] == lv)
-        for lv in range(max_level + 1)
-    )
-    kb._stratification = Stratification(strata)
+    """The KB's strata, lowest first; a rule runs in its head's stratum."""
+    if kb._stratification is None:
+        kb._stratification = _stratify(kb.rules, kb.base_facts)
     return kb._stratification
 
 
@@ -642,25 +623,13 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
     return _relation_of(lit), args
 
 
-def _negates(e) -> bool:
-    """Whether a body literal or class expression holds a negation: a
-    ``\\naf`` or a class difference, which compiles to one."""
-    if isinstance(e, FlIsA):
-        return _negates(e.cls)
-    if isinstance(e, (FlUnion, FlIntersection)):
-        return _negates(e.a) or _negates(e.b)
-    return isinstance(e, (FlNaf, FlDifference))
-
-
 class _Rule:
     """A rule compiled for saturation: the head relation, the head
-    arguments (a slot per variable), the plan of the first pass, a
-    (relation, plan) pair per positive body literal for the delta passes,
-    and whether the body holds a negation."""
+    arguments (a slot per variable), the plan of the first pass and a
+    (relation, plan) pair per positive body literal for the delta passes."""
 
     def __init__(self, rule: FlRule):
         slots: Dict[str, int] = {}
-        self.negates = any(map(_negates, rule.body))
         self.full = _compile_conj(rule.body, slots)
         self.deltas = tuple(
             (rel, _compile_conj(rule.body, slots, delta_at=i))
@@ -776,9 +745,9 @@ def saturate(kb: KnowledgeBase) -> FactStore:
 
     The store is kept on the KB.  Facts inserted since it was built are
     added to it in place, and the rules run from them only, when no rule
-    body holds a negation: the program then has a single stratum and its
-    least model only grows with more facts.  A program with negation is
-    saturated again from its base facts instead.
+    body reads a relation under negation: the program then has a single
+    stratum and its least model only grows with more facts.  A program with
+    negation is saturated again from its base facts instead.
     """
     store, pending = kb._store, kb._pending
     if store is not None and not pending:
@@ -786,8 +755,7 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     strata = _compiled_strata(kb)
     # an error below leaves no half-updated store behind
     kb._store, kb._pending = None, []
-    if store is not None and not any(
-            rule.negates for stratum in strata for rule in stratum):
+    if store is not None and not kb._negation:
         delta = _assert(store, [_head(f) for f in pending])
     else:
         store, delta = FactStore(), None
@@ -957,7 +925,8 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     """Add one ground fact to the base facts.  The next ``saturate`` adds
     it to the saturated store (see there); a fact already among the base
     facts, a signature or an equivalence leaves the store as it is.  A fact
-    the store cannot hold is rejected before the KB changes."""
+    the store cannot hold, or a ``::`` fact that closes a negation cycle, is
+    rejected before the KB changes."""
     if literal_vars(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
@@ -968,6 +937,10 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
         if kb._base_set is None:
             kb._base_set = set(kb.base_facts)
         if fact_lit not in kb._base_set:
+            if isinstance(fact_lit, FlSubClass) and kb._negation:
+                # a new edge of inheritance can reorder the strata
+                kb._stratification, kb._compiled = _stratify(
+                    kb.rules, (*kb.base_facts, fact_lit)), None
             kb._base_set.add(fact_lit)
             kb.base_facts.append(fact_lit)
             kb._pending.append(fact_lit)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .diagnostics import Diagnostic, ERROR
 
@@ -203,9 +203,6 @@ MOLECULES = (FlIsA, FlSubClass, FlEquiv, FlAttrValue, FlSignature)
 class FlRule:
     head: FlLit
     body: Tuple[FlLit, ...] = ()
-    # provenance marker ("checker", "case-split", "lt-aux", ...); not part of
-    # rule identity and lost over a print/parse round trip
-    tag: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.head, MOLECULES + (FlPred,)):
@@ -216,8 +213,8 @@ class FlRule:
         return not self.body
 
 
-def fact(head: FlLit, tag: Optional[str] = None) -> FlRule:
-    return FlRule(head, (), tag)
+def fact(head: FlLit) -> FlRule:
+    return FlRule(head)
 
 
 @dataclass

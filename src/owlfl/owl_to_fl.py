@@ -8,7 +8,7 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
@@ -16,8 +16,9 @@ from .checkers import checker_rules
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
-    FlIsA, FlList, FlNaf, FlPred, FlProgram, FlRule, FlSignature, FlSubClass,
-    FlSymbol, FlTerm, FlUnion, FlVariable, fact, left_assoc,
+    FlIsA, FlList, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
+    FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, fact,
+    left_assoc,
 )
 
 OBJ = Atom(FlSymbol("_object"))
@@ -84,7 +85,6 @@ class Context:
         if isinstance(value, om.Iri):
             return self.symbol(value)
         if value.type_tag in ("_integer", "_double", "_boolean"):
-            from .flogic import FlLiteralTerm
             return FlLiteralTerm(value.lexical, value.type_tag)
         return FlSymbol(value.lexical, quoted=True)
 
@@ -187,8 +187,7 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
                     FlNaf((FlIsA(x, other),))
                     for j, other in enumerate(atoms) if j != i
                 )
-                rules.append(FlRule(FlIsA(x, a), (FlIsA(x, n),) + nafs,
-                                    tag="case-split"))
+                rules.append(FlRule(FlIsA(x, a), (FlIsA(x, n),) + nafs))
             ctx.warn("case-split-weakening",
                      "union definition lowered to reasoning by cases; the "
                      "case rules change the semantics")
@@ -252,7 +251,7 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
 # --- property axioms ---------------------------------------------------------
 
 
-def _inverse_rules(ctx: Context, p: FlSymbol, q: FlSymbol) -> List[FlRule]:
+def _inverse_rules(p: FlSymbol, q: FlSymbol) -> List[FlRule]:
     x, y = _var("X"), _var("Y")
     return [
         FlRule(FlAttrValue(x, p, y), (FlAttrValue(y, q, x),)),
@@ -296,7 +295,7 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
         rules.append(FlRule(FlAttrValue(x, p, y), (FlAttrValue(x, q, y),)))
         rules.append(FlRule(FlAttrValue(x, q, y), (FlAttrValue(x, p, y),)))
     elif isinstance(ax, om.InverseOf):
-        rules.extend(_inverse_rules(ctx, ctx.symbol(ax.a), ctx.symbol(ax.b)))
+        rules.extend(_inverse_rules(ctx.symbol(ax.a), ctx.symbol(ax.b)))
     elif isinstance(ax, om.Characteristic):
         p = ctx.symbol(ax.property)
         if ax.kind == om.FUNCTIONAL:
@@ -325,7 +324,6 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
                     FlAttrValue(x, pv, z),
                     (FlPred("TransitiveProperty", (pv,), quoted=True),
                      FlAttrValue(x, pv, y), FlAttrValue(y, pv, z)),
-                    tag="generic-transitive",
                 ))
         elif ax.kind == om.SYMMETRIC:
             rules.append(fact(FlPred("SymmetricProperty", (p,), quoted=True)))
@@ -336,7 +334,6 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
                     FlAttrValue(x, pv, y),
                     (FlPred("SymmetricProperty", (pv,), quoted=True),
                      FlAttrValue(y, pv, x)),
-                    tag="generic-symmetric",
                 ))
     else:
         ctx.error("unknown-construct", f"unsupported property axiom {ax!r}")
@@ -430,11 +427,9 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
         aux = ctx.fresh_aux()
         rules = [
             FlRule(FlPred(aux.name, (x,), quoted=True),
-                   (FlAttrValue(x, p, y), FlNaf((FlIsA(y, f),))),
-                   tag="lt-aux"),
+                   (FlAttrValue(x, p, y), FlNaf((FlIsA(y, f),)))),
             FlRule(FlIsA(x, d),
-                   (FlIsA(x, OBJ), FlNaf((FlPred(aux.name, (x,), quoted=True),))),
-                   tag="lt-aux"),
+                   (FlIsA(x, OBJ), FlNaf((FlPred(aux.name, (x,), quoted=True),)))),
         ]
         return done(rules, Translatability(REQUIRES_LLOYD_TOPOR))
     # union on the right: reasoning by cases
@@ -453,8 +448,7 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
         for i, a in enumerate(atoms):
             nafs = tuple(FlNaf((FlIsA(x, other),))
                          for j, other in enumerate(atoms) if j != i)
-            rules.append(FlRule(FlIsA(x, a), (FlIsA(x, d),) + nafs,
-                                tag="case-split"))
+            rules.append(FlRule(FlIsA(x, a), (FlIsA(x, d),) + nafs))
         ctx.warn("case-split-weakening",
                  "right-hand-side disjunction lowered to reasoning by cases; "
                  "the case rules change the semantics")

@@ -383,3 +383,11 @@ def test_insert_non_ground_exits_2(flr_file, capsys):
 
 def test_insert_rule_rejected(flr_file, capsys):
     assert main(["insert", flr_file, "?X:A :- ?X:B"]) == 2
+
+
+def test_insert_closing_a_negation_cycle_exits_2(tmp_path, capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text("a:c.\n?X:f :- ?X:c, \\naf ?X:d.\n?X:e :- ?X:f.\n")
+    assert main(["insert", str(src), "e::d"]) == 2
+    captured = capsys.readouterr()
+    assert "non-stratified-program" in captured.err and captured.out == ""

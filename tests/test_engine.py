@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from owlfl.engine import (
     EngineError, collect_set, insert_fact, load_program, query_goal,
@@ -84,6 +85,54 @@ def test_mutual_negation_is_rejected():
 def test_positive_recursion_is_fine():
     kb = kb_from("?X:A :- ?X:B.\n?X:B :- ?X:A.\na:A.")
     assert names(collect_set(kb, "X", FlIsA(X, atom("B")))) == ["a"]
+
+
+@pytest.mark.parametrize("edge, cycle", [
+    ("e::d.", "('isa', 'd'), ('isa', 'e'), ('isa', 'f')"),
+    ("e::d :- a:f.", "('isa', 'd'), ('isa', 'e'), ('isa', 'f'), ('sub',)"),
+], ids=["base", "derived"])
+def test_negation_through_inheritance_is_rejected(edge, cycle):
+    # a:f needs \naf a:d, and a:f gives a:e, hence a:d along e::d
+    kb = kb_from(f"{edge}\na:c.\n?X:f :- ?X:c, \\naf ?X:d.\n?X:e :- ?X:f.")
+    with pytest.raises(EngineError) as e:
+        stratify(kb)
+    assert e.value.code == "non-stratified-program"
+    assert e.value.message == f"negation cycle through {cycle}"
+
+
+def test_difference_subtrahend_is_read_under_negation():
+    kb = kb_from("a:A.\na:C.\n?X:G :- ?X:(A - B).\n?X:B :- ?X:C.")
+    assert len(stratify(kb).strata) == 2
+    assert names(collect_set(kb, "X", FlIsA(X, atom("B")))) == ["a"]
+    assert collect_set(kb, "X", FlIsA(X, atom("G"))) == []
+
+
+def test_new_individuals_reach_object():
+    # the last rule makes a a member of E, so of _object, so of N unless D
+    kb = kb_from("p(a).\n?X:N :- ?X:_object, \\naf ?X:D.\n"
+                 "?X:E :- p(?X), \\naf ?X:N.")
+    with pytest.raises(EngineError) as e:
+        stratify(kb)
+    assert e.value.code == "non-stratified-program"
+    assert "('isa', '_object')" in e.value.message
+
+
+@pytest.mark.parametrize("text, cls, members", [
+    ("a:C2.\nb:Q.\n?X:N2 :- ?X:_object, \\naf ?X:C2.\n"
+     "?X:N1 :- ?X:_object, \\naf ?X:N2.", "N1", ["a"]),
+    ("a:B.\nc:Q.\nD::B.\nd:D.\nA :=: B.\n?X:A :- ?X:B.\n?X:B :- ?X:A.\n"
+     "?X::A :- ?X::B.\n?X::B :- ?X::A.\n?X:N :- ?X:_object, \\naf ?X:A.",
+     "N", ["c"]),
+    ("p(a, C).\np(b, D).\nb:E.\n?X:?C :- p(?X, ?C).\n"
+     "?X:N :- ?X:E, \\naf ?X:C.\n?X:M :- ?X:_object, \\naf ?X:D.", "N", ["b"]),
+    ("a:A.\nlink(a, C).\n?X:?C :- link(?X, ?C), ?X:A, \\naf q(?X).\n"
+     "?X:N :- ?X:A, \\naf ?X:C.", "N", []),
+], ids=["complement-chain", "named-equivalence", "variable-class-head",
+        "variable-class-head-below-negation"])
+def test_stratification_keeps_stratified_programs(text, cls, members):
+    kb = kb_from(text)
+    assert len(stratify(kb).strata) == 2
+    assert names(collect_set(kb, "X", FlIsA(X, atom(cls)))) == members
 
 
 # --- saturation and structural closure ---------------------------------------
@@ -316,6 +365,22 @@ def test_unstorable_insert_leaves_kb_unchanged():
     assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["a", "b"]
 
 
+def test_subclass_insert_restratifies():
+    text = "a:c.\na:k.\n?X:f :- ?X:c, \\naf ?X:d.\n?X:h :- ?X:k, \\naf ?X:m.\n"
+    kb = kb_from(text)
+    assert names(collect_set(kb, "X", FlIsA(X, atom("f")))) == ["a"]
+    # h::d puts h below the negation of d: a:h gives a:d, so no a:f
+    insert_fact(kb, FlSubClass(atom("h"), atom("d")))
+    assert kb.store.snapshot() == kb_from(text + "h::d.").store.snapshot()
+    assert collect_set(kb, "X", FlIsA(X, atom("f"))) == []
+    # f::d closes a negation cycle: rejected, and the KB stays as it was
+    before, facts = kb.store, list(kb.base_facts)
+    with pytest.raises(EngineError) as e:
+        insert_fact(kb, FlSubClass(atom("f"), atom("d")))
+    assert e.value.code == "non-stratified-program"
+    assert kb.store is before and kb.base_facts == facts
+
+
 def test_insert_non_ground_rejected():
     kb = kb_from("a:C.")
     with pytest.raises(EngineError) as e:
@@ -368,11 +433,17 @@ def random_two_stratum_program(rng):
     return FlProgram(tuple(rules))
 
 
-def naive_evaluate(program):
+def naive_evaluate(program, fixed=None):
     """Re-scan every rule against the full store until nothing changes,
     lower stratum first.  Deliberately dumb; shares no evaluation machinery
-    with the engine under test."""
+    with the engine under test.
+
+    With ``fixed``, a set of (individual, class) pairs, every rule runs in
+    one stratum and a negated membership (a ``\\naf`` or the subtrahend of
+    a class difference) holds when its pair is not in ``fixed``: the result
+    is the least model of the program with its negations fixed there."""
     isa, sub, attr, preds = set(), set(), set(), set()
+    negated = isa if fixed is None else fixed
 
     def term(t, b):
         return b[t.name] if isinstance(t, FlVariable) else t
@@ -413,15 +484,18 @@ def naive_evaluate(program):
             if (len(isa), len(sub), len(attr)) == n:
                 return
 
-    def holds(lit, b):
+    def holds(lit, b, members=isa):
+        if isinstance(lit, FlIsA) and isinstance(lit.cls, FlDifference):
+            return holds(FlIsA(lit.obj, lit.cls.a), b) and \
+                not holds(FlIsA(lit.obj, lit.cls.b), b, negated)
         if isinstance(lit, FlIsA):
-            return (term(lit.obj, b), term(lit.cls.term, b)) in isa
+            return (term(lit.obj, b), term(lit.cls.term, b)) in members
         if isinstance(lit, FlSubClass):
             return (term(lit.sub.term, b), term(lit.super.term, b)) in sub
         if isinstance(lit, FlPred):
             return (lit.name, tuple(term(a, b) for a in lit.args)) in preds
         if isinstance(lit, FlNaf):
-            return not holds(lit.inner[0], b)
+            return not holds(lit.inner[0], b, negated)
         return (term(lit.obj, b), term(lit.prop, b),
                 term(lit.value, b)) in attr
 
@@ -449,7 +523,9 @@ def naive_evaluate(program):
         """Every binding of ``vars_`` to constants that satisfies ``body``;
         a partial binding is dropped once a literal it fully binds fails."""
         if len(b) == len(vars_):
-            yield b
+            # a body without variables has not been checked yet
+            if vars_ or all(holds(l, b) for l in body):
+                yield b
             return
         var = vars_[len(b)]
         for c in consts:
@@ -463,7 +539,8 @@ def naive_evaluate(program):
         if isinstance(lit, FlNaf):
             return _lit_vars(lit.inner[0])
         if isinstance(lit, FlIsA):
-            terms = [lit.obj, lit.cls.term]
+            cls = lit.cls.a if isinstance(lit.cls, FlDifference) else lit.cls
+            terms = [lit.obj, cls.term]
         elif isinstance(lit, FlSubClass):
             terms = [lit.sub.term, lit.super.term]
         elif isinstance(lit, FlPred):
@@ -477,7 +554,7 @@ def naive_evaluate(program):
     stratum1 = [r for r in program.rules
                 if r.body and any(isinstance(l, FlNaf) for l in r.body)]
     closure()
-    run(stratum0)
+    run(stratum0 if fixed is None else stratum0 + stratum1)
     run(stratum0 + stratum1)
     return isa, sub, attr
 
@@ -494,6 +571,77 @@ def test_semi_naive_matches_naive_oracle():
         assert store.sub == sub, f"trial {trial}"
         assert store.attr == attr, f"trial {trial}"
     assert time.monotonic() - start < 30.0
+
+
+POOL = ["A", "B", "C"]
+INDIVIDUALS = ["a", "b", "c"]
+
+
+def mixed_program(facts, rules):
+    """A program over a small class pool from drawn tuples: base ``isa``,
+    ``::``, ``attr``, ``r/1`` and ``link/2`` facts; rules with ``\\naf``,
+    class differences, derived ``::`` edges, attribute rules, rules that
+    make new individuals and rules with a variable class."""
+    x, y = FlVariable("X"), FlVariable("Y")
+    p, q = FlSymbol("p"), FlSymbol("q")
+    out = []
+    for kind, i, j, c, d in facts:
+        i, j = FlSymbol(i), FlSymbol(j)
+        out.append(fact((FlIsA(i, atom(c)), FlSubClass(atom(c), atom(d)),
+                         FlAttrValue(i, p, j), FlPred("r", (i,)),
+                         FlPred("link", (i, FlSymbol(c))))[kind]))
+    for kind, c, d, e, i in rules:
+        c, d, e, i = atom(c), atom(d), atom(e), FlSymbol(i)
+        out.append((
+            FlRule(FlIsA(x, c), (FlIsA(x, d),)),
+            FlRule(FlIsA(x, c), (FlIsA(x, d), FlNaf((FlIsA(x, e),)))),
+            FlRule(FlIsA(x, c), (FlIsA(x, FlDifference(d, e)),)),
+            FlRule(FlSubClass(c, d), (FlIsA(i, e),)),
+            FlRule(FlSubClass(c, d), (FlIsA(i, atom("_object")),
+                                      FlNaf((FlIsA(i, e),)))),
+            FlRule(FlIsA(y, c), (FlAttrValue(x, p, y), FlIsA(x, d))),
+            FlRule(FlAttrValue(x, q, y),
+                   (FlAttrValue(x, p, y), FlNaf((FlIsA(y, c),)))),
+            FlRule(FlIsA(x, c), (FlPred("r", (x,)), FlNaf((FlIsA(x, d),)))),
+            FlRule(FlIsA(x, c), (FlIsA(x, atom("_object")),
+                                 FlNaf((FlIsA(x, d),)))),
+            FlRule(FlIsA(x, Atom(y)), (FlPred("link", (x, y)),)),
+            FlRule(FlIsA(x, c), (FlPred("link", (x, y)),
+                                 FlNaf((FlIsA(x, Atom(y)),)))),
+        )[kind])
+    return FlProgram(tuple(out))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+# negation through inheritance, a difference, new members of _object
+@example([(0, "a", "a", "A", "A"), (1, "a", "a", "C", "B")],
+         [(1, "C", "A", "B", "a")])
+@example([(0, "a", "a", "A", "A")],
+         [(2, "C", "A", "B", "a"), (0, "B", "A", "A", "a")])
+@example([(3, "a", "a", "A", "A")],
+         [(8, "B", "C", "A", "a"), (7, "A", "B", "A", "a")])
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(INDIVIDUALS),
+                          st.sampled_from(INDIVIDUALS), st.sampled_from(POOL),
+                          st.sampled_from(POOL)), max_size=6),
+       st.lists(st.tuples(st.integers(0, 10), st.sampled_from(POOL),
+                          st.sampled_from(POOL), st.sampled_from(POOL),
+                          st.sampled_from(INDIVIDUALS)), min_size=1,
+                max_size=6))
+def test_stratified_model_or_rejection(facts, rules):
+    """The engine rejects the program, never one without negation, or its
+    store is a stable model: the least model of the program with every
+    negated membership fixed to its value in that store."""
+    program = mixed_program(facts, rules)
+    try:
+        store = saturate(load_program(program))
+    except EngineError as e:
+        assert e.code == "non-stratified-program"
+        assert any(isinstance(lit, FlNaf) or isinstance(
+            getattr(lit, "cls", None), FlDifference)
+            for r in program.rules for lit in r.body)
+        return
+    isa, sub, attr = naive_evaluate(program, fixed=store.isa)
+    assert (store.isa, store.sub, store.attr) == (isa, sub, attr)
 
 
 def test_insert_order_independence():
@@ -629,12 +777,13 @@ def test_incremental_insert_matches_upfront_load():
     """Facts inserted one after another into a saturated KB give the store
     of loading them up front.  A negation-free KB keeps its store object
     (the insert extends it); a KB with a ``\\naf`` or a class difference
-    in a rule body builds a new one."""
+    in a rule body builds a new one.  An insert whose up-front load is not
+    stratified is rejected and leaves the store as it was."""
     rng = random.Random(20261019)
     x = FlVariable("X")
     seen = {k: 0 for k in ("isa", "sub", "attr", "pred", "oneOf", "repeat",
                            "derived", "signature", "kept", "rebuilt",
-                           "intersection", "difference")}
+                           "intersection", "difference", "rejected")}
     start = time.monotonic()
     for trial in range(240):
         if trial % 2:
@@ -666,11 +815,23 @@ def test_incremental_insert_matches_upfront_load():
             seen[kind] += 1
             changes = kind != "signature" and f not in kb.base_facts
             before = kb.store
+            upfront = load_program(FlProgram(
+                program.rules + tuple(fact(g) for g in inserted + [f])))
+            try:
+                expected = upfront.store.snapshot()
+            except EngineError as e:
+                assert e.code == "non-stratified-program", f"trial {trial}"
+                snapshot = before.snapshot()
+                with pytest.raises(EngineError) as e:
+                    insert_fact(kb, f)
+                assert e.value.code == "non-stratified-program"
+                assert kb.store is before, f"trial {trial}"
+                assert before.snapshot() == snapshot, f"trial {trial}"
+                seen["rejected"] += 1
+                continue
             insert_fact(kb, f)
             inserted.append(f)
-            upfront = load_program(
-                FlProgram(program.rules + tuple(fact(g) for g in inserted)))
-            assert kb.store.snapshot() == upfront.store.snapshot(), \
+            assert kb.store.snapshot() == expected, \
                 f"trial {trial}: {inserted}"
             if negation and changes:
                 assert kb.store is not before, f"trial {trial}"
