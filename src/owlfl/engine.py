@@ -134,7 +134,6 @@ class Stratification:
 class ConstraintViolation:
     checker: str
     message: str
-    witnesses: Tuple[Tuple[Tuple[str, str], ...], ...] = ()
 
     def __str__(self):
         return self.message
@@ -849,16 +848,14 @@ def run_constraint_checks(kb: KnowledgeBase,
         return sorted((v for _, _, v in attr.lookup((0, 1), (x, p))),
                       key=print_term)
 
-    def flag(checker: str, template: str, args, var: str, x: FlTerm):
-        out.append(ConstraintViolation(checker, _fmt(template, args),
-                                       (((var, print_term(x)),),)))
+    def flag(checker: str, template: str, args):
+        out.append(ConstraintViolation(checker, _fmt(template, args)))
 
     # disjointness
     for c1, c2 in facts("disjoint_classes", 2):
         for x in members(c1):
             if (x, c2) in store.isa or c2 == OBJECT:
-                flag("check_disjoint_constraints", DISJOINT_MSG, (c1, c2),
-                     "X", x)
+                flag("check_disjoint_constraints", DISJOINT_MSG, (c1, c2))
     # enumerations
     for cls_term, lst in facts("oneOf", 2):
         if not isinstance(lst, FlList):
@@ -866,21 +863,20 @@ def run_constraint_checks(kb: KnowledgeBase,
         allowed = set(lst.elements)
         for x in members(cls_term):
             if x not in allowed:
-                flag("check_oneOf_constraints", ONEOF_MSG, (x, cls_term),
-                     "X", x)
+                flag("check_oneOf_constraints", ONEOF_MSG, (x, cls_term))
     # existential value requirements
     for cls_term, p, filler in facts("someValuesFrom", 3):
         for x in members(cls_term):
             if not any((v, filler) in store.isa or filler == OBJECT
                        for v in values_of(x, p)):
                 flag("check_someValuesFrom_constraints", SOMEVALUES_MSG,
-                     (x, cls_term, x, p, filler), "O", x)
+                     (x, cls_term, x, p, filler))
     # required specific values
     for cls_term, p, value in facts("hasValue", 3):
         for x in members(cls_term):
             if (x, p, value) not in store.attr:
                 flag("check_hasValue_constraints", HASVALUE_MSG,
-                     (x, p, value), "O", x)
+                     (x, p, value))
     # signatures: cardinality bounds and range
     for sig in kb.signatures:
         cls_term = _expr_term(sig.cls)
@@ -895,13 +891,12 @@ def run_constraint_checks(kb: KnowledgeBase,
                 if (high is not None and n > high) or \
                         (check_min_cardinality and n < low):
                     flag("check_cardinality_constraints", CARDINALITY_MSG,
-                         (x, sig.prop, n, low, "*" if high is None else high),
-                         "O", x)
+                         (x, sig.prop, n, low, "*" if high is None else high))
             if rng_term != OBJECT:
                 for v in vals:
                     if (v, rng_term) not in store.isa:
                         flag("check_cardinality_constraints", RANGE_MSG,
-                             (x, sig.prop, v, rng_term), "O", x)
+                             (x, sig.prop, v, rng_term))
     # inverse functionality without a declared inverse
     for (p,) in facts("inverseFunctional", 1):
         by_value: Dict[FlTerm, List[FlTerm]] = {}
@@ -910,11 +905,8 @@ def run_constraint_checks(kb: KnowledgeBase,
         for v in sorted(by_value, key=print_term):
             subjects = sorted(set(by_value[v]), key=print_term)
             if len(subjects) > 1:
-                out.append(ConstraintViolation(
-                    "check_inverseFunctional_constraints",
-                    _fmt(INVFUNC_MSG, (p, subjects[0], subjects[1], v)),
-                    tuple((("X", print_term(s)),) for s in subjects),
-                ))
+                flag("check_inverseFunctional_constraints", INVFUNC_MSG,
+                     (p, subjects[0], subjects[1], v))
     return out
 
 

@@ -21,6 +21,7 @@ from .flogic import (
     FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable,
     print_rule,
 )
+from .owl_parser import DEFAULT_BASE
 
 OBJECT_NAME = "_object"
 
@@ -706,7 +707,7 @@ def _build(program: FlProgram, base_iri, prefixes) -> _Recognizer:
     merged = dict(program.prefixes)
     if prefixes:
         merged.update(prefixes)
-    base = base_iri or merged.get("") or "http://example.org/ontology"
+    base = base_iri or merged.get("") or DEFAULT_BASE
     rec = _Recognizer(program, base.rstrip("#"), merged)
     rec.run()
     return rec

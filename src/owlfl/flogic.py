@@ -223,8 +223,6 @@ class FlProgram:
     # prefix map; "" holds the base IRI.  Printed as directives, so it
     # survives a round trip, but it is not part of program equality.
     prefixes: Dict[str, str] = field(default_factory=dict)
-    # rule index -> source axiom, filled by the OWL translator
-    provenance: Dict[int, object] = field(default_factory=dict)
     # ids of source axioms covered by at least one emitted rule
     covered_axiom_ids: set = field(default_factory=set)
 
@@ -537,7 +535,7 @@ class _Parser:
             prop = self.parse_term(merge_prefixed=True)
             card = None
             if self.at("punct", "{"):
-                self.next()
+                brace = self.next()
                 low = int(self.expect("num").value)
                 # the ':' between bounds lexes as punct ':'
                 t = self.next()
@@ -549,6 +547,10 @@ class _Parser:
                 else:
                     high = int(self.expect("num").value)
                 self.expect("punct", "}")
+                if high is not None and high < low:
+                    raise FlParseError(f"cardinality {{{low}:{high}}} has its "
+                                       "upper bound below its lower bound",
+                                       brace.line, brace.col)
                 card = (low, high)
             if self.at("sigarrow"):
                 self.next()

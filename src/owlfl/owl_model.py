@@ -104,7 +104,9 @@ class HasValue(RestrictionKind):
 
 
 @dataclass(frozen=True)
-class MaxCardinality(RestrictionKind):
+class _Cardinality(RestrictionKind):
+    """Shared by the three cardinality restrictions; not used on its own."""
+
     n: int
 
     def __post_init__(self):
@@ -112,22 +114,16 @@ class MaxCardinality(RestrictionKind):
             raise ValueError("cardinality must be >= 0")
 
 
-@dataclass(frozen=True)
-class MinCardinality(RestrictionKind):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be >= 0")
+class MaxCardinality(_Cardinality):
+    pass
 
 
-@dataclass(frozen=True)
-class ExactCardinality(RestrictionKind):
-    n: int
+class MinCardinality(_Cardinality):
+    pass
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be >= 0")
+
+class ExactCardinality(_Cardinality):
+    pass
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,19 @@ def _q(ns: str, local: str) -> str:
     return "{%s}%s" % (ns, local)
 
 
+_ABOUT, _ID, _RESOURCE = _q(RDF, "about"), _q(RDF, "ID"), _q(RDF, "resource")
+_CLASS_TAGS = (_q(OWL, "Class"), _q(RDFS, "Class"))
+_INDIVIDUAL_TAGS = (_q(OWL, "Thing"), _q(RDF, "Description"))
+# attributes that are RDF syntax, not property values
+_SYNTAX_ATTRS = ("{%s}" % RDF, "{%s}" % XML_NS)
+# element names in these namespaces are vocabulary, never a class of individuals
+_VOCABULARY = tuple("{%s}" % ns for ns in (OWL, RDF, RDFS,
+                                           OWL[:-1], RDF[:-1], RDFS[:-1]))
+
+# The OWL vocabulary of the subset.  Each mapping is written once, in the
+# direction the reader uses it; the writer inverts it.  Element names are in
+# ElementTree's ``{namespace}local`` form.
+
 _CHAR_BY_IRI = {
     OWL + "FunctionalProperty": FUNCTIONAL,
     OWL + "InverseFunctionalProperty": INVERSE_FUNCTIONAL,
@@ -113,14 +126,48 @@ _CHAR_BY_IRI = {
     OWL + "SymmetricProperty": SYMMETRIC,
 }
 
+# property axiom elements, each built as ``Axiom(subject, target)``
+_PROPERTY_AXIOMS = {
+    _q(RDFS, "domain"): Domain,
+    _q(RDFS, "range"): Range,
+    _q(RDFS, "subPropertyOf"): SubPropertyOf,
+    _q(OWL, "equivalentProperty"): EquivalentProperty,
+    _q(OWL, "inverseOf"): InverseOf,
+}
+
+# class axiom elements whose object is a class expression
+_CLASS_AXIOMS = {
+    _q(RDFS, "subClassOf"): SubClassOf,
+    _q(OWL, "equivalentClass"): EquivalentClass,
+}
+
+# owl:Class definitions over a collection of class expressions
+_BOOLEAN_CLASSES = {
+    _q(OWL, "unionOf"): UnionOf,
+    _q(OWL, "intersectionOf"): IntersectionOf,
+}
+
+# restriction facets whose object is a class expression (the filler)
+_FILLER_FACETS = {
+    _q(OWL, "allValuesFrom"): AllValuesFrom,
+    _q(OWL, "someValuesFrom"): SomeValuesFrom,
+}
+
+_CARDINALITY_FACETS = {
+    _q(OWL, "maxCardinality"): MaxCardinality,
+    _q(OWL, "minCardinality"): MinCardinality,
+    _q(OWL, "cardinality"): ExactCardinality,
+}
+
+# owl:Class children that define the class (see parse_class_body_expr)
+_DEFINITION_TAGS = (*_BOOLEAN_CLASSES, _q(OWL, "complementOf"), _q(OWL, "oneOf"))
+
+# a characteristic's class also declares a property in element form
 _PROPERTY_TAGS = {
     _q(OWL, "ObjectProperty"),
     _q(OWL, "DatatypeProperty"),
     _q(RDF, "Property"),
-    _q(OWL, "FunctionalProperty"),
-    _q(OWL, "InverseFunctionalProperty"),
-    _q(OWL, "TransitiveProperty"),
-    _q(OWL, "SymmetricProperty"),
+    *(_q(OWL, iri[len(OWL):]) for iri in _CHAR_BY_IRI),
 }
 
 
@@ -157,14 +204,22 @@ class _DocParser:
                 return Iri(_join(self.prefixes[pfx], local))
         return Iri(_join(self.base, value))
 
+    def resource(self, el: ET.Element) -> Optional[Iri]:
+        """The resolved rdf:resource of ``el``, if it has one."""
+        res = el.get(_RESOURCE)
+        return None if res is None else self.resolve(res)
+
+    def name_iri(self, name: str) -> Iri:
+        """The IRI an element or attribute name stands for: ``{ns}local``,
+        or a bare name against the base."""
+        if name.startswith("{"):
+            ns, local = name[1:].split("}", 1)
+            return Iri(ns + local if ns.endswith(("#", "/")) else _join(ns, local))
+        return self.resolve(name)
+
     def subject(self, el: ET.Element) -> Iri:
-        ident = el.get(_q(RDF, "ID"))
-        if ident is not None:
-            return self.resolve(ident)
-        about = el.get(_q(RDF, "about"))
-        if about is not None:
-            return self.resolve(about)
-        return self.fresh_blank()
+        ref = el.get(_ID, el.get(_ABOUT))
+        return self.fresh_blank() if ref is None else self.resolve(ref)
 
     # -- class expressions
 
@@ -172,8 +227,8 @@ class _DocParser:
         tag = el.tag
         if tag == _q(OWL, "Restriction"):
             return self.parse_restriction(el)
-        if tag == _q(OWL, "Class") or tag == _q(RDFS, "Class"):
-            about = el.get(_q(RDF, "about")) or el.get(_q(RDF, "ID"))
+        if tag in _CLASS_TAGS:
+            about = el.get(_ABOUT) or el.get(_ID)
             expr = self.parse_class_body_expr(el)
             if expr is not None:
                 return expr
@@ -182,43 +237,36 @@ class _DocParser:
         self.warn("unknown-construct", f"unsupported class expression <{tag}>")
         return None
 
+    def class_operands(self, el: ET.Element):
+        """The class expressions ``el`` names, lazily: its rdf:resource, or
+        else each of its child elements that parses."""
+        res = self.resource(el)
+        if res is not None:
+            yield Named(res)
+            return
+        for child in el:
+            expr = self.parse_class_expr(child)
+            if expr is not None:
+                yield expr
+
     def parse_class_body_expr(self, el: ET.Element):
         """Boolean/enumeration definition inside an owl:Class element."""
         for child in el:
             ctag = child.tag
-            if ctag == _q(OWL, "unionOf"):
-                ops = self.parse_collection(child)
+            if ctag in _BOOLEAN_CLASSES:
+                ops = [e for e in map(self.parse_class_expr, child) if e is not None]
                 if len(ops) >= 2:
-                    return UnionOf(tuple(ops))
-            elif ctag == _q(OWL, "intersectionOf"):
-                ops = self.parse_collection(child)
-                if len(ops) >= 2:
-                    return IntersectionOf(tuple(ops))
+                    return _BOOLEAN_CLASSES[ctag](tuple(ops))
             elif ctag == _q(OWL, "complementOf"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    return ComplementOf(Named(self.resolve(res)))
-                for sub in child:
-                    inner = self.parse_class_expr(sub)
-                    if inner is not None:
-                        return ComplementOf(inner)
+                inner = next(self.class_operands(child), None)
+                if inner is not None:
+                    return ComplementOf(inner)
             elif ctag == _q(OWL, "oneOf"):
-                inds = []
-                for sub in child:
-                    about = sub.get(_q(RDF, "about")) or sub.get(_q(RDF, "ID"))
-                    if about is not None:
-                        inds.append(self.resolve(about))
+                refs = (sub.get(_ABOUT) or sub.get(_ID) for sub in child)
+                inds = [self.resolve(ref) for ref in refs if ref is not None]
                 if inds:
                     return OneOf(tuple(inds))
         return None
-
-    def parse_collection(self, el: ET.Element):
-        ops = []
-        for child in el:
-            expr = self.parse_class_expr(child)
-            if expr is not None:
-                ops.append(expr)
-        return ops
 
     def parse_restriction(self, el: ET.Element):
         prop: Optional[Iri] = None
@@ -226,33 +274,23 @@ class _DocParser:
         for child in el:
             ctag = child.tag
             if ctag == _q(OWL, "onProperty"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    prop = self.resolve(res)
-            elif ctag == _q(OWL, "allValuesFrom"):
-                kind = AllValuesFrom(self._filler(child))
-            elif ctag == _q(OWL, "someValuesFrom"):
-                kind = SomeValuesFrom(self._filler(child))
+                prop = self.resource(child) or prop
+            elif ctag in _FILLER_FACETS:
+                kind = _FILLER_FACETS[ctag](self._filler(child))
             elif ctag == _q(OWL, "hasValue"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    kind = HasValue(self.resolve(res))
-                else:
-                    kind = HasValue(self._literal(child))
-            elif ctag in (_q(OWL, "maxCardinality"), _q(OWL, "minCardinality"),
-                          _q(OWL, "cardinality")):
+                kind = HasValue(self.resource(child) or self._literal(child))
+            elif ctag in _CARDINALITY_FACETS:
                 try:
                     n = int((child.text or "").strip())
                 except ValueError:
                     self.error("bad-cardinality",
                                f"non-integer cardinality {child.text!r}")
                     continue
-                if ctag == _q(OWL, "maxCardinality"):
-                    kind = MaxCardinality(n)
-                elif ctag == _q(OWL, "minCardinality"):
-                    kind = MinCardinality(n)
-                else:
-                    kind = ExactCardinality(n)
+                if n < 0:
+                    self.error("bad-cardinality",
+                               f"negative cardinality {child.text!r}")
+                    continue
+                kind = _CARDINALITY_FACETS[ctag](n)
             else:
                 self.warn("unknown-construct",
                           f"unsupported restriction facet <{ctag}>")
@@ -262,23 +300,17 @@ class _DocParser:
         return Restriction(prop, kind)
 
     def _filler(self, el: ET.Element):
-        res = el.get(_q(RDF, "resource"))
-        if res is not None:
-            return Named(self.resolve(res))
-        for child in el:
-            expr = self.parse_class_expr(child)
-            if expr is not None:
-                return expr
-        self.warn("unknown-construct", "missing restriction filler")
-        return Named(Iri(OWL + "Thing"))
+        expr = next(self.class_operands(el), None)
+        if expr is None:
+            self.warn("unknown-construct", "missing restriction filler")
+            return Named(Iri(OWL + "Thing"))
+        return expr
 
     def _literal(self, el: ET.Element) -> OwlLiteral:
         datatype = el.get(_q(RDF, "datatype"))
-        tag = "_string"
-        if datatype:
-            tag, diag = map_xml_type(datatype)
-            if diag:
-                self.diagnostics.append(diag)
+        tag, diag = map_xml_type(datatype) if datatype else ("_string", None)
+        if diag:
+            self.diagnostics.append(diag)
         return OwlLiteral((el.text or "").strip(), tag)
 
     # -- top-level elements
@@ -290,39 +322,15 @@ class _DocParser:
             self.doc.class_axioms.append(EquivalentClass(Named(subj), defined))
         for child in el:
             ctag = child.tag
-            if ctag in (_q(OWL, "unionOf"), _q(OWL, "intersectionOf"),
-                        _q(OWL, "complementOf"), _q(OWL, "oneOf")):
+            if ctag in _DEFINITION_TAGS:
                 continue  # consumed above
-            if ctag == _q(RDFS, "subClassOf"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    self.doc.class_axioms.append(
-                        SubClassOf(Named(subj), Named(self.resolve(res)))
-                    )
-                    continue
-                for sub in child:
-                    expr = self.parse_class_expr(sub)
-                    if expr is not None:
-                        self.doc.class_axioms.append(SubClassOf(Named(subj), expr))
-            elif ctag == _q(OWL, "equivalentClass"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    self.doc.class_axioms.append(
-                        EquivalentClass(Named(subj), Named(self.resolve(res)))
-                    )
-                    continue
-                for sub in child:
-                    expr = self.parse_class_expr(sub)
-                    if expr is not None:
-                        self.doc.class_axioms.append(
-                            EquivalentClass(Named(subj), expr)
-                        )
+            if ctag in _CLASS_AXIOMS:
+                self.doc.class_axioms.extend(_CLASS_AXIOMS[ctag](Named(subj), e)
+                                             for e in self.class_operands(child))
             elif ctag == _q(OWL, "disjointWith"):
-                res = child.get(_q(RDF, "resource"))
+                res = self.resource(child)
                 if res is not None:
-                    self.doc.class_axioms.append(
-                        DisjointWith(subj, self.resolve(res))
-                    )
+                    self.doc.class_axioms.append(DisjointWith(subj, res))
             else:
                 self.warn("unknown-construct",
                           f"unsupported class axiom <{ctag}>")
@@ -330,134 +338,88 @@ class _DocParser:
     def parse_property(self, el: ET.Element):
         subj = self.subject(el)
         # element-form characteristic, e.g. <owl:TransitiveProperty rdf:ID=...>
-        tag_iri = el.tag[1:].replace("}", "", 1) if el.tag.startswith("{") else el.tag
-        implied = _CHAR_BY_IRI.get(tag_iri)
+        implied = _CHAR_BY_IRI.get(self.name_iri(el.tag).value)
         if implied is not None:
             self.doc.property_axioms.append(Characteristic(subj, implied))
         for child in el:
             ctag = child.tag
-            res = child.get(_q(RDF, "resource"))
-            if ctag == _q(RDFS, "domain") and res is not None:
-                self.doc.property_axioms.append(Domain(subj, self.resolve(res)))
-            elif ctag == _q(RDFS, "range") and res is not None:
-                self.doc.property_axioms.append(Range(subj, self.resolve(res)))
-            elif ctag == _q(RDFS, "subPropertyOf") and res is not None:
-                self.doc.property_axioms.append(
-                    SubPropertyOf(subj, self.resolve(res))
-                )
-            elif ctag == _q(OWL, "equivalentProperty") and res is not None:
-                self.doc.property_axioms.append(
-                    EquivalentProperty(subj, self.resolve(res))
-                )
-            elif ctag == _q(OWL, "inverseOf") and res is not None:
-                self.doc.property_axioms.append(InverseOf(subj, self.resolve(res)))
+            res = self.resource(child)
+            if ctag in _PROPERTY_AXIOMS and res is not None:
+                self.doc.property_axioms.append(_PROPERTY_AXIOMS[ctag](subj, res))
             elif ctag == _q(RDF, "type") and res is not None:
-                kind = _CHAR_BY_IRI.get(self.resolve(res).value)
+                kind = _CHAR_BY_IRI.get(res.value)
                 if kind is None:
                     self.warn("unknown-construct",
-                              f"unsupported property type {res!r}")
+                              f"unsupported property type {child.get(_RESOURCE)!r}")
                 else:
                     self.doc.property_axioms.append(Characteristic(subj, kind))
             else:
                 self.warn("unknown-construct",
                           f"unsupported property axiom <{ctag}>")
 
-    def parse_individual(self, el: ET.Element, implied_class: Optional[Iri]):
+    def parse_individual(self, el: ET.Element):
         subj = self.subject(el)
-        # class memberships first so the printed frame opens with `x:C`
-        if implied_class is not None:
-            self.doc.assertions.append(ClassAssertion(subj, implied_class))
-        for child in el:
-            if child.tag == _q(RDF, "type"):
-                res = child.get(_q(RDF, "resource"))
-                if res is not None:
-                    self.doc.assertions.append(
-                        ClassAssertion(subj, self.resolve(res))
-                    )
-        # attribute-form property values
-        for attr_name, attr_value in el.attrib.items():
-            if attr_name.startswith("{%s}" % RDF) or \
-                    attr_name.startswith("{%s}" % XML_NS):
-                continue
-            prop = self._attr_iri(attr_name)
-            self.doc.assertions.append(
-                PropertyAssertion(subj, prop, OwlLiteral(attr_value, "_string"))
-            )
+        types = [self.resource(child) for child in el
+                 if child.tag == _q(RDF, "type")]
+        self.describe(el, subj, [self._individual_class(el)] + types)
         for child in el:
             ctag = child.tag
             if ctag == _q(RDF, "type"):
                 continue
-            prop = self._attr_iri(ctag)
-            res = child.get(_q(RDF, "resource"))
+            prop = self.name_iri(ctag)
+            res = self.resource(child)
             if res is not None:
-                self.doc.assertions.append(
-                    PropertyAssertion(subj, prop, self.resolve(res))
-                )
+                self.doc.assertions.append(PropertyAssertion(subj, prop, res))
             elif len(child) > 0:
-                # nested (possibly anonymous) individual
+                # nested (possibly anonymous) individual; only its class and
+                # attribute-form values are read
                 inner = child[0]
                 inner_cls = self._individual_class(inner)
                 inner_subj = self.subject(inner)
                 self.doc.assertions.append(PropertyAssertion(subj, prop, inner_subj))
-                self.parse_individual_at(inner, inner_subj, inner_cls)
+                self.describe(inner, inner_subj, [inner_cls])
             else:
                 self.doc.assertions.append(
                     PropertyAssertion(subj, prop, self._literal(child))
                 )
 
-    def parse_individual_at(self, el, subj, implied_class):
-        if implied_class is not None:
-            self.doc.assertions.append(ClassAssertion(subj, implied_class))
-        # minimal recursion support: attributes only
-        for attr_name, attr_value in el.attrib.items():
-            if attr_name.startswith("{%s}" % RDF) or \
-                    attr_name.startswith("{%s}" % XML_NS):
-                continue
-            self.doc.assertions.append(
-                PropertyAssertion(subj, self._attr_iri(attr_name),
-                                  OwlLiteral(attr_value, "_string"))
-            )
-
-    def _attr_iri(self, qualified: str) -> Iri:
-        if qualified.startswith("{"):
-            ns, local = qualified[1:].split("}", 1)
-            return Iri(ns + local if ns.endswith(("#", "/")) else _join(ns, local))
-        return self.resolve(qualified)
+    def describe(self, el: ET.Element, subj: Iri, classes: List[Optional[Iri]]):
+        """Class memberships of ``subj`` (first, so the printed frame opens
+        with ``x:C``), then the property values in ``el``'s attributes."""
+        for cls in classes:
+            if cls is not None:
+                self.doc.assertions.append(ClassAssertion(subj, cls))
+        for name, value in el.attrib.items():
+            if not name.startswith(_SYNTAX_ATTRS):
+                self.doc.assertions.append(PropertyAssertion(
+                    subj, self.name_iri(name), OwlLiteral(value, "_string")))
 
     def _individual_class(self, el: ET.Element) -> Optional[Iri]:
-        tag = el.tag
-        if tag in (_q(OWL, "Thing"), _q(RDF, "Description")):
-            return None
-        if tag.startswith("{"):
-            ns, local = tag[1:].split("}", 1)
-            return Iri(ns + local if ns.endswith(("#", "/")) else _join(ns, local))
-        return self.resolve(tag)
+        return None if el.tag in _INDIVIDUAL_TAGS else self.name_iri(el.tag)
 
     def parse_top(self, el: ET.Element):
         tag = el.tag
         if tag == _q(OWL, "Ontology"):
             return
-        if tag == _q(OWL, "Class") or tag == _q(RDFS, "Class"):
+        if tag in _CLASS_TAGS:
             self.parse_class(el)
         elif tag in _PROPERTY_TAGS:
             self.parse_property(el)
-        elif tag in (_q(OWL, "Thing"), _q(RDF, "Description")):
-            self.parse_individual(el, None)
+        elif tag not in _INDIVIDUAL_TAGS and tag.startswith(_VOCABULARY):
+            self.warn("unknown-construct", f"unsupported element <{tag}>")
         else:
-            ns = tag[1:].split("}", 1)[0] if tag.startswith("{") else ""
-            if ns in (OWL, RDF, RDFS, OWL[:-1], RDF[:-1], RDFS[:-1]):
-                self.warn("unknown-construct", f"unsupported element <{tag}>")
-            else:
-                # ABox shorthand: <WineGrape rdf:ID="..."/> style
-                self.parse_individual(el, self._individual_class(el))
+            # also the ABox shorthand: <WineGrape rdf:ID="..."/> style
+            self.parse_individual(el)
 
 
 def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnostic]]:
     """Parse RDF/XML into an OntologyDocument plus diagnostics.
 
-    Malformed XML yields a single error diagnostic and no document.
+    Malformed XML, or a base or namespace that is not an absolute IRI, yields
+    a single error diagnostic and no document.
     """
     prefixes: Dict[str, str] = {}
+    declared: List[Tuple[str, str]] = []
     try:
         events = ET.iterparse(io.StringIO(text), events=("start-ns", "start"))
         root = None
@@ -465,6 +427,8 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
             if event == "start-ns":
                 name, uri = payload
                 prefixes[name] = uri.rstrip("#")
+                if uri:  # xmlns="" undeclares the default namespace
+                    declared.append(("namespace", uri))
             elif root is None:
                 root = payload
     except ET.ParseError as e:
@@ -473,8 +437,13 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
     if root is None:
         return None, [Diagnostic(ERROR, "malformed-xml", "empty document")]
 
-    base = root.get(_q(XML_NS, "base")) or DEFAULT_BASE
-    base = base.rstrip("#")
+    base = (root.get(_q(XML_NS, "base")) or DEFAULT_BASE).rstrip("#")
+    for what, value in [("xml:base", base)] + declared:
+        try:
+            Iri(value)
+        except ValueError:
+            return None, [Diagnostic(ERROR, "relative-iri",
+                                     f"{what} {value!r} is not an absolute IRI")]
     prefixes[""] = base
     parser = _DocParser(base, prefixes)
     if root.tag == _q(RDF, "RDF"):

@@ -9,7 +9,7 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from . import owl_model as om
 from .checkers import checker_rules
@@ -48,8 +48,13 @@ class Translatability:
             raise ValueError("untranslatable verdicts need a reason")
 
 
+class _NoClassForm(TypeError):
+    """A restriction or enumeration where only a class expression (a name,
+    union, intersection or complement) has an F-logic form."""
+
+
 class Context:
-    """Per-translation state: naming, options, one-shot rules, provenance."""
+    """Per-translation state: naming, options, one-shot rules."""
 
     def __init__(self, doc: Optional[om.OntologyDocument] = None,
                  opts: Optional[TranslationOptions] = None):
@@ -98,7 +103,7 @@ class Context:
                               [self.cls_expr(e) for e in expr.operands])
         if isinstance(expr, om.ComplementOf):
             return FlDifference(OBJ, self.cls_expr(expr.operand))
-        raise TypeError(f"no class-expression form for {expr!r}")
+        raise _NoClassForm(f"no class-expression form for {expr!r}")
 
     def fresh_aux(self) -> FlSymbol:
         self.aux_counter += 1
@@ -474,18 +479,19 @@ def translate_ontology(doc: om.OntologyDocument,
                        ) -> Tuple[FlProgram, List[Diagnostic]]:
     ctx = Context(doc, opts)
     rules: List[FlRule] = []
-    provenance: Dict[int, object] = {}
     covered: set = set()
 
     def add(axiom, new_rules):
         if new_rules:
             covered.add(id(axiom))
-        for r in new_rules:
-            provenance[len(rules)] = axiom
-            rules.append(r)
+        rules.extend(new_rules)
 
     for ax in doc.class_axioms:
-        new_rules, _ = translate_class_axiom(ax, ctx)
+        try:
+            new_rules, _ = translate_class_axiom(ax, ctx)
+        except _NoClassForm as e:
+            ctx.error("untranslatable-construct", f"{e} in the axiom {ax!r}")
+            new_rules = []
         add(ax, new_rules)
     for ax in doc.property_axioms:
         add(ax, translate_property_axiom(ax, ctx))
@@ -496,6 +502,5 @@ def translate_ontology(doc: om.OntologyDocument,
     if ctx.opts.emit_checkers:
         rules.extend(checker_rules())
     program = FlProgram(tuple(rules), dict(doc.prefixes))
-    program.provenance = provenance
     program.covered_axiom_ids = covered
     return program, ctx.diagnostics

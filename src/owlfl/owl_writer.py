@@ -1,45 +1,75 @@
 """Serialize an OntologyDocument back to the RDF/XML subset.
 
 The output re-parses to a structurally equal document (same axioms, same
-order per axiom list).
+order per axiom list).  Each axiom becomes an element node
+``(tag, attrs, body)``, where ``body`` is ``None`` for an empty element, the
+escaped text of a literal, or a list of child nodes; ``_render`` writes the
+nodes out with their indentation.
 """
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import fields
+from itertools import chain
+from typing import List, Optional
 from xml.sax.saxutils import escape, quoteattr
 
 from .owl_model import (
-    AllValuesFrom, Characteristic, ClassAssertion, ComplementOf, DisjointWith,
-    Domain, EquivalentClass, EquivalentProperty, ExactCardinality, FUNCTIONAL,
-    HasValue, INVERSE_FUNCTIONAL, IntersectionOf, InverseOf, Iri,
-    MaxCardinality, MinCardinality, Named, OneOf, OntologyDocument, OwlLiteral,
-    PropertyAssertion, Range, Restriction, SYMMETRIC, SomeValuesFrom,
-    SubClassOf, SubPropertyOf, TRANSITIVE, UnionOf,
+    Characteristic, ClassAssertion, ComplementOf, DisjointWith,
+    EquivalentClass, HasValue, IntersectionOf, Iri, Named, OneOf,
+    OntologyDocument, PropertyAssertion, Restriction, SubClassOf, UnionOf,
 )
-from .owl_parser import OWL, RDF, RDFS, XSD
+from .owl_parser import (
+    DEFAULT_BASE, OWL, RDF, RDFS, XSD, _BOOLEAN_CLASSES, _CARDINALITY_FACETS,
+    _CHAR_BY_IRI, _FILLER_FACETS, _PROPERTY_AXIOMS,
+)
 
-_CHAR_IRI = {
-    FUNCTIONAL: OWL + "FunctionalProperty",
-    INVERSE_FUNCTIONAL: OWL + "InverseFunctionalProperty",
-    TRANSITIVE: OWL + "TransitiveProperty",
-    SYMMETRIC: OWL + "SymmetricProperty",
-}
+_PREFIX = {RDF: "rdf", RDFS: "rdfs", OWL: "owl"}
 
+
+def _inverse(by_tag):
+    """``{Class: "prefix:local"}`` from a reader map ``{"{ns}local": Class}``."""
+    out = {}
+    for tag, cls in by_tag.items():
+        ns, local = tag[1:].split("}", 1)
+        out[cls] = f"{_PREFIX[ns]}:{local}"
+    return out
+
+
+_CHAR_IRI = {kind: Iri(iri) for iri, kind in _CHAR_BY_IRI.items()}
+_PROPERTY_TAG = _inverse(_PROPERTY_AXIOMS)
+_BOOLEAN_TAG = _inverse(_BOOLEAN_CLASSES)
+_FILLER_TAG = _inverse(_FILLER_FACETS)
+_CARDINALITY_TAG = _inverse(_CARDINALITY_FACETS)
+
+# plain (``_string``) literals and unknown type tags carry no datatype
 _TAG_TO_XSD = {
-    "_string": XSD + "string",
     "_integer": XSD + "integer",
     "_double": XSD + "double",
     "_boolean": XSD + "boolean",
 }
 
+_COLLECTION = ' rdf:parseType="Collection"'
+
+
+def _render(node, depth: int, lines: List[str]):
+    tag, attrs, body = node
+    pad = "  " * depth
+    if body is None:
+        lines.append(f"{pad}<{tag}{attrs}/>")
+    elif isinstance(body, str):
+        lines.append(f"{pad}<{tag}{attrs}>{body}</{tag}>")
+    else:
+        lines.append(f"{pad}<{tag}{attrs}>")
+        for child in body:
+            _render(child, depth + 1, lines)
+        lines.append(f"{pad}</{tag}>")
+
 
 class _Writer:
     def __init__(self, doc: OntologyDocument):
         self.doc = doc
-        self.base = doc.base or "http://example.org/ontology"
-        self.lines: List[str] = []
-        self.depth = 1
+        self.base = doc.base or DEFAULT_BASE
 
     def ref(self, iri: Iri) -> str:
         """Shortest reference form usable in rdf:resource/about."""
@@ -47,206 +77,111 @@ class _Writer:
             return "#" + iri.value[len(self.base) + 1:]
         return iri.value
 
-    def w(self, line: str):
-        self.lines.append("  " * self.depth + line)
+    # -- element builders
 
-    def element(self, tag: str, attrs: str = "", body=None):
-        if body is None:
-            self.w(f"<{tag}{attrs}/>")
-            return
-        self.w(f"<{tag}{attrs}>")
-        self.depth += 1
-        body()
-        self.depth -= 1
-        self.w(f"</{tag}>")
+    def about(self, tag: str, iri: Iri, *children):
+        """``<tag rdf:about=iri>`` around ``children`` (empty without)."""
+        return (tag, f" rdf:about={quoteattr(self.ref(iri))}",
+                list(children) or None)
+
+    def resource(self, tag: str, iri: Iri):
+        return (tag, f" rdf:resource={quoteattr(self.ref(iri))}", None)
+
+    def wrap(self, tag: str, expr):
+        """``tag`` naming ``expr``: by reference when it is a named class,
+        else around the nested expression."""
+        if isinstance(expr, Named):
+            return self.resource(tag, expr.iri)
+        return (tag, "", [self.class_expr(expr)])
+
+    def value(self, tag: str, value):
+        """``tag`` holding an individual (by reference) or a literal."""
+        if isinstance(value, Iri):
+            return self.resource(tag, value)
+        return self.literal(tag, value.lexical, _TAG_TO_XSD.get(value.type_tag))
+
+    @staticmethod
+    def literal(tag: str, text: str, datatype=None):
+        attrs = f" rdf:datatype={quoteattr(datatype)}" if datatype else ""
+        return (tag, attrs, escape(text))
 
     # -- class expressions
 
-    def class_expr(self, expr, about: str = ""):
-        """Write expr; ``about`` is the rdf:about attribute of the owl:Class
-        element that a class definition writes in place of an anonymous one."""
+    def class_expr(self, expr, defined: Optional[Iri] = None):
+        """Node of ``expr``.  A class definition passes the defined class as
+        ``defined``, which names the owl:Class element in place of an
+        anonymous one."""
         if isinstance(expr, Named):
-            self.element("owl:Class", f" rdf:about={quoteattr(self.ref(expr.iri))}")
-        elif isinstance(expr, (UnionOf, IntersectionOf)):
-            inner_tag = "owl:unionOf" if isinstance(expr, UnionOf) else \
-                "owl:intersectionOf"
-
-            def ops():
-                def items():
-                    for op in expr.operands:
-                        self.class_expr(op)
-                self.element(inner_tag, ' rdf:parseType="Collection"', items)
-            self.element("owl:Class", about, ops)
-        elif isinstance(expr, ComplementOf):
-            def comp():
-                if isinstance(expr.operand, Named):
-                    self.element(
-                        "owl:complementOf",
-                        f" rdf:resource={quoteattr(self.ref(expr.operand.iri))}",
-                    )
-                else:
-                    def inner():
-                        self.class_expr(expr.operand)
-                    self.element("owl:complementOf", "", inner)
-            self.element("owl:Class", about, comp)
+            return self.about("owl:Class", expr.iri)
+        if isinstance(expr, Restriction):
+            return self.restriction(expr)
+        if isinstance(expr, (UnionOf, IntersectionOf)):
+            ops = [self.class_expr(op) for op in expr.operands]
+            body = (_BOOLEAN_TAG[type(expr)], _COLLECTION, ops)
         elif isinstance(expr, OneOf):
-            def one():
-                def items():
-                    for ind in expr.individuals:
-                        self.element(
-                            "owl:Thing", f" rdf:about={quoteattr(self.ref(ind))}"
-                        )
-                self.element("owl:oneOf", ' rdf:parseType="Collection"', items)
-            self.element("owl:Class", about, one)
-        elif isinstance(expr, Restriction):
-            self.restriction(expr)
+            inds = [self.about("owl:Thing", ind) for ind in expr.individuals]
+            body = ("owl:oneOf", _COLLECTION, inds)
+        elif isinstance(expr, ComplementOf):
+            body = self.wrap("owl:complementOf", expr.operand)
         else:
             raise TypeError(f"cannot serialize {expr!r}")
+        if defined is None:
+            return ("owl:Class", "", [body])
+        return self.about("owl:Class", defined, body)
 
     def restriction(self, r: Restriction):
-        def body():
-            self.element(
-                "owl:onProperty", f" rdf:resource={quoteattr(self.ref(r.property))}"
-            )
-            k = r.kind
-            if isinstance(k, AllValuesFrom):
-                self.filler("owl:allValuesFrom", k.filler)
-            elif isinstance(k, SomeValuesFrom):
-                self.filler("owl:someValuesFrom", k.filler)
-            elif isinstance(k, HasValue):
-                if isinstance(k.value, Iri):
-                    self.element(
-                        "owl:hasValue", f" rdf:resource={quoteattr(self.ref(k.value))}"
-                    )
-                else:
-                    self.literal_element("owl:hasValue", k.value)
-            elif isinstance(k, MaxCardinality):
-                self.card_element("owl:maxCardinality", k.n)
-            elif isinstance(k, MinCardinality):
-                self.card_element("owl:minCardinality", k.n)
-            elif isinstance(k, ExactCardinality):
-                self.card_element("owl:cardinality", k.n)
-            else:
-                raise TypeError(f"cannot serialize {k!r}")
-        self.element("owl:Restriction", "", body)
-
-    def filler(self, tag: str, expr):
-        if isinstance(expr, Named):
-            self.element(tag, f" rdf:resource={quoteattr(self.ref(expr.iri))}")
+        k = r.kind
+        if isinstance(k, HasValue):
+            facet = self.value("owl:hasValue", k.value)
+        elif type(k) in _FILLER_TAG:
+            facet = self.wrap(_FILLER_TAG[type(k)], k.filler)
+        elif type(k) in _CARDINALITY_TAG:
+            facet = self.literal(_CARDINALITY_TAG[type(k)], str(k.n),
+                                 XSD + "nonNegativeInteger")
         else:
-            def inner():
-                self.class_expr(expr)
-            self.element(tag, "", inner)
-
-    def card_element(self, tag: str, n: int):
-        dt = quoteattr(XSD + "nonNegativeInteger")
-        self.w(f"<{tag} rdf:datatype={dt}>{n}</{tag}>")
-
-    def literal_element(self, tag: str, lit: OwlLiteral):
-        dt = _TAG_TO_XSD.get(lit.type_tag)
-        attr = f" rdf:datatype={quoteattr(dt)}" if dt and lit.type_tag != "_string" \
-            else ""
-        self.w(f"<{tag}{attr}>{escape(lit.lexical)}</{tag}>")
+            raise TypeError(f"cannot serialize {k!r}")
+        return ("owl:Restriction", "",
+                [self.resource("owl:onProperty", r.property), facet])
 
     # -- axioms
 
     def class_axiom(self, ax):
         if isinstance(ax, SubClassOf) and isinstance(ax.sub, Named):
-            def body():
-                if isinstance(ax.super, Named):
-                    self.element(
-                        "rdfs:subClassOf",
-                        f" rdf:resource={quoteattr(self.ref(ax.super.iri))}",
-                    )
-                else:
-                    def inner():
-                        self.class_expr(ax.super)
-                    self.element("rdfs:subClassOf", "", inner)
-            self.named_class(ax.sub.iri, body)
-        elif isinstance(ax, SubClassOf):
-            pass  # a compound subclass has no form in this subset
-        elif isinstance(ax, EquivalentClass) and isinstance(ax.a, Named):
+            return self.about("owl:Class", ax.sub.iri,
+                              self.wrap("rdfs:subClassOf", ax.super))
+        if isinstance(ax, SubClassOf):
+            return None  # a compound subclass has no form in this subset
+        if isinstance(ax, EquivalentClass) and isinstance(ax.a, Named):
             b = ax.b
             if isinstance(b, (UnionOf, IntersectionOf, OneOf)) or \
                     isinstance(b, ComplementOf) and isinstance(b.operand, Named):
-                self.class_expr(b, f" rdf:about={quoteattr(self.ref(ax.a.iri))}")
-            elif isinstance(b, Named):
-                def body():
-                    self.element(
-                        "owl:equivalentClass",
-                        f" rdf:resource={quoteattr(self.ref(b.iri))}",
-                    )
-                self.named_class(ax.a.iri, body)
-            else:
-                def body():
-                    def inner():
-                        self.class_expr(b)
-                    self.element("owl:equivalentClass", "", inner)
-                self.named_class(ax.a.iri, body)
-        elif isinstance(ax, DisjointWith):
-            def body():
-                self.element(
-                    "owl:disjointWith", f" rdf:resource={quoteattr(self.ref(ax.b))}"
-                )
-            self.named_class(ax.a, body)
-        else:
-            raise TypeError(f"cannot serialize {ax!r}")
-
-    def named_class(self, iri: Iri, body):
-        self.element("owl:Class", f" rdf:about={quoteattr(self.ref(iri))}", body)
+                return self.class_expr(b, ax.a.iri)
+            return self.about("owl:Class", ax.a.iri,
+                              self.wrap("owl:equivalentClass", b))
+        if isinstance(ax, DisjointWith):
+            return self.about("owl:Class", ax.a,
+                              self.resource("owl:disjointWith", ax.b))
+        raise TypeError(f"cannot serialize {ax!r}")
 
     def property_axiom(self, ax):
-        if isinstance(ax, Domain):
-            self.prop_el(ax.property, "rdfs:domain", ax.cls)
-        elif isinstance(ax, Range):
-            self.prop_el(ax.property, "rdfs:range", ax.cls)
-        elif isinstance(ax, SubPropertyOf):
-            self.prop_el(ax.sub, "rdfs:subPropertyOf", ax.super)
-        elif isinstance(ax, EquivalentProperty):
-            self.prop_el(ax.a, "owl:equivalentProperty", ax.b)
-        elif isinstance(ax, InverseOf):
-            self.prop_el(ax.a, "owl:inverseOf", ax.b)
-        elif isinstance(ax, Characteristic):
-            def body():
-                self.element(
-                    "rdf:type",
-                    f" rdf:resource={quoteattr(_CHAR_IRI[ax.kind])}",
-                )
-            self.element(
-                "owl:ObjectProperty",
-                f" rdf:about={quoteattr(self.ref(ax.property))}", body,
-            )
+        if isinstance(ax, Characteristic):
+            subject = ax.property
+            child = self.resource("rdf:type", _CHAR_IRI[ax.kind])
+        elif type(ax) in _PROPERTY_TAG:
+            subject, target = (getattr(ax, f.name) for f in fields(ax))
+            child = self.resource(_PROPERTY_TAG[type(ax)], target)
         else:
             raise TypeError(f"cannot serialize {ax!r}")
-
-    def prop_el(self, prop: Iri, tag: str, target: Iri):
-        def body():
-            self.element(tag, f" rdf:resource={quoteattr(self.ref(target))}")
-        self.element(
-            "owl:ObjectProperty", f" rdf:about={quoteattr(self.ref(prop))}", body
-        )
+        return self.about("owl:ObjectProperty", subject, child)
 
     def assertion(self, ax):
         if isinstance(ax, ClassAssertion):
-            def body():
-                self.element(
-                    "rdf:type", f" rdf:resource={quoteattr(self.ref(ax.cls))}"
-                )
-            self.element(
-                "owl:Thing", f" rdf:about={quoteattr(self.ref(ax.individual))}", body
-            )
-        elif isinstance(ax, PropertyAssertion):
-            def body():
-                tag = self.prop_tag(ax.property)
-                if isinstance(ax.object, Iri):
-                    self.element(tag, f" rdf:resource={quoteattr(self.ref(ax.object))}")
-                else:
-                    self.literal_element(tag, ax.object)
-            self.element(
-                "owl:Thing", f" rdf:about={quoteattr(self.ref(ax.subject))}", body
-            )
-        else:
-            raise TypeError(f"cannot serialize {ax!r}")
+            return self.about("owl:Thing", ax.individual,
+                              self.resource("rdf:type", ax.cls))
+        if isinstance(ax, PropertyAssertion):
+            return self.about("owl:Thing", ax.subject,
+                              self.value(self.prop_tag(ax.property), ax.object))
+        raise TypeError(f"cannot serialize {ax!r}")
 
     def prop_tag(self, prop: Iri) -> str:
         if prop.value.startswith(self.base + "#"):
@@ -267,17 +202,16 @@ class _Writer:
         for pfx in sorted(self.doc.prefixes):
             if pfx and pfx not in ("rdf", "rdfs", "owl", "xml", "xsd"):
                 ns_attrs.append(f'xmlns:{pfx}="{self.doc.prefixes[pfx]}#"')
-        header = "<rdf:RDF " + "\n         ".join(ns_attrs) + \
-            f'\n         xml:base="{self.base}">'
-        for ax in self.doc.class_axioms:
-            self.class_axiom(ax)
-        for ax in self.doc.property_axioms:
-            self.property_axiom(ax)
-        for ax in self.doc.assertions:
-            self.assertion(ax)
-        return "\n".join(
-            ['<?xml version="1.0"?>', header] + self.lines + ["</rdf:RDF>"]
-        ) + "\n"
+        lines = ['<?xml version="1.0"?>',
+                 "<rdf:RDF " + "\n         ".join(ns_attrs) +
+                 f'\n         xml:base="{self.base}">']
+        for node in chain(map(self.class_axiom, self.doc.class_axioms),
+                          map(self.property_axiom, self.doc.property_axioms),
+                          map(self.assertion, self.doc.assertions)):
+            if node is not None:
+                _render(node, 1, lines)
+        lines.append("</rdf:RDF>")
+        return "\n".join(lines) + "\n"
 
 
 def serialize_document(doc: OntologyDocument) -> str:

@@ -256,6 +256,18 @@ FUZZ_INPUTS = {
     "neq-head.flr": ("2.5 != C .\n", 2),
     "bare-oneOf.flr": ("oneOf.\ndisjoint_classes(A).\nx:A.\n", 0),
     "empty-fragment.owl": (OWL_DOC.replace('"#Female"', '"#"'), 0),
+    "negative-cardinality.owl": (OWL_DOC.replace(
+        '<rdfs:subClassOf rdf:resource="#Wine"/>',
+        '<rdfs:subClassOf><owl:Restriction>'
+        '<owl:onProperty rdf:resource="#hasMaker"/>'
+        '<owl:maxCardinality>-1</owl:maxCardinality>'
+        '</owl:Restriction></rdfs:subClassOf>'), 2),
+    "relative-base.owl": (OWL_DOC.replace(
+        'xml:base="http://example.org/wine"', 'xml:base="rel"'), 2),
+    "relative-namespace.owl": (OWL_DOC.replace(
+        'xml:base=', 'xmlns:rel="rel#" xml:base=').replace(
+        "</rdf:RDF>", '<rel:Wine rdf:about="#w"/></rdf:RDF>'), 2),
+    "inverted-cardinality.flr": ("c[p{2:1} *=> d].\n", 2),
 }
 
 
@@ -280,6 +292,56 @@ def test_malformed_inputs_never_trace_back(tmp_path, capsys):
             assert main(argv) == code, (name, argv[0])
             assert "Traceback" not in capsys.readouterr().err
     assert time.monotonic() - start < 1.0
+
+
+# A restriction or enumeration nested where the F-logic side needs a class
+# expression has no rule form; each is a class axiom of one document.
+NESTED_CONSTRUCTS = {
+    "union-operand": (
+        '<owl:Class rdf:about="#U"><owl:unionOf rdf:parseType="Collection">'
+        '<owl:Class rdf:about="#A"/><owl:Restriction>'
+        '<owl:onProperty rdf:resource="#p"/><owl:hasValue rdf:resource="#v"/>'
+        '</owl:Restriction></owl:unionOf></owl:Class>'),
+    "intersection-operand": (
+        '<owl:Class rdf:about="#U"><owl:intersectionOf '
+        'rdf:parseType="Collection"><owl:Class rdf:about="#A"/><owl:Class>'
+        '<owl:oneOf rdf:parseType="Collection"><owl:Thing rdf:about="#v"/>'
+        '</owl:oneOf></owl:Class></owl:intersectionOf></owl:Class>'),
+    "complement-operand": (
+        '<owl:Class rdf:about="#U"><owl:complementOf><owl:Restriction>'
+        '<owl:onProperty rdf:resource="#p"/><owl:hasValue rdf:resource="#v"/>'
+        '</owl:Restriction></owl:complementOf></owl:Class>'),
+    "all-values-filler": (
+        '<owl:Class rdf:about="#U"><rdfs:subClassOf><owl:Restriction>'
+        '<owl:onProperty rdf:resource="#p"/><owl:allValuesFrom>'
+        '<owl:Restriction><owl:onProperty rdf:resource="#q"/>'
+        '<owl:hasValue rdf:resource="#v"/></owl:Restriction>'
+        '</owl:allValuesFrom></owl:Restriction></rdfs:subClassOf></owl:Class>'),
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["translate", "--from", "owl", "--to", "flora", "{src}", "-o", "{out}"], 2),
+    (["translate", "--from", "owl", "--to", "owl", "{src}", "-o", "{out}"], 0),
+    (["check", "{src}"], 2),
+    (["query", "{src}", "instances", "A"], 2),
+    (["insert", "{src}", "x:A."], 2),
+], ids=["translate-flora", "translate-owl", "check", "query", "insert"])
+@pytest.mark.parametrize("construct", list(NESTED_CONSTRUCTS))
+def test_nested_restriction_or_enumeration_is_untranslatable(
+        construct, argv, code, tmp_path, capsys):
+    src = tmp_path / "nested.owl"
+    src.write_text(OWL_DOC.replace(
+        "</rdf:RDF>", NESTED_CONSTRUCTS[construct] + "</rdf:RDF>"))
+    out = tmp_path / "out"
+    assert main([a.format(src=src, out=out) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error: untranslatable-construct:" in err
+        assert "in the axiom" in err and "http://example.org/wine#U" in err
+    else:
+        assert "#U" in out.read_text()
 
 
 # --- query -------------------------------------------------------------------

@@ -145,6 +145,12 @@ def test_parse_truncated_statement_reports_error():
     assert any(d.severity == "error" for d in diags)
 
 
+def test_parse_inverted_cardinality_is_a_syntax_error():
+    p, diags = parse_program("c[p{2:1} *=> d].")
+    assert p.rules == ()
+    assert [(d.code, d.location) for d in diags] == [("syntax-error", (1, 4))]
+
+
 def test_parse_recovers_after_error():
     p, diags = parse_program("Wine:: .\na:C.")
     assert any(d.severity == "error" for d in diags)

@@ -137,6 +137,17 @@ def test_parse_max_cardinality_with_datatype():
         om.Restriction(iri("hasParent"), om.MaxCardinality(2)))]
 
 
+def test_parse_negative_cardinality_is_an_error():
+    doc, diags = parse_document(
+        HEADER + '<owl:Class rdf:about="#Person"><rdfs:subClassOf>'
+        '<owl:Restriction><owl:onProperty rdf:resource="#hasParent"/>'
+        '<owl:maxCardinality>-1</owl:maxCardinality>'
+        '</owl:Restriction></rdfs:subClassOf></owl:Class></rdf:RDF>\n')
+    assert [(d.severity, d.code) for d in diags] == [
+        ("error", "bad-cardinality"), ("warning", "unknown-construct")]
+    assert doc.class_axioms == []
+
+
 def test_parse_disjoint_with():
     doc, _ = doc_of(
         '<owl:Class rdf:about="#Female">'
@@ -255,6 +266,20 @@ def test_empty_document():
 def test_malformed_xml_is_an_error():
     doc, diags = parse_document("<rdf:RDF><owl:Class>")
     assert any(d.severity == "error" for d in diags)
+
+
+@pytest.mark.parametrize("header, body", [
+    (HEADER.replace('xml:base="http://example.org/wine"', 'xml:base="rel"'),
+     '<Wine rdf:about="#w"/>'),
+    (HEADER.replace('xmlns="http://example.org/wine#"', 'xmlns="wine#"'),
+     '<Wine rdf:about="#w"/>'),
+    (HEADER.replace('xml:base=', 'xmlns:rel="rel#" xml:base='),
+     '<rel:Wine rdf:about="#w"/>'),
+], ids=["base", "default-namespace", "prefixed-namespace"])
+def test_relative_base_or_namespace_is_an_error(header, body):
+    doc, diags = parse_document(header + body + "</rdf:RDF>\n")
+    assert doc is None
+    assert [(d.severity, d.code) for d in diags] == [("error", "relative-iri")]
 
 
 def test_parse_is_deterministic():
