@@ -19,8 +19,8 @@ from .engine import (
     query_goal, run_constraint_checks,
 )
 from .flogic import (
-    Atom, FlIsA, FlProgram, FlSubClass, FlSymbol, FlVariable, parse_program,
-    print_program, print_term,
+    Atom, FlIsA, FlLiteralTerm, FlProgram, FlSubClass, FlSymbol, FlTerm,
+    FlVariable, parse_program, print_program, print_term,
 )
 from .fl_to_owl import translate_program
 from .owl_parser import parse_document
@@ -89,7 +89,9 @@ def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
     return kb, diags
 
 
-def _parse_name(arg: str) -> FlSymbol:
+def _parse_name(arg: str) -> FlTerm:
+    if arg in ("", "''"):
+        return FlLiteralTerm("")  # as the F-logic reader reads ''
     if arg.startswith("'") and arg.endswith("'") and len(arg) >= 2:
         return FlSymbol(arg[1:-1], quoted=True)
     return FlSymbol(arg)
@@ -118,7 +120,7 @@ def _known_symbols(kb: KnowledgeBase) -> set:
     return out
 
 
-def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlSymbol]) -> bool:
+def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlTerm]) -> bool:
     known = _known_symbols(kb)
     unknown = [n for n in names if n not in known]
     for n in unknown:

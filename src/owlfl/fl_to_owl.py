@@ -9,12 +9,13 @@ left over is reported as unrepresentable.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import owl_model as om
 from .checkers import is_checker_rule
-from .diagnostics import Diagnostic, INFO, WARNING
+from .diagnostics import Diagnostic, ERROR, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLit, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
@@ -45,7 +46,7 @@ class _Namer:
         if sym.iri:
             return om.Iri(sym.iri)
         name = sym.name
-        if "://" in name:
+        if _is_full_iri(name):
             return om.Iri(name)
         if ":" in name:
             pfx, local = name.split(":", 1)
@@ -61,7 +62,7 @@ class _Namer:
         if isinstance(t, FlSymbol):
             if t.iri:
                 return om.Iri(t.iri)
-            if t.quoted and "://" not in t.name:
+            if t.quoted and not _is_full_iri(t.name):
                 return om.OwlLiteral(t.name, "_string")
             return self.iri(t)
         raise TypeError(f"cannot map {t!r} to an OWL value")
@@ -81,6 +82,11 @@ class _Namer:
         if isinstance(e, kind):
             return self._flatten(e.a, kind) + self._flatten(e.b, kind)
         return [self.cls(e)]
+
+
+def _is_full_iri(name: str) -> bool:
+    """A symbol that spells out its own IRI, as a quoted ``'scheme://…'``."""
+    return "://" in name and om.is_absolute(name)
 
 
 def _is_object_atom(e: FlClassExpr) -> bool:
@@ -292,6 +298,21 @@ class _Recognizer:
         self.sub = [_sub_rule(r) for r in self.rules]
         self.avf_dual = [_avf_dual_rule(r) for r in self.rules]
         self.attr = [_attr_rule(r) for r in self.rules]
+        # rule positions, ascending, by the class each group member is filed
+        # under: a membership, case-split or complement rule under its head,
+        # a `::` rule under its superclass, an allValuesFrom dual under its
+        # body class, a ground membership fact under its class
+        self.by_class: Dict[FlSymbol, List[int]] = {}
+        for i, r in enumerate(self.rules):
+            keys = {shape[0] for shape in (
+                self.membership[i], self.case_split[i], self.complement[i],
+                self.sub[i], self.avf_dual[i]) if shape is not None}
+            if r.is_fact and isinstance(r.head, FlIsA) and \
+                    isinstance(r.head.obj, FlSymbol):
+                keys.add(_atom_sym(r.head.cls))
+            keys.discard(None)
+            for k in keys:
+                self.by_class.setdefault(k, []).append(i)
 
     # -- bookkeeping
 
@@ -311,10 +332,14 @@ class _Recognizer:
         r = self.rules[i]
         return r.head if r.is_fact else None
 
-    def gather(self, anchor: int, fits) -> List[int]:
-        """The anchor and every other open rule whose index ``fits``."""
-        return [anchor] + [j for j in self.open_indices()
-                           if j != anchor and fits(j)]
+    def gather(self, anchor: int, keys, fits) -> List[int]:
+        """The anchor and every other open rule filed under one of ``keys``
+        whose index ``fits``, in rule order."""
+        candidates = set()
+        for k in keys:
+            candidates.update(self.by_class.get(k, ()))
+        return [anchor] + [j for j in sorted(candidates) if j != anchor
+                           and not self.consumed[j] and fits(j)]
 
     # -- template passes, most specific first
 
@@ -357,7 +382,7 @@ class _Recognizer:
                 hj = self.fact_head(j)
                 return isinstance(hj, FlIsA) and isinstance(hj.obj, FlSymbol) \
                     and hj.obj in member_set and _atom_sym(hj.cls) == cls_sym
-            self.claim("oneof-definition", self.gather(i, fits),
+            self.claim("oneof-definition", self.gather(i, [cls_sym], fits),
                        cls=cls_sym.name)
             self.class_axioms.append(om.EquivalentClass(
                 om.Named(self.namer.iri(cls_sym)),
@@ -375,11 +400,13 @@ class _Recognizer:
             b = h.b
             other = _atom_sym(b)
             bindings = {"cls": name.name}
+            keys = [name]
             # a compound operand leaves ops empty (or operand None), so no
             # companion rule fits and the fact is claimed alone
             if isinstance(b, FlUnion):
                 template = "union-definition"
                 ops = set(_operand_atoms(b, FlUnion) or ())
+                keys += ops  # case-split rules head an operand
 
                 def fits(j):
                     m, cs = self.membership[j], self.case_split[j]
@@ -391,6 +418,7 @@ class _Recognizer:
             elif isinstance(b, FlIntersection):
                 template = "intersection-definition"
                 ops = set(_operand_atoms(b, FlIntersection) or ())
+                keys += ops  # `?X:Op :- ?X:Name` heads an operand
 
                 def fits(j):
                     m = self.membership[j]
@@ -408,6 +436,7 @@ class _Recognizer:
                 template = "named-equivalence"
                 bindings = {"a": name.name, "b": other.name}
                 pair = {name, other}
+                keys.append(other)
 
                 def fits(j):
                     m, s = self.membership[j], self.sub[j]
@@ -417,7 +446,7 @@ class _Recognizer:
                     return s is not None and set(s) == pair
             else:
                 continue
-            self.claim(template, self.gather(i, fits), **bindings)
+            self.claim(template, self.gather(i, keys, fits), **bindings)
             self.class_axioms.append(om.EquivalentClass(
                 om.Named(self.namer.iri(name)), self.namer.cls(b)))
 
@@ -431,7 +460,8 @@ class _Recognizer:
             if cls_sym is None or not isinstance(h.prop, FlSymbol):
                 continue
             dual = (cls_sym, h.prop, h.range)
-            group = self.gather(i, lambda j: self.avf_dual[j] == dual)
+            group = self.gather(i, [cls_sym],
+                                lambda j: self.avf_dual[j] == dual)
             # one dual rule per signature; a second one is left over
             self.claim("allValuesFrom", group[:2], cls=cls_sym.name,
                        prop=h.prop.name)
@@ -464,33 +494,30 @@ class _Recognizer:
                 self.claim(f"generic-{kind}-rule", generic)
 
     def pass_inverse_and_equivalent_properties(self):
-        open_attr = {i: self.attr[i] for i in self.open_indices()
-                     if self.attr[i] is not None}
-        done: Set[int] = set()
-        indices = sorted(open_attr)
-        for i in indices:
-            if i in done:
+        # each rule pairs with the first open rule of the mirrored shape
+        anchors = [i for i in self.open_indices() if self.attr[i] is not None]
+        by_shape: Dict[tuple, deque] = {}
+        for i in anchors:
+            by_shape.setdefault(self.attr[i], deque()).append(i)
+        for i in anchors:
+            p, q, inv = self.attr[i]
+            if self.consumed[i] or p == q:
                 continue
-            p, q, inv = open_attr[i]
-            if p == q:
+            partners = by_shape.get((q, p, inv))
+            while partners and self.consumed[partners[0]]:
+                partners.popleft()
+            if not partners:
                 continue
-            for j in indices:
-                if j == i or j in done:
-                    continue
-                p2, q2, inv2 = open_attr[j]
-                if p2 == q and q2 == p and inv == inv2:
-                    done.add(i)
-                    done.add(j)
-                    if inv:
-                        self.claim("inverse-of", [i, j], a=p.name, b=q.name)
-                        self.property_axioms.append(om.InverseOf(
-                            self.namer.iri(p), self.namer.iri(q)))
-                    else:
-                        self.claim("equivalent-property", [i, j],
-                                   a=p.name, b=q.name)
-                        self.property_axioms.append(om.EquivalentProperty(
-                            self.namer.iri(p), self.namer.iri(q)))
-                    break
+            j = partners.popleft()
+            if inv:
+                self.claim("inverse-of", [i, j], a=p.name, b=q.name)
+                self.property_axioms.append(om.InverseOf(
+                    self.namer.iri(p), self.namer.iri(q)))
+            else:
+                self.claim("equivalent-property", [i, j],
+                           a=p.name, b=q.name)
+                self.property_axioms.append(om.EquivalentProperty(
+                    self.namer.iri(p), self.namer.iri(q)))
 
     def pass_fact_predicates(self):
         for i in self.open_indices():
@@ -707,7 +734,16 @@ def _build(program: FlProgram, base_iri, prefixes) -> _Recognizer:
     merged = dict(program.prefixes)
     if prefixes:
         merged.update(prefixes)
-    base = base_iri or merged.get("") or DEFAULT_BASE
-    rec = _Recognizer(program, base.rstrip("#"), merged)
+    base = (base_iri or merged.get("") or DEFAULT_BASE).rstrip("#")
+    rec = _Recognizer(program, base, merged)
+    # names are made absolute from these, so a relative one stops recognition
+    namespaces = [("base", base)] + [
+        (f"prefix {pfx} namespace", ns)
+        for pfx, ns in sorted(merged.items()) if pfx and ns]
+    for what, ns in namespaces:
+        if not om.is_absolute(ns):
+            rec.diagnostics.append(Diagnostic(
+                ERROR, "relative-iri", f"{what} {ns!r} is not an absolute IRI"))
+            return rec
     rec.run()
     return rec

@@ -12,6 +12,7 @@ Printing is canonical and deterministic; ``parse_program`` is the inverse of
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -370,10 +371,14 @@ def print_program(program: FlProgram) -> str:
 # --- lexer -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
+    # most frequent first; an alternative that is a prefix of another
+    # (':' of ':-', '-' of '->') comes after it
     r"""
       (?P<ws>\s+)
-    | (?P<comment>//[^\n]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<quoted>'(?:\\.|[^'\\])*')
+    | (?P<comment>//[^\n]*)
     | (?P<equiv>:=:)
     | (?P<implies>:-)
     | (?P<subclass>::)
@@ -381,52 +386,39 @@ _TOKEN_RE = re.compile(
     | (?P<arrow>->)
     | (?P<neq>!=)
     | (?P<naf>\\naf\b)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
     | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<punct>[\[\]{}(),;.@*:]|[-–])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    value: str
-    line: int
-    col: int
+# a token is (kind, value, offset): kind is a group name of _TOKEN_RE or
+# "eof", offset the character position of its first character in the text
+_Tok = Tuple[str, str, int]
 
 
 class FlParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
+    def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.col = col
+        self.offset = offset
 
 
 def _lex(text: str) -> List[_Tok]:
     toks = []
-    pos, line, linestart = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FlParseError(
-                f"unexpected character {text[pos]!r}", line, pos - linestart + 1
-            )
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = m.group()
-        if kind not in ("ws", "comment"):
-            if kind == "punct" and value == "–":
-                value = "-"  # accept the typographic dash as set difference
-            toks.append(_Tok(kind, value, line, pos - linestart + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            linestart = pos + value.rfind("\n") + 1
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, pos - linestart + 1))
+        if kind == "bad":
+            raise FlParseError(f"unexpected character {value!r}", m.start())
+        if value == "–":
+            value = "-"  # accept the typographic dash as set difference
+        append((kind, value, m.start()))
+    append(("eof", "", len(text)))
     return toks
 
 
@@ -443,6 +435,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.prefixes = dict(prefixes)
+        self.symbols: Dict[str, FlSymbol] = {}  # one per plain name
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -453,15 +446,16 @@ class _Parser:
         return t
 
     def expect(self, kind: str, value: Optional[str] = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
+        t = self.toks[self.i]
+        if t[0] != kind or (value is not None and t[1] != value):
             want = value or kind
-            raise FlParseError(f"expected {want!r}, got {t.value!r}", t.line, t.col)
-        return self.next()
+            raise FlParseError(f"expected {want!r}, got {t[1]!r}", t[2])
+        self.i += 1
+        return t
 
     def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (value is None or t.value == value)
+        t = self.toks[self.i]
+        return t[0] == kind and (value is None or t[1] == value)
 
     # terms
 
@@ -471,31 +465,34 @@ class _Parser:
         # expressions, frame properties/values, predicate arguments, lists)
         # `pfx:local` can only be a prefixed name, so callers pass
         # merge_prefixed=True; subjects merge only declared prefixes.
-        t = self.peek()
-        if t.kind == "var":
+        kind, value, offset = self.peek()
+        if kind == "var":
             self.next()
-            return FlVariable(t.value[1:])
-        if t.kind == "num":
+            return FlVariable(value[1:])
+        if kind == "num":
             self.next()
-            return FlLiteralTerm(t.value, "_integer")
-        if t.kind == "quoted":
+            return FlLiteralTerm(value, "_integer")
+        if kind == "quoted":
             self.next()
-            name = _unquote(t.value)
+            name = _unquote(value)
+            if not name:  # '' names nothing; it is the empty string
+                return FlLiteralTerm("")
             return FlSymbol(name, quoted=True)
-        if t.kind == "ident":
+        if kind == "ident":
             self.next()
-            name = t.value
+            name = value
             if (
                 (merge_prefixed or name in self.prefixes)
-                and self.toks[self.i].kind == "punct"
-                and self.toks[self.i].value == ":"
-                and self.toks[self.i + 1].kind == "ident"
+                and self.at("punct", ":")
+                and self.toks[self.i + 1][0] == "ident"
             ):
                 self.next()
-                local = self.next().value
-                return FlSymbol(f"{name}:{local}")
-            return FlSymbol(name)
-        if t.kind == "punct" and t.value == "[":
+                name = f"{name}:{self.next()[1]}"
+            sym = self.symbols.get(name)
+            if sym is None:
+                sym = self.symbols[name] = FlSymbol(name)
+            return sym
+        if kind == "punct" and value == "[":
             self.next()
             elems = []
             if not self.at("punct", "]"):
@@ -505,7 +502,7 @@ class _Parser:
                     elems.append(self.parse_term(merge_prefixed=True))
             self.expect("punct", "]")
             return FlList(tuple(elems))
-        raise FlParseError(f"expected a term, got {t.value!r}", t.line, t.col)
+        raise FlParseError(f"expected a term, got {value!r}", offset)
 
     # class expressions
 
@@ -514,13 +511,13 @@ class _Parser:
             self.next()
             a = self.parse_class_expr()
             t = self.peek()
-            if t.kind == "punct" and t.value in (";", ",", "-"):
+            if t[0] == "punct" and t[1] in (";", ",", "-"):
                 self.next()
                 b = self.parse_class_expr()
                 self.expect("punct", ")")
-                if t.value == ";":
+                if t[1] == ";":
                     return FlUnion(a, b)
-                if t.value == ",":
+                if t[1] == ",":
                     return FlIntersection(a, b)
                 return FlDifference(a, b)
             self.expect("punct", ")")
@@ -536,21 +533,21 @@ class _Parser:
             card = None
             if self.at("punct", "{"):
                 brace = self.next()
-                low = int(self.expect("num").value)
+                low = int(self.expect("num")[1])
                 # the ':' between bounds lexes as punct ':'
                 t = self.next()
-                if not (t.kind == "punct" and t.value == ":"):
-                    raise FlParseError("expected ':' in cardinality", t.line, t.col)
+                if not (t[0] == "punct" and t[1] == ":"):
+                    raise FlParseError("expected ':' in cardinality", t[2])
                 if self.at("punct", "*"):
                     self.next()
                     high: Optional[int] = None
                 else:
-                    high = int(self.expect("num").value)
+                    high = int(self.expect("num")[1])
                 self.expect("punct", "}")
                 if high is not None and high < low:
                     raise FlParseError(f"cardinality {{{low}:{high}}} has its "
                                        "upper bound below its lower bound",
-                                       brace.line, brace.col)
+                                       brace[2])
                 card = (low, high)
             if self.at("sigarrow"):
                 self.next()
@@ -564,14 +561,14 @@ class _Parser:
             elif self.at("arrow"):
                 if card is not None:
                     t = self.peek()
-                    raise FlParseError("cardinality on attribute value", t.line, t.col)
+                    raise FlParseError("cardinality on attribute value", t[2])
                 self.next()
                 value = self.parse_term(merge_prefixed=True)
                 items.append(FlAttrValue(subject, prop, value))
             else:
                 t = self.peek()
                 raise FlParseError(
-                    f"expected '->' or '*=>', got {t.value!r}", t.line, t.col
+                    f"expected '->' or '*=>', got {t[1]!r}", t[2]
                 )
             if self.at("punct", ","):
                 self.next()
@@ -592,7 +589,7 @@ class _Parser:
 
     def parse_literal(self) -> List[FlLit]:
         t = self.peek()
-        if t.kind == "naf" or (t.kind == "ident" and t.value == "naf"):
+        if t[0] == "naf" or (t[0] == "ident" and t[1] == "naf"):
             self.next()
             if self.at("punct", "("):
                 self.next()
@@ -601,17 +598,17 @@ class _Parser:
             else:
                 inner = self.parse_literal()
             return [FlNaf(tuple(inner), style="naf")]
-        if t.kind == "ident" and t.value == "not":
+        if t[0] == "ident" and t[1] == "not":
             self.next()
             self.expect("punct", "(")
             inner = self.parse_literals()
             self.expect("punct", ")")
             return [FlNaf(tuple(inner), style="not")]
-        if t.kind == "ident" and t.value == "format":
+        if t[0] == "ident" and t[1] == "format":
             return [self.parse_format()]
-        if t.kind == "ident" and t.value == "member" and \
-                self.toks[self.i + 1].kind == "punct" and \
-                self.toks[self.i + 1].value == "(":
+        if t[0] == "ident" and t[1] == "member" and \
+                self.toks[self.i + 1][0] == "punct" and \
+                self.toks[self.i + 1][1] == "(":
             self.next()
             self.next()
             item = self.parse_term(merge_prefixed=True)
@@ -633,7 +630,7 @@ class _Parser:
         t = self.peek()
         # predicate application
         if subj_term is not None and isinstance(subj_term, FlSymbol) and \
-                t.kind == "punct" and t.value == "(":
+                t[0] == "punct" and t[1] == "(":
             self.next()
             args = []
             if not self.at("punct", ")"):
@@ -643,7 +640,7 @@ class _Parser:
                     args.append(self.parse_term(merge_prefixed=True))
             self.expect("punct", ")")
             return [FlPred(subj_term.name, tuple(args), quoted=quoted)]
-        if subj_term is not None and t.kind == "neq":
+        if subj_term is not None and t[0] == "neq":
             self.next()
             return [FlNeq(subj_term, self.parse_term(merge_prefixed=True))]
 
@@ -668,7 +665,7 @@ class _Parser:
                     subj_term, via=None, cls=None
                 )
             if subj_term is None:
-                raise FlParseError("membership needs a term subject", t.line, t.col)
+                raise FlParseError("membership needs a term subject", t[2])
             return [FlIsA(subj_term, cls)]
         if self.at("punct", "["):
             self.next()
@@ -677,7 +674,7 @@ class _Parser:
             )
         if subj_term is not None and isinstance(subj_term, FlSymbol):
             return [FlPred(subj_term.name, (), quoted=quoted)]
-        raise FlParseError(f"unexpected {t.value!r}", t.line, t.col)
+        raise FlParseError(f"unexpected {t[1]!r}", t[2])
 
     def parse_format(self) -> FlFormat:
         self.expect("ident", "format")
@@ -686,7 +683,7 @@ class _Parser:
             self.next()
             self.expect("punct", ",")
         msg_tok = self.expect("quoted")
-        message = _unquote(msg_tok.value)
+        message = _unquote(msg_tok[1])
         args: Tuple[FlTerm, ...] = ()
         if self.at("punct", ","):
             self.next()
@@ -710,16 +707,16 @@ class _Parser:
         self.expect("implies")
         kw = self.expect("ident")
         self.expect("punct", "(")
-        if kw.value == "base":
-            iri = _unquote(self.expect("quoted").value)
+        if kw[1] == "base":
+            iri = _unquote(self.expect("quoted")[1])
             self.prefixes[""] = iri
-        elif kw.value == "prefix":
-            name = self.expect("ident").value
+        elif kw[1] == "prefix":
+            name = self.expect("ident")[1]
             self.expect("punct", ",")
-            iri = _unquote(self.expect("quoted").value)
+            iri = _unquote(self.expect("quoted")[1])
             self.prefixes[name] = iri
         else:
-            raise FlParseError(f"unknown directive {kw.value!r}", kw.line, kw.col)
+            raise FlParseError(f"unknown directive {kw[1]!r}", kw[2])
         self.expect("punct", ")")
         self.expect("punct", ".")
 
@@ -732,12 +729,12 @@ class _Parser:
         for h in heads:
             if not isinstance(h, MOLECULES + (FlPred,)):
                 raise FlParseError(f"{print_literal(h)} cannot head a "
-                                   "statement", start.line, start.col)
+                                   "statement", start[2])
         if self.at("implies"):
             self.next()
             if len(heads) != 1:
                 t = self.peek()
-                raise FlParseError("combined molecule as rule head", t.line, t.col)
+                raise FlParseError("combined molecule as rule head", t[2])
             body = self.parse_literals()
             self.expect("punct", ".")
             return [FlRule(heads[0], tuple(body))]
@@ -748,24 +745,32 @@ class _Parser:
 def parse_program(text: str, prefixes: Optional[Dict[str, str]] = None
                   ) -> Tuple[FlProgram, List[Diagnostic]]:
     """Parse canonical F-logic text; recovery continues at the next ``.``."""
-    diagnostics: List[Diagnostic] = []
     try:
         toks = _lex(text)
     except FlParseError as e:
-        diagnostics.append(Diagnostic(ERROR, "syntax-error", e.message, (e.line, e.col)))
-        return FlProgram(), diagnostics
+        return FlProgram(), _syntax_errors(text, [e])
     p = _Parser(toks, prefixes or {})
     rules: List[FlRule] = []
+    errors: List[FlParseError] = []
     while not p.at("eof"):
         try:
             rules.extend(p.parse_statement())
         except FlParseError as e:
-            diagnostics.append(
-                Diagnostic(ERROR, "syntax-error", e.message, (e.line, e.col))
-            )
+            errors.append(e)
             # resync: skip to just past the next '.'
             while not p.at("eof") and not p.at("punct", "."):
                 p.next()
             if p.at("punct", "."):
                 p.next()
-    return FlProgram(tuple(rules), p.prefixes), diagnostics
+    return FlProgram(tuple(rules), p.prefixes), _syntax_errors(text, errors)
+
+
+def _syntax_errors(text: str, errors: List[FlParseError]) -> List[Diagnostic]:
+    """One diagnostic per error, located at (line, column) from 1."""
+    newlines = [m.start() for m in re.finditer("\n", text)] if errors else []
+    out = []
+    for e in errors:
+        line = bisect_left(newlines, e.offset)
+        col = e.offset - (newlines[line - 1] if line else -1)
+        out.append(Diagnostic(ERROR, "syntax-error", e.message, (line + 1, col)))
+    return out

@@ -14,6 +14,11 @@ from typing import Dict, List, Tuple, Union
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 
 
+def is_absolute(value: str) -> bool:
+    """True when value starts with a scheme, as an IRI must."""
+    return _SCHEME_RE.match(value) is not None
+
+
 @dataclass(frozen=True)
 class Iri:
     value: str

@@ -25,7 +25,7 @@ from .owl_model import (
     InverseOf, Iri, MaxCardinality, MinCardinality, Named, OneOf,
     OntologyDocument, OwlLiteral, PropertyAssertion, PropertyAxiom, Range,
     Restriction, SYMMETRIC, SomeValuesFrom, SubClassOf, SubPropertyOf,
-    TRANSITIVE, UnionOf,
+    TRANSITIVE, UnionOf, is_absolute,
 )
 
 OWL = "http://www.w3.org/2002/07/owl#"
@@ -439,9 +439,7 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
 
     base = (root.get(_q(XML_NS, "base")) or DEFAULT_BASE).rstrip("#")
     for what, value in [("xml:base", base)] + declared:
-        try:
-            Iri(value)
-        except ValueError:
+        if not is_absolute(value):
             return None, [Diagnostic(ERROR, "relative-iri",
                                      f"{what} {value!r} is not an absolute IRI")]
     prefixes[""] = base

@@ -91,6 +91,8 @@ class Context:
             return self.symbol(value)
         if value.type_tag in ("_integer", "_double", "_boolean"):
             return FlLiteralTerm(value.lexical, value.type_tag)
+        if not value.lexical:  # a symbol needs a name
+            return FlLiteralTerm("")
         return FlSymbol(value.lexical, quoted=True)
 
     def cls_expr(self, expr: om.ClassExpression) -> FlClassExpr:

@@ -21,7 +21,15 @@ import oracle  # noqa: E402
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_round_trip_matches_bench_oracle(seed):
-    case = gen.translate_document(random.Random(seed), 8)
+    assert_round_trip(gen.translate_document(random.Random(seed), 8))
+
+
+def test_round_trip_at_largest_bench_size():
+    # the largest document of the benchmark's translate plan
+    assert_round_trip(gen.translate_document(random.Random(3), 64))
+
+
+def assert_round_trip(case):
     doc, d1 = parse_document(case.text)
     program, d2 = translate_ontology(doc)
     back_program, d3 = parse_program(print_program(program))

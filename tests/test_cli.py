@@ -75,6 +75,38 @@ def test_translate_round_trip_through_files(owl_file, tmp_path):
     assert "owl:disjointWith" in text
 
 
+def test_empty_string_value_survives_translate_both_ways(tmp_path):
+    owl = tmp_path / "a.owl"
+    owl.write_text(OWL_DOC.replace(
+        "</rdf:RDF>", '<owl:Thing rdf:about="#a"><hasLabel></hasLabel>'
+        "</owl:Thing></rdf:RDF>"))
+    mid, back = tmp_path / "mid.flr", tmp_path / "back.owl"
+    assert main(["translate", "--from", "owl", "--to", "flora", str(owl),
+                 "-o", str(mid)]) == 0
+    assert "a[hasLabel -> '']." in mid.read_text()
+    assert main(["translate", "--from", "flora", "--to", "owl", str(mid),
+                 "-o", str(back)]) == 0
+    assert "<hasLabel></hasLabel>" in back.read_text()
+    assert main(["translate", "--from", "owl", "--to", "flora", str(back),
+                 "-o", str(mid)]) == 0
+    assert "a[hasLabel -> '']." in mid.read_text()
+
+
+@pytest.mark.parametrize("directive,message", [
+    (":- prefix(food, 'rel').\nfood:A::B.\n",
+     "prefix food namespace 'rel' is not an absolute IRI"),
+    (":- base('rel').\nA::B.\n", "base 'rel' is not an absolute IRI"),
+], ids=["prefix", "base"])
+def test_translate_relative_flora_namespace_exits_2(directive, message,
+                                                    tmp_path, capsys):
+    src = tmp_path / "rel.flr"
+    src.write_text(directive)
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(tmp_path / "out.owl")]) == 2
+    assert capsys.readouterr().err == f"error: relative-iri: {message}\n"
+    assert main(["check", str(src)]) == 0
+
+
 def test_translate_existential_subsumer_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.owl"
     src.write_text(OWL_DOC.replace(
@@ -268,12 +300,22 @@ FUZZ_INPUTS = {
         'xml:base=', 'xmlns:rel="rel#" xml:base=').replace(
         "</rdf:RDF>", '<rel:Wine rdf:about="#w"/></rdf:RDF>'), 2),
     "inverted-cardinality.flr": ("c[p{2:1} *=> d].\n", 2),
+    "empty-quoted-name.flr": ("a[p -> ''].\n", 0),
+    "empty-property-value.owl": (OWL_DOC.replace(
+        "</rdf:RDF>",
+        '<owl:Thing rdf:about="#a"><hasLabel></hasLabel></owl:Thing>'
+        "</rdf:RDF>"), 0),
+    "quoted-non-iri.flr": ("'1://x'::b.\na[p -> '1://x'].\n", 0),
+    # a third code is that of the translation into the other language
+    "relative-prefix.flr": (":- prefix(food, 'rel').\nfood:A::B.\n", 0, 2),
+    "relative-base.flr": (":- base('rel').\nA::B.\n", 0, 2),
 }
 
 
 def test_malformed_inputs_never_trace_back(tmp_path, capsys):
     start = time.monotonic()
-    for name, (content, code) in FUZZ_INPUTS.items():
+    for name, (content, code, *cross) in FUZZ_INPUTS.items():
+        cross_code = cross[0] if cross else code
         src = tmp_path / name
         if isinstance(content, bytes):
             src.write_bytes(content)
@@ -281,15 +323,15 @@ def test_malformed_inputs_never_trace_back(tmp_path, capsys):
             src.write_text(content)
         lang = "flora" if name.endswith(".flr") else "owl"
         other = "owl" if lang == "flora" else "flora"
-        for argv in (
-                ["translate", "--from", lang, "--to", other, str(src),
-                 "-o", str(tmp_path / "out")],
-                ["translate", "--from", lang, "--to", lang, str(src),
-                 "-o", str(tmp_path / "out")],
-                ["check", str(src)],
-                ["query", str(src), "instances", "C"],
-                ["insert", str(src), "x:C."]):
-            assert main(argv) == code, (name, argv[0])
+        for argv, want in (
+                (["translate", "--from", lang, "--to", other, str(src),
+                  "-o", str(tmp_path / "out")], cross_code),
+                (["translate", "--from", lang, "--to", lang, str(src),
+                  "-o", str(tmp_path / "out")], code),
+                (["check", str(src)], code),
+                (["query", str(src), "instances", "C"], code),
+                (["insert", str(src), "x:C."], code)):
+            assert main(argv) == want, (name, argv[:5])
             assert "Traceback" not in capsys.readouterr().err
     assert time.monotonic() - start < 1.0
 
@@ -401,6 +443,16 @@ def test_query_multiple_kb_files(flr_file, tmp_path, capsys):
     extra.write_text("pinot3:RedWine.\n")
     assert main(["query", flr_file, str(extra), "is", "pinot3", "Wine"]) == 0
     assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("name", ["''", ""])
+def test_query_empty_name_is_the_empty_string(name, tmp_path, capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text("a:C.\na[p -> ''].\n")
+    assert main(["query", str(src), "is", "a", name]) == 0
+    assert capsys.readouterr().out == "false\n"
+    assert main(["query", str(src), "classes-of", name]) == 0
+    assert capsys.readouterr().out == "_object\n"
 
 
 def test_query_unknown_name_warns_and_exits_0(flr_file, capsys):

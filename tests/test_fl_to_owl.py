@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from owlfl import owl_model as om
@@ -451,6 +453,84 @@ def test_every_template_matches_in_order(order):
     assert [(x.template_id, x.bindings, x.consumed) for x in m] == expected
     assert [(x.severity, x.code, x.message) for x in d] == \
         PIN_LOSSY + leftovers
+
+
+# Definition groups whose members head a different class than the definition
+# names (union case splits and intersection projections head an operand; a
+# `::` rule of a named equivalence heads either name), beside decoys that
+# mention the same classes but fit no group.
+GROUP_PROGRAM = (
+    "?X:Sweet :- ?X:Fruit, \\naf ?X:Sour.\n"
+    "?X:Sour :- ?X:Fruit, \\naf ?X:Sweet.\n"
+    "?X:Sweet :- ?X:Fruit, \\naf ?X:Bitter.\n"
+    "?X:Fruit :- ?X:Sweet.\n"
+    "?X:Fruit :- ?X:Apple.\n"
+    "Fruit :=: (Sweet ; Sour).\n"
+    "?X:Fruit :- ?X:Sour.\n"
+    "?X:Burgundy :- ?X:WhiteBurgundy.\n"
+    "?X:WhiteWine :- ?X:Burgundy.\n"
+    "WhiteBurgundy :=: (Burgundy , WhiteWine).\n"
+    "?X:WhiteBurgundy :- ?X:Burgundy, ?X:WhiteWine.\n"
+    "?X:WhiteWine :- ?X:WhiteBurgundy.\n"
+    "?X:WhiteBurgundy :- ?X:Burgundy.\n"
+    "?X::Wine :- ?X::Vin.\n"
+    "?X::Wine :- ?X::Beer.\n"
+    "Wine :=: Vin.\n"
+    "?X:Vin :- ?X:Wine.\n"
+    "?X::Vin :- ?X::Wine.\n"
+    "NonFood :=: (_object - Food).\n"
+    "?X:NonFood :- ?X:_object, \\naf ?X:Drink.\n"
+    "?X:NonFood :- ?X:_object, \\naf ?X:Food.\n"
+    "Red:WineColor.\n"
+    "Green:WineColor.\n"
+    "oneOf(WineColor, [White, Red]).\n"
+    "White:WineColor.\n"
+    "?Y:Winery :- ?X:Wine, ?X[hasColor -> ?Y].\n"
+    "Wine::_object[hasMaker *=> Winery].\n"
+    "?Y:Winery :- ?X:Wine, ?X[hasMaker -> ?Y].\n"
+)
+# consumed rules are given by their line in GROUP_PROGRAM
+GROUP_MATCHES = [
+    ("oneof-definition", (("cls", "WineColor"),), (21, 23, 24)),
+    ("union-definition", (("cls", "Fruit"),), (0, 1, 3, 5, 6)),
+    ("intersection-definition", (("cls", "WhiteBurgundy"),), (7, 9, 10, 11)),
+    ("named-equivalence", (("a", "Wine"), ("b", "Vin")), (13, 15, 16, 17)),
+    ("complement-definition", (("cls", "NonFood"),), (18, 20)),
+    ("allValuesFrom", (("cls", "Wine"), ("prop", "hasMaker")), (26, 27)),
+    ("case-split-group", (), (2,)),
+    ("membership-rule", (("cls", "Fruit"),), (4,)),
+    ("membership-rule", (("cls", "WhiteWine"),), (8,)),
+    ("membership-rule", (("cls", "WhiteBurgundy"),), (12,)),
+    ("complement-subclass", (("cls", "NonFood"),), (19,)),
+    ("class-assertion", (("cls", "WineColor"), ("ind", "Green")), (22,)),
+]
+# the order in which each rule order reports GROUP_MATCHES
+GROUP_ORDERS = {
+    "printed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+    "reversed": [0, 4, 3, 2, 1, 5, 6, 10, 9, 8, 7, 11],
+    "shuffled": [0, 2, 1, 3, 4, 5, 6, 8, 10, 9, 7, 11],
+}
+
+
+@pytest.mark.parametrize("order", sorted(GROUP_ORDERS))
+def test_group_members_found_under_every_key(order):
+    program, diags = parse_program(GROUP_PROGRAM)
+    assert not diags
+    lines = list(range(len(program.rules)))
+    if order == "reversed":
+        lines.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(lines)
+    m, d = recognize_templates(
+        FlProgram(tuple(program.rules[i] for i in lines)), base_iri=BASE)
+    assert [(x.template_id, x.bindings,
+             tuple(sorted(lines[i] for i in x.consumed))) for x in m] == \
+        [GROUP_MATCHES[k] for k in GROUP_ORDERS[order]]
+    assert sorted(x.message for x in d) == [
+        PIN_LOSSY[1][2],
+        "no OWL form for: ?X::Wine :- ?X::Beer.",
+        "no OWL form for: ?Y:Winery :- ?X:Wine, ?X[hasColor -> ?Y].",
+    ]
 
 
 # --- naming ------------------------------------------------------------------

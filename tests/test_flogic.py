@@ -151,6 +151,47 @@ def test_parse_inverted_cardinality_is_a_syntax_error():
     assert [(d.code, d.location) for d in diags] == [("syntax-error", (1, 4))]
 
 
+# One text per place the parser raises, with the (message, (line, col)) of
+# each diagnostic; columns count characters, from 1, and a line ends at "\n".
+PARSE_ERRORS = [
+    ("a:b.\n  a # b.", [("unexpected character '#'", (2, 5))]),
+    ("// one\n// two\n  a:b. $", [("unexpected character '$'", (3, 8))]),
+    ("a :=: (b – c).\nx – $", [("unexpected character '$'", (2, 5))]),
+    ("a:b.\nc['oops -> d].", [("unexpected character \"'\"", (2, 3))]),
+    ("a:b.\n  c[p -> d.", [("expected ']', got '.'", (2, 11))]),
+    ("a:b.\r\n\tc::", [("expected a term, got ''", (2, 5))]),
+    ("c[p{1 2} *=> d].", [("expected ':' in cardinality", (1, 7))]),
+    ("c[p{2:1} *=> d].",
+     [("cardinality {2:1} has its upper bound below its lower bound",
+       (1, 4))]),
+    ("c[p{1:1} -> d].", [("cardinality on attribute value", (1, 10))]),
+    ("c[p d].", [("expected '->' or '*=>', got 'd'", (1, 5))]),
+    ("(a ; b):c.", [("membership needs a term subject", (1, 8))]),
+    ("a:b.\n?X .", [("unexpected '.'", (2, 4))]),
+    (":- include('x').", [("unknown directive 'include'", (1, 4))]),
+    ("\\naf a:b.", [("\\naf a:b cannot head a statement", (1, 1))]),
+    ("x:C[p -> v] :- y:D.", [("combined molecule as rule head", (1, 16))]),
+    ("'ü':b.\n  'é'[p -> ]. a:b. c:: .",
+     [("expected a term, got ']'", (2, 12)),
+      ("expected a term, got '.'", (2, 24))]),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_ERRORS)
+def test_parse_error_positions(text, expected):
+    _, diags = parse_program(text)
+    assert [(d.code, d.message, d.location) for d in diags] == \
+        [("syntax-error", msg, loc) for msg, loc in expected]
+
+
+def test_parse_empty_quoted_name_is_the_empty_string():
+    p, diags = parse_program("a[p -> ''].")
+    assert not diags
+    assert p.rules == (fact(FlAttrValue(sym("a"), sym("p"),
+                                        FlLiteralTerm(""))),)
+    assert print_program(p) == "a[p -> ''].\n"
+
+
 def test_parse_recovers_after_error():
     p, diags = parse_program("Wine:: .\na:C.")
     assert any(d.severity == "error" for d in diags)
