@@ -35,7 +35,7 @@ EXIT_ERROR = 2
 def _report(diags: Sequence[Diagnostic], stream=None):
     stream = stream or sys.stderr
     for d in diags:
-        loc = f" ({d.location})" if d.location else ""
+        loc = f" at {d.location[0]}:{d.location[1]}" if d.location else ""
         print(f"{d.severity}: {d.code}: {d.message}{loc}", file=stream)
 
 
@@ -143,15 +143,23 @@ def cmd_translate(args) -> int:
         owl_domain_range_rules=args.owl_domain_range_rules,
         case_split_rhs_disjunction=not args.no_case_split,
     )
+
+    def fail() -> int:
+        """End with the diagnostics and no output file: the input did not
+        read in full, or its translation has no RDF/XML form."""
+        _report(diags)
+        return EXIT_ERROR
+
     if args.src == "owl":
         doc, d = parse_document(text)
         diags.extend(d)
         if doc is None:
-            _report(diags)
-            return EXIT_ERROR
+            return fail()
     else:
         prog, d = parse_program(text)
         diags.extend(d)
+        if has_errors(d):
+            return fail()
     if args.src == args.dst:
         out_text = serialize_document(doc) if args.src == "owl" \
             else print_program(prog)
@@ -162,11 +170,13 @@ def cmd_translate(args) -> int:
     else:
         doc, d = translate_program(prog)
         diags.extend(d)
+        if has_errors(d):  # a relative base or namespace
+            return fail()
         try:
             out_text = serialize_document(doc)
         except TypeError as e:
             diags.append(Diagnostic(ERROR, "unrepresentable-in-owl", str(e)))
-            out_text = ""
+            return fail()
     try:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(out_text)

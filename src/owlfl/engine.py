@@ -23,7 +23,7 @@ from .checkers import (
 )
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
-    FlIntersection, FlIsA, FlList, FlLit, FlMember, FlNaf,
+    FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
     FlNeq, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
     FlTerm, FlUnion, FlVariable, print_literal, print_term,
 )
@@ -169,29 +169,33 @@ _PARTS = {
     FlDifference: ("a", "b"), FlIsA: ("obj", "cls"),
     FlSubClass: ("sub", "super"), FlAttrValue: ("obj", "prop", "value"),
     FlMember: ("item", "collection"), FlNeq: ("a", "b"), FlEquiv: ("a", "b"),
-    FlSignature: ("cls", "prop", "range"),
+    FlSignature: ("cls", "prop", "range"), FlList: ("elements",),
+    FlPred: ("args",), FlFormat: ("args",), FlNaf: ("inner",),
 }
+_CONSTANTS = (FlSymbol, FlLiteralTerm)
 
 
 def _literal_vars(x, out: Set[str]):
     """Collect the variables of a literal, class expression or term."""
-    if isinstance(x, FlVariable):
+    if type(x) is FlVariable:
         out.add(x.name)
-    elif isinstance(x, FlList):
-        for e in x.elements:
+    for part in _PARTS.get(type(x), ()):
+        y = getattr(x, part)
+        for e in y if type(y) is tuple else (y,):
             _literal_vars(e, out)
-    elif isinstance(x, (FlPred, FlFormat, FlNaf)):
-        for e in (x.inner if isinstance(x, FlNaf) else x.args):
-            _literal_vars(e, out)
-    else:
-        for part in _PARTS.get(type(x), ()):
-            _literal_vars(getattr(x, part), out)
 
 
 def literal_vars(lit: FlLit) -> Set[str]:
     out: Set[str] = set()
     _literal_vars(lit, out)
     return out
+
+
+def _is_ground(fact: FlLit) -> bool:
+    """Whether a fact has no variables; constant parts skip the walk."""
+    parts = [getattr(fact, p) for p in _PARTS.get(type(fact), ())]
+    return all(type(x.term if type(x) is Atom else x) in _CONSTANTS
+               for x in parts) or not literal_vars(fact)
 
 
 def load_program(program: FlProgram) -> KnowledgeBase:
@@ -206,7 +210,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
             checker.append(rule)
             continue
         if rule.is_fact:
-            if literal_vars(head):
+            if not _is_ground(head):
                 raise EngineError("non-range-restricted",
                                   f"fact with variables: {print_literal(head)}")
             if isinstance(head, FlSignature):
@@ -655,10 +659,10 @@ class _Rule:
 # --- saturation --------------------------------------------------------------
 
 
-def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
-            ) -> Dict[object, Relation]:
-    """Add facts and their structural consequences; return the new ones by
-    relation.
+def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
+            added: Optional[Dict[object, Relation]] = None):
+    """Add facts and their structural consequences; return ``added`` with
+    the new ones put in it by relation, if it is given.
 
     Each fact is closed against the store once, when it is added, so
     ``sub`` stays transitively closed and ``isa`` closed under it.  A new
@@ -669,7 +673,6 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
     """
     isa, sub = store.relations[ISA], store.relations[SUB]
     individuals = store.individuals
-    added: Dict[object, Relation] = {}
 
     def add(key, t) -> bool:
         if not store.add(key, t):
@@ -679,6 +682,8 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
             rel = added[key] = Relation()
         rel.add(t)
         return True
+    if added is None:  # the base facts: nothing reads what was new
+        add = store.add
 
     work = list(facts)
     while work:
@@ -733,7 +738,7 @@ def _run_stratum(stratum: List[_Rule], store: FactStore,
                 for env in _solve(plan, [None] * len(rule.names), store,
                                   delta):
                     new.add((rule.rel, rule.instantiate(env)))
-        delta = _assert(store, new)
+        delta = _assert(store, new, {})
         if not delta:
             return
 
@@ -755,7 +760,7 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     # an error below leaves no half-updated store behind
     kb._store, kb._pending = None, []
     if store is not None and not kb._negation:
-        delta = _assert(store, [_head(f) for f in pending])
+        delta = _assert(store, [_head(f) for f in pending], {})
     else:
         store, delta = FactStore(), None
         _assert(store, [_head(f) for f in kb.base_facts])
@@ -919,7 +924,7 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     facts, a signature or an equivalence leaves the store as it is.  A fact
     the store cannot hold, or a ``::`` fact that closes a negation cycle, is
     rejected before the KB changes."""
-    if literal_vars(fact_lit):
+    if not _is_ground(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
     if isinstance(fact_lit, FlSignature):

@@ -28,17 +28,21 @@ class FlTerm:
 _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(:[A-Za-z_][A-Za-z0-9_]*)?$")
 
 
-@dataclass(frozen=True)
-class FlSymbol(FlTerm):
-    name: str
-    # presentation / provenance only; excluded from equality so that a
-    # printed-then-reparsed symbol compares equal to the original
-    quoted: bool = field(default=False, compare=False)
-    iri: Optional[str] = field(default=None, compare=False)
+class FlSymbol(str, FlTerm):
+    """A constant: the ``str`` of its name, so joins hash and compare it in
+    C.  ``quoted`` and ``iri`` (presentation, provenance) are left out of
+    equality, so a printed-then-reparsed symbol equals the original."""
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str, quoted=False, iri=None):
+        if not name:
             raise ValueError("empty symbol name")
+        self = str.__new__(cls, name)
+        self.name, self.quoted, self.iri = name, quoted, iri
+        return self
+
+    def __repr__(self):
+        return (f"FlSymbol(name={self.name!r}, quoted={self.quoted!r}, "
+                f"iri={self.iri!r})")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
 from .checkers import checker_rules
@@ -65,11 +65,17 @@ class Context:
         self.emitted_symmetric_rule = False
         self.aux_counter = 0
         self.consumed_range_axioms: set = set()
+        self.symbols: Dict[str, FlSymbol] = {}  # IRI -> its one symbol
 
     # -- naming
 
     def symbol(self, iri: om.Iri) -> FlSymbol:
-        value = iri.value
+        sym = self.symbols.get(iri.value)
+        if sym is None:
+            sym = self.symbols[iri.value] = self._new_symbol(iri.value)
+        return sym
+
+    def _new_symbol(self, value: str) -> FlSymbol:
         if value.endswith("#"):  # no local name: keep the whole IRI
             return FlSymbol(value, quoted=True, iri=value)
         if self.doc is not None:

@@ -107,6 +107,26 @@ def test_translate_relative_flora_namespace_exits_2(directive, message,
     assert main(["check", str(src)]) == 0
 
 
+@pytest.mark.parametrize("dst,text,err", [
+    ("owl", ":- prefix(food, 'rel').\n",
+     "error: relative-iri: prefix food namespace 'rel' is not an absolute "
+     "IRI\n"),
+    ("owl", "A::B. C:: . D::E.\n",
+     "error: syntax-error: expected a term, got '.' at 1:11\n"),
+    ("flora", "a:b.\n  c[p -> d.\n",
+     "error: syntax-error: expected ']', got '.' at 2:11\n"),
+], ids=["relative-prefix", "bad-statement", "flora-to-flora"])
+def test_translate_flora_error_writes_no_output(dst, text, err, tmp_path,
+                                                 capsys):
+    src = tmp_path / "bad.flr"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert main(["translate", "--from", "flora", "--to", dst, str(src),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
 def test_translate_existential_subsumer_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.owl"
     src.write_text(OWL_DOC.replace(

@@ -6,7 +6,7 @@ from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
     FlLiteralTerm, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
     FlSubClass, FlSymbol, FlUnion, FlVariable, atom, fact, left_assoc,
-    parse_program, print_program, print_rule,
+    parse_program, print_program, print_rule, print_term,
 )
 
 
@@ -115,6 +115,33 @@ def test_print_prefix_directives_first():
 def test_printer_determinism():
     p = FlProgram((fact(FlIsA(sym("a"), atom("C"))),))
     assert print_program(p) == print_program(p)
+
+
+def test_symbol_identity():
+    a = sym("a")
+    a2 = sym("a", quoted=True, iri="http://example.org/o#a")
+    # equality and hash are by name; quoted and iri are presentation only
+    assert a == a2 and hash(a) == hash(a2) and len({a, a2}) == 1
+    assert (a2.name, a2.quoted, a2.iri) == ("a", True, "http://example.org/o#a")
+    assert a != sym("b")
+    # no other kind of term equals a symbol of the same text
+    for other in (FlVariable("a"), FlLiteralTerm("a"), FlLiteralTerm("a", "_integer")):
+        assert a != other and other != a
+        assert len({a, other}) == 2
+    as_list = FlList((sym("a"),))
+    assert sym("[a]") != as_list and as_list != sym("[a]")
+    assert repr(a) == "FlSymbol(name='a', quoted=False, iri=None)"
+    assert repr(a2) == \
+        "FlSymbol(name='a', quoted=True, iri='http://example.org/o#a')"
+    assert repr(atom("C")) == \
+        "Atom(term=FlSymbol(name='C', quoted=False, iri=None))"
+    assert [print_term(t) for t in (
+        a, a2, sym("food:Wine"), sym("1a"), sym("it's"), sym("a b"),
+        sym("http://example.org/o#a"))] == [
+        "a", "'a'", "food:Wine", "'1a'", "'it\\'s'", "'a b'",
+        "'http://example.org/o#a'"]
+    with pytest.raises(ValueError):
+        sym("")
 
 
 # --- parsing -----------------------------------------------------------------
