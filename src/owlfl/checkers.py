@@ -7,7 +7,7 @@ checker fires) agree byte for byte.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 from .flogic import (
     Atom, FlAttrValue, FlFormat, FlIsA, FlMember, FlNaf, FlNeq, FlPred,
@@ -47,10 +47,9 @@ def _v(name: str) -> FlVariable:
     return FlVariable(name)
 
 
-def checker_rules() -> List[FlRule]:
-    """The checker-predicate definitions appended to translated programs."""
+def _checker_rules() -> Tuple[FlRule, ...]:
     c1, c2, x, y = _v("C1"), _v("C2"), _v("X"), _v("Y")
-    rules = [
+    return (
         FlRule(
             FlPred("check_disjoint_constraints"),
             (
@@ -120,5 +119,9 @@ def checker_rules() -> List[FlRule]:
             FlPred("check_all_constraints"),
             tuple(FlPred(name) for name in CHECKER_NAMES[:-1]),
         ),
-    ]
-    return rules
+    )
+
+
+# The checker-predicate definitions appended to translated programs.  Rules
+# are frozen, so every program shares these.
+CHECKER_RULES = _checker_rules()

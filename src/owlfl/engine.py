@@ -193,9 +193,13 @@ def literal_vars(lit: FlLit) -> Set[str]:
 
 def _is_ground(fact: FlLit) -> bool:
     """Whether a fact has no variables; constant parts skip the walk."""
-    parts = [getattr(fact, p) for p in _PARTS.get(type(fact), ())]
-    return all(type(x.term if type(x) is Atom else x) in _CONSTANTS
-               for x in parts) or not literal_vars(fact)
+    for part in _PARTS.get(type(fact), ()):
+        x = getattr(fact, part)
+        if type(x) is Atom:
+            x = x.term
+        if type(x) not in _CONSTANTS:
+            return not literal_vars(fact)
+    return True
 
 
 def load_program(program: FlProgram) -> KnowledgeBase:
@@ -610,12 +614,15 @@ def _relation_of(lit: FlLit):
 
 def _head(lit: FlLit) -> Tuple[object, tuple]:
     """The relation and argument terms of a head literal."""
+    kind = type(lit)  # first the two shapes of nearly every fact
+    if kind is FlAttrValue:
+        return ATTR, (lit.obj, lit.prop, lit.value)
+    if kind is FlIsA and type(lit.cls) is Atom:
+        return ISA, (lit.obj, lit.cls.term)
     if isinstance(lit, FlIsA):
         args = (lit.obj, _expr_term(lit.cls))
     elif isinstance(lit, FlSubClass):
         args = (_expr_term(lit.sub), _expr_term(lit.super))
-    elif isinstance(lit, FlAttrValue):
-        args = (lit.obj, lit.prop, lit.value)
     elif isinstance(lit, FlPred):
         args = lit.args
     else:

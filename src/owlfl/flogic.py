@@ -202,6 +202,7 @@ class FlFormat(FlLit):
 
 
 MOLECULES = (FlIsA, FlSubClass, FlEquiv, FlAttrValue, FlSignature)
+HEADS = MOLECULES + (FlPred,)  # the literals that can head a rule
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ class FlRule:
     body: Tuple[FlLit, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.head, MOLECULES + (FlPred,)):
+        if not isinstance(self.head, HEADS):
             raise ValueError(f"bad rule head: {type(self.head).__name__}")
 
     @property
@@ -731,7 +732,7 @@ class _Parser:
         start = self.peek()
         heads = self.parse_literal()
         for h in heads:
-            if not isinstance(h, MOLECULES + (FlPred,)):
+            if not isinstance(h, HEADS):
                 raise FlParseError(f"{print_literal(h)} cannot head a "
                                    "statement", start[2])
         if self.at("implies"):

@@ -107,6 +107,12 @@ def _q(ns: str, local: str) -> str:
 
 
 _ABOUT, _ID, _RESOURCE = _q(RDF, "about"), _q(RDF, "ID"), _q(RDF, "resource")
+_DATATYPE, _TYPE, _RDF_ROOT = _q(RDF, "datatype"), _q(RDF, "type"), _q(RDF, "RDF")
+_XML_BASE = _q(XML_NS, "base")
+_ONTOLOGY, _RESTRICTION = _q(OWL, "Ontology"), _q(OWL, "Restriction")
+_ON_PROPERTY, _HAS_VALUE = _q(OWL, "onProperty"), _q(OWL, "hasValue")
+_COMPLEMENT_OF, _ONE_OF = _q(OWL, "complementOf"), _q(OWL, "oneOf")
+_DISJOINT_WITH = _q(OWL, "disjointWith")
 _CLASS_TAGS = (_q(OWL, "Class"), _q(RDFS, "Class"))
 _INDIVIDUAL_TAGS = (_q(OWL, "Thing"), _q(RDF, "Description"))
 # attributes that are RDF syntax, not property values
@@ -160,7 +166,7 @@ _CARDINALITY_FACETS = {
 }
 
 # owl:Class children that define the class (see parse_class_body_expr)
-_DEFINITION_TAGS = (*_BOOLEAN_CLASSES, _q(OWL, "complementOf"), _q(OWL, "oneOf"))
+_DEFINITION_TAGS = (*_BOOLEAN_CLASSES, _COMPLEMENT_OF, _ONE_OF)
 
 # a characteristic's class also declares a property in element form
 _PROPERTY_TAGS = {
@@ -178,6 +184,10 @@ class _DocParser:
         self.doc = OntologyDocument(prefixes=dict(prefixes))
         self.diagnostics: List[Diagnostic] = []
         self._blank_counter = 0
+        # the IRI of each reference and of each element or attribute name,
+        # worked out once per document
+        self._resolved: Dict[str, Iri] = {}
+        self._named: Dict[str, Iri] = {}
 
     # -- helpers
 
@@ -191,8 +201,14 @@ class _DocParser:
         self._blank_counter += 1
         return Iri(_join(self.base, f"_:b{self._blank_counter}"))
 
-    def resolve(self, value: str) -> Iri:
+    def resolve(self, ref: str) -> Iri:
         """Resolve an rdf:ID / rdf:about / rdf:resource value."""
+        iri = self._resolved.get(ref)
+        if iri is None:
+            iri = self._resolved[ref] = self._resolve(ref)
+        return iri
+
+    def _resolve(self, value: str) -> Iri:
         value = value.strip()
         if _ABSOLUTE_RE.match(value):
             return Iri(value)
@@ -212,10 +228,16 @@ class _DocParser:
     def name_iri(self, name: str) -> Iri:
         """The IRI an element or attribute name stands for: ``{ns}local``,
         or a bare name against the base."""
-        if name.startswith("{"):
-            ns, local = name[1:].split("}", 1)
-            return Iri(ns + local if ns.endswith(("#", "/")) else _join(ns, local))
-        return self.resolve(name)
+        iri = self._named.get(name)
+        if iri is None:
+            if name.startswith("{"):
+                ns, local = name[1:].split("}", 1)
+                iri = Iri(ns + local if ns.endswith(("#", "/"))
+                          else _join(ns, local))
+            else:
+                iri = self.resolve(name)
+            self._named[name] = iri
+        return iri
 
     def subject(self, el: ET.Element) -> Iri:
         ref = el.get(_ID, el.get(_ABOUT))
@@ -225,7 +247,7 @@ class _DocParser:
 
     def parse_class_expr(self, el: ET.Element):
         tag = el.tag
-        if tag == _q(OWL, "Restriction"):
+        if tag == _RESTRICTION:
             return self.parse_restriction(el)
         if tag in _CLASS_TAGS:
             about = el.get(_ABOUT) or el.get(_ID)
@@ -257,11 +279,11 @@ class _DocParser:
                 ops = [e for e in map(self.parse_class_expr, child) if e is not None]
                 if len(ops) >= 2:
                     return _BOOLEAN_CLASSES[ctag](tuple(ops))
-            elif ctag == _q(OWL, "complementOf"):
+            elif ctag == _COMPLEMENT_OF:
                 inner = next(self.class_operands(child), None)
                 if inner is not None:
                     return ComplementOf(inner)
-            elif ctag == _q(OWL, "oneOf"):
+            elif ctag == _ONE_OF:
                 refs = (sub.get(_ABOUT) or sub.get(_ID) for sub in child)
                 inds = [self.resolve(ref) for ref in refs if ref is not None]
                 if inds:
@@ -273,11 +295,11 @@ class _DocParser:
         kind = None
         for child in el:
             ctag = child.tag
-            if ctag == _q(OWL, "onProperty"):
+            if ctag == _ON_PROPERTY:
                 prop = self.resource(child) or prop
             elif ctag in _FILLER_FACETS:
                 kind = _FILLER_FACETS[ctag](self._filler(child))
-            elif ctag == _q(OWL, "hasValue"):
+            elif ctag == _HAS_VALUE:
                 kind = HasValue(self.resource(child) or self._literal(child))
             elif ctag in _CARDINALITY_FACETS:
                 try:
@@ -307,7 +329,7 @@ class _DocParser:
         return expr
 
     def _literal(self, el: ET.Element) -> OwlLiteral:
-        datatype = el.get(_q(RDF, "datatype"))
+        datatype = el.get(_DATATYPE)
         tag, diag = map_xml_type(datatype) if datatype else ("_string", None)
         if diag:
             self.diagnostics.append(diag)
@@ -327,7 +349,7 @@ class _DocParser:
             if ctag in _CLASS_AXIOMS:
                 self.doc.class_axioms.extend(_CLASS_AXIOMS[ctag](Named(subj), e)
                                              for e in self.class_operands(child))
-            elif ctag == _q(OWL, "disjointWith"):
+            elif ctag == _DISJOINT_WITH:
                 res = self.resource(child)
                 if res is not None:
                     self.doc.class_axioms.append(DisjointWith(subj, res))
@@ -346,7 +368,7 @@ class _DocParser:
             res = self.resource(child)
             if ctag in _PROPERTY_AXIOMS and res is not None:
                 self.doc.property_axioms.append(_PROPERTY_AXIOMS[ctag](subj, res))
-            elif ctag == _q(RDF, "type") and res is not None:
+            elif ctag == _TYPE and res is not None:
                 kind = _CHAR_BY_IRI.get(res.value)
                 if kind is None:
                     self.warn("unknown-construct",
@@ -359,47 +381,48 @@ class _DocParser:
 
     def parse_individual(self, el: ET.Element):
         subj = self.subject(el)
-        types = [self.resource(child) for child in el
-                 if child.tag == _q(RDF, "type")]
-        self.describe(el, subj, [self._individual_class(el)] + types)
+        classes = [self._individual_class(el)]
+        values: List[Assertion] = []  # asserted after the memberships
         for child in el:
             ctag = child.tag
-            if ctag == _q(RDF, "type"):
+            res = self.resource(child)
+            if ctag == _TYPE:
+                classes.append(res)
                 continue
             prop = self.name_iri(ctag)
-            res = self.resource(child)
             if res is not None:
-                self.doc.assertions.append(PropertyAssertion(subj, prop, res))
+                values.append(PropertyAssertion(subj, prop, res))
             elif len(child) > 0:
                 # nested (possibly anonymous) individual; only its class and
                 # attribute-form values are read
                 inner = child[0]
                 inner_cls = self._individual_class(inner)
                 inner_subj = self.subject(inner)
-                self.doc.assertions.append(PropertyAssertion(subj, prop, inner_subj))
-                self.describe(inner, inner_subj, [inner_cls])
+                values.append(PropertyAssertion(subj, prop, inner_subj))
+                values += self.describe(inner, inner_subj, [inner_cls])
             else:
-                self.doc.assertions.append(
-                    PropertyAssertion(subj, prop, self._literal(child))
-                )
+                values.append(PropertyAssertion(subj, prop, self._literal(child)))
+        self.doc.assertions += self.describe(el, subj, classes)
+        self.doc.assertions += values
 
-    def describe(self, el: ET.Element, subj: Iri, classes: List[Optional[Iri]]):
+    def describe(self, el: ET.Element, subj: Iri, classes: List[Optional[Iri]]
+                 ) -> List[Assertion]:
         """Class memberships of ``subj`` (first, so the printed frame opens
         with ``x:C``), then the property values in ``el``'s attributes."""
-        for cls in classes:
-            if cls is not None:
-                self.doc.assertions.append(ClassAssertion(subj, cls))
-        for name, value in el.attrib.items():
-            if not name.startswith(_SYNTAX_ATTRS):
-                self.doc.assertions.append(PropertyAssertion(
-                    subj, self.name_iri(name), OwlLiteral(value, "_string")))
+        out: List[Assertion] = [ClassAssertion(subj, c) for c in classes
+                                if c is not None]
+        out += [PropertyAssertion(subj, self.name_iri(name),
+                                  OwlLiteral(value, "_string"))
+                for name, value in el.attrib.items()
+                if not name.startswith(_SYNTAX_ATTRS)]
+        return out
 
     def _individual_class(self, el: ET.Element) -> Optional[Iri]:
         return None if el.tag in _INDIVIDUAL_TAGS else self.name_iri(el.tag)
 
     def parse_top(self, el: ET.Element):
         tag = el.tag
-        if tag == _q(OWL, "Ontology"):
+        if tag == _ONTOLOGY:
             return
         if tag in _CLASS_TAGS:
             self.parse_class(el)
@@ -421,30 +444,24 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
     prefixes: Dict[str, str] = {}
     declared: List[Tuple[str, str]] = []
     try:
-        events = ET.iterparse(io.StringIO(text), events=("start-ns", "start"))
-        root = None
-        for event, payload in events:
-            if event == "start-ns":
-                name, uri = payload
-                prefixes[name] = uri.rstrip("#")
-                if uri:  # xmlns="" undeclares the default namespace
-                    declared.append(("namespace", uri))
-            elif root is None:
-                root = payload
+        events = ET.iterparse(io.StringIO(text), events=("start-ns",))
+        for _, (name, uri) in events:
+            prefixes[name] = uri.rstrip("#")
+            if uri:  # xmlns="" undeclares the default namespace
+                declared.append(("namespace", uri))
     except ET.ParseError as e:
         pos = getattr(e, "position", None)
         return None, [Diagnostic(ERROR, "malformed-xml", str(e), pos)]
-    if root is None:
-        return None, [Diagnostic(ERROR, "malformed-xml", "empty document")]
+    root = events.root  # a document without one raises ParseError above
 
-    base = (root.get(_q(XML_NS, "base")) or DEFAULT_BASE).rstrip("#")
+    base = (root.get(_XML_BASE) or DEFAULT_BASE).rstrip("#")
     for what, value in [("xml:base", base)] + declared:
         if not is_absolute(value):
             return None, [Diagnostic(ERROR, "relative-iri",
                                      f"{what} {value!r} is not an absolute IRI")]
     prefixes[""] = base
     parser = _DocParser(base, prefixes)
-    if root.tag == _q(RDF, "RDF"):
+    if root.tag == _RDF_ROOT:
         for el in root:
             parser.parse_top(el)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
-from .checkers import checker_rules
+from .checkers import CHECKER_RULES
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
@@ -66,6 +66,17 @@ class Context:
         self.aux_counter = 0
         self.consumed_range_axioms: set = set()
         self.symbols: Dict[str, FlSymbol] = {}  # IRI -> its one symbol
+        self.atoms: Dict[str, Atom] = {}        # IRI -> its one class atom
+        # per property, its first Range and its first declared inverse, in
+        # document order
+        self.ranges: Dict[om.Iri, om.Range] = {}
+        self.inverses: Dict[om.Iri, om.Iri] = {}
+        for ax in doc.property_axioms if doc is not None else ():
+            if isinstance(ax, om.Range):
+                self.ranges.setdefault(ax.property, ax)
+            elif isinstance(ax, om.InverseOf):
+                self.inverses.setdefault(ax.a, ax.b)
+                self.inverses.setdefault(ax.b, ax.a)
 
     # -- naming
 
@@ -74,6 +85,13 @@ class Context:
         if sym is None:
             sym = self.symbols[iri.value] = self._new_symbol(iri.value)
         return sym
+
+    def atom(self, iri: om.Iri) -> Atom:
+        """The class named ``iri``."""
+        a = self.atoms.get(iri.value)
+        if a is None:
+            a = self.atoms[iri.value] = Atom(self.symbol(iri))
+        return a
 
     def _new_symbol(self, value: str) -> FlSymbol:
         if value.endswith("#"):  # no local name: keep the whole IRI
@@ -103,7 +121,7 @@ class Context:
 
     def cls_expr(self, expr: om.ClassExpression) -> FlClassExpr:
         if isinstance(expr, om.Named):
-            return Atom(self.symbol(expr.iri))
+            return self.atom(expr.iri)
         if isinstance(expr, om.UnionOf):
             return left_assoc(FlUnion, [self.cls_expr(e) for e in expr.operands])
         if isinstance(expr, om.IntersectionOf):
@@ -182,7 +200,7 @@ def translate_class_axiom(ax: om.ClassAxiom, ctx: Optional[Context] = None
 def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
                                ctx: Optional[Context] = None) -> List[FlRule]:
     ctx = ctx or Context()
-    n = Atom(ctx.symbol(name))
+    n = ctx.atom(name)
     x = _var("X")
     rules: List[FlRule] = []
     if isinstance(expr, om.UnionOf):
@@ -191,7 +209,7 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
         if len(named_ops) != len(expr.operands):
             ctx.warn("complex-operand",
                      "non-named union operand: membership rules omitted")
-        atoms = [Atom(ctx.symbol(op.iri)) for op in named_ops]
+        atoms = [ctx.atom(op.iri) for op in named_ops]
         for a in atoms:
             rules.append(FlRule(FlIsA(x, n), (FlIsA(x, a),)))
         if ctx.opts.case_split_rhs_disjunction and len(atoms) >= 2:
@@ -210,7 +228,7 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
         if len(named_ops) != len(expr.operands):
             ctx.warn("complex-operand",
                      "non-named intersection operand: membership rules omitted")
-        atoms = [Atom(ctx.symbol(op.iri)) for op in named_ops]
+        atoms = [ctx.atom(op.iri) for op in named_ops]
         if atoms:
             rules.append(FlRule(FlIsA(x, n), tuple(FlIsA(x, a) for a in atoms)))
             for a in atoms:
@@ -232,7 +250,7 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
 def translate_restriction(cls: om.Iri, r: om.Restriction,
                           ctx: Optional[Context] = None) -> List[FlRule]:
     ctx = ctx or Context()
-    c = Atom(ctx.symbol(cls))
+    c = ctx.atom(cls)
     p = ctx.symbol(r.property)
     x, y = _var("X"), _var("Y")
     k = r.kind
@@ -279,24 +297,22 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
     rules: List[FlRule] = []
     if isinstance(ax, om.Domain):
         p = ctx.symbol(ax.property)
-        c = Atom(ctx.symbol(ax.cls))
+        c = ctx.atom(ax.cls)
         rng = OBJ
-        if ctx.doc is not None:
-            for other in ctx.doc.property_axioms:
-                if isinstance(other, om.Range) and other.property == ax.property:
-                    rng = Atom(ctx.symbol(other.cls))
-                    ctx.consumed_range_axioms.add(id(other))
-                    break
+        other = ctx.ranges.get(ax.property)
+        if other is not None:
+            rng = ctx.atom(other.cls)
+            ctx.consumed_range_axioms.add(id(other))
         rules.append(fact(FlSignature(c, p, rng)))
         if ctx.opts.owl_domain_range_rules:
             rules.append(FlRule(FlIsA(x, c), (FlAttrValue(x, p, y),)))
             if rng != OBJ:
                 rules.append(FlRule(FlIsA(y, rng), (FlAttrValue(x, p, y),)))
     elif isinstance(ax, om.Range):
-        if ctx.doc is not None and id(ax) in ctx.consumed_range_axioms:
+        if id(ax) in ctx.consumed_range_axioms:
             return []
         p = ctx.symbol(ax.property)
-        rng = Atom(ctx.symbol(ax.cls))
+        rng = ctx.atom(ax.cls)
         rules.append(fact(FlSignature(OBJ, p, rng)))
         if ctx.opts.owl_domain_range_rules:
             rules.append(FlRule(FlIsA(y, rng), (FlAttrValue(x, p, y),)))
@@ -314,18 +330,10 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
         if ax.kind == om.FUNCTIONAL:
             rules.append(fact(FlSignature(OBJ, p, OBJ, card=(1, 1))))
         elif ax.kind == om.INVERSE_FUNCTIONAL:
-            inverse: Optional[FlSymbol] = None
-            if ctx.doc is not None:
-                for other in ctx.doc.property_axioms:
-                    if isinstance(other, om.InverseOf):
-                        if other.a == ax.property:
-                            inverse = ctx.symbol(other.b)
-                            break
-                        if other.b == ax.property:
-                            inverse = ctx.symbol(other.a)
-                            break
+            inverse = ctx.inverses.get(ax.property)
             if inverse is not None:
-                rules.append(fact(FlSignature(OBJ, inverse, OBJ, card=(1, 1))))
+                rules.append(fact(FlSignature(OBJ, ctx.symbol(inverse), OBJ,
+                                              card=(1, 1))))
             else:
                 rules.append(fact(FlPred("inverseFunctional", (p,))))
         elif ax.kind == om.TRANSITIVE:
@@ -359,9 +367,10 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
 def translate_assertion(a: om.Assertion, ctx: Optional[Context] = None
                         ) -> List[FlRule]:
     ctx = ctx or Context()
-    if isinstance(a, om.ClassAssertion):
-        return [fact(FlIsA(ctx.symbol(a.individual), Atom(ctx.symbol(a.cls))))]
-    if isinstance(a, om.PropertyAssertion):
+    kind = type(a)
+    if kind is om.ClassAssertion:
+        return [fact(FlIsA(ctx.symbol(a.individual), ctx.atom(a.cls)))]
+    if kind is om.PropertyAssertion:
         return [fact(FlAttrValue(ctx.symbol(a.subject), ctx.symbol(a.property),
                                  ctx.term(a.object)))]
     raise TypeError(f"unknown assertion: {a!r}")
@@ -408,27 +417,27 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
 
     # union on the left: one Horn rule per disjunct
     if isinstance(sub, om.UnionOf) and _is_named(sup):
-        d = Atom(ctx.symbol(sup.iri))
+        d = ctx.atom(sup.iri)
         if all(_is_named(op) for op in sub.operands):
-            rules = [FlRule(FlIsA(x, d), (FlIsA(x, Atom(ctx.symbol(op.iri))),))
+            rules = [FlRule(FlIsA(x, d), (FlIsA(x, ctx.atom(op.iri)),))
                      for op in sub.operands]
             return done(rules, Translatability(DIRECT))
     # intersection on the left: conjunctive body
     if isinstance(sub, om.IntersectionOf) and _is_named(sup) and \
             all(_is_named(op) for op in sub.operands):
-        d = Atom(ctx.symbol(sup.iri))
-        body = tuple(FlIsA(x, Atom(ctx.symbol(op.iri))) for op in sub.operands)
+        d = ctx.atom(sup.iri)
+        body = tuple(FlIsA(x, ctx.atom(op.iri)) for op in sub.operands)
         return done([FlRule(FlIsA(x, d), body)], Translatability(DIRECT))
     # enumeration on the left: membership facts
     if isinstance(sub, om.OneOf) and _is_named(sup):
-        d = Atom(ctx.symbol(sup.iri))
+        d = ctx.atom(sup.iri)
         rules = [fact(FlIsA(ctx.symbol(i), d)) for i in sub.individuals]
         return done(rules, Translatability(DIRECT))
     # complement on the left
     if isinstance(sub, om.ComplementOf) and _is_named(sub.operand) and \
             _is_named(sup):
-        d = Atom(ctx.symbol(sup.iri))
-        c = Atom(ctx.symbol(sub.operand.iri))
+        d = ctx.atom(sup.iri)
+        c = ctx.atom(sub.operand.iri)
         rule = FlRule(FlIsA(x, d), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),))))
         return done([rule], Translatability(DIRECT))
     # universal restriction on the left: Lloyd-Topor with an auxiliary
@@ -436,7 +445,7 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
             isinstance(sub.kind, om.AllValuesFrom) and _is_named(sup):
         f = ctx.cls_expr(sub.kind.filler)
         p = ctx.symbol(sub.property)
-        d = Atom(ctx.symbol(sup.iri))
+        d = ctx.atom(sup.iri)
         aux = ctx.fresh_aux()
         rules = [
             FlRule(FlPred(aux.name, (x,), quoted=True),
@@ -455,8 +464,8 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
             return done([], Translatability(
                 UNTRANSLATABLE, "right-hand-side disjunction with case "
                 "splitting disabled"))
-        d = Atom(ctx.symbol(sub.iri))
-        atoms = [Atom(ctx.symbol(op.iri)) for op in sup.operands]
+        d = ctx.atom(sub.iri)
+        atoms = [ctx.atom(op.iri) for op in sup.operands]
         rules = []
         for i, a in enumerate(atoms):
             nafs = tuple(FlNaf((FlIsA(x, other),))
@@ -469,8 +478,8 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
     # intersection on the right: the head conjunction splits
     if isinstance(sup, om.IntersectionOf) and _is_named(sub) and \
             all(_is_named(op) for op in sup.operands):
-        d = Atom(ctx.symbol(sub.iri))
-        rules = [FlRule(FlIsA(x, Atom(ctx.symbol(op.iri))), (FlIsA(x, d),))
+        d = ctx.atom(sub.iri)
+        rules = [FlRule(FlIsA(x, ctx.atom(op.iri)), (FlIsA(x, d),))
                  for op in sup.operands]
         return done(rules, Translatability(DIRECT))
 
@@ -508,7 +517,7 @@ def translate_ontology(doc: om.OntologyDocument,
     # a Range folded into its Domain's signature is covered by that signature
     covered |= ctx.consumed_range_axioms
     if ctx.opts.emit_checkers:
-        rules.extend(checker_rules())
+        rules.extend(CHECKER_RULES)
     program = FlProgram(tuple(rules), dict(doc.prefixes))
     program.covered_axiom_ids = covered
     return program, ctx.diagnostics

@@ -52,6 +52,41 @@ def test_unbound_negated_variable_rejected():
     assert e.value.code == "non-range-restricted"
 
 
+A, C, D = FlSymbol("a"), atom("C"), atom("D")
+
+
+@pytest.mark.parametrize("head, printed", [
+    (FlIsA(X, C), "?X:C"),
+    (FlIsA(A, Atom(X)), "a:?X"),
+    (FlIsA(A, FlUnion(C, Atom(X))), "a:(C ; ?X)"),
+    (FlSubClass(C, Atom(X)), "C::?X"),
+    (FlAttrValue(A, FlSymbol("p"), X), "a[p -> ?X]"),
+    (FlPred("p", (A, FlList((A, X)))), "p(a, [a,?X])"),
+    (FlSignature(Atom(X), FlSymbol("p"), D), "?X[p *=> D]"),
+])
+def test_non_ground_fact_message(head, printed):
+    with pytest.raises(EngineError) as e:
+        load_program(FlProgram((fact(head),)))
+    assert (e.value.code, e.value.message) == (
+        "non-range-restricted", f"fact with variables: {printed}")
+
+
+@pytest.mark.parametrize("head", [
+    FlIsA(A, FlUnion(C, D)),
+    FlIsA(A, FlIntersection(C, D)),
+    FlIsA(A, FlDifference(C, D)),
+    FlSubClass(FlUnion(C, D), atom("E")),
+    FlSubClass(atom("E"), FlDifference(C, D)),
+], ids=["isa-union", "isa-intersection", "isa-difference", "sub-union",
+        "sub-difference"])
+def test_compound_class_fact_is_rejected_by_saturate(head):
+    kb = load_program(FlProgram((fact(FlIsA(A, C)), fact(head))))
+    with pytest.raises(EngineError) as e:
+        saturate(kb)
+    assert (e.value.code, e.value.message) == (
+        "unsupported-rule", "compound class expression in rule head")
+
+
 def test_checker_rules_are_segregated():
     kb = kb_from("check_disjoint_constraints :- disjoint_classes(?C1, ?C2), "
                  "?X:?C1, ?X:?C2.\n"

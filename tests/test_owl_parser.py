@@ -239,6 +239,71 @@ def test_parse_object_valued_assertion():
                              iri("chateau1"))]
 
 
+# --- reference spellings -----------------------------------------------------
+
+SPELLING_HEADER = HEADER.replace(
+    'xml:base="http://example.org/wine">',
+    'xmlns:food="http://example.org/food#"\n'
+    '         xmlns:veg="http://example.org/veg/"\n'
+    '         xmlns:odd="http://example.org/odd"\n'
+    '         xml:base="http://example.org/wine">')
+
+# each rdf:resource spelling and the IRI it resolves to
+SPELLINGS = [
+    ("http://other.org/ns#x", "http://other.org/ns#x"),
+    ("#x", "http://example.org/wine#x"),
+    ("x", "http://example.org/wine#x"),
+    (" x ", "http://example.org/wine#x"),
+    ("food:x", "http://example.org/food#x"),
+    ("#food:x", "http://example.org/food#x"),
+    ("zz:x", "http://example.org/wine#zz:x"),
+]
+
+
+def test_reference_spellings_resolve():
+    # every spelling appears twice, as an rdf:about and as rdf:resource values
+    values = "".join(f'<p rdf:resource="{ref}"/>' for ref, _ in SPELLINGS)
+    body = "".join(f'<owl:Thing rdf:about="{ref}">{values}</owl:Thing>'
+                   for ref, _ in SPELLINGS)
+    body += ('<food:Dish rdf:about="#d"/><food:Dish rdf:ID="d"/>'
+             '<veg:Carrot rdf:about="#c"/><veg:Carrot rdf:about="c"/>'
+             '<odd:Thing rdf:about="#o"/><odd:Thing rdf:about="#o"/>'
+             '<owl:Thing rdf:about="#a" food:colour="red" size="big"/>'
+             '<owl:Thing rdf:about="#a" food:colour="red" size="big"/>')
+    doc, diags = doc_of(body, SPELLING_HEADER)
+    assert diags == []
+    p = iri("p")
+    expected = [om.PropertyAssertion(om.Iri(subj), p, om.Iri(obj))
+                for _, subj in SPELLINGS for _, obj in SPELLINGS]
+    d, c, o, a = iri("d"), iri("c"), iri("o"), iri("a")
+    expected += [
+        om.ClassAssertion(d, om.Iri("http://example.org/food#Dish")),
+        om.ClassAssertion(d, om.Iri("http://example.org/food#Dish")),
+        om.ClassAssertion(c, om.Iri("http://example.org/veg/Carrot")),
+        om.ClassAssertion(c, om.Iri("http://example.org/veg/Carrot")),
+        om.ClassAssertion(o, om.Iri("http://example.org/odd#Thing")),
+        om.ClassAssertion(o, om.Iri("http://example.org/odd#Thing")),
+    ]
+    expected += 2 * [
+        om.PropertyAssertion(a, om.Iri("http://example.org/food#colour"),
+                             om.OwlLiteral("red")),
+        om.PropertyAssertion(a, iri("size"), om.OwlLiteral("big")),
+    ]
+    assert doc.assertions == expected
+
+
+def test_same_reference_under_another_base_is_another_iri():
+    body = '<owl:Thing rdf:about="#s"><p rdf:resource="#x"/></owl:Thing>'
+    objects = []
+    for base in ("http://example.org/wine", "http://example.org/beer"):
+        header = HEADER.replace('xml:base="http://example.org/wine"',
+                                f'xml:base="{base}"')
+        doc, _ = doc_of(body, header)
+        objects.append([a.object.value for a in doc.assertions])
+    assert objects == [["http://example.org/wine#x"],
+                       ["http://example.org/beer#x"]]
+
+
 # --- whole documents ---------------------------------------------------------
 
 
