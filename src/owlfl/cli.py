@@ -20,7 +20,7 @@ from .engine import (
 )
 from .flogic import (
     Atom, FlIsA, FlLiteralTerm, FlProgram, FlSubClass, FlSymbol, FlTerm,
-    FlVariable, parse_program, print_program, print_term,
+    FlVariable, parse_program, print_program, print_term, unquote,
 )
 from .fl_to_owl import translate_program
 from .owl_parser import parse_document
@@ -93,24 +93,17 @@ def _parse_name(arg: str) -> FlTerm:
     if arg in ("", "''"):
         return FlLiteralTerm("")  # as the F-logic reader reads ''
     if arg.startswith("'") and arg.endswith("'") and len(arg) >= 2:
-        return FlSymbol(arg[1:-1], quoted=True)
+        return FlSymbol(unquote(arg), quoted=True)
     return FlSymbol(arg)
 
 
 def _known_symbols(kb: KnowledgeBase) -> set:
     out = set()
-    store = kb.store
-    for ind, cls in store.isa:
-        out.add(ind)
-        out.add(cls)
-    for a, b in store.sub:
-        out.add(a)
-        out.add(b)
-    for s, p, v in store.attr:
-        out.update((s, p, v))
-    for tuples in store.pred.values():
-        for t in tuples:
-            out.update(x for x in t if isinstance(x, FlSymbol))
+    # every term of isa, sub and attr; the symbols of predicate arguments
+    for key, rel in kb.store.relations.items():
+        for t in rel.facts:
+            out.update(t if isinstance(key, str) else
+                       (x for x in t if isinstance(x, FlSymbol)))
     for sig in kb.signatures:
         if isinstance(sig.cls, Atom):
             out.add(sig.cls.term)

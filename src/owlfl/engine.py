@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .checkers import (
-    CARDINALITY_MSG, DISJOINT_MSG, HASVALUE_MSG, INVFUNC_MSG,
-    ONEOF_MSG, RANGE_MSG, SOMEVALUES_MSG, is_checker_rule,
-)
+from .checkers import MESSAGES, RANGE_MSG, is_checker_rule
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
     FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
@@ -96,15 +93,6 @@ class FactStore:
         self.sub: Set[Tuple[FlTerm, FlTerm]] = self.relations[SUB].facts
         self.attr: Set[Tuple[FlTerm, FlTerm, FlTerm]] = \
             self.relations[ATTR].facts
-
-    @property
-    def pred(self) -> Dict[str, Set[Tuple[FlTerm, ...]]]:
-        """Predicate name -> argument tuples of every arity."""
-        out: Dict[str, Set[Tuple[FlTerm, ...]]] = {}
-        for key, rel in self.relations.items():
-            if isinstance(key, tuple):
-                out.setdefault(key[0], set()).update(rel.facts)
-        return out
 
     def add(self, key, t: tuple) -> bool:
         rel = self.relations.get(key)
@@ -830,10 +818,10 @@ def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:
 
 
 def _fmt(template: str, args) -> str:
-    out = template
-    for a in args:
-        out = out.replace("~w", print_term(a) if isinstance(a, FlTerm) else str(a), 1)
-    return out
+    """Fill the ``~w`` holes in order; a filled-in term is not scanned."""
+    holes = template.split("~w")
+    filled = [print_term(a) if isinstance(a, FlTerm) else str(a) for a in args]
+    return "".join(h + f for h, f in zip(holes, filled + [""]))
 
 
 def _sorted_terms(pairs):
@@ -844,6 +832,8 @@ def _sorted_terms(pairs):
 def run_constraint_checks(kb: KnowledgeBase,
                           check_min_cardinality: bool = False
                           ) -> List[ConstraintViolation]:
+    """The violations of the checker library, each named after its checker
+    and worded by the template of that checker's ``format`` literal."""
     store = kb.store
     isa, attr = store.relations[ISA], store.relations[ATTR]
     out: List[ConstraintViolation] = []
@@ -856,18 +846,18 @@ def run_constraint_checks(kb: KnowledgeBase,
         return sorted((x for x, _ in isa.lookup((1,), cls_term)),
                       key=print_term)
 
-    def values_of(x: FlTerm, p: FlTerm) -> List[FlTerm]:
-        return sorted((v for _, _, v in attr.lookup((0, 1), (x, p))),
-                      key=print_term)
+    def values_of(x: FlTerm, p: FlTerm) -> Sequence[tuple]:
+        return attr.lookup((0, 1), (x, p))  # one tuple per distinct value
 
-    def flag(checker: str, template: str, args):
-        out.append(ConstraintViolation(checker, _fmt(template, args)))
+    def flag(checker: str, args, template: Optional[str] = None):
+        out.append(ConstraintViolation(
+            checker, _fmt(template or MESSAGES[checker], args)))
 
     # disjointness
     for c1, c2 in facts("disjoint_classes", 2):
         for x in members(c1):
-            if (x, c2) in store.isa or c2 == OBJECT:
-                flag("check_disjoint_constraints", DISJOINT_MSG, (c1, c2))
+            if (x, c2) in store.isa:
+                flag("check_disjoint_constraints", (c1, c2))
     # enumerations
     for cls_term, lst in facts("oneOf", 2):
         if not isinstance(lst, FlList):
@@ -875,21 +865,19 @@ def run_constraint_checks(kb: KnowledgeBase,
         allowed = set(lst.elements)
         for x in members(cls_term):
             if x not in allowed:
-                flag("check_oneOf_constraints", ONEOF_MSG, (x, cls_term))
+                flag("check_oneOf_constraints", (x, cls_term))
     # existential value requirements
     for cls_term, p, filler in facts("someValuesFrom", 3):
         for x in members(cls_term):
-            if not any((v, filler) in store.isa or filler == OBJECT
-                       for v in values_of(x, p)):
-                flag("check_someValuesFrom_constraints", SOMEVALUES_MSG,
+            if not any((v, filler) in store.isa for _, _, v in values_of(x, p)):
+                flag("check_someValuesFrom_constraints",
                      (x, cls_term, x, p, filler))
     # required specific values
     for cls_term, p, value in facts("hasValue", 3):
         for x in members(cls_term):
             if (x, p, value) not in store.attr:
-                flag("check_hasValue_constraints", HASVALUE_MSG,
-                     (x, p, value))
-    # signatures: cardinality bounds and range
+                flag("check_hasValue_constraints", (x, p, value))
+    # signatures: cardinality bounds, and range, which no printed rule has
     for sig in kb.signatures:
         cls_term = _expr_term(sig.cls)
         rng_term = _expr_term(sig.range)
@@ -902,13 +890,14 @@ def run_constraint_checks(kb: KnowledgeBase,
                 n = len(vals)
                 if (high is not None and n > high) or \
                         (check_min_cardinality and n < low):
-                    flag("check_cardinality_constraints", CARDINALITY_MSG,
+                    flag("check_cardinality_constraints",
                          (x, sig.prop, n, low, "*" if high is None else high))
             if rng_term != OBJECT:
-                for v in vals:
-                    if (v, rng_term) not in store.isa:
-                        flag("check_cardinality_constraints", RANGE_MSG,
-                             (x, sig.prop, v, rng_term))
+                for v in sorted((v for _, _, v in vals
+                                 if (v, rng_term) not in store.isa),
+                                key=print_term):
+                    flag("check_cardinality_constraints",
+                         (x, sig.prop, v, rng_term), RANGE_MSG)
     # inverse functionality without a declared inverse
     for (p,) in facts("inverseFunctional", 1):
         by_value: Dict[FlTerm, List[FlTerm]] = {}
@@ -917,7 +906,7 @@ def run_constraint_checks(kb: KnowledgeBase,
         for v in sorted(by_value, key=print_term):
             subjects = sorted(set(by_value[v]), key=print_term)
             if len(subjects) > 1:
-                flag("check_inverseFunctional_constraints", INVFUNC_MSG,
+                flag("check_inverseFunctional_constraints",
                      (p, subjects[0], subjects[1], v))
     return out
 

@@ -427,7 +427,8 @@ def _lex(text: str) -> List[_Tok]:
     return toks
 
 
-def _unquote(lexeme: str) -> str:
+def unquote(lexeme: str) -> str:
+    """The name a quoted lexeme spells: quotes dropped, escapes undone."""
     body = lexeme[1:-1]
     return re.sub(r"\\(.)", r"\1", body)
 
@@ -479,7 +480,7 @@ class _Parser:
             return FlLiteralTerm(value, "_integer")
         if kind == "quoted":
             self.next()
-            name = _unquote(value)
+            name = unquote(value)
             if not name:  # '' names nothing; it is the empty string
                 return FlLiteralTerm("")
             return FlSymbol(name, quoted=True)
@@ -688,7 +689,7 @@ class _Parser:
             self.next()
             self.expect("punct", ",")
         msg_tok = self.expect("quoted")
-        message = _unquote(msg_tok[1])
+        message = unquote(msg_tok[1])
         args: Tuple[FlTerm, ...] = ()
         if self.at("punct", ","):
             self.next()
@@ -713,12 +714,12 @@ class _Parser:
         kw = self.expect("ident")
         self.expect("punct", "(")
         if kw[1] == "base":
-            iri = _unquote(self.expect("quoted")[1])
+            iri = unquote(self.expect("quoted")[1])
             self.prefixes[""] = iri
         elif kw[1] == "prefix":
             name = self.expect("ident")[1]
             self.expect("punct", ",")
-            iri = _unquote(self.expect("quoted")[1])
+            iri = unquote(self.expect("quoted")[1])
             self.prefixes[name] = iri
         else:
             raise FlParseError(f"unknown directive {kw[1]!r}", kw[2])
@@ -768,6 +769,14 @@ def parse_program(text: str, prefixes: Optional[Dict[str, str]] = None
             if p.at("punct", "."):
                 p.next()
     return FlProgram(tuple(rules), p.prefixes), _syntax_errors(text, errors)
+
+
+def parse_rules(text: str) -> Tuple[FlRule, ...]:
+    """The rules of library text; a syntax error raises ``ValueError``."""
+    program, diags = parse_program(text)
+    if diags:
+        raise ValueError(str(diags[0]))
+    return program.rules
 
 
 def _syntax_errors(text: str, errors: List[FlParseError]) -> List[Diagnostic]:

@@ -18,10 +18,17 @@ from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
     FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, fact,
-    left_assoc,
+    left_assoc, parse_rules,
 )
 
 OBJ = Atom(FlSymbol("_object"))
+
+# the generic closure rules of transitive and symmetric properties, emitted
+# once per program, after the first property of their kind
+TRANSITIVE_RULE, SYMMETRIC_RULE = parse_rules(r"""
+?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?Y[?P -> ?Z].
+?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].
+""")
 
 
 @dataclass(frozen=True)
@@ -340,22 +347,12 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
             rules.append(fact(FlPred("TransitiveProperty", (p,), quoted=True)))
             if not ctx.emitted_transitive_rule:
                 ctx.emitted_transitive_rule = True
-                pv, z = _var("P"), _var("Z")
-                rules.append(FlRule(
-                    FlAttrValue(x, pv, z),
-                    (FlPred("TransitiveProperty", (pv,), quoted=True),
-                     FlAttrValue(x, pv, y), FlAttrValue(y, pv, z)),
-                ))
+                rules.append(TRANSITIVE_RULE)
         elif ax.kind == om.SYMMETRIC:
             rules.append(fact(FlPred("SymmetricProperty", (p,), quoted=True)))
             if not ctx.emitted_symmetric_rule:
                 ctx.emitted_symmetric_rule = True
-                pv = _var("P")
-                rules.append(FlRule(
-                    FlAttrValue(x, pv, y),
-                    (FlPred("SymmetricProperty", (pv,), quoted=True),
-                     FlAttrValue(y, pv, x)),
-                ))
+                rules.append(SYMMETRIC_RULE)
     else:
         ctx.error("unknown-construct", f"unsupported property axiom {ax!r}")
     return rules

@@ -475,6 +475,18 @@ def test_query_empty_name_is_the_empty_string(name, tmp_path, capsys):
     assert capsys.readouterr().out == "_object\n"
 
 
+def test_query_takes_back_the_names_it_prints(tmp_path, capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text("'it\\'s':C.\n'a\\\\b':C.\n")
+    assert main(["query", str(src), "instances", "C"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["'a\\\\b'", "'it\\'s'"]
+    for name in printed:
+        assert main(["query", str(src), "is", name, "C"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("true\n", "")
+
+
 def test_query_unknown_name_warns_and_exits_0(flr_file, capsys):
     assert main(["query", flr_file, "is", "merlot7", "Beer"]) == 0
     captured = capsys.readouterr()

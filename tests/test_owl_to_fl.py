@@ -1,10 +1,10 @@
 import pytest
 
 from owlfl import owl_model as om
-from owlfl.checkers import DISJOINT_MSG, ONEOF_MSG
+from owlfl.checkers import CHECKER_RULES
 from owlfl.flogic import (
-    Atom, FlIsA, FlNaf, FlPred, FlRule, FlSignature, FlSubClass, FlSymbol,
-    FlVariable, print_program, print_rule,
+    Atom, FlIsA, FlNaf, FlPred, FlProgram, FlRule, FlSignature, FlSubClass,
+    FlSymbol, FlVariable, print_program, print_rule,
 )
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import (
@@ -207,8 +207,42 @@ def test_checker_library_appended_by_default():
     text = print_program(program)
     assert "check_disjoint_constraints :-" in text
     assert "check_all_constraints :-" in text
-    assert DISJOINT_MSG in text
-    assert ONEOF_MSG in text
+    assert ("'[OWL2FLORA] disjointWith constraint violation: ~w disjoint "
+            "with ~w'") in text
+    assert ("'[OWL2FLORA] oneOf constraint: extraneous class member ~w : "
+            "~w'") in text
+
+
+LIBRARY = r"""check_disjoint_constraints :- disjoint_classes(?C1, ?C2), ?X:?C1, ?X:?C2, format(2, '[OWL2FLORA] disjointWith constraint violation: ~w disjoint with ~w', [?C1,?C2])@_prolog(format).
+check_oneOf_constraints :- oneOf(?C, ?List), ?X:?C, not(member(?X, ?List)), format(2, '[OWL2FLORA] oneOf constraint: extraneous class member ~w : ~w', [?X,?C])@_prolog(format).
+check_someValuesFrom_constraints :- someValuesFrom(?Class, ?Property, ?PropertyClass), ?O:?Class, \naf (?O[?Property -> ?V], ?V:?PropertyClass), format(2, '[OWL2FLORA] someValuesFrom constraint violation: ~w:~w and ~w.~w disjoint from ~w', [?O,?Class,?O,?Property,?PropertyClass])@_prolog(format).
+check_hasValue_constraints :- hasValue(?Class, ?Property, ?Value), ?O:?Class, not(?O[?Property -> ?Value]), format(2, '[OWL2FLORA] hasValue constraint violation: ~w.~w missing value ~w', [?O,?Property,?Value])@_prolog(format).
+check_cardinality_constraints :- cardinality_violation(?Class, ?Property, ?O, ?N), format(2, '[OWL2FLORA] cardinality constraint violation: KB is inconsistent with the constraints: ~w.~w has ~w distinct values, allowed {~w:~w}', [?O,?Property,?N,?Low,?High])@_prolog(format).
+check_inverseFunctional_constraints :- inverseFunctional(?P), ?X[?P -> ?V], ?Y[?P -> ?V], ?X != ?Y, format(2, '[OWL2FLORA] inverseFunctional constraint violation: ~w maps both ~w and ~w to ~w', [?P,?X,?Y,?V])@_prolog(format).
+check_all_constraints :- check_disjoint_constraints, check_oneOf_constraints, check_someValuesFrom_constraints, check_hasValue_constraints, check_cardinality_constraints, check_inverseFunctional_constraints.
+"""
+
+
+def test_checker_library_text():
+    assert print_program(FlProgram(CHECKER_RULES)) == LIBRARY
+
+
+def test_generic_property_rules_once_each():
+    ctx = Context()
+    out = []
+    for local in ("p", "q"):
+        for kind in (om.TRANSITIVE, om.SYMMETRIC):
+            out += [print_rule(r) for r in translate_property_axiom(
+                om.Characteristic(iri(local), kind), ctx)]
+    assert out == [
+        "'TransitiveProperty'(p).",
+        "?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], "
+        "?Y[?P -> ?Z].",
+        "'SymmetricProperty'(p).",
+        "?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].",
+        "'TransitiveProperty'(q).",
+        "'SymmetricProperty'(q).",
+    ]
 
 
 def test_no_silent_drops_accounting():
