@@ -1,10 +1,9 @@
 """The generic integrity-checker library, written once as F-logic text.
 
 The translator appends these rules to the programs it emits.  The engine
-runs each checker natively and takes the message of each violation from the
-``format`` literal of the rule of that name (``MESSAGES``), so both agree
-byte for byte.  A range violation has no rule here; its message is
-``RANGE_MSG``.
+solves each rule as written, except the cardinality and inverse-functional
+rules, which it runs natively with their templates from ``MESSAGES``.  A
+range violation has no rule here; its message is ``RANGE_MSG``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ into join plans over variable slots.  Structural rules (subclass
 transitivity, membership inheritance, universal ``_object`` membership) are
 applied to each new fact as it is added.  The saturated store is kept on
 the KB, and inserted facts extend it when no rule body holds a negation.
-Constraint checking is closed-world: no equality inference, distinct-value
-counting for cardinality bounds.
+Constraint checks solve the ``check_*`` rules with the same join plans and
+are closed-world: no equality inference, distinct values for cardinality.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .checkers import MESSAGES, RANGE_MSG, is_checker_rule
+from .checkers import CHECKER_RULES, MESSAGES, RANGE_MSG, is_checker_rule
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
     FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
     FlNeq, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
-    FlTerm, FlUnion, FlVariable, print_literal, print_term,
+    FlTerm, FlUnion, FlVariable, print_class_expr, print_literal, print_term,
 )
 
 OBJECT = FlSymbol("_object")
@@ -179,6 +179,15 @@ def literal_vars(lit: FlLit) -> Set[str]:
     return out
 
 
+def _positive_vars(body: Sequence[FlLit]) -> Set[str]:
+    """The variables of the positive literals of a rule body."""
+    out: Set[str] = set()
+    for lit in body:
+        if not isinstance(lit, (FlNaf, FlNeq, FlFormat)):
+            _literal_vars(lit, out)
+    return out
+
+
 def _is_ground(fact: FlLit) -> bool:
     """Whether a fact has no variables; constant parts skip the walk."""
     for part in _PARTS.get(type(fact), ()):
@@ -220,10 +229,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
             # lists with variables in rule heads would invent new terms
             raise EngineError("function-symbols-unsupported",
                               f"non-ground list in head: {print_literal(head)}")
-        pos_vars: Set[str] = set()
-        for lit in rule.body:
-            if not isinstance(lit, (FlNaf, FlNeq, FlFormat)):
-                _literal_vars(lit, pos_vars)
+        pos_vars = _positive_vars(rule.body)
         if not head_vars <= pos_vars:
             raise EngineError(
                 "non-range-restricted",
@@ -543,7 +549,8 @@ def _isa_step(obj, cls: FlClassExpr, slots, use_delta: bool):
     return _alt()
 
 
-def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool):
+def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
+                     needs: Set[str]):
     if isinstance(lit, FlIsA):
         return _isa_step(_arg(lit.obj, slots), lit.cls, slots, use_delta)
     if isinstance(lit, FlSubClass):
@@ -560,7 +567,7 @@ def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool):
     if isinstance(lit, FlNaf):
         return _not(_compile_conj(lit.inner, slots),
                     tuple((_arg(FlVariable(v), slots), v)
-                          for v in sorted(literal_vars(lit))))
+                          for v in sorted(needs)))
     if isinstance(lit, FlNeq):
         return _neq(_arg(lit.a, slots), _arg(lit.b, slots))
     if isinstance(lit, FlMember):
@@ -572,21 +579,27 @@ def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool):
 def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
                   delta_at: Optional[int] = None) -> tuple:
     """Join plan of a conjunction, left to right; a negation or disequality
-    whose variables are not all bound yet moves to the end.  The literal at
+    whose variables are not all bound yet moves to the end.  A variable that
+    occurs in no literal but one negation is local to it.  The literal at
     ``delta_at`` reads only the new facts of the round."""
     steps, pending = [], []
     bound: Set[str] = set()
     for i, lit in enumerate(literals):
         if isinstance(lit, FlFormat):
             continue
-        if isinstance(lit, (FlNaf, FlNeq)) and not literal_vars(lit) <= bound:
-            pending.append(lit)
+        needs = literal_vars(lit)
+        if isinstance(lit, FlNaf):
+            needs &= set().union(*map(literal_vars,
+                                      literals[:i] + literals[i + 1:]))
+        if isinstance(lit, (FlNaf, FlNeq)) and not needs <= bound:
+            pending.append((lit, needs))
             continue
-        steps.append(_compile_literal(lit, slots, i == delta_at))
+        steps.append(_compile_literal(lit, slots, i == delta_at, needs))
         if isinstance(lit, (FlSubClass, FlAttrValue, FlPred)) or (
                 isinstance(lit, FlIsA) and isinstance(lit.cls, Atom)):
-            bound |= literal_vars(lit)
-    steps.extend(_compile_literal(lit, slots, False) for lit in pending)
+            bound |= needs
+    steps.extend(_compile_literal(lit, slots, False, needs)
+                 for lit, needs in pending)
     return tuple(steps)
 
 
@@ -824,67 +837,85 @@ def _fmt(template: str, args) -> str:
     return "".join(h + f for h, f in zip(holes, filled + [""]))
 
 
-def _sorted_terms(pairs):
-    return sorted(pairs, key=lambda t: tuple(print_term(x) if isinstance(x, FlTerm)
-                                             else str(x) for x in t))
+# Library checkers run natively: ``cardinality_violation/4`` is defined
+# nowhere, an inverse-functional clash is one message per property and value
+# (not per pair of subjects), and ``check_all_constraints`` calls the others.
+NATIVE_CHECKERS = frozenset({
+    "check_cardinality_constraints", "check_inverseFunctional_constraints",
+    "check_all_constraints"})
+
+
+class _Checker:
+    """A ``check_*`` rule compiled once: the join plan of its body, the
+    slots of its positively bound variables in order of first occurrence,
+    and the template and arguments of its ``format`` literal."""
+
+    def __init__(self, rule: FlRule):
+        self.name = rule.head.name
+        formats = [lit for lit in rule.body if isinstance(lit, FlFormat)]
+        pos_vars = _positive_vars(rule.body)
+        if len(formats) != 1 or not literal_vars(formats[0]) <= pos_vars:
+            raise EngineError("unsupported-rule", f"{self.name} needs one "
+                              "format literal whose variables a positive "
+                              "body literal binds")
+        slots: Dict[str, int] = {}
+        self.plan = _compile_conj(rule.body, slots)
+        self.bound = sorted(_arg(FlVariable(v), slots) for v in pos_vars)
+        self.size = len(slots)
+        self.template = formats[0].message
+        self.args = tuple(_arg(a, slots) for a in formats[0].args)
+
+    def violations(self, store: FactStore) -> Iterable[ConstraintViolation]:
+        """One violation per distinct solution, in printed order."""
+        found = {tuple(env[s] for s in self.bound): list(env) for env in
+                 _solve(self.plan, [None] * self.size, store, None)}
+        for key in sorted(found, key=lambda t: tuple(map(print_term, t))):
+            yield ConstraintViolation(self.name, _fmt(
+                self.template, [_value(a, found[key]) for a in self.args]))
+
+
+# the rest of the library, solved from its text; the plans read no store
+_LIBRARY = tuple(_Checker(rule) for rule in CHECKER_RULES
+                 if rule.head.name not in NATIVE_CHECKERS)
+
+
+def _members(cls: FlClassExpr, store: FactStore) -> List[FlTerm]:
+    """The members of a class expression, sorted by printed form."""
+    if type(cls) is Atom:
+        found = [x for x, _ in store.relations[ISA].lookup((1,), cls.term)]
+    else:
+        step, env = _isa_step(0, cls, {}, False), [None]
+        found = {env[0] for _ in step(env, store, None)}
+    return sorted(found, key=print_term)
+
+
+def _is_member(x: FlTerm, cls: FlClassExpr, store: FactStore) -> bool:
+    if type(cls) is Atom:
+        return (x, cls.term) in store.isa
+    return any(True for _ in _isa_step(x, cls, {}, False)([], store, None))
 
 
 def run_constraint_checks(kb: KnowledgeBase,
                           check_min_cardinality: bool = False
                           ) -> List[ConstraintViolation]:
-    """The violations of the checker library, each named after its checker
-    and worded by the template of that checker's ``format`` literal."""
+    """The violations of the checker library, then those of the program's own
+    ``check_*`` rules in rule order, each named after its rule and worded by
+    its ``format`` template; all but ``NATIVE_CHECKERS`` run from the text."""
+    user = [_Checker(r) for r in kb.checker_rules if r not in CHECKER_RULES]
     store = kb.store
-    isa, attr = store.relations[ISA], store.relations[ATTR]
+    attr = store.relations[ATTR]
     out: List[ConstraintViolation] = []
-
-    def facts(name: str, arity: int) -> List[tuple]:
-        rel = store.relations.get((name, arity))
-        return _sorted_terms(rel.facts) if rel else []
-
-    def members(cls_term: FlTerm) -> List[FlTerm]:
-        return sorted((x for x, _ in isa.lookup((1,), cls_term)),
-                      key=print_term)
-
-    def values_of(x: FlTerm, p: FlTerm) -> Sequence[tuple]:
-        return attr.lookup((0, 1), (x, p))  # one tuple per distinct value
 
     def flag(checker: str, args, template: Optional[str] = None):
         out.append(ConstraintViolation(
             checker, _fmt(template or MESSAGES[checker], args)))
 
-    # disjointness
-    for c1, c2 in facts("disjoint_classes", 2):
-        for x in members(c1):
-            if (x, c2) in store.isa:
-                flag("check_disjoint_constraints", (c1, c2))
-    # enumerations
-    for cls_term, lst in facts("oneOf", 2):
-        if not isinstance(lst, FlList):
-            continue
-        allowed = set(lst.elements)
-        for x in members(cls_term):
-            if x not in allowed:
-                flag("check_oneOf_constraints", (x, cls_term))
-    # existential value requirements
-    for cls_term, p, filler in facts("someValuesFrom", 3):
-        for x in members(cls_term):
-            if not any((v, filler) in store.isa for _, _, v in values_of(x, p)):
-                flag("check_someValuesFrom_constraints",
-                     (x, cls_term, x, p, filler))
-    # required specific values
-    for cls_term, p, value in facts("hasValue", 3):
-        for x in members(cls_term):
-            if (x, p, value) not in store.attr:
-                flag("check_hasValue_constraints", (x, p, value))
+    for checker in _LIBRARY:
+        out.extend(checker.violations(store))
     # signatures: cardinality bounds, and range, which no printed rule has
     for sig in kb.signatures:
-        cls_term = _expr_term(sig.cls)
-        rng_term = _expr_term(sig.range)
-        if cls_term is None or rng_term is None:
-            continue
-        for x in members(cls_term):
-            vals = values_of(x, sig.prop)
+        for x in _members(sig.cls, store):
+            vals = attr.lookup((0, 1), (x, sig.prop))  # one per distinct value
             if sig.card is not None:
                 low, high = sig.card
                 n = len(vals)
@@ -892,14 +923,14 @@ def run_constraint_checks(kb: KnowledgeBase,
                         (check_min_cardinality and n < low):
                     flag("check_cardinality_constraints",
                          (x, sig.prop, n, low, "*" if high is None else high))
-            if rng_term != OBJECT:
-                for v in sorted((v for _, _, v in vals
-                                 if (v, rng_term) not in store.isa),
-                                key=print_term):
-                    flag("check_cardinality_constraints",
-                         (x, sig.prop, v, rng_term), RANGE_MSG)
+            for v in sorted((v for _, _, v in vals
+                             if not _is_member(v, sig.range, store)),
+                            key=print_term):
+                flag("check_cardinality_constraints",
+                     (x, sig.prop, v, print_class_expr(sig.range)), RANGE_MSG)
     # inverse functionality without a declared inverse
-    for (p,) in facts("inverseFunctional", 1):
+    for p in sorted({p for (p,) in store.relations.get(
+            ("inverseFunctional", 1), Relation()).facts}, key=print_term):
         by_value: Dict[FlTerm, List[FlTerm]] = {}
         for s, _, v in attr.lookup((1,), p):
             by_value.setdefault(v, []).append(s)
@@ -908,6 +939,8 @@ def run_constraint_checks(kb: KnowledgeBase,
             if len(subjects) > 1:
                 flag("check_inverseFunctional_constraints",
                      (p, subjects[0], subjects[1], v))
+    for checker in user:
+        out.extend(checker.violations(store))
     return out
 
 

@@ -38,23 +38,6 @@ class TranslationOptions:
     case_split_rhs_disjunction: bool = True
 
 
-# translatability verdicts
-DIRECT = "direct"
-REQUIRES_NAF_CASES = "requires-naf-cases"
-REQUIRES_LLOYD_TOPOR = "requires-lloyd-topor"
-UNTRANSLATABLE = "untranslatable"
-
-
-@dataclass(frozen=True)
-class Translatability:
-    kind: str
-    reason: str = ""
-
-    def __post_init__(self):
-        if self.kind == UNTRANSLATABLE and not self.reason:
-            raise ValueError("untranslatable verdicts need a reason")
-
-
 class _NoClassForm(TypeError):
     """A restriction or enumeration where only a class expression (a name,
     union, intersection or complement) has an F-logic form."""
@@ -173,8 +156,7 @@ def translate_class_axiom(ax: om.ClassAxiom, ctx: Optional[Context] = None
         elif _is_named(ax.sub) and isinstance(ax.super, om.Restriction):
             rules.extend(translate_restriction(ax.sub.iri, ax.super, ctx))
         else:
-            lowered, _, _ = lower_general_inclusion(ax.sub, ax.super, ctx)
-            rules.extend(lowered)
+            rules.extend(lower_general_inclusion(ax.sub, ax.super, ctx))
     elif isinstance(ax, om.EquivalentClass):
         if _is_named(ax.a) and _is_named(ax.b):
             a = ctx.cls_expr(ax.a)
@@ -193,8 +175,7 @@ def translate_class_axiom(ax: om.ClassAxiom, ctx: Optional[Context] = None
                 if _is_named(sub) and isinstance(sup, om.Restriction):
                     rules.extend(translate_restriction(sub.iri, sup, ctx))
                 else:
-                    lowered, _, _ = lower_general_inclusion(sub, sup, ctx)
-                    rules.extend(lowered)
+                    rules.extend(lower_general_inclusion(sub, sup, ctx))
     elif isinstance(ax, om.DisjointWith):
         # argument order mirrors the target syntax: object first, subject second
         rules.append(fact(FlPred("disjoint_classes",
@@ -387,56 +368,45 @@ def _contains_existential(expr: om.ClassExpression) -> bool:
 
 
 def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
-                            ctx: Optional[Context] = None
-                            ) -> Tuple[List[FlRule], Translatability,
-                                       List[Diagnostic]]:
-    """Lower an inclusion where at least one side is not a named class."""
+                            ctx: Optional[Context] = None) -> List[FlRule]:
+    """Lower an inclusion where at least one side is not a named class;
+    what has no rule form is reported on ``ctx``."""
     ctx = ctx or Context()
-    before = len(ctx.diagnostics)
     x, y = _var("X"), _var("Y")
-
-    def done(rules, verdict):
-        return rules, verdict, ctx.diagnostics[before:]
-
     # existentials in subsumer position have no rule form
     if isinstance(sub, om.Restriction) and isinstance(sub.kind, om.SomeValuesFrom):
         ctx.error("untranslatable-existential",
                   "existential restriction in a general inclusion has no "
                   "rule translation")
-        return done([], Translatability(
-            UNTRANSLATABLE, "existential restriction used as a subsumer"))
+        return []
     if _contains_existential(sup) and not _is_named(sub):
         ctx.error("untranslatable-existential",
                   "existential restriction in the subsuming set cannot be "
                   "translated")
-        return done([], Translatability(
-            UNTRANSLATABLE, "existential restriction used as a subsumer"))
+        return []
 
     # union on the left: one Horn rule per disjunct
     if isinstance(sub, om.UnionOf) and _is_named(sup):
         d = ctx.atom(sup.iri)
         if all(_is_named(op) for op in sub.operands):
-            rules = [FlRule(FlIsA(x, d), (FlIsA(x, ctx.atom(op.iri)),))
-                     for op in sub.operands]
-            return done(rules, Translatability(DIRECT))
+            return [FlRule(FlIsA(x, d), (FlIsA(x, ctx.atom(op.iri)),))
+                    for op in sub.operands]
     # intersection on the left: conjunctive body
     if isinstance(sub, om.IntersectionOf) and _is_named(sup) and \
             all(_is_named(op) for op in sub.operands):
         d = ctx.atom(sup.iri)
         body = tuple(FlIsA(x, ctx.atom(op.iri)) for op in sub.operands)
-        return done([FlRule(FlIsA(x, d), body)], Translatability(DIRECT))
+        return [FlRule(FlIsA(x, d), body)]
     # enumeration on the left: membership facts
     if isinstance(sub, om.OneOf) and _is_named(sup):
         d = ctx.atom(sup.iri)
-        rules = [fact(FlIsA(ctx.symbol(i), d)) for i in sub.individuals]
-        return done(rules, Translatability(DIRECT))
+        return [fact(FlIsA(ctx.symbol(i), d)) for i in sub.individuals]
     # complement on the left
     if isinstance(sub, om.ComplementOf) and _is_named(sub.operand) and \
             _is_named(sup):
         d = ctx.atom(sup.iri)
         c = ctx.atom(sub.operand.iri)
-        rule = FlRule(FlIsA(x, d), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),))))
-        return done([rule], Translatability(DIRECT))
+        return [FlRule(FlIsA(x, d), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),))))]
     # universal restriction on the left: Lloyd-Topor with an auxiliary
     if isinstance(sub, om.Restriction) and \
             isinstance(sub.kind, om.AllValuesFrom) and _is_named(sup):
@@ -444,13 +414,12 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
         p = ctx.symbol(sub.property)
         d = ctx.atom(sup.iri)
         aux = ctx.fresh_aux()
-        rules = [
+        return [
             FlRule(FlPred(aux.name, (x,), quoted=True),
                    (FlAttrValue(x, p, y), FlNaf((FlIsA(y, f),)))),
             FlRule(FlIsA(x, d),
                    (FlIsA(x, OBJ), FlNaf((FlPred(aux.name, (x,), quoted=True),)))),
         ]
-        return done(rules, Translatability(REQUIRES_LLOYD_TOPOR))
     # union on the right: reasoning by cases
     if isinstance(sup, om.UnionOf) and _is_named(sub) and \
             all(_is_named(op) for op in sup.operands):
@@ -458,9 +427,7 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
             ctx.error("untranslatable-disjunction",
                       "disjunction in the subsuming set; case splitting is "
                       "disabled")
-            return done([], Translatability(
-                UNTRANSLATABLE, "right-hand-side disjunction with case "
-                "splitting disabled"))
+            return []
         d = ctx.atom(sub.iri)
         atoms = [ctx.atom(op.iri) for op in sup.operands]
         rules = []
@@ -471,18 +438,17 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
         ctx.warn("case-split-weakening",
                  "right-hand-side disjunction lowered to reasoning by cases; "
                  "the case rules change the semantics")
-        return done(rules, Translatability(REQUIRES_NAF_CASES))
+        return rules
     # intersection on the right: the head conjunction splits
     if isinstance(sup, om.IntersectionOf) and _is_named(sub) and \
             all(_is_named(op) for op in sup.operands):
         d = ctx.atom(sub.iri)
-        rules = [FlRule(FlIsA(x, ctx.atom(op.iri)), (FlIsA(x, d),))
-                 for op in sup.operands]
-        return done(rules, Translatability(DIRECT))
+        return [FlRule(FlIsA(x, ctx.atom(op.iri)), (FlIsA(x, d),))
+                for op in sup.operands]
 
     ctx.error("untranslatable-construct",
               f"no lowering for the inclusion {sub!r} <= {sup!r}")
-    return done([], Translatability(UNTRANSLATABLE, "unsupported inclusion shape"))
+    return []
 
 
 # --- whole documents ---------------------------------------------------------

@@ -25,7 +25,7 @@ from owlfl.flogic import (
 from owlfl.fl_to_owl import translate_program
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import (
-    TranslationOptions, lower_general_inclusion, translate_ontology,
+    Context, TranslationOptions, lower_general_inclusion, translate_ontology,
 )
 
 from _table1 import ROWS, normalized_set, wrap
@@ -255,18 +255,19 @@ def test_07_lowering_behaviors():
             return om.Named(om.Iri(BASE + n))
 
         # (a) union on the left: exactly two Horn rules
-        rules, _, diags = lower_general_inclusion(
-            om.UnionOf((named("C1"), named("C2"))), named("D"))
+        ctx = Context()
+        rules = lower_general_inclusion(
+            om.UnionOf((named("C1"), named("C2"))), named("D"), ctx)
         assert [print_rule(r) for r in rules] == [
             "?X:D :- ?X:C1.",
             "?X:D :- ?X:C2.",
         ]
-        assert not any(d.severity == "error" for d in diags)
+        assert not any(d.severity == "error" for d in ctx.diagnostics)
 
         # (b) union on the right: the two NAF case rules; saturating with
         # one case rule and an individual whose other-disjunct membership
         # is underivable yields the remaining disjunct
-        cases, _, _ = lower_general_inclusion(
+        cases = lower_general_inclusion(
             named("D"), om.UnionOf((named("C1"), named("C2"))))
         assert sorted(print_rule(r) for r in cases) == [
             "?X:C1 :- ?X:D, \\naf ?X:C2.",
@@ -281,7 +282,7 @@ def test_07_lowering_behaviors():
 
         # (c) allValuesFrom on the left: Lloyd-Topor pair classifies a
         # 4-individual example identically to a truth-table oracle
-        lt, _, _ = lower_general_inclusion(
+        lt = lower_general_inclusion(
             om.Restriction(om.Iri(BASE + "p"),
                            om.AllValuesFrom(named("F"))), named("D"))
         facts_text = ("a[p -> f1].\nf1:F.\n"
@@ -301,12 +302,14 @@ def test_07_lowering_behaviors():
         assert got == oracle == {"a", "c", "f1", "g"}
 
         # (d) existential subsumer: hard error, zero rules
-        rules, _, diags = lower_general_inclusion(
+        ctx = Context()
+        rules = lower_general_inclusion(
             om.Restriction(om.Iri(BASE + "p"),
-                           om.SomeValuesFrom(named("F"))), named("D"))
+                           om.SomeValuesFrom(named("F"))), named("D"), ctx)
         assert rules == []
         assert any(d.severity == "error" and
-                   d.code == "untranslatable-existential" for d in diags)
+                   d.code == "untranslatable-existential"
+                   for d in ctx.diagnostics)
 
 
 # --- 8: engine oracle equivalence --------------------------------------------

@@ -237,6 +237,59 @@ def test_check_non_stratified_exits_2(tmp_path, capsys):
     assert "non-stratified-program" in capsys.readouterr().err
 
 
+USER_RULE = "format('bad ~w', [?X])@_prolog(format)."
+CARD_MSG = ("[OWL2FLORA] cardinality constraint violation: KB is "
+            "inconsistent with the constraints: ")
+
+
+@pytest.mark.parametrize("text, out", [
+    ("a:c.\ncheck_mine :- ?X:c, " + USER_RULE + "\n", "bad a\n"),
+    ("oneOf(c, a).\nb:c.\n",
+     "[OWL2FLORA] oneOf constraint: extraneous class member b : c\n"),
+    ("c[p{0:1} *=> (a ; b)].\nx:c.\nx[p -> y1].\nx[p -> y2].\n"
+     "y1:a.\ny2:a.\n",
+     CARD_MSG + "x.p has 2 distinct values, allowed {0:1}\n"),
+    ("(c ; d)[p *=> (a - b)].\nx:d.\nx[p -> y1].\nx[p -> y2].\n"
+     "y1:a.\ny2:a.\ny2:b.\n",
+     "[OWL2FLORA] signature range violation: x.p value y2 is not in class "
+     "(a - b)\n"),
+    # the library first, then each solution of a user rule once
+    ("disjoint_classes(c, d).\na:c.\na:d.\n"
+     "check_mine :- ?X:(c ; d), " + USER_RULE + "\n",
+     "[OWL2FLORA] disjointWith constraint violation: c disjoint with d\n"
+     "bad a\n"),
+    # solutions sorted by their variables in order of first occurrence
+    ("b[p -> a].\na[p -> c].\na[p -> b].\n"
+     "check_pairs :- ?X[?P -> ?Y], "
+     "format(2, '~w ~w', [?Y, ?X])@_prolog(format).\n",
+     "b a\nc a\na b\n"),
+    # ?V occurs only under the negation, so it is local to it
+    ("a:c.\nb:c.\nb[p -> d].\n"
+     "check_mine :- ?X:c, \\naf ?X[p -> ?V], " + USER_RULE + "\n",
+     "bad a\n"),
+], ids=["user-rule", "oneOf-not-a-list", "compound-range-cardinality",
+        "compound-signature-range", "user-after-library", "solution-order",
+        "naf-local-variable"])
+def test_check_runs_what_the_program_says(text, out, tmp_path, capsys):
+    kb = tmp_path / "kb.flr"
+    kb.write_text(text)
+    assert main(["check", str(kb)]) == 1
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("rule", [
+    "check_mine :- ?X:c.",
+    "check_mine :- ?X:c, \\naf ?Y:d, format('~w', [?Y])@_prolog(format).",
+], ids=["no-format", "unbound-format-variable"])
+def test_check_unsupported_user_rule_exits_2(rule, tmp_path, capsys):
+    kb = tmp_path / "kb.flr"
+    kb.write_text("a:c.\n" + rule + "\n")
+    assert main(["check", str(kb)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unsupported-rule: check_mine needs one format literal whose "
+        "variables a positive body literal binds\n")
+
+
 def test_check_syntax_error_exits_2(tmp_path, capsys):
     kb = tmp_path / "bad.flr"
     kb.write_text("this is :::: not flora\n")

@@ -8,8 +8,7 @@ from owlfl.flogic import (
 )
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import (
-    Context, DIRECT, REQUIRES_LLOYD_TOPOR, REQUIRES_NAF_CASES,
-    TranslationOptions, UNTRANSLATABLE, lower_general_inclusion,
+    Context, TranslationOptions, lower_general_inclusion,
     translate_class_axiom, translate_ontology, translate_property_axiom,
     translate_restriction,
 )
@@ -139,9 +138,10 @@ def test_string_assertion_prints_quoted():
 
 
 def test_union_on_left_is_two_horn_rules():
-    rules, verdict, diags = lower_general_inclusion(
-        om.UnionOf((named("C1"), named("C2"))), named("D"))
-    assert verdict.kind == DIRECT and not diags
+    ctx = Context()
+    rules = lower_general_inclusion(
+        om.UnionOf((named("C1"), named("C2"))), named("D"), ctx)
+    assert not ctx.diagnostics
     assert [print_rule(r) for r in rules] == [
         "?X:D :- ?X:C1.",
         "?X:D :- ?X:C2.",
@@ -149,28 +149,28 @@ def test_union_on_left_is_two_horn_rules():
 
 
 def test_union_on_right_is_case_split():
-    rules, verdict, diags = lower_general_inclusion(
-        named("D"), om.UnionOf((named("C1"), named("C2"))))
-    assert verdict.kind == REQUIRES_NAF_CASES
+    ctx = Context()
+    rules = lower_general_inclusion(
+        named("D"), om.UnionOf((named("C1"), named("C2"))), ctx)
     assert [print_rule(r) for r in rules] == [
         "?X:C1 :- ?X:D, \\naf ?X:C2.",
         "?X:C2 :- ?X:D, \\naf ?X:C1.",
     ]
-    assert any(d.code == "case-split-weakening" for d in diags)
+    assert any(d.code == "case-split-weakening" for d in ctx.diagnostics)
 
 
 def test_union_on_right_rejected_without_case_split():
     ctx = Context(opts=TranslationOptions(case_split_rhs_disjunction=False))
-    rules, verdict, diags = lower_general_inclusion(
+    rules = lower_general_inclusion(
         named("D"), om.UnionOf((named("C1"), named("C2"))), ctx)
-    assert verdict.kind == UNTRANSLATABLE and not rules
-    assert any(d.code == "untranslatable-disjunction" for d in diags)
+    assert not rules
+    assert any(d.code == "untranslatable-disjunction"
+               for d in ctx.diagnostics)
 
 
 def test_intersection_on_right_splits():
-    rules, verdict, _ = lower_general_inclusion(
+    rules = lower_general_inclusion(
         named("D"), om.IntersectionOf((named("C1"), named("C2"))))
-    assert verdict.kind == DIRECT
     assert [print_rule(r) for r in rules] == [
         "?X:C1 :- ?X:D.",
         "?X:C2 :- ?X:D.",
@@ -179,8 +179,7 @@ def test_intersection_on_right_splits():
 
 def test_all_values_from_on_left_lloyd_topor():
     sub = om.Restriction(iri("p"), om.AllValuesFrom(named("F")))
-    rules, verdict, _ = lower_general_inclusion(sub, named("D"))
-    assert verdict.kind == REQUIRES_LLOYD_TOPOR
+    rules = lower_general_inclusion(sub, named("D"))
     assert len(rules) == 2
     aux = rules[0].head
     assert isinstance(aux, FlPred) and aux.name.startswith("_lt_aux")
@@ -191,10 +190,11 @@ def test_all_values_from_on_left_lloyd_topor():
 
 def test_existential_subsumer_is_untranslatable():
     sub = om.Restriction(iri("p"), om.SomeValuesFrom(named("F")))
-    rules, verdict, diags = lower_general_inclusion(sub, named("D"))
-    assert verdict.kind == UNTRANSLATABLE and rules == []
+    ctx = Context()
+    rules = lower_general_inclusion(sub, named("D"), ctx)
+    assert rules == []
     assert any(d.code == "untranslatable-existential" and
-               d.severity == "error" for d in diags)
+               d.severity == "error" for d in ctx.diagnostics)
 
 
 # --- checker library ---------------------------------------------------------
