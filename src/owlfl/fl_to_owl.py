@@ -43,16 +43,17 @@ class _Namer:
         self.prefixes = prefixes
 
     def iri(self, sym: FlSymbol) -> om.Iri:
-        if sym.iri:
-            return om.Iri(sym.iri)
+        """Inverse of ``owl_to_fl.Context._new_symbol``: a declared ``pfx:L``
+        is ``ns#L``; a quoted absolute name, or one with ``://``, is itself;
+        any other name is ``base#name``."""
         name = sym.name
-        if _is_full_iri(name):
-            return om.Iri(name)
-        if ":" in name:
-            pfx, local = name.split(":", 1)
+        pfx, colon, local = name.partition(":")
+        if colon:  # a prefixed name or an IRI
             ns = self.prefixes.get(pfx)
             if ns:
                 return om.Iri(ns.rstrip("#") + "#" + local)
+            if (sym.quoted or "://" in name) and om.is_absolute(name):
+                return om.Iri(name)
         return om.Iri(self.base + "#" + name)
 
     def value(self, t: FlTerm) -> Union[om.Iri, om.OwlLiteral]:
@@ -60,9 +61,7 @@ class _Namer:
         if isinstance(t, FlLiteralTerm):
             return om.OwlLiteral(t.value, t.type_tag)
         if isinstance(t, FlSymbol):
-            if t.iri:
-                return om.Iri(t.iri)
-            if t.quoted and not _is_full_iri(t.name):
+            if t.quoted and not ("://" in t.name and om.is_absolute(t.name)):
                 return om.OwlLiteral(t.name, "_string")
             return self.iri(t)
         raise TypeError(f"cannot map {t!r} to an OWL value")
@@ -82,11 +81,6 @@ class _Namer:
         if isinstance(e, kind):
             return self._flatten(e.a, kind) + self._flatten(e.b, kind)
         return [self.cls(e)]
-
-
-def _is_full_iri(name: str) -> bool:
-    """A symbol that spells out its own IRI, as a quoted ``'scheme://…'``."""
-    return "://" in name and om.is_absolute(name)
 
 
 def _is_object_atom(e: FlClassExpr) -> bool:

@@ -30,19 +30,18 @@ _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(:[A-Za-z_][A-Za-z0-9_]*)?$")
 
 class FlSymbol(str, FlTerm):
     """A constant: the ``str`` of its name, so joins hash and compare it in
-    C.  ``quoted`` and ``iri`` (presentation, provenance) are left out of
-    equality, so a printed-then-reparsed symbol equals the original."""
+    C.  ``quoted`` (presentation) is left out of equality, so a
+    printed-then-reparsed symbol equals the original."""
 
-    def __new__(cls, name: str, quoted=False, iri=None):
+    def __new__(cls, name: str, quoted=False):
         if not name:
             raise ValueError("empty symbol name")
         self = str.__new__(cls, name)
-        self.name, self.quoted, self.iri = name, quoted, iri
+        self.name, self.quoted = name, quoted
         return self
 
     def __repr__(self):
-        return (f"FlSymbol(name={self.name!r}, quoted={self.quoted!r}, "
-                f"iri={self.iri!r})")
+        return f"FlSymbol(name={self.name!r}, quoted={self.quoted!r})"
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ class Iri:
 
     @property
     def local_name(self) -> str:
-        if "#" in self.value:
-            return self.value.rsplit("#", 1)[1]
-        return self.value.rstrip("/").rsplit("/", 1)[-1]
+        """What follows the last ``#`` or ``/``, empty after a trailing one."""
+        v = self.value
+        return v[max(v.rfind("#"), v.rfind("/")) + 1:]
 
     def __str__(self):
         return self.value

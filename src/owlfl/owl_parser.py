@@ -13,7 +13,6 @@ RDF triple serializations.
 from __future__ import annotations
 
 import io
-import re
 import xml.etree.ElementTree as ET
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -36,42 +35,11 @@ XML_NS = "http://www.w3.org/XML/1998/namespace"
 
 DEFAULT_BASE = "http://example.org/ontology"
 
-_ABSOLUTE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
-
-
-class IriError(Exception):
-    """Raised by expand_iri; carries the diagnostic it maps to."""
-
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
-
 
 def _join(base: str, local: str) -> str:
     if base.endswith(("#", "/")):
         return base + local
     return base + "#" + local
-
-
-def expand_iri(name: str, prefixes: Dict[str, str]) -> Iri:
-    """Expand ``prefix#local`` / ``prefix:local`` against a prefix map.
-
-    Absolute IRIs pass through unchanged; a bare name resolves against the
-    default ("") prefix.
-    """
-    if _ABSOLUTE_RE.match(name):
-        return Iri(name)
-    if "#" in name:
-        pfx, local = name.split("#", 1)
-    elif ":" in name:
-        pfx, local = name.split(":", 1)
-    else:
-        pfx, local = "", name
-    if pfx not in prefixes:
-        raise IriError(
-            Diagnostic(ERROR, "unresolved-prefix", f"unknown prefix {pfx!r} in {name!r}")
-        )
-    return Iri(_join(prefixes[pfx], local))
 
 
 # Fixed XML-type mapping table.
@@ -209,15 +177,17 @@ class _DocParser:
         return iri
 
     def _resolve(self, value: str) -> Iri:
+        """A declared ``pfx:local``, else an absolute IRI (RFC 3986: any
+        ``scheme:``) not written ``#…``, else relative to the base."""
         value = value.strip()
-        if _ABSOLUTE_RE.match(value):
-            return Iri(value)
-        if value.startswith("#"):
+        fragment = value.startswith("#")
+        if fragment:
             value = value[1:]
-        if ":" in value:
-            pfx, local = value.split(":", 1)
-            if pfx in self.prefixes:
-                return Iri(_join(self.prefixes[pfx], local))
+        pfx, colon, local = value.partition(":")
+        if colon and pfx in self.prefixes:
+            return Iri(_join(self.prefixes[pfx], local))
+        if not fragment and is_absolute(value):
+            return Iri(value)
         return Iri(_join(self.base, value))
 
     def resource(self, el: ET.Element) -> Optional[Iri]:
@@ -232,8 +202,7 @@ class _DocParser:
         if iri is None:
             if name.startswith("{"):
                 ns, local = name[1:].split("}", 1)
-                iri = Iri(ns + local if ns.endswith(("#", "/"))
-                          else _join(ns, local))
+                iri = Iri(_join(ns, local))
             else:
                 iri = self.resolve(name)
             self._named[name] = iri

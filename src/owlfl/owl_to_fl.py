@@ -57,6 +57,10 @@ class Context:
         self.consumed_range_axioms: set = set()
         self.symbols: Dict[str, FlSymbol] = {}  # IRI -> its one symbol
         self.atoms: Dict[str, Atom] = {}        # IRI -> its one class atom
+        # (prefix, namespace) pairs that shorten a name, the base ("") first;
+        # without a document, an IRI's own namespace is its base
+        self.namespaces = None if doc is None else sorted(
+            (pfx, ns + "#") for pfx, ns in doc.prefixes.items())
         # per property, its first Range and its first declared inverse, in
         # document order
         self.ranges: Dict[om.Iri, om.Range] = {}
@@ -84,21 +88,16 @@ class Context:
         return a
 
     def _new_symbol(self, value: str) -> FlSymbol:
-        if value.endswith("#"):  # no local name: keep the whole IRI
-            return FlSymbol(value, quoted=True, iri=value)
-        if self.doc is not None:
-            base = self.doc.base
-            if base and value.startswith(base + "#"):
-                return FlSymbol(value[len(base) + 1:], iri=value)
-            for pfx in sorted(self.doc.prefixes):
-                if not pfx:
-                    continue
-                ns = self.doc.prefixes[pfx]
-                if value.startswith(ns + "#"):
-                    return FlSymbol(f"{pfx}:{value[len(ns) + 1:]}", iri=value)
-        if "#" in value:
-            return FlSymbol(value.rsplit("#", 1)[1], iri=value)
-        return FlSymbol(value, quoted=True, iri=value)
+        """``L`` for ``base#L`` and ``pfx:L`` for ``ns#L`` (``L`` non-empty,
+        no colon), else the quoted IRI; inverse of ``fl_to_owl._Namer.iri``."""
+        namespaces = self.namespaces if self.doc is not None \
+            else [("", value.rpartition("#")[0] + "#")]
+        for pfx, ns in namespaces:
+            if value.startswith(ns):
+                local = value[len(ns):]
+                if local and ":" not in local:
+                    return FlSymbol(f"{pfx}:{local}" if pfx else local)
+        return FlSymbol(value, quoted=True)
 
     def term(self, value: Union[om.Iri, om.OwlLiteral]) -> FlTerm:
         if isinstance(value, om.Iri):
@@ -244,10 +243,15 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
     k = r.kind
     if isinstance(k, om.AllValuesFrom):
         f = ctx.cls_expr(k.filler)
-        return [
-            fact(FlSignature(c, p, f, via=OBJ)),
-            FlRule(FlIsA(y, f), (FlIsA(x, c), FlAttrValue(x, p, y))),
-        ]
+        signature = fact(FlSignature(c, p, f, via=OBJ))
+        if isinstance(f, Atom):
+            return [signature,
+                    FlRule(FlIsA(y, f), (FlIsA(x, c), FlAttrValue(x, p, y)))]
+        # a rule cannot derive membership of a compound class
+        ctx.warn("complex-operand",
+                 "compound allValuesFrom filler: the signature is a "
+                 "constraint only, with no inference rule")
+        return [signature]
     if isinstance(k, om.SomeValuesFrom):
         f = ctx.cls_expr(k.filler)
         if not isinstance(f, Atom):

@@ -9,8 +9,10 @@ nodes out with their indentation.
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from dataclasses import fields
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, count
 from typing import List, Optional
 from xml.sax.saxutils import escape, quoteattr
 
@@ -51,6 +53,18 @@ _TAG_TO_XSD = {
 
 _COLLECTION = ' rdf:parseType="Collection"'
 
+# document prefixes the header does not declare ("" is the base)
+_RESERVED = ("", "rdf", "rdfs", "owl", "xml", "xsd")
+
+
+@lru_cache(maxsize=4096)
+def _is_element_name(local: str) -> bool:
+    """Whether the XML reader takes ``<local/>`` as an element so named."""
+    try:
+        return ET.fromstring(f"<{local}/>").tag == local
+    except ET.ParseError:
+        return False
+
 
 def _render(node, depth: int, lines: List[str]):
     tag, attrs, body = node
@@ -70,11 +84,21 @@ class _Writer:
     def __init__(self, doc: OntologyDocument):
         self.doc = doc
         self.base = doc.base or DEFAULT_BASE
+        # the prefix a property tag uses for each namespace: the base's
+        # is "", a document prefix (the first of two) or a new ``nsN``
+        self.prefix_of = {ns + "#": pfx
+                          for pfx, ns in reversed(doc.prefixes.items())
+                          if pfx not in _RESERVED}
+        self.prefix_of.update({**_PREFIX, self.base + "#": ""})
+        self.new_namespaces: List[str] = []
+        self.fresh = (pfx for pfx in map("ns{}".format, count(1))
+                      if pfx not in doc.prefixes)
 
     def ref(self, iri: Iri) -> str:
-        """Shortest reference form usable in rdf:resource/about."""
-        if iri.value.startswith(self.base + "#"):
-            return "#" + iri.value[len(self.base) + 1:]
+        """``#L`` for ``base#L`` (no ``:`` in ``L``), else the whole IRI."""
+        local = iri.value[len(self.base) + 1:]
+        if iri.value.startswith(self.base + "#") and ":" not in local:
+            return "#" + local
         return iri.value
 
     # -- element builders
@@ -184,15 +208,26 @@ class _Writer:
         raise TypeError(f"cannot serialize {ax!r}")
 
     def prop_tag(self, prop: Iri) -> str:
-        if prop.value.startswith(self.base + "#"):
-            return prop.value[len(self.base) + 1:]
-        for pfx, ns in self.doc.prefixes.items():
-            if pfx and prop.value.startswith(ns + "#"):
-                return f"{pfx}:{prop.value[len(ns) + 1:]}"
-        # fall back to a local name in the base namespace
-        return prop.local_name
+        """Its element name: the local name, after its namespace's prefix (a
+        new ``nsN`` where none is declared) unless that is the base."""
+        local = prop.local_name
+        ns = prop.value[:len(prop.value) - len(local)]
+        if not _is_element_name(local):
+            raise TypeError(
+                f"property {prop.value!r} has no RDF/XML element name")
+        if ns not in self.prefix_of:
+            self.prefix_of[ns] = next(self.fresh)
+            self.new_namespaces.append(ns)
+        pfx = self.prefix_of[ns]
+        return f"{pfx}:{local}" if pfx else local
 
     def run(self) -> str:
+        body: List[str] = []
+        for node in chain(map(self.class_axiom, self.doc.class_axioms),
+                          map(self.property_axiom, self.doc.property_axioms),
+                          map(self.assertion, self.doc.assertions)):
+            if node is not None:
+                _render(node, 1, body)
         ns_attrs = [
             f'xmlns:rdf="{RDF}"',
             f'xmlns:rdfs="{RDFS}"',
@@ -200,18 +235,14 @@ class _Writer:
             f'xmlns="{self.base}#"',
         ]
         for pfx in sorted(self.doc.prefixes):
-            if pfx and pfx not in ("rdf", "rdfs", "owl", "xml", "xsd"):
+            if pfx not in _RESERVED:
                 ns_attrs.append(f'xmlns:{pfx}="{self.doc.prefixes[pfx]}#"')
-        lines = ['<?xml version="1.0"?>',
-                 "<rdf:RDF " + "\n         ".join(ns_attrs) +
-                 f'\n         xml:base="{self.base}">']
-        for node in chain(map(self.class_axiom, self.doc.class_axioms),
-                          map(self.property_axiom, self.doc.property_axioms),
-                          map(self.assertion, self.doc.assertions)):
-            if node is not None:
-                _render(node, 1, lines)
-        lines.append("</rdf:RDF>")
-        return "\n".join(lines) + "\n"
+        ns_attrs += [f"xmlns:{self.prefix_of[ns]}={quoteattr(ns)}"
+                     for ns in self.new_namespaces]
+        head = ['<?xml version="1.0"?>',
+                "<rdf:RDF " + "\n         ".join(ns_attrs) +
+                f'\n         xml:base="{self.base}">']
+        return "\n".join(head + body + ["</rdf:RDF>", ""])
 
 
 def serialize_document(doc: OntologyDocument) -> str:

@@ -127,6 +127,19 @@ def test_translate_flora_error_writes_no_output(dst, text, err, tmp_path,
     assert not out.exists()
 
 
+def test_translate_property_without_an_element_name_exits_2(tmp_path,
+                                                            capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text("x['a b' -> y].\n")
+    out = tmp_path / "out.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unrepresentable-in-owl: property "
+        "'http://example.org/ontology#a b' has no RDF/XML element name\n")
+    assert not out.exists()
+
+
 def test_translate_existential_subsumer_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.owl"
     src.write_text(OWL_DOC.replace(
@@ -288,6 +301,73 @@ def test_check_unsupported_user_rule_exits_2(rule, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: unsupported-rule: check_mine needs one format literal whose "
         "variables a positive body literal binds\n")
+
+
+COLOURS = OWL_DOC.replace("</rdf:RDF>", """\
+  <owl:Class rdf:about="#Red"><owl:disjointWith rdf:resource="#White"/>
+  </owl:Class>
+  <owl:Thing rdf:about="#x">
+    <rdf:type rdf:resource="http://example.org/colour#Red"/>
+    <rdf:type rdf:resource="#White"/>
+  </owl:Thing>
+</rdf:RDF>""")
+
+
+def test_same_local_name_in_two_namespaces_is_two_names(tmp_path, capsys):
+    src = tmp_path / "kb.owl"
+    src.write_text(COLOURS)
+    assert main(["check", str(src)]) == 0
+    assert capsys.readouterr().out == ""
+    for name, answer in (("Red", "false"),
+                         ("'http://example.org/colour#Red'", "true")):
+        assert main(["query", str(src), "is", "x", name]) == 0
+        assert capsys.readouterr().out == answer + "\n"
+    mid, back = tmp_path / "mid.flr", tmp_path / "back.owl"
+    assert main(["translate", "--from", "owl", "--to", "flora", str(src),
+                 "-o", str(mid)]) == 0
+    assert main(["translate", "--from", "flora", "--to", "owl", str(mid),
+                 "-o", str(back)]) == 0
+    assert '<rdf:type rdf:resource="http://example.org/colour#Red"/>' in \
+        back.read_text()
+
+
+AVF_FILLERS = {
+    "union": ('<owl:Class><owl:unionOf rdf:parseType="Collection">'
+              '<owl:Class rdf:about="#A"/><owl:Class rdf:about="#B"/>'
+              "</owl:unionOf></owl:Class>", ["d"], "(A ; B)"),
+    "intersection": ('<owl:Class><owl:intersectionOf rdf:parseType='
+                     '"Collection"><owl:Class rdf:about="#A"/>'
+                     '<owl:Class rdf:about="#B"/></owl:intersectionOf>'
+                     "</owl:Class>", ["a", "d"], "(A , B)"),
+    "complement": ('<owl:Class><owl:complementOf rdf:resource="#A"/>'
+                   "</owl:Class>", ["a"], "(_object - A)"),
+}
+
+
+@pytest.mark.parametrize("filler", list(AVF_FILLERS))
+def test_compound_allvaluesfrom_filler_is_a_constraint(filler, tmp_path,
+                                                       capsys):
+    xml, outside, printed = AVF_FILLERS[filler]
+    src = tmp_path / "kb.owl"
+    src.write_text(OWL_DOC.replace("</rdf:RDF>", f"""\
+  <owl:Class rdf:about="#C"><rdfs:subClassOf><owl:Restriction>
+    <owl:onProperty rdf:resource="#p"/>
+    <owl:allValuesFrom>{xml}</owl:allValuesFrom>
+  </owl:Restriction></rdfs:subClassOf></owl:Class>
+  <C rdf:about="#c"><p rdf:resource="#a"/><p rdf:resource="#d"/></C>
+  <A rdf:about="#a"/>
+</rdf:RDF>"""))
+    warning = ("warning: complex-operand: compound allValuesFrom filler: the "
+               "signature is a constraint only, with no inference rule\n")
+    assert main(["check", str(src)]) == (1 if outside else 0)
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out == "".join(
+        f"[OWL2FLORA] signature range violation: c.p value {v} is not in "
+        f"class {printed}\n" for v in outside)
+    # no rule derives membership of the filler, so d stays outside A
+    assert main(["query", str(src), "instances", "A"]) == 0
+    assert capsys.readouterr().out == "a\n"
 
 
 def test_check_syntax_error_exits_2(tmp_path, capsys):

@@ -119,10 +119,10 @@ def test_printer_determinism():
 
 def test_symbol_identity():
     a = sym("a")
-    a2 = sym("a", quoted=True, iri="http://example.org/o#a")
-    # equality and hash are by name; quoted and iri are presentation only
+    a2 = sym("a", quoted=True)
+    # equality and hash are by name; quoted is presentation only
     assert a == a2 and hash(a) == hash(a2) and len({a, a2}) == 1
-    assert (a2.name, a2.quoted, a2.iri) == ("a", True, "http://example.org/o#a")
+    assert (a2.name, a2.quoted) == ("a", True)
     assert a != sym("b")
     # no other kind of term equals a symbol of the same text
     for other in (FlVariable("a"), FlLiteralTerm("a"), FlLiteralTerm("a", "_integer")):
@@ -130,11 +130,9 @@ def test_symbol_identity():
         assert len({a, other}) == 2
     as_list = FlList((sym("a"),))
     assert sym("[a]") != as_list and as_list != sym("[a]")
-    assert repr(a) == "FlSymbol(name='a', quoted=False, iri=None)"
-    assert repr(a2) == \
-        "FlSymbol(name='a', quoted=True, iri='http://example.org/o#a')"
-    assert repr(atom("C")) == \
-        "Atom(term=FlSymbol(name='C', quoted=False, iri=None))"
+    assert repr(a) == "FlSymbol(name='a', quoted=False)"
+    assert repr(a2) == "FlSymbol(name='a', quoted=True)"
+    assert repr(atom("C")) == "Atom(term=FlSymbol(name='C', quoted=False))"
     assert [print_term(t) for t in (
         a, a2, sym("food:Wine"), sym("1a"), sym("it's"), sym("a b"),
         sym("http://example.org/o#a"))] == [

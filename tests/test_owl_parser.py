@@ -1,9 +1,10 @@
 import pytest
 
 from owlfl import owl_model as om
-from owlfl.owl_parser import (
-    IriError, expand_iri, map_xml_type, parse_document,
-)
+from owlfl.fl_to_owl import translate_program
+from owlfl.flogic import parse_program, print_program
+from owlfl.owl_parser import map_xml_type, parse_document
+from owlfl.owl_to_fl import TranslationOptions, translate_ontology
 from owlfl.owl_writer import serialize_document
 
 HEADER = (
@@ -26,28 +27,7 @@ def iri(local: str) -> om.Iri:
     return om.Iri("http://example.org/wine#" + local)
 
 
-# --- expand_iri / map_xml_type -----------------------------------------------
-
-
-def test_expand_iri_absolute_passthrough():
-    assert expand_iri("http://a.org/x#Y", {}).value == "http://a.org/x#Y"
-
-
-def test_expand_iri_prefixed():
-    p = {"food": "http://example.org/food"}
-    assert expand_iri("food:PotableLiquid", p).value == \
-        "http://example.org/food#PotableLiquid"
-
-
-def test_expand_iri_bare_uses_default():
-    p = {"": "http://example.org/wine"}
-    assert expand_iri("Wine", p).value == "http://example.org/wine#Wine"
-
-
-def test_expand_iri_unknown_prefix():
-    with pytest.raises(IriError) as e:
-        expand_iri("nope:Thing", {})
-    assert e.value.diagnostic.code == "unresolved-prefix"
+# --- map_xml_type ------------------------------------------------------------
 
 
 def test_map_xml_type_table():
@@ -256,7 +236,7 @@ SPELLINGS = [
     (" x ", "http://example.org/wine#x"),
     ("food:x", "http://example.org/food#x"),
     ("#food:x", "http://example.org/food#x"),
-    ("zz:x", "http://example.org/wine#zz:x"),
+    ("zz:x", "zz:x"),
 ]
 
 
@@ -302,6 +282,33 @@ def test_same_reference_under_another_base_is_another_iri():
         objects.append([a.object.value for a in doc.assertions])
     assert objects == [["http://example.org/wine#x"],
                        ["http://example.org/beer#x"]]
+
+
+def test_urn_and_mailto_references_round_trip():
+    # any scheme: is absolute (RFC 3986), not only scheme://
+    body = ('<owl:Class rdf:about="#Book">'
+            '<rdfs:subClassOf rdf:resource="urn:isbn:123"/></owl:Class>'
+            '<owl:Thing rdf:about="mailto:ann@example.org">'
+            '<rdf:type rdf:resource="urn:x-shelf:Reader"/></owl:Thing>')
+    doc, diags = doc_of(body)
+    assert diags == []
+    assert doc.class_axioms == [om.SubClassOf(
+        om.Named(iri("Book")), om.Named(om.Iri("urn:isbn:123")))]
+    assert doc.assertions == [om.ClassAssertion(
+        om.Iri("mailto:ann@example.org"), om.Iri("urn:x-shelf:Reader"))]
+    again, diags = parse_document(serialize_document(doc))
+    assert diags == []
+    assert (again.class_axioms, again.assertions) == \
+        (doc.class_axioms, doc.assertions)
+    # and through F-logic text
+    prog, _ = translate_ontology(doc, TranslationOptions(emit_checkers=False))
+    text = print_program(prog)
+    assert "Book::'urn:isbn:123'." in text
+    assert "'mailto:ann@example.org':'urn:x-shelf:Reader'." in text
+    back, diags = translate_program(parse_program(text)[0])
+    assert diags == []
+    assert (back.class_axioms, back.assertions) == \
+        (doc.class_axioms, doc.assertions)
 
 
 # --- whole documents ---------------------------------------------------------

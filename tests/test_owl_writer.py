@@ -3,8 +3,11 @@
 The document holds every element the writer emits: each class expression
 (a restriction nested in a union, named and compound fillers), each
 restriction kind and property axiom, and class and property assertions with
-IRI, typed and plain literal values and a prefixed property.
+IRI, typed and plain literal values, a prefixed property and one whose
+namespace the writer declares.
 """
+
+import pytest
 
 from owlfl import owl_model as om
 from owlfl.owl_parser import parse_document
@@ -108,6 +111,7 @@ GOLDEN = """<?xml version="1.0"?>
          xmlns:owl="http://www.w3.org/2002/07/owl#"
          xmlns="http://example.org/wine#"
          xmlns:food="http://example.org/food#"
+         xmlns:ns1="http://other.org/p#"
          xml:base="http://example.org/wine">
   <owl:Class rdf:about="#RedWine">
     <rdfs:subClassOf rdf:resource="#Wine"/>
@@ -330,7 +334,7 @@ GOLDEN = """<?xml version="1.0"?>
     <food:pairsWith rdf:resource="#merlot7"/>
   </owl:Thing>
   <owl:Thing rdf:about="#apple1">
-    <weight rdf:datatype="http://www.w3.org/2001/XMLSchema#integer">3</weight>
+    <ns1:weight rdf:datatype="http://www.w3.org/2001/XMLSchema#integer">3</ns1:weight>
   </owl:Thing>
 </rdf:RDF>
 """
@@ -346,3 +350,38 @@ def test_golden_re_parses_to_the_document():
     assert doc.class_axioms == [ax for ax in DOC.class_axioms
                                 if ax != COMPOUND_SUB]
     assert doc.property_axioms == DOC.property_axioms
+
+
+def test_property_outside_the_base_and_prefixes_is_written_exactly():
+    # "ns1" is taken by the document, so the new namespaces get ns2, ns3
+    prefixes = dict(DOC.prefixes, ns1="http://example.org/taken")
+    props = [om.Iri("http://other.org/x#q"), om.Iri("http://other.org/y/r"),
+             om.Iri("http://other.org/x#s"), iri("pairsWith", F), iri("q"),
+             iri("cafe\u0301")]  # a combining accent is an XML name char
+    # a base name that reads like a prefixed one is written in full
+    subject = iri("food:x")
+    doc = om.OntologyDocument(prefixes=prefixes, assertions=[
+        om.PropertyAssertion(subject, p, iri("merlot7")) for p in props])
+    text = serialize_document(doc)
+    assert '         xmlns:ns1="http://example.org/taken#"\n' \
+           '         xmlns:ns2="http://other.org/x#"\n' \
+           '         xmlns:ns3="http://other.org/y/"\n' in text
+    assert ["ns2:q", "ns3:r", "ns2:s", "food:pairsWith", "q",
+            "cafe\u0301"] == [
+        line.split()[0][1:] for line in text.splitlines()
+        if "merlot7" in line]
+    back, diags = parse_document(text)
+    assert diags == []
+    assert back.assertions == doc.assertions
+
+
+@pytest.mark.parametrize("prop", [
+    iri("a b"), iri("1a"), iri("food:x"), iri("a x='1'"),
+    om.Iri("urn:isbn:p"), om.Iri("http://other.org/x#")],
+    ids=["space", "digit-first", "colon", "attribute", "no-slash-or-hash",
+         "empty"])
+def test_property_without_an_element_name_is_refused(prop):
+    doc = om.OntologyDocument(prefixes=dict(DOC.prefixes), assertions=[
+        om.PropertyAssertion(iri("a"), prop, iri("b"))])
+    with pytest.raises(TypeError, match="has no RDF/XML element name"):
+        serialize_document(doc)
