@@ -15,12 +15,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
 from .engine import (
-    EngineError, KnowledgeBase, collect_set, insert_fact, load_program,
-    query_goal, run_constraint_checks,
+    EngineError, KnowledgeBase, collect_set, insert_fact, literal_vars,
+    load_program, query_goal, run_constraint_checks,
 )
 from .flogic import (
-    Atom, FlIsA, FlLiteralTerm, FlProgram, FlSubClass, FlSymbol, FlTerm,
-    FlVariable, parse_program, print_program, print_term, unquote,
+    Atom, FlIsA, FlLiteralTerm, FlNeq, FlProgram, FlSubClass, FlSymbol,
+    FlTerm, FlVariable, parse_program, print_program, print_term, unquote,
 )
 from .fl_to_owl import translate_program
 from .owl_parser import parse_document
@@ -187,12 +187,8 @@ def cmd_check(args) -> int:
     _report(diags)
     if kb is None:
         return EXIT_ERROR
-    try:
-        violations = run_constraint_checks(
-            kb, check_min_cardinality=args.min_cardinality)
-    except EngineError as e:
-        _report([Diagnostic(ERROR, e.code, e.message)])
-        return EXIT_ERROR
+    violations = run_constraint_checks(
+        kb, check_min_cardinality=args.min_cardinality)
     for v in violations:
         print(v.message)
     return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -201,24 +197,30 @@ def cmd_check(args) -> int:
 # --- query -------------------------------------------------------------------
 
 
-def _strict_supers(kb: KnowledgeBase, c: FlSymbol) -> List[FlSymbol]:
-    edges = kb.store.relations["sub"].lookup((0,), c)
-    return [s for _, s in edges if s != c]
+X, M = FlVariable("X"), FlVariable("M")
 
 
-def _strict_subs(kb: KnowledgeBase, c: FlSymbol) -> List[FlSymbol]:
-    edges = kb.store.relations["sub"].lookup((1,), c)
-    return [a for a, _ in edges if a != c]
+def _sub(a: FlTerm, b: FlTerm) -> FlSubClass:
+    return FlSubClass(Atom(a), Atom(b))
 
 
-def _mid_inherited(kb: KnowledgeBase, sub: FlSymbol, sup: FlSymbol) -> bool:
+# verb -> (argument count, goal of its arguments); a goal with ?X lists the
+# values of ?X, one without prints true or false
+QUERIES = {
+    "is": (2, lambda i, c: [FlIsA(i, Atom(c))]),
+    "instances": (1, lambda c: [FlIsA(X, Atom(c))]),
+    "classes-of": (1, lambda i: [FlIsA(i, Atom(X))]),
+    "subclass": (2, lambda c, d: [_sub(c, d)]),
+    "superclasses": (1, lambda c: [_sub(c, X), FlNeq(X, c)]),
+    "subclasses": (1, lambda c: [_sub(X, c), FlNeq(X, c)]),
+}
+QUERY_VERBS = (*QUERIES, "check")
+
+
+def _has_middle(kb: KnowledgeBase, sub: FlTerm, sup: FlTerm) -> bool:
     """True when sup is reachable from sub through a distinct middle class."""
-    return any(mid != sub and mid != sup and (mid, sup) in kb.store.sub
-               for mid in _strict_supers(kb, sub))
-
-
-QUERY_VERBS = ("is", "instances", "classes-of", "subclass", "superclasses",
-               "subclasses", "check")
+    return bool(query_goal(kb, [_sub(sub, M), FlNeq(M, sub), FlNeq(M, sup),
+                                _sub(M, sup)]))
 
 
 def cmd_query(args) -> int:
@@ -228,91 +230,36 @@ def cmd_query(args) -> int:
         _report([Diagnostic(ERROR, "bad-arguments",
                             "expected: query <kb...> <verb> [args...]")])
         return EXIT_ERROR
-    args.verb = args.rest[split]
-    args.args = args.rest[split + 1:]
+    verb, rest = args.rest[split], args.rest[split + 1:]
     kb, diags = _load_kb(args.rest[:split])
     _report(diags)
     if kb is None:
         return EXIT_ERROR
-    verb = args.verb
-    rest = args.args
-    x = FlVariable("X")
-
-    def need(n: int) -> bool:
-        if len(rest) != n:
-            _report([Diagnostic(ERROR, "bad-arguments",
-                                f"'{verb}' takes {n} argument(s)")])
-            return False
-        return True
-
-    try:
-        if verb == "is":
-            if not need(2):
-                return EXIT_ERROR
-            ind, cls = _parse_name(rest[0]), _parse_name(rest[1])
-            if _warn_unknown(kb, [ind, cls]):
-                print("false")
-                return EXIT_OK
-            sols = query_goal(kb, FlIsA(ind, Atom(cls)))
-            print("true" if sols else "false")
-        elif verb == "instances":
-            if not need(1):
-                return EXIT_ERROR
-            cls = _parse_name(rest[0])
-            if _warn_unknown(kb, [cls]):
-                return EXIT_OK
-            for t in collect_set(kb, "X", FlIsA(x, Atom(cls))):
-                print(print_term(t))
-        elif verb == "classes-of":
-            if not need(1):
-                return EXIT_ERROR
-            ind = _parse_name(rest[0])
-            if _warn_unknown(kb, [ind]):
-                return EXIT_OK
-            for t in collect_set(kb, "X", FlIsA(ind, Atom(x))):
-                print(print_term(t))
-        elif verb == "subclass":
-            if not need(2):
-                return EXIT_ERROR
-            c, d = _parse_name(rest[0]), _parse_name(rest[1])
-            if _warn_unknown(kb, [c, d]):
-                print("false")
-                return EXIT_OK
-            sols = query_goal(kb, FlSubClass(Atom(c), Atom(d)))
-            print("true" if sols else "false")
-        elif verb == "superclasses":
-            if not need(1):
-                return EXIT_ERROR
-            c = _parse_name(rest[0])
-            if _warn_unknown(kb, [c]):
-                return EXIT_OK
-            supers = _strict_supers(kb, c)
-            if args.most_specific:
-                supers = [s for s in supers if not _mid_inherited(kb, c, s)]
-            for s in sorted(set(supers), key=print_term):
-                print(print_term(s))
-        elif verb == "subclasses":
-            if not need(1):
-                return EXIT_ERROR
-            c = _parse_name(rest[0])
-            if _warn_unknown(kb, [c]):
-                return EXIT_OK
-            subs = _strict_subs(kb, c)
-            if args.most_general:
-                subs = [s for s in subs if not _mid_inherited(kb, s, c)]
-            for s in sorted(set(subs), key=print_term):
-                print(print_term(s))
-        elif verb == "check":
-            violations = run_constraint_checks(kb)
-            print("inconsistent" if violations else "consistent")
-            return EXIT_VIOLATIONS if violations else EXIT_OK
-        else:
-            _report([Diagnostic(ERROR, "bad-arguments",
-                                f"unknown query verb {verb!r}")])
-            return EXIT_ERROR
-    except EngineError as e:
-        _report([Diagnostic(ERROR, e.code, e.message)])
+    if verb == "check":
+        violations = run_constraint_checks(kb)
+        print("inconsistent" if violations else "consistent")
+        return EXIT_VIOLATIONS if violations else EXIT_OK
+    n, goal_of = QUERIES[verb]
+    if len(rest) != n:
+        _report([Diagnostic(ERROR, "bad-arguments",
+                            f"'{verb}' takes {n} argument(s)")])
         return EXIT_ERROR
+    names = [_parse_name(a) for a in rest]
+    goal = goal_of(*names)
+    listing = any("X" in literal_vars(lit) for lit in goal)
+    if _warn_unknown(kb, names):
+        if not listing:
+            print("false")
+    elif not listing:
+        print("true" if query_goal(kb, goal) else "false")
+    else:
+        answers = collect_set(kb, "X", goal)
+        if verb == "superclasses" and args.most_specific:
+            answers = [s for s in answers if not _has_middle(kb, names[0], s)]
+        elif verb == "subclasses" and args.most_general:
+            answers = [s for s in answers if not _has_middle(kb, s, names[0])]
+        for t in answers:
+            print(print_term(t))
     return EXIT_OK
 
 
@@ -334,13 +281,8 @@ def cmd_insert(args) -> int:
                             f"not a single ground fact: {args.fact!r}")])
         return EXIT_ERROR
     before = kb.store.size()
-    try:
-        insert_fact(kb, prog.rules[0].head)
-        after = kb.store.size()
-    except EngineError as e:
-        _report([Diagnostic(ERROR, e.code, e.message)])
-        return EXIT_ERROR
-    print(after - before)
+    insert_fact(kb, prog.rules[0].head)
+    print(kb.store.size() - before)
     return EXIT_OK
 
 
@@ -398,6 +340,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EngineError as e:
+        _report([Diagnostic(ERROR, e.code, e.message)])
+        return EXIT_ERROR
     except RecursionError:
         # the parsers and translators recurse once per nesting level
         _report([Diagnostic(ERROR, "syntax-error",

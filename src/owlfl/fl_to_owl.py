@@ -44,17 +44,18 @@ class _Namer:
 
     def iri(self, sym: FlSymbol) -> om.Iri:
         """Inverse of ``owl_to_fl.Context._new_symbol``: a declared ``pfx:L``
-        is ``ns#L``; a quoted absolute name, or one with ``://``, is itself;
-        any other name is ``base#name``."""
+        is ``L`` in the prefix's namespace; a quoted absolute name, or one
+        with ``://``, is itself; any other name is in the base's namespace
+        (``om.namespace``)."""
         name = sym.name
         pfx, colon, local = name.partition(":")
         if colon:  # a prefixed name or an IRI
             ns = self.prefixes.get(pfx)
             if ns:
-                return om.Iri(ns.rstrip("#") + "#" + local)
+                return om.Iri(om.namespace(ns) + local)
             if (sym.quoted or "://" in name) and om.is_absolute(name):
                 return om.Iri(name)
-        return om.Iri(self.base + "#" + name)
+        return om.Iri(om.namespace(self.base) + name)
 
     def value(self, t: FlTerm) -> Union[om.Iri, om.OwlLiteral]:
         """Property-value position: literals print quoted or as numbers."""

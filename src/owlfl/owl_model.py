@@ -19,6 +19,12 @@ def is_absolute(value: str) -> bool:
     return _SCHEME_RE.match(value) is not None
 
 
+def namespace(declared: str) -> str:
+    """The namespace a declared base or prefix stands for: itself when it
+    ends in ``#`` or ``/``, else itself followed by ``#``."""
+    return declared if declared.endswith(("#", "/")) else declared + "#"
+
+
 @dataclass(frozen=True)
 class Iri:
     value: str

@@ -24,7 +24,7 @@ from .owl_model import (
     InverseOf, Iri, MaxCardinality, MinCardinality, Named, OneOf,
     OntologyDocument, OwlLiteral, PropertyAssertion, PropertyAxiom, Range,
     Restriction, SYMMETRIC, SomeValuesFrom, SubClassOf, SubPropertyOf,
-    TRANSITIVE, UnionOf, is_absolute,
+    TRANSITIVE, UnionOf, is_absolute, namespace,
 )
 
 OWL = "http://www.w3.org/2002/07/owl#"
@@ -34,12 +34,6 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 
 DEFAULT_BASE = "http://example.org/ontology"
-
-
-def _join(base: str, local: str) -> str:
-    if base.endswith(("#", "/")):
-        return base + local
-    return base + "#" + local
 
 
 # Fixed XML-type mapping table.
@@ -167,7 +161,7 @@ class _DocParser:
 
     def fresh_blank(self) -> Iri:
         self._blank_counter += 1
-        return Iri(_join(self.base, f"_:b{self._blank_counter}"))
+        return Iri(namespace(self.base) + f"_:b{self._blank_counter}")
 
     def resolve(self, ref: str) -> Iri:
         """Resolve an rdf:ID / rdf:about / rdf:resource value."""
@@ -185,10 +179,10 @@ class _DocParser:
             value = value[1:]
         pfx, colon, local = value.partition(":")
         if colon and pfx in self.prefixes:
-            return Iri(_join(self.prefixes[pfx], local))
+            return Iri(namespace(self.prefixes[pfx]) + local)
         if not fragment and is_absolute(value):
             return Iri(value)
-        return Iri(_join(self.base, value))
+        return Iri(namespace(self.base) + value)
 
     def resource(self, el: ET.Element) -> Optional[Iri]:
         """The resolved rdf:resource of ``el``, if it has one."""
@@ -202,7 +196,7 @@ class _DocParser:
         if iri is None:
             if name.startswith("{"):
                 ns, local = name[1:].split("}", 1)
-                iri = Iri(_join(ns, local))
+                iri = Iri(namespace(ns) + local)
             else:
                 iri = self.resolve(name)
             self._named[name] = iri

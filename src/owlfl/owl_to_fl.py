@@ -60,7 +60,7 @@ class Context:
         # (prefix, namespace) pairs that shorten a name, the base ("") first;
         # without a document, an IRI's own namespace is its base
         self.namespaces = None if doc is None else sorted(
-            (pfx, ns + "#") for pfx, ns in doc.prefixes.items())
+            (pfx, om.namespace(ns)) for pfx, ns in doc.prefixes.items())
         # per property, its first Range and its first declared inverse, in
         # document order
         self.ranges: Dict[om.Iri, om.Range] = {}
@@ -88,8 +88,9 @@ class Context:
         return a
 
     def _new_symbol(self, value: str) -> FlSymbol:
-        """``L`` for ``base#L`` and ``pfx:L`` for ``ns#L`` (``L`` non-empty,
-        no colon), else the quoted IRI; inverse of ``fl_to_owl._Namer.iri``."""
+        """``L`` for ``L`` in the base's namespace and ``pfx:L`` for ``L``
+        in a prefix's (``L`` non-empty, no colon; ``om.namespace``), else
+        the quoted IRI; inverse of ``fl_to_owl._Namer.iri``."""
         namespaces = self.namespaces if self.doc is not None \
             else [("", value.rpartition("#")[0] + "#")]
         for pfx, ns in namespaces:

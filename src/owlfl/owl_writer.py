@@ -20,6 +20,7 @@ from .owl_model import (
     Characteristic, ClassAssertion, ComplementOf, DisjointWith,
     EquivalentClass, HasValue, IntersectionOf, Iri, Named, OneOf,
     OntologyDocument, PropertyAssertion, Restriction, SubClassOf, UnionOf,
+    namespace,
 )
 from .owl_parser import (
     DEFAULT_BASE, OWL, RDF, RDFS, XSD, _BOOLEAN_CLASSES, _CARDINALITY_FACETS,
@@ -84,20 +85,22 @@ class _Writer:
     def __init__(self, doc: OntologyDocument):
         self.doc = doc
         self.base = doc.base or DEFAULT_BASE
+        self.ns = namespace(self.base)
         # the prefix a property tag uses for each namespace: the base's
         # is "", a document prefix (the first of two) or a new ``nsN``
-        self.prefix_of = {ns + "#": pfx
+        self.prefix_of = {namespace(ns): pfx
                           for pfx, ns in reversed(doc.prefixes.items())
                           if pfx not in _RESERVED}
-        self.prefix_of.update({**_PREFIX, self.base + "#": ""})
+        self.prefix_of.update({**_PREFIX, self.ns: ""})
         self.new_namespaces: List[str] = []
         self.fresh = (pfx for pfx in map("ns{}".format, count(1))
                       if pfx not in doc.prefixes)
 
     def ref(self, iri: Iri) -> str:
-        """``#L`` for ``base#L`` (no ``:`` in ``L``), else the whole IRI."""
-        local = iri.value[len(self.base) + 1:]
-        if iri.value.startswith(self.base + "#") and ":" not in local:
+        """``#L`` for an IRI in the base's namespace (no ``:`` in ``L``),
+        else the whole IRI."""
+        local = iri.value[len(self.ns):]
+        if iri.value.startswith(self.ns) and ":" not in local:
             return "#" + local
         return iri.value
 
@@ -232,11 +235,12 @@ class _Writer:
             f'xmlns:rdf="{RDF}"',
             f'xmlns:rdfs="{RDFS}"',
             f'xmlns:owl="{OWL}"',
-            f'xmlns="{self.base}#"',
+            f'xmlns="{self.ns}"',
         ]
         for pfx in sorted(self.doc.prefixes):
             if pfx not in _RESERVED:
-                ns_attrs.append(f'xmlns:{pfx}="{self.doc.prefixes[pfx]}#"')
+                ns_attrs.append(
+                    f'xmlns:{pfx}="{namespace(self.doc.prefixes[pfx])}"')
         ns_attrs += [f"xmlns:{self.prefix_of[ns]}={quoteattr(ns)}"
                      for ns in self.new_namespaces]
         head = ['<?xml version="1.0"?>',

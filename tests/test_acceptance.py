@@ -159,7 +159,7 @@ def wine_oracle():
     return isa, sub, located
 
 
-def test_04_query_suite_vs_oracle():
+def test_04_query_suite_vs_oracle(tmp_path, capsys):
     with criterion(4, "query suite matches brute-force oracle"):
         program, diags = parse_program(WINE_KB)
         assert not diags
@@ -199,9 +199,11 @@ def test_04_query_suite_vs_oracle():
         most_specific = {s for s in supers
                          if not any((m, s) in sub for m in supers
                                     if m != s)}
-        from owlfl.cli import _mid_inherited, _strict_supers
-        got = {print_term(s) for s in _strict_supers(kb, FlSymbol("RedWine"))
-               if not _mid_inherited(kb, FlSymbol("RedWine"), s)}
+        src = tmp_path / "wine.flr"
+        src.write_text(WINE_KB)
+        assert main(["query", str(src), "superclasses", "RedWine",
+                     "--most-specific"]) == 0
+        got = set(capsys.readouterr().out.splitlines())
         assert got == most_specific == {"Wine"}
 
         # transitive locatedIn closure over the 5-region chain: C(5,2)

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -49,7 +50,8 @@ def test_translate_owl_to_flora(owl_file, tmp_path, capsys):
     out = str(tmp_path / "out.flr")
     assert main(["translate", "--from", "owl", "--to", "flora",
                  owl_file, "-o", out]) == 0
-    text = open(out).read()
+    with open(out) as f:
+        text = f.read()
     assert "RedWine::Wine." in text
     assert "disjoint_classes(Male, Female)." in text
     assert "check_disjoint_constraints" in text
@@ -59,7 +61,8 @@ def test_translate_flora_to_owl(flr_file, tmp_path):
     out = str(tmp_path / "out.owl")
     assert main(["translate", "--from", "flora", "--to", "owl",
                  flr_file, "-o", out]) == 0
-    text = open(out).read()
+    with open(out) as f:
+        text = f.read()
     assert "rdfs:subClassOf" in text and "merlot7" in text
 
 
@@ -70,7 +73,8 @@ def test_translate_round_trip_through_files(owl_file, tmp_path):
                  owl_file, "-o", mid]) == 0
     assert main(["translate", "--from", "flora", "--to", "owl",
                  mid, "-o", back]) == 0
-    text = open(back).read()
+    with open(back) as f:
+        text = f.read()
     assert 'rdf:resource="#Wine"' in text
     assert "owl:disjointWith" in text
 
@@ -539,6 +543,39 @@ def test_nested_restriction_or_enumeration_is_untranslatable(
         assert "#U" in out.read_text()
 
 
+VEG = OWL_DOC.replace(
+    'xmlns="http://example.org/wine#"',
+    'xmlns:veg="http://example.org/veg/"\n         '
+    'xmlns="http://example.org/wine#"').replace("</rdf:RDF>", """\
+  <owl:Class rdf:about="veg:Carrot">
+    <rdfs:subClassOf rdf:resource="#Food"/>
+  </owl:Class>
+  <owl:Thing rdf:about="#c"><veg:weight rdf:resource="#heavy"/></owl:Thing>
+</rdf:RDF>""")
+
+
+def test_slash_namespace_means_one_iri_both_ways(tmp_path):
+    owl, mid, back = (tmp_path / n for n in ("veg.owl", "mid.flr", "back.owl"))
+    owl.write_text(VEG)
+    assert main(["translate", "--from", "owl", "--to", "flora", str(owl),
+                 "-o", str(mid)]) == 0
+    text = mid.read_text()
+    assert "veg:Carrot::Food." in text and "c[veg:weight -> heavy]." in text
+    assert main(["translate", "--from", "flora", "--to", "owl", str(mid),
+                 "-o", str(back)]) == 0
+    text = back.read_text()
+    assert 'xmlns:veg="http://example.org/veg/"' in text
+    assert "xmlns:ns1" not in text and "<veg:weight " in text
+    assert 'rdf:about="http://example.org/veg/Carrot"' in text
+    # a hand-written prefix for a / namespace reads the same way
+    src = tmp_path / "veg.flr"
+    src.write_text(":- prefix(veg, 'http://example.org/veg/').\n"
+                   "c:veg:Carrot.\n")
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(back)]) == 0
+    assert 'rdf:resource="http://example.org/veg/Carrot"' in back.read_text()
+
+
 # --- query -------------------------------------------------------------------
 
 
@@ -582,6 +619,47 @@ def test_query_subclasses_most_general(flr_file, capsys):
     assert capsys.readouterr().out == "PotableLiquid\n"
 
 
+def _closure(edges):
+    """Every (sub, super) pair reachable along one or more edges."""
+    pairs = set(edges)
+    while True:
+        more = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
+        if not more:
+            return pairs
+        pairs |= more
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hierarchy_verbs_match_brute_force_closure(seed, tmp_path, capsys):
+    """superclasses/subclasses, with and without --most-specific and
+    --most-general, over random class graphs with ``::`` cycles."""
+    rng = random.Random(seed)
+    classes = [f"c{i}" for i in range(6)]
+    edges = {(rng.choice(classes), rng.choice(classes)) for _ in range(7)}
+    src = tmp_path / "kb.flr"
+    src.write_text("".join(f"{a}::{b}.\n" for a, b in sorted(edges)) +
+                   "".join(f"x:{c}.\n" for c in classes))
+    sub = _closure(edges)
+    for c in classes:
+        supers = {d for a, d in sub if a == c and d != c}
+        subs = {a for a, d in sub if d == c and a != c}
+        expected = {
+            ("superclasses", None): supers,
+            ("superclasses", "--most-specific"): {
+                s for s in supers
+                if not any(m != s and (m, s) in sub for m in supers)},
+            ("subclasses", None): subs,
+            ("subclasses", "--most-general"): {
+                s for s in subs
+                if not any(m != s and (s, m) in sub for m in subs)},
+        }
+        for (verb, flag), want in expected.items():
+            assert main(["query", str(src), verb, c] +
+                        ([flag] if flag else [])) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out == sorted(want), (verb, flag, c)
+
+
 def test_query_check_verb(flr_file, tmp_path, capsys):
     assert main(["query", flr_file, "check"]) == 0
     assert capsys.readouterr().out == "consistent\n"
@@ -589,6 +667,15 @@ def test_query_check_verb(flr_file, tmp_path, capsys):
     bad.write_text("disjoint_classes(Male, Female).\na:Male.\na:Female.\n")
     assert main(["query", str(bad), "check"]) == 1
     assert capsys.readouterr().out == "inconsistent\n"
+
+
+def test_query_check_unsupported_user_rule_exits_2(tmp_path, capsys):
+    kb = tmp_path / "kb.flr"
+    kb.write_text("a:c.\ncheck_mine :- ?X:c.\n")
+    assert main(["query", str(kb), "check"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: unsupported-rule: check_mine needs one format literal whose "
+        "variables a positive body literal binds\n"))
 
 
 def test_query_multiple_kb_files(flr_file, tmp_path, capsys):

@@ -96,11 +96,13 @@ def test_names_of_each_kind_of_iri():
     ctx = Context(om.OntologyDocument(prefixes=dict(PREFIXES)))
     printed = {value: print_term(ctx.symbol(om.Iri(value)))
                for value in (BASE + "#Red", "http://example.org/food#Red",
+                             "http://example.org/veg/Carrot",
                              "http://example.org/colour#Red", "urn:isbn:123",
                              BASE + "#zz:x", "http://other.org/x#")}
     assert printed == {
         BASE + "#Red": "Red",
         "http://example.org/food#Red": "food:Red",
+        "http://example.org/veg/Carrot": "veg:Carrot",
         "http://example.org/colour#Red": "'http://example.org/colour#Red'",
         "urn:isbn:123": "'urn:isbn:123'",
         BASE + "#zz:x": "'http://example.org/wine#zz:x'",
