@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
 from .engine import (
-    EngineError, KnowledgeBase, collect_set, insert_fact, literal_vars,
-    load_program, query_goal, run_constraint_checks,
+    EngineError, KnowledgeBase, collect_set, holds, insert_fact,
+    literal_vars, load_program, run_constraint_checks,
 )
 from .flogic import (
     Atom, FlIsA, FlLiteralTerm, FlNeq, FlProgram, FlSubClass, FlSymbol,
@@ -219,8 +219,8 @@ QUERY_VERBS = (*QUERIES, "check")
 
 def _has_middle(kb: KnowledgeBase, sub: FlTerm, sup: FlTerm) -> bool:
     """True when sup is reachable from sub through a distinct middle class."""
-    return bool(query_goal(kb, [_sub(sub, M), FlNeq(M, sub), FlNeq(M, sup),
-                                _sub(M, sup)]))
+    return holds(kb, [_sub(sub, M), FlNeq(M, sub), FlNeq(M, sup),
+                      _sub(M, sup)])
 
 
 def cmd_query(args) -> int:
@@ -251,7 +251,7 @@ def cmd_query(args) -> int:
         if not listing:
             print("false")
     elif not listing:
-        print("true" if query_goal(kb, goal) else "false")
+        print("true" if holds(kb, goal) else "false")
     else:
         answers = collect_set(kb, "X", goal)
         if verb == "superclasses" and args.most_specific:

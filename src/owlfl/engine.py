@@ -781,8 +781,10 @@ def saturate(kb: KnowledgeBase) -> FactStore:
 # --- queries -----------------------------------------------------------------
 
 
-def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
-    """All substitutions satisfying a literal or conjunction of literals."""
+def _solutions(kb: KnowledgeBase, goal
+               ) -> Tuple[Dict[str, int], Iterable[list]]:
+    """A literal or conjunction's variable slots and, lazily, its solutions
+    as slot lists."""
     literals = list(goal) if isinstance(goal, (list, tuple)) else [goal]
     store = kb.store
     # goal safety: naf vars must be bound by earlier positive literals
@@ -798,9 +800,15 @@ def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
         goal_vars |= lit_vars
     slots = {v: i for i, v in enumerate(sorted(goal_vars))}
     plan = _compile_conj(literals, slots)
+    return slots, _solve(plan, [None] * len(slots), store, None)
+
+
+def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
+    """All substitutions satisfying a literal or conjunction of literals."""
+    slots, envs = _solutions(kb, goal)
     seen = set()
     out: List[Binding] = []
-    for env in _solve(plan, [None] * len(slots), store, None):
+    for env in envs:
         resolved = {v: FlVariable(v) if env[s] is None else env[s]
                     for v, s in slots.items()}
         key = tuple(sorted((v, print_term(t)) for v, t in resolved.items()))
@@ -808,6 +816,11 @@ def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
             seen.add(key)
             out.append(resolved)
     return out
+
+
+def holds(kb: KnowledgeBase, goal) -> bool:
+    """True when the goal has a solution; stops at the first."""
+    return next(iter(_solutions(kb, goal)[1]), None) is not None
 
 
 def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:

@@ -709,12 +709,8 @@ def translate_program(program: FlProgram, base_iri: Optional[str] = None,
                       prefixes: Optional[Dict[str, str]] = None
                       ) -> Tuple[om.OntologyDocument, List[Diagnostic]]:
     rec = _build(program, base_iri, prefixes)
-    doc_prefixes = {"": rec.namer.base}
-    for pfx, ns in rec.namer.prefixes.items():
-        if pfx:
-            doc_prefixes[pfx] = ns.rstrip("#")
     doc = om.OntologyDocument(
-        prefixes=doc_prefixes,
+        prefixes={**rec.namer.prefixes, "": rec.namer.base},
         class_axioms=list(rec.class_axioms),
         property_axioms=list(rec.property_axioms),
         assertions=list(rec.assertions),
@@ -729,7 +725,7 @@ def _build(program: FlProgram, base_iri, prefixes) -> _Recognizer:
     merged = dict(program.prefixes)
     if prefixes:
         merged.update(prefixes)
-    base = (base_iri or merged.get("") or DEFAULT_BASE).rstrip("#")
+    base = base_iri or merged.get("") or DEFAULT_BASE
     rec = _Recognizer(program, base, merged)
     # names are made absolute from these, so a relative one stops recognition
     namespaces = [("base", base)] + [

@@ -409,7 +409,7 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
     try:
         events = ET.iterparse(io.StringIO(text), events=("start-ns",))
         for _, (name, uri) in events:
-            prefixes[name] = uri.rstrip("#")
+            prefixes[name] = uri
             if uri:  # xmlns="" undeclares the default namespace
                 declared.append(("namespace", uri))
     except ET.ParseError as e:
@@ -417,7 +417,7 @@ def parse_document(text: str) -> Tuple[Optional[OntologyDocument], List[Diagnost
         return None, [Diagnostic(ERROR, "malformed-xml", str(e), pos)]
     root = events.root  # a document without one raises ParseError above
 
-    base = (root.get(_XML_BASE) or DEFAULT_BASE).rstrip("#")
+    base = root.get(_XML_BASE) or DEFAULT_BASE
     for what, value in [("xml:base", base)] + declared:
         if not is_absolute(value):
             return None, [Diagnostic(ERROR, "relative-iri",

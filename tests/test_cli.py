@@ -543,37 +543,43 @@ def test_nested_restriction_or_enumeration_is_untranslatable(
         assert "#U" in out.read_text()
 
 
-VEG = OWL_DOC.replace(
-    'xmlns="http://example.org/wine#"',
-    'xmlns:veg="http://example.org/veg/"\n         '
-    'xmlns="http://example.org/wine#"').replace("</rdf:RDF>", """\
-  <owl:Class rdf:about="veg:Carrot">
+def _veg_doc(ns):
+    return OWL_DOC.replace(
+        'xmlns="http://example.org/wine#"',
+        f'xmlns:veg="{ns}"\n         '
+        'xmlns="http://example.org/wine#"').replace("</rdf:RDF>", f"""\
+  <owl:Class rdf:about="{ns}Carrot">
     <rdfs:subClassOf rdf:resource="#Food"/>
   </owl:Class>
   <owl:Thing rdf:about="#c"><veg:weight rdf:resource="#heavy"/></owl:Thing>
+  <owl:Thing rdf:about="#d"><veg:weight rdf:resource="{ns}Heavy"/></owl:Thing>
 </rdf:RDF>""")
 
 
-def test_slash_namespace_means_one_iri_both_ways(tmp_path):
+@pytest.mark.parametrize("ns", ["http://example.org/veg/",
+                                "http://example.org/veg/#"],
+                         ids=["slash", "slash-hash"])
+def test_slash_namespace_means_one_iri_both_ways(tmp_path, ns):
     owl, mid, back = (tmp_path / n for n in ("veg.owl", "mid.flr", "back.owl"))
-    owl.write_text(VEG)
+    owl.write_text(_veg_doc(ns))
     assert main(["translate", "--from", "owl", "--to", "flora", str(owl),
                  "-o", str(mid)]) == 0
     text = mid.read_text()
     assert "veg:Carrot::Food." in text and "c[veg:weight -> heavy]." in text
+    assert "d[veg:weight -> veg:Heavy]." in text
     assert main(["translate", "--from", "flora", "--to", "owl", str(mid),
                  "-o", str(back)]) == 0
     text = back.read_text()
-    assert 'xmlns:veg="http://example.org/veg/"' in text
+    assert f'xmlns:veg="{ns}"' in text
     assert "xmlns:ns1" not in text and "<veg:weight " in text
-    assert 'rdf:about="http://example.org/veg/Carrot"' in text
-    # a hand-written prefix for a / namespace reads the same way
+    assert f'rdf:about="{ns}Carrot"' in text
+    assert f'<veg:weight rdf:resource="{ns}Heavy"/>' in text
+    # a hand-written prefix for the namespace reads the same way
     src = tmp_path / "veg.flr"
-    src.write_text(":- prefix(veg, 'http://example.org/veg/').\n"
-                   "c:veg:Carrot.\n")
+    src.write_text(f":- prefix(veg, '{ns}').\nc:veg:Carrot.\n")
     assert main(["translate", "--from", "flora", "--to", "owl", str(src),
                  "-o", str(back)]) == 0
-    assert 'rdf:resource="http://example.org/veg/Carrot"' in back.read_text()
+    assert f'rdf:resource="{ns}Carrot"' in back.read_text()
 
 
 # --- query -------------------------------------------------------------------

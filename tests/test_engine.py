@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from owlfl.engine import (
-    EngineError, collect_set, insert_fact, load_program, query_goal,
+    EngineError, collect_set, holds, insert_fact, load_program, query_goal,
     run_constraint_checks, saturate, stratify,
 )
 from owlfl.flogic import (
@@ -279,6 +279,21 @@ def test_unbound_naf_goal_rejected():
     kb = kb_from("a:C.")
     with pytest.raises(EngineError) as e:
         query_goal(kb, FlNaf((FlIsA(X, atom("C")),)))
+    assert e.value.code == "unsafe-goal"
+
+
+def test_holds_agrees_with_query_goal():
+    kb = kb_from("a:C.\na:D.\nb:C.\nRedWine::Wine.\nmerlot:RedWine.")
+    goals = [FlIsA(FlSymbol("merlot"), atom("Wine")),
+             FlIsA(FlSymbol("merlot"), atom("Beer")),
+             [FlIsA(X, atom("C")), FlIsA(X, atom("D"))],
+             [FlIsA(X, atom("D")), FlNaf((FlIsA(X, atom("C")),))],
+             FlIsA(X, atom("Nope"))]
+    assert [holds(kb, g) for g in goals] == \
+        [bool(query_goal(kb, g)) for g in goals] == \
+        [True, False, True, False, False]
+    with pytest.raises(EngineError) as e:
+        holds(kb, FlNaf((FlIsA(X, atom("C")),)))
     assert e.value.code == "unsafe-goal"
 
 

@@ -323,10 +323,27 @@ def test_prefixes_captured():
         '<owl:Class rdf:about="#Wine">'
         '<rdfs:subClassOf rdf:resource="#food:PotableLiquid"/>'
         '</owl:Class>', header)
-    assert doc.prefixes["food"] == "http://example.org/food"
+    assert doc.prefixes["food"] == "http://example.org/food#"
     assert doc.class_axioms == [om.SubClassOf(
         om.Named(iri("Wine")),
         om.Named(om.Iri("http://example.org/food#PotableLiquid")))]
+
+
+@pytest.mark.parametrize("ns", ["http://example.org/veg#",
+                                "http://example.org/veg/",
+                                "http://example.org/veg/#"])
+def test_element_name_and_prefixed_reference_agree(ns):
+    # <veg:Carrot> is ElementTree's {ns}Carrot; rdf:resource="veg:Carrot"
+    # goes through the prefix table; both mean the declared namespace
+    header = HEADER.replace('xml:base=', f'xmlns:veg="{ns}"\n         xml:base=')
+    doc, diags = doc_of('<veg:Carrot rdf:about="#c"/>'
+                        '<owl:Thing rdf:about="#d">'
+                        '<rdf:type rdf:resource="veg:Carrot"/></owl:Thing>',
+                        header)
+    assert diags == []
+    assert doc.prefixes["veg"] == ns
+    assert doc.assertions == [om.ClassAssertion(iri(x), om.Iri(ns + "Carrot"))
+                              for x in "cd"]
 
 
 def test_empty_document():
