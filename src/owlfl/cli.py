@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .diagnostics import Diagnostic, ERROR, WARNING, has_errors
-from .engine import (
-    EngineError, KnowledgeBase, collect_set, holds, insert_fact,
-    literal_vars, load_program, run_constraint_checks,
-)
+from .diagnostics import Diagnostic, ERROR, WARNING, EngineError, has_errors
 from .flogic import (
     Atom, FlIsA, FlLiteralTerm, FlNeq, FlProgram, FlSubClass, FlSymbol,
     FlTerm, FlVariable, parse_program, print_program, print_term, unquote,
 )
-from .fl_to_owl import translate_program
 from .owl_parser import parse_document
 from .owl_to_fl import TranslationOptions, translate_ontology
-from .owl_writer import serialize_document
+
+# each command imports the modules only it runs: the engine for check, query
+# and insert, the F-logic->OWL translator and RDF/XML writer for translate
+if TYPE_CHECKING:
+    from .engine import KnowledgeBase
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -58,6 +57,7 @@ def _read(path: str) -> Tuple[Optional[str], Optional[Diagnostic]]:
 def _load_kb(paths: Sequence[str]) -> Tuple[Optional[KnowledgeBase],
                                             List[Diagnostic]]:
     """Parse and merge one or more ``.flr``/``.owl`` files into one KB."""
+    from .engine import load_program
     diags: List[Diagnostic] = []
     rules = []
     prefixes = {}
@@ -126,6 +126,8 @@ def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlTerm]) -> bool:
 
 
 def cmd_translate(args) -> int:
+    from .fl_to_owl import translate_program
+    from .owl_writer import serialize_document
     text, error = _read(args.input)
     if error is not None:
         _report([error])
@@ -183,6 +185,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .engine import run_constraint_checks
     kb, diags = _load_kb(args.kb)
     _report(diags)
     if kb is None:
@@ -219,11 +222,15 @@ QUERY_VERBS = (*QUERIES, "check")
 
 def _has_middle(kb: KnowledgeBase, sub: FlTerm, sup: FlTerm) -> bool:
     """True when sup is reachable from sub through a distinct middle class."""
+    from .engine import holds
     return holds(kb, [_sub(sub, M), FlNeq(M, sub), FlNeq(M, sup),
                       _sub(M, sup)])
 
 
 def cmd_query(args) -> int:
+    from .engine import (
+        collect_set, holds, literal_vars, run_constraint_checks,
+    )
     # the KB file list ends at the first recognized verb
     split = next((i for i, a in enumerate(args.rest) if a in QUERY_VERBS), None)
     if split is None or split == 0:
@@ -267,6 +274,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_insert(args) -> int:
+    from .engine import insert_fact
     kb, diags = _load_kb([args.kb])
     _report(diags)
     if kb is None:

@@ -1,26 +1,24 @@
-"""Diagnostics shared by the parsers, translators and engine.
+"""Diagnostics shared by the parsers, translators and engine, and the error
+the engine raises, which the CLI reports as a diagnostic.
 
 Codes are short stable identifiers; the documented set lives in the README.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from .node import Node
 
 ERROR = "error"
 WARNING = "warning"
 INFO = "info"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # one of ERROR, WARNING, INFO
-    code: str
-    message: str
-    location: Optional[Tuple[int, int]] = None  # (line, column)
+class Diagnostic(Node):
+    # severity is one of ERROR, WARNING, INFO; location is (line, column)
+    __slots__ = ("severity", "code", "message", "location")
+    _defaults = (None,)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.severity not in (ERROR, WARNING, INFO):
             raise ValueError(f"bad severity: {self.severity!r}")
 
@@ -31,3 +29,13 @@ class Diagnostic:
 
 def has_errors(diagnostics) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
+
+
+class EngineError(Exception):
+    """The engine refuses a program or a goal; ``code`` is the diagnostic
+    code it reports under."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+        self.message = message

@@ -13,26 +13,20 @@ are closed-world: no equality inference, distinct values for cardinality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import CHECKER_RULES, MESSAGES, RANGE_MSG, is_checker_rule
+from .diagnostics import EngineError
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
     FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
     FlNeq, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
     FlTerm, FlUnion, FlVariable, print_class_expr, print_literal, print_term,
 )
+from .node import Node
 
 OBJECT = FlSymbol("_object")
-
-
-class EngineError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 Binding = Dict[str, FlTerm]
@@ -113,15 +107,12 @@ class FactStore:
         return frozenset(self.all_facts())
 
 
-@dataclass(frozen=True)
-class Stratification:
-    strata: Tuple[Tuple[FlRule, ...], ...]
+class Stratification(Node):
+    __slots__ = ("strata",)  # tuple of tuples of rules
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
-    checker: str
-    message: str
+class ConstraintViolation(Node):
+    __slots__ = ("checker", "message")
 
     def __str__(self):
         return self.message

@@ -10,7 +10,6 @@ left over is reported as unrepresentable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import owl_model as om
@@ -22,16 +21,15 @@ from .flogic import (
     FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable,
     print_rule,
 )
+from .node import Node
 from .owl_parser import DEFAULT_BASE
 
 OBJECT_NAME = "_object"
 
 
-@dataclass(frozen=True)
-class TemplateMatch:
-    template_id: str
-    bindings: Tuple[Tuple[str, str], ...]
-    consumed: Tuple[int, ...]
+class TemplateMatch(Node):
+    # bindings: (variable, name) pairs; consumed: rule positions
+    __slots__ = ("template_id", "bindings", "consumed")
 
 
 # --- symbol / term mapping ---------------------------------------------------

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .diagnostics import Diagnostic, ERROR
+from .node import Node, fields_repr
 
 # --- terms -------------------------------------------------------------------
 
 
 class FlTerm:
-    pass
+    __slots__ = ()
 
 
 _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(:[A-Za-z_][A-Za-z0-9_]*)?$")
@@ -44,54 +44,44 @@ class FlSymbol(str, FlTerm):
         return f"FlSymbol(name={self.name!r}, quoted={self.quoted!r})"
 
 
-@dataclass(frozen=True)
-class FlVariable(FlTerm):
-    name: str
+class FlVariable(FlTerm, Node):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.name:
             raise ValueError("empty variable name")
 
 
-@dataclass(frozen=True)
-class FlLiteralTerm(FlTerm):
-    value: str
-    type_tag: str = "_string"
+class FlLiteralTerm(FlTerm, Node):
+    __slots__ = ("value", "type_tag")
+    _defaults = ("_string",)
 
 
-@dataclass(frozen=True)
-class FlList(FlTerm):
-    elements: Tuple[FlTerm, ...]
+class FlList(FlTerm, Node):
+    __slots__ = ("elements",)
 
 
 # --- class expressions -------------------------------------------------------
 
 
-class FlClassExpr:
-    pass
+class FlClassExpr(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(FlClassExpr):
-    term: FlTerm
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class FlUnion(FlClassExpr):
-    a: FlClassExpr
-    b: FlClassExpr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class FlIntersection(FlClassExpr):
-    a: FlClassExpr
-    b: FlClassExpr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class FlDifference(FlClassExpr):
-    a: FlClassExpr
-    b: FlClassExpr
+    __slots__ = ("a", "b")
 
 
 def atom(name_or_term) -> Atom:
@@ -111,36 +101,26 @@ def left_assoc(kind, exprs: List[FlClassExpr]) -> FlClassExpr:
 # --- literals (molecules, predicates, naf, builtins) -------------------------
 
 
-class FlLit:
-    pass
+class FlLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FlIsA(FlLit):
-    obj: FlTerm
-    cls: FlClassExpr
+    __slots__ = ("obj", "cls")
 
 
-@dataclass(frozen=True)
 class FlSubClass(FlLit):
-    sub: FlClassExpr
-    super: FlClassExpr
+    __slots__ = ("sub", "super")
 
 
-@dataclass(frozen=True)
 class FlEquiv(FlLit):
-    a: FlClassExpr
-    b: FlClassExpr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class FlAttrValue(FlLit):
-    obj: FlTerm
-    prop: FlTerm
-    value: FlTerm
+    __slots__ = ("obj", "prop", "value")
 
 
-@dataclass(frozen=True)
 class FlSignature(FlLit):
     """``C[P *=> R]``, ``C[P{L:H} *=> R]`` or ``C::V[P *=> R]``.
 
@@ -148,68 +128,57 @@ class FlSignature(FlLit):
     ``*``).
     """
 
-    cls: FlClassExpr
-    prop: FlTerm
-    range: FlClassExpr
-    card: Optional[Tuple[int, Optional[int]]] = None
-    via: Optional[FlClassExpr] = None
+    __slots__ = ("cls", "prop", "range", "card", "via")
+    _defaults = (None, None)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.card is not None:
             low, high = self.card
             if low < 0 or (high is not None and high < low):
                 raise ValueError(f"bad cardinality bounds {self.card}")
 
 
-@dataclass(frozen=True)
 class FlPred(FlLit):
-    name: str
-    args: Tuple[FlTerm, ...] = ()
-    quoted: bool = field(default=False, compare=False)
+    __slots__ = ("name", "args", "quoted")
+    _defaults = ((), False)
+    _compared = 2  # quoted is presentation only
 
 
-@dataclass(frozen=True)
 class FlNaf(FlLit):
-    inner: Tuple[FlLit, ...]
-    style: str = "naf"  # "naf" prints \naf, "not" prints not(...)
+    __slots__ = ("inner", "style")  # style "naf" prints \naf, "not" not(...)
+    _defaults = ("naf",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.inner:
             raise ValueError("empty naf")
         if any(isinstance(l, FlNaf) for l in self.inner):
             raise ValueError("naf may not directly wrap naf")
 
 
-@dataclass(frozen=True)
 class FlMember(FlLit):
-    item: FlTerm
-    collection: FlTerm
+    __slots__ = ("item", "collection")
 
 
-@dataclass(frozen=True)
 class FlNeq(FlLit):
-    a: FlTerm
-    b: FlTerm
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class FlFormat(FlLit):
     """A ``format(2, 'msg', [args])@_prolog(format)`` message emission."""
 
-    message: str
-    args: Tuple[FlTerm, ...] = ()
+    __slots__ = ("message", "args")
+    _defaults = ((),)
 
 
 MOLECULES = (FlIsA, FlSubClass, FlEquiv, FlAttrValue, FlSignature)
 HEADS = MOLECULES + (FlPred,)  # the literals that can head a rule
 
 
-@dataclass(frozen=True)
-class FlRule:
-    head: FlLit
-    body: Tuple[FlLit, ...] = ()
+class FlRule(Node):
+    __slots__ = ("head", "body")
+    _defaults = ((),)
 
-    def __post_init__(self):
+    def _validate(self):
         if not isinstance(self.head, HEADS):
             raise ValueError(f"bad rule head: {type(self.head).__name__}")
 
@@ -222,17 +191,25 @@ def fact(head: FlLit) -> FlRule:
     return FlRule(head)
 
 
-@dataclass
 class FlProgram:
-    rules: Tuple[FlRule, ...] = ()
-    # prefix map; "" holds the base IRI.  Printed as directives, so it
-    # survives a round trip, but it is not part of program equality.
-    prefixes: Dict[str, str] = field(default_factory=dict)
-    # ids of source axioms covered by at least one emitted rule
-    covered_axiom_ids: set = field(default_factory=set)
+    """A rule tuple; mutable, so it has no hash.  ``prefixes`` (``""`` holds
+    the base IRI) is printed as directives, so it survives a round trip, but
+    it is not part of program equality.  ``covered_axiom_ids`` are the ids of
+    the source axioms covered by at least one emitted rule."""
+
+    __slots__ = _FIELDS = ("rules", "prefixes", "covered_axiom_ids")
+
+    def __init__(self, rules=(), prefixes=None, covered_axiom_ids=None):
+        self.rules = rules
+        self.prefixes = {} if prefixes is None else prefixes
+        self.covered_axiom_ids = set() if covered_axiom_ids is None \
+            else covered_axiom_ids
 
     def __eq__(self, other):
         return isinstance(other, FlProgram) and self.rules == other.rules
+
+    def __repr__(self):
+        return fields_repr(self, self._FIELDS)
 
 
 # --- printer -----------------------------------------------------------------

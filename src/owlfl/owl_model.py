@@ -8,8 +8,8 @@ bounds >= 0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+
+from .node import Node, fields_repr
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 
@@ -25,11 +25,10 @@ def namespace(declared: str) -> str:
     return declared if declared.endswith(("#", "/")) else declared + "#"
 
 
-@dataclass(frozen=True)
-class Iri:
-    value: str
+class Iri(Node):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not _SCHEME_RE.match(self.value):
             raise ValueError(f"IRI is not absolute: {self.value!r}")
 
@@ -43,163 +42,135 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
-class OwlLiteral:
+class OwlLiteral(Node):
     """A data value with its mapped builtin type tag (e.g. ``_string``)."""
 
-    lexical: str
-    type_tag: str = "_string"
+    __slots__ = ("lexical", "type_tag")
+    _defaults = ("_string",)
 
 
 # --- class expressions -------------------------------------------------------
 
 
-class ClassExpression:
-    pass
+class ClassExpression(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Named(ClassExpression):
-    iri: Iri
+    __slots__ = ("iri",)
 
 
-@dataclass(frozen=True)
 class UnionOf(ClassExpression):
-    operands: Tuple[ClassExpression, ...]
+    __slots__ = ("operands",)
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.operands) < 2:
             raise ValueError("unionOf needs at least two operands")
 
 
-@dataclass(frozen=True)
 class IntersectionOf(ClassExpression):
-    operands: Tuple[ClassExpression, ...]
+    __slots__ = ("operands",)
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.operands) < 2:
             raise ValueError("intersectionOf needs at least two operands")
 
 
-@dataclass(frozen=True)
 class ComplementOf(ClassExpression):
-    operand: ClassExpression
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class OneOf(ClassExpression):
-    individuals: Tuple[Iri, ...]
+    __slots__ = ("individuals",)
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.individuals:
             raise ValueError("oneOf needs at least one individual")
 
 
-class RestrictionKind:
-    pass
+class RestrictionKind(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AllValuesFrom(RestrictionKind):
-    filler: ClassExpression
+    __slots__ = ("filler",)
 
 
-@dataclass(frozen=True)
 class SomeValuesFrom(RestrictionKind):
-    filler: ClassExpression
+    __slots__ = ("filler",)
 
 
-@dataclass(frozen=True)
 class HasValue(RestrictionKind):
-    value: Union[Iri, OwlLiteral]
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class _Cardinality(RestrictionKind):
     """Shared by the three cardinality restrictions; not used on its own."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 0:
             raise ValueError("cardinality must be >= 0")
 
 
 class MaxCardinality(_Cardinality):
-    pass
+    __slots__ = ()
 
 
 class MinCardinality(_Cardinality):
-    pass
+    __slots__ = ()
 
 
 class ExactCardinality(_Cardinality):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Restriction(ClassExpression):
-    property: Iri
-    kind: RestrictionKind
+    __slots__ = ("property", "kind")
 
 
 # --- axioms ------------------------------------------------------------------
 
 
-class ClassAxiom:
-    pass
+class ClassAxiom(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SubClassOf(ClassAxiom):
-    sub: ClassExpression
-    super: ClassExpression
+    __slots__ = ("sub", "super")
 
 
-@dataclass(frozen=True)
 class EquivalentClass(ClassAxiom):
-    a: ClassExpression
-    b: ClassExpression
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class DisjointWith(ClassAxiom):
-    a: Iri
-    b: Iri
+    __slots__ = ("a", "b")
 
 
-class PropertyAxiom:
-    pass
+class PropertyAxiom(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Domain(PropertyAxiom):
-    property: Iri
-    cls: Iri
+    __slots__ = ("property", "cls")
 
 
-@dataclass(frozen=True)
 class Range(PropertyAxiom):
-    property: Iri
-    cls: Iri
+    __slots__ = ("property", "cls")
 
 
-@dataclass(frozen=True)
 class SubPropertyOf(PropertyAxiom):
-    sub: Iri
-    super: Iri
+    __slots__ = ("sub", "super")
 
 
-@dataclass(frozen=True)
 class EquivalentProperty(PropertyAxiom):
-    a: Iri
-    b: Iri
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class InverseOf(PropertyAxiom):
-    a: Iri
-    b: Iri
+    __slots__ = ("a", "b")
 
 
 FUNCTIONAL = "functional"
@@ -210,45 +181,50 @@ SYMMETRIC = "symmetric"
 _CHARACTERISTICS = (FUNCTIONAL, INVERSE_FUNCTIONAL, TRANSITIVE, SYMMETRIC)
 
 
-@dataclass(frozen=True)
 class Characteristic(PropertyAxiom):
-    property: Iri
-    kind: str
+    __slots__ = ("property", "kind")
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in _CHARACTERISTICS:
             raise ValueError(f"unknown property characteristic: {self.kind!r}")
 
 
-class Assertion:
-    pass
+class Assertion(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ClassAssertion(Assertion):
-    individual: Iri
-    cls: Iri
+    __slots__ = ("individual", "cls")
 
 
-@dataclass(frozen=True)
 class PropertyAssertion(Assertion):
-    subject: Iri
-    property: Iri
-    object: Union[Iri, OwlLiteral]
+    __slots__ = ("subject", "property", "object")
 
 
-@dataclass
 class OntologyDocument:
     """A parsed ontology: prefix table plus TBox and ABox axiom lists.
 
     The prefix map uses ``""`` for the document base IRI.  All IRIs inside
-    axioms are fully expanded.
+    axioms are fully expanded.  Mutable, so it has no hash.
     """
 
-    prefixes: Dict[str, str] = field(default_factory=dict)
-    class_axioms: List[ClassAxiom] = field(default_factory=list)
-    property_axioms: List[PropertyAxiom] = field(default_factory=list)
-    assertions: List[Assertion] = field(default_factory=list)
+    __slots__ = _FIELDS = ("prefixes", "class_axioms", "property_axioms",
+                           "assertions")
+
+    def __init__(self, prefixes=None, class_axioms=None, property_axioms=None,
+                 assertions=None):
+        self.prefixes = {} if prefixes is None else prefixes
+        self.class_axioms = [] if class_axioms is None else class_axioms
+        self.property_axioms = [] if property_axioms is None else property_axioms
+        self.assertions = [] if assertions is None else assertions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self):
+        return fields_repr(self, self._FIELDS)
 
     @property
     def base(self) -> str:

@@ -8,7 +8,6 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
@@ -20,6 +19,7 @@ from .flogic import (
     FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, fact,
     left_assoc, parse_rules,
 )
+from .node import Node
 
 OBJ = Atom(FlSymbol("_object"))
 
@@ -31,11 +31,10 @@ TRANSITIVE_RULE, SYMMETRIC_RULE = parse_rules(r"""
 """)
 
 
-@dataclass(frozen=True)
-class TranslationOptions:
-    emit_checkers: bool = True
-    owl_domain_range_rules: bool = False
-    case_split_rhs_disjunction: bool = True
+class TranslationOptions(Node):
+    __slots__ = ("emit_checkers", "owl_domain_range_rules",
+                 "case_split_rhs_disjunction")
+    _defaults = (True, False, True)
 
 
 class _NoClassForm(TypeError):

@@ -10,11 +10,9 @@ nodes out with their indentation.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import fields
 from functools import lru_cache
 from itertools import chain, count
 from typing import List, Optional
-from xml.sax.saxutils import escape, quoteattr
 
 from .owl_model import (
     Characteristic, ClassAssertion, ComplementOf, DisjointWith,
@@ -45,7 +43,8 @@ _BOOLEAN_TAG = _inverse(_BOOLEAN_CLASSES)
 _FILLER_TAG = _inverse(_FILLER_FACETS)
 _CARDINALITY_TAG = _inverse(_CARDINALITY_FACETS)
 
-# plain (``_string``) literals and unknown type tags carry no datatype
+# the datatype of each builtin type tag but ``_string`` (a plain literal); an
+# opaque tag is the datatype IRI as read, written back as it is
 _TAG_TO_XSD = {
     "_integer": XSD + "integer",
     "_double": XSD + "double",
@@ -56,6 +55,25 @@ _COLLECTION = ' rdf:parseType="Collection"'
 
 # document prefixes the header does not declare ("" is the base)
 _RESERVED = ("", "rdf", "rdfs", "owl", "xml", "xsd")
+
+
+def escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape``
+    writes it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(value: str) -> str:
+    """``value`` as a quoted XML attribute value, as
+    ``xml.sax.saxutils.quoteattr`` writes it: in ``"`` unless it holds ``"``
+    and no ``'``."""
+    value = escape(value).replace("\n", "&#10;").replace(
+        "\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 @lru_cache(maxsize=4096)
@@ -125,7 +143,9 @@ class _Writer:
         """``tag`` holding an individual (by reference) or a literal."""
         if isinstance(value, Iri):
             return self.resource(tag, value)
-        return self.literal(tag, value.lexical, _TAG_TO_XSD.get(value.type_tag))
+        t = value.type_tag
+        return self.literal(tag, value.lexical,
+                            _TAG_TO_XSD.get(t, None if t.startswith("_") else t))
 
     @staticmethod
     def literal(tag: str, text: str, datatype=None):
@@ -195,7 +215,7 @@ class _Writer:
             subject = ax.property
             child = self.resource("rdf:type", _CHAR_IRI[ax.kind])
         elif type(ax) in _PROPERTY_TAG:
-            subject, target = (getattr(ax, f.name) for f in fields(ax))
+            subject, target = (getattr(ax, f) for f in ax.__slots__)
             child = self.resource(_PROPERTY_TAG[type(ax)], target)
         else:
             raise TypeError(f"cannot serialize {ax!r}")

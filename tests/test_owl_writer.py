@@ -328,7 +328,7 @@ GOLDEN = """<?xml version="1.0"?>
     <hasLabel>Fish &amp; &lt;Chips&gt;</hasLabel>
   </owl:Thing>
   <owl:Thing rdf:about="#merlot7">
-    <hasCode>x7</hasCode>
+    <hasCode rdf:datatype="http://other.org/t#code">x7</hasCode>
   </owl:Thing>
   <owl:Thing rdf:about="#apple1">
     <food:pairsWith rdf:resource="#merlot7"/>
@@ -346,10 +346,32 @@ def test_writer_golden_bytes():
 
 def test_golden_re_parses_to_the_document():
     doc, diags = parse_document(GOLDEN)
-    assert diags == []
+    assert [d.code for d in diags] == ["unknown-type"]  # hasCode's datatype
     assert doc.class_axioms == [ax for ax in DOC.class_axioms
                                 if ax != COMPOUND_SUB]
     assert doc.property_axioms == DOC.property_axioms
+    assert doc.assertions == DOC.assertions
+
+
+def test_opaque_datatype_is_written_back():
+    # README's unknown-type row: a datatype with no builtin tag is kept
+    text = """<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#"
+         xmlns="http://example.org/wine#" xml:base="http://example.org/wine">
+  <owl:Thing rdf:about="#merlot7">
+    <hasCode rdf:datatype="http://other.org/t#code">x7</hasCode>
+    <hasYear rdf:datatype="#year">1999</hasYear>
+  </owl:Thing>
+</rdf:RDF>
+"""
+    doc, diags = parse_document(text)
+    assert [d.code for d in diags] == ["unknown-type", "unknown-type"]
+    out = serialize_document(doc)
+    assert '<hasCode rdf:datatype="http://other.org/t#code">x7</hasCode>' in out
+    assert '<hasYear rdf:datatype="#year">1999</hasYear>' in out
+    back, _ = parse_document(out)
+    assert back.assertions == doc.assertions
 
 
 def test_property_outside_the_base_and_prefixes_is_written_exactly():
@@ -385,3 +407,45 @@ def test_property_without_an_element_name_is_refused(prop):
         om.PropertyAssertion(iri("a"), prop, iri("b"))])
     with pytest.raises(TypeError, match="has no RDF/XML element name"):
         serialize_document(doc)
+
+
+# an attribute value is quoted with " unless it holds " and not '; text
+# escapes & < > only; in attributes a newline, carriage return and tab are
+# character references
+ESCAPE_DOC = om.OntologyDocument(prefixes={"": "http://example.org/wine"},
+                                 assertions=[
+    om.ClassAssertion(iri("a&b<c>\"d'e"), iri('say"hi"')),
+    om.ClassAssertion(om.Iri("urn:x\n1\r2\t3"), iri("it's")),
+    om.PropertyAssertion(iri("w"), iri("note"),
+                         om.OwlLiteral("a & b < c > d \" e ' f\ng\rh\ti")),
+])
+
+ESCAPE_BODY = """\
+  <owl:Thing rdf:about="#a&amp;b&lt;c&gt;&quot;d'e">
+    <rdf:type rdf:resource='#say"hi"'/>
+  </owl:Thing>
+  <owl:Thing rdf:about="urn:x&#10;1&#13;2&#9;3">
+    <rdf:type rdf:resource="#it's"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#w">
+    <note>a &amp; b &lt; c &gt; d " e ' f
+g\rh\ti</note>
+  </owl:Thing>
+</rdf:RDF>
+"""
+
+
+def test_attribute_and_text_escaping():
+    text = serialize_document(ESCAPE_DOC)
+    assert text.endswith('xml:base="http://example.org/wine">\n' + ESCAPE_BODY)
+
+
+@pytest.mark.parametrize("value", [
+    "", "plain", "a&b", "<tag>", 'say "hi"', "it's", "both \" and '",
+    "line\nbreak", "cr\rlf", "tab\there", "&amp; already", "]]>"])
+def test_escapes_match_saxutils(value):
+    from xml.sax import saxutils
+
+    from owlfl import owl_writer
+    assert owl_writer.escape(value) == saxutils.escape(value)
+    assert owl_writer.quoteattr(value) == saxutils.quoteattr(value)
