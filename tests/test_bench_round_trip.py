@@ -1,8 +1,10 @@
 """Smoke tests of the benchmark's three workloads (a translate round trip,
 a check, a serve session), judged by the benchmark's own generator and
 oracle (``perfbench/gen.py``, ``oracle.py``), which share no code with
-owlfl."""
+owlfl, and digests that pin the reverse translation of the benchmark's
+translate documents."""
 
+import hashlib
 import os
 import random
 import sys
@@ -15,7 +17,10 @@ from owlfl import (
     print_program, query_goal, run_constraint_checks, saturate,
     serialize_document, translate_fl_to_owl, translate_ontology,
 )
-from owlfl.flogic import Atom, FlIsA, FlSubClass, FlSymbol, FlVariable
+from owlfl.fl_to_owl import recognize_templates
+from owlfl.flogic import (
+    Atom, FlIsA, FlProgram, FlSubClass, FlSymbol, FlVariable,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import gen  # noqa: E402
@@ -96,3 +101,54 @@ def test_serve_session_matches_bench_oracle():
             assert added == closure.add(op[1]), op
         else:
             assert serve_answer(kb, op) == closure.answer(op), op
+
+
+def corpus_digest(seed, n_classes, order):
+    """The first 16 hex digits of a sha256 over one benchmark document's
+    printed F-logic, the recognizer's matches and diagnostics and the written
+    RDF/XML, with the printed rules read back in ``order``."""
+    doc, _ = parse_document(
+        gen.translate_document(random.Random(seed), n_classes).text)
+    printed = print_program(translate_ontology(doc)[0])
+    program, _ = parse_program(printed)
+    rules = program.rules[::-1] if order == "reversed" else program.rules
+    program = FlProgram(rules, program.prefixes)
+    matches, _ = recognize_templates(program)
+    back, diags = translate_fl_to_owl(program)
+    h = hashlib.sha256(printed.encode())
+    h.update(repr([(m.template_id, m.bindings, m.consumed)
+                   for m in matches]).encode())
+    h.update(repr([(d.severity, d.code, d.message, d.location)
+                   for d in diags]).encode())
+    h.update(serialize_document(back).encode())
+    return h.hexdigest()[:16]
+
+
+# the digests of the recognizer corpus, taken before the translation
+# templates were written as one table
+CORPUS_DIGESTS = {
+    (1, 8, "printed"): "18a43c5c66137656",
+    (1, 8, "reversed"): "13dc84f326815b65",
+    (1, 32, "printed"): "f9be746bd6a92c65",
+    (1, 32, "reversed"): "2ab3fb4fe5deaace",
+    (1, 64, "printed"): "2bf6a187520c8e5e",
+    (1, 64, "reversed"): "1eaa55a2dee64d61",
+    (2, 8, "printed"): "829aefebfc59d8fa",
+    (2, 8, "reversed"): "8e7882638338b252",
+    (2, 32, "printed"): "5d5191ea9c989e6c",
+    (2, 32, "reversed"): "830b3189e66e7434",
+    (2, 64, "printed"): "e93712daed624473",
+    (2, 64, "reversed"): "82231627eaf1cc67",
+    (3, 8, "printed"): "95b1019a0fdc5cc9",
+    (3, 8, "reversed"): "1c883eb1f24dfb76",
+    (3, 32, "printed"): "9a333ebbbbda5445",
+    (3, 32, "reversed"): "6acec39a80ead7ed",
+    (3, 64, "printed"): "2370a4e3ef80e1b7",
+    (3, 64, "reversed"): "10fe4052a01ee2c7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CORPUS_DIGESTS))
+def test_recognizer_corpus_is_unchanged(key):
+    seed, n_classes, order = key
+    assert corpus_digest(seed, n_classes, order) == CORPUS_DIGESTS[key]

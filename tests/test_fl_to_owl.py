@@ -8,7 +8,7 @@ from owlfl.flogic import FlProgram, parse_program
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import TranslationOptions, translate_ontology
 
-from _table1 import wrap
+from _table1 import ROWS, wrap
 
 BASE = "http://example.org/wine"
 
@@ -531,6 +531,46 @@ def test_group_members_found_under_every_key(order):
         "no OWL form for: ?X::Wine :- ?X::Beer.",
         "no OWL form for: ?Y:Winery :- ?X:Wine, ?X[hasColor -> ?Y].",
     ]
+
+
+# --- every lowering reads back -------------------------------------------------
+
+GENERAL_INCLUSIONS = {
+    "union-left": (om.UnionOf((named("C1"), named("C2"))), named("D")),
+    "intersection-left": (om.IntersectionOf((named("C1"), named("C2"))),
+                          named("D")),
+    "oneOf-left": (om.OneOf((iri("a"), iri("b"))), named("D")),
+    "complement-left": (om.ComplementOf(named("C")), named("D")),
+    "intersection-right": (named("D"), om.IntersectionOf((named("C1"),
+                                                          named("C2")))),
+    # lossy: Lloyd-Topor and a case split
+    "allValuesFrom-left": (om.Restriction(
+        iri("p"), om.AllValuesFrom(named("F"))), named("D")),
+    "union-right": (named("D"), om.UnionOf((named("C1"), named("C2")))),
+}
+LOSSY = {"allValuesFrom-left", "union-right"}
+
+
+def lowered(case):
+    if case in GENERAL_INCLUSIONS:
+        doc = om.OntologyDocument(prefixes={"": BASE})
+        doc.class_axioms.append(om.SubClassOf(*GENERAL_INCLUSIONS[case]))
+    else:
+        doc, _ = parse_document(wrap(dict((r[0], r[1]) for r in ROWS)[case]))
+    program, diags = translate_ontology(doc)
+    assert not [d for d in diags if d.severity == "error"]
+    return program
+
+
+@pytest.mark.parametrize("case", [r[0] for r in ROWS] +
+                         sorted(GENERAL_INCLUSIONS))
+def test_every_lowering_reads_back(case):
+    program = lowered(case)
+    m, diags = recognize_templates(program)
+    assert sorted(i for x in m for i in x.consumed) == \
+        list(range(len(program.rules)))
+    assert [d.code for d in diags] == \
+        (["lossy-origin"] if case in LOSSY else [])
 
 
 # --- naming ------------------------------------------------------------------

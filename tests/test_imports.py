@@ -3,7 +3,7 @@
 Every case runs in a fresh interpreter, so the modules it reports are the
 ones the command itself loaded: ``check``, ``query`` and ``insert`` load no
 F-logic->OWL translator, RDF/XML writer, ``xml.sax`` or ``dataclasses``, and
-``translate --from owl --to flora`` loads no engine.
+``translate`` loads no engine in either direction.
 """
 
 import json
@@ -75,6 +75,16 @@ def test_owl_to_flora_skips_the_engine(tmp_path):
                          "flora", "KB", "-o", str(tmp_path / "kb.flr"))
     assert rc == 0
     assert "owlfl.owl_to_fl" in loaded
+    assert "owlfl.engine" not in loaded
+
+
+def test_flora_to_owl_skips_the_engine(tmp_path):
+    flr = tmp_path / "kb.flr"
+    flr.write_text("RedWine::Wine.\nmerlot:RedWine.\n", encoding="utf-8")
+    rc, loaded = _loaded(tmp_path, "translate", "--from", "flora", "--to",
+                         "owl", str(flr), "-o", str(tmp_path / "back.owl"))
+    assert rc == 0
+    assert "owlfl.fl_to_owl" in loaded
     assert "owlfl.engine" not in loaded
 
 
