@@ -1,9 +1,11 @@
-"""The generic integrity-checker library, written once as F-logic text.
+"""The generic rule library, written once as F-logic text: the integrity
+checkers and the closure rules of transitive and symmetric properties.
 
-The translator appends these rules to the programs it emits.  The engine
-solves each rule as written, except the cardinality and inverse-functional
-rules, which it runs natively with their templates from ``MESSAGES``.  A
-range violation has no rule here; its message is ``RANGE_MSG``.
+The translator appends the checker rules to the programs it emits.  The
+engine solves each rule as written, except the cardinality and
+inverse-functional rules, which it runs natively with their templates from
+``MESSAGES``.  A range violation has no rule here; its message is
+``RANGE_MSG``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ check_all_constraints :- check_disjoint_constraints, check_oneOf_constraints,
 # checker name -> the message template of its format literal
 MESSAGES = {rule.head.name: lit.message for rule in CHECKER_RULES
             for lit in rule.body if isinstance(lit, FlFormat)}
+
+# the generic closure rules of transitive and symmetric properties: the
+# translator emits each once per program, after the first property of its
+# kind, and the F-logic->OWL recognizer claims them
+TRANSITIVE_RULE, SYMMETRIC_RULE = parse_rules(r"""
+?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?Y[?P -> ?Z].
+?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].
+""")
 
 RANGE_MSG = ("[OWL2FLORA] signature range violation: ~w.~w value ~w is not "
              "in class ~w")

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import owl_model as om
-from .checkers import is_checker_rule
+from .checkers import SYMMETRIC_RULE, TRANSITIVE_RULE, is_checker_rule
 from .diagnostics import Diagnostic, ERROR, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
@@ -218,23 +218,20 @@ def _attr_rule(rule: FlRule):
     return None
 
 
-def _transitive_generic(rule: FlRule) -> bool:
-    """``?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P->?Y], ?Y[?P->?Z]``."""
-    if not isinstance(rule.head, FlAttrValue) or len(rule.body) != 3:
-        return False
-    guard = rule.body[0]
-    return (isinstance(guard, FlPred) and guard.name == "TransitiveProperty"
-            and isinstance(rule.head.prop, FlVariable)
-            and all(isinstance(l, FlAttrValue) for l in rule.body[1:]))
+def _renames(rule: FlRule, of: FlRule) -> bool:
+    """True if ``rule`` is ``of`` with its variables renamed one-to-one."""
+    names: Dict[str, str] = {}
 
-
-def _symmetric_generic(rule: FlRule) -> bool:
-    if not isinstance(rule.head, FlAttrValue) or len(rule.body) != 2:
-        return False
-    guard = rule.body[0]
-    return (isinstance(guard, FlPred) and guard.name == "SymmetricProperty"
-            and isinstance(rule.head.prop, FlVariable)
-            and isinstance(rule.body[1], FlAttrValue))
+    def same(a, b) -> bool:
+        if isinstance(a, FlVariable):
+            return isinstance(b, FlVariable) and \
+                names.setdefault(a.name, b.name) == b.name
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            return len(a) == len(b) and all(map(same, a, b))
+        return same(a._key, b._key) if isinstance(a, Node) else a == b
+    return same(of, rule) and len(set(names.values())) == len(names)
 
 
 def _avf_dual_rule(rule: FlRule):
@@ -465,17 +462,19 @@ class _Recognizer:
             ))
 
     def pass_characteristics(self):
-        for kind, pred_name, matcher in (
-                (om.TRANSITIVE, "TransitiveProperty", _transitive_generic),
-                (om.SYMMETRIC, "SymmetricProperty", _symmetric_generic)):
+        for kind, pred_name, closure in (
+                (om.TRANSITIVE, "TransitiveProperty", TRANSITIVE_RULE),
+                (om.SYMMETRIC, "SymmetricProperty", SYMMETRIC_RULE)):
             prop_facts = []
             for i in self.open_indices():
                 h = self.fact_head(i)
                 if isinstance(h, FlPred) and h.name == pred_name and \
                         len(h.args) == 1 and isinstance(h.args[0], FlSymbol):
                     prop_facts.append(i)
+            # the lowering's own closure rule, up to its variable names
             generic = [i for i in self.open_indices()
-                       if not self.rules[i].is_fact and matcher(self.rules[i])]
+                       if len(self.rules[i].body) == len(closure.body)
+                       and _renames(self.rules[i], closure)]
             for i in prop_facts:
                 p = self.fact_head(i).args[0]
                 self.claim(f"{pred_name[0].lower()}{pred_name[1:]}", [i],

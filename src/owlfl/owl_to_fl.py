@@ -11,24 +11,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
-from .checkers import CHECKER_RULES
+from .checkers import CHECKER_RULES, SYMMETRIC_RULE, TRANSITIVE_RULE
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
     FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, fact,
-    left_assoc, parse_rules,
+    left_assoc,
 )
 from .node import Node
 
 OBJ = Atom(FlSymbol("_object"))
-
-# the generic closure rules of transitive and symmetric properties, emitted
-# once per program, after the first property of their kind
-TRANSITIVE_RULE, SYMMETRIC_RULE = parse_rules(r"""
-?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?Y[?P -> ?Z].
-?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].
-""")
 
 
 class TranslationOptions(Node):

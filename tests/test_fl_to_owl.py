@@ -249,6 +249,26 @@ def test_orphan_case_split_reported_lossy():
     assert [d.code for d in diags] == ["lossy-origin"]
 
 
+@pytest.mark.parametrize("rule", [
+    # tautologies that only look like the closure rules
+    "?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?X[?P -> ?Y].",
+    "?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?X[?P -> ?Z].",
+], ids=["symmetric", "transitive"])
+def test_near_miss_closure_rule_is_left_over(rule):
+    m, diags = matches_of(rule)
+    assert m == []
+    assert [(d.code, d.message) for d in diags] == \
+        [("unrepresentable-in-owl", f"no OWL form for: {rule}")]
+
+
+def test_closure_rule_with_other_variable_names_is_claimed():
+    m, diags = matches_of(
+        "?A[?Q -> ?C] :- TransitiveProperty(?Q), ?A[?Q -> ?B], ?B[?Q -> ?C].\n"
+        "?B[?Q -> ?A] :- SymmetricProperty(?Q), ?A[?Q -> ?B].")
+    assert ids(m) == ["generic-transitive-rule", "generic-symmetric-rule"]
+    assert not diags
+
+
 def test_unrepresentable_leftover_warns():
     _, diags = build("p(a, b, c, d).")
     assert len(diags) == 1
