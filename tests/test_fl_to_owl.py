@@ -553,7 +553,7 @@ def test_group_members_found_under_every_key(order):
     ]
 
 
-# --- every lowering reads back -------------------------------------------------
+# --- every lowering reads back -----------------------------------------------
 
 GENERAL_INCLUSIONS = {
     "union-left": (om.UnionOf((named("C1"), named("C2"))), named("D")),
@@ -576,7 +576,7 @@ def lowered(case):
         doc = om.OntologyDocument(prefixes={"": BASE})
         doc.class_axioms.append(om.SubClassOf(*GENERAL_INCLUSIONS[case]))
     else:
-        doc, _ = parse_document(wrap(dict((r[0], r[1]) for r in ROWS)[case]))
+        doc, _ = parse_document(wrap({r[0]: r[1] for r in ROWS}[case]))
     program, diags = translate_ontology(doc)
     assert not [d for d in diags if d.severity == "error"]
     return program
