@@ -124,8 +124,8 @@ def corpus_digest(seed, n_classes, order):
     return h.hexdigest()[:16]
 
 
-# the digests of the recognizer corpus, taken before the translation
-# templates were written as one table
+# the output pinned for each document, so that any change to the lowering
+# or the recognizer that alters it shows here
 CORPUS_DIGESTS = {
     (1, 8, "printed"): "18a43c5c66137656",
     (1, 8, "reversed"): "13dc84f326815b65",
