@@ -13,7 +13,7 @@ are closed-world: no equality inference, distinct values for cardinality.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import CHECKER_RULES, MESSAGES, RANGE_MSG, is_checker_rule
@@ -131,6 +131,7 @@ class KnowledgeBase:
         # base_facts as a set, made on the first insert
         self._base_set: Optional[Set[FlLit]] = None
         self._compiled: Optional[List[List[_Rule]]] = None
+        self._goals: Dict[tuple, _Goal] = {}  # query plans by shape
         # a rule body reads a relation under ``\naf`` or a class difference
         self._negation = any(neg for r in rules
                              for _, neg in _reads(r.body, False, []))
@@ -568,13 +569,15 @@ def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
 
 
 def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
-                  delta_at: Optional[int] = None) -> tuple:
+                  delta_at: Optional[int] = None,
+                  bound: Iterable[str] = ()) -> tuple:
     """Join plan of a conjunction, left to right; a negation or disequality
-    whose variables are not all bound yet moves to the end.  A variable that
-    occurs in no literal but one negation is local to it.  The literal at
-    ``delta_at`` reads only the new facts of the round."""
+    whose variables are not all bound yet (by ``bound`` or a literal before
+    it) moves to the end.  A variable that occurs in no literal but one
+    negation is local to it.  The literal at ``delta_at`` reads only the new
+    facts of the round."""
     steps, pending = [], []
-    bound: Set[str] = set()
+    bound = set(bound)
     for i, lit in enumerate(literals):
         if isinstance(lit, FlFormat):
             continue
@@ -770,64 +773,168 @@ def saturate(kb: KnowledgeBase) -> FactStore:
 
 
 # --- queries -----------------------------------------------------------------
+#
+# A goal compiles once per KB for each shape: the goal with its constants
+# (symbols and literals) taken out.  Each constant becomes a parameter slot
+# that the plan counts as bound and a call fills in, so ``i:C`` shares one
+# plan for every ``i`` and ``C``.
+
+_PARAM = object()  # where ``_split`` took a constant out
 
 
-def _solutions(kb: KnowledgeBase, goal
-               ) -> Tuple[Dict[str, int], Iterable[list]]:
-    """A literal or conjunction's variable slots and, lazily, its solutions
-    as slot lists."""
-    literals = list(goal) if isinstance(goal, (list, tuple)) else [goal]
+def _split(x, consts: List[FlTerm]):
+    """The shape of a goal or a part of one as nested tuples, with
+    ``_PARAM`` in place of each constant, which goes to ``consts``."""
+    kind = type(x)
+    if kind is tuple:
+        return tuple([_split(e, consts) for e in x])
+    if kind is FlSymbol or kind is FlLiteralTerm:
+        consts.append(x)
+        return _PARAM
+    if kind is FlVariable:
+        return kind, x.name
+    fields = getattr(kind, "_fields", None)
+    if fields is None:  # a predicate name, a naf style, a bound
+        return x
+    out = [kind]
+    for f in fields:
+        y = getattr(x, f)
+        if type(y) is FlSymbol:  # the commonest part, without a call
+            consts.append(y)
+            out.append(_PARAM)
+        else:
+            out.append(_split(y, consts))
+    return tuple(out)
+
+
+def _build(shape, params: List[str]):
+    """The goal of a shape, with a new variable for each constant; their
+    names, which F-logic text cannot spell, go to ``params``."""
+    if shape is _PARAM:
+        params.append(f"#{len(params)}")
+        return FlVariable(params[-1])
+    if type(shape) is not tuple:
+        return shape
+    if shape and isinstance(shape[0], type):
+        return shape[0](*[_build(s, params) for s in shape[1:]])
+    return tuple([_build(s, params) for s in shape])
+
+
+class _Goal:
+    """A goal shape: the goal with a parameter variable per constant, the
+    names of its own variables in sorted order, and its plan once the goal
+    is found safe.  The names take the first slots, the parameters the
+    rest."""
+
+    __slots__ = ("literals", "params", "names", "plan")
+
+    def __init__(self, shape: tuple):
+        self.params: List[str] = []
+        self.literals = _build(shape, self.params)
+        self.names = sorted(set().union(*map(literal_vars, self.literals))
+                            - set(self.params))
+        self.plan: Optional[tuple] = None
+
+    def compile(self, goal: Sequence[FlLit]):
+        """Check that a negated literal's variables are bound by earlier
+        positive ones, then compile; an error prints the ``goal`` given."""
+        bound = set(self.params)
+        for lit in self.literals:
+            lit_vars = literal_vars(lit)
+            if not isinstance(lit, (FlNaf, FlNeq)):
+                bound |= lit_vars
+            elif not lit_vars <= bound:
+                raise EngineError("unsafe-goal",
+                                  "unbound variable under negation in goal")
+        slots = {v: i for i, v in enumerate(self.names + self.params)}
+        try:
+            self.plan = _compile_conj(self.literals, slots, bound=self.params)
+        except EngineError:
+            _compile_conj(goal, {})  # the error again, with its constants
+            raise
+
+
+def _prepare(kb: KnowledgeBase, goal, output: Optional[str] = None
+             ) -> Tuple[_Goal, Iterable[list]]:
+    """The compiled shape of a literal or conjunction and, lazily, its
+    solutions as slot lists.  A goal without the variable ``output`` is
+    refused before the store is saturated, an unsafe goal after."""
+    literals = tuple(goal) if isinstance(goal, (list, tuple)) else (goal,)
+    consts: List[FlTerm] = []
+    shape = _split(literals, consts)
+    prepared = kb._goals.get(shape)
+    if prepared is None:
+        prepared = kb._goals[shape] = _Goal(shape)
+    if output is not None and output not in prepared.names:
+        raise EngineError("unsafe-goal",
+                          f"?{output} does not occur in the goal")
     store = kb.store
-    # goal safety: naf vars must be bound by earlier positive literals
-    bound: Set[str] = set()
-    goal_vars: Set[str] = set()
-    for lit in literals:
-        lit_vars = literal_vars(lit)
-        if not isinstance(lit, (FlNaf, FlNeq)):
-            bound |= lit_vars
-        elif not lit_vars <= bound:
-            raise EngineError("unsafe-goal",
-                              "unbound variable under negation in goal")
-        goal_vars |= lit_vars
-    slots = {v: i for i, v in enumerate(sorted(goal_vars))}
-    plan = _compile_conj(literals, slots)
-    return slots, _solve(plan, [None] * len(slots), store, None)
+    if prepared.plan is None:
+        prepared.compile(literals)
+    env = [None] * len(prepared.names) + consts
+    return prepared, _solve(prepared.plan, env, store, None)
+
+
+def _distinct(names: List[str], envs: Iterable[list]):
+    """The solutions whose printed form is new, in order, each as its terms
+    (a variable for an unbound name) and their printed forms.  Equal terms
+    can print apart (a symbol quoted or not), so a repeat is skipped unprinted
+    only when it holds the very terms of the first one."""
+    k = len(names)
+    first: Dict[tuple, tuple] = {}
+    printed: Set[tuple] = set()
+    for env in envs:
+        terms = tuple(env[:k])
+        if None in terms:
+            terms = tuple(FlVariable(v) if t is None else t
+                          for v, t in zip(names, terms))
+        seen = first.setdefault(terms, terms)
+        if seen is not terms and all(map(is_, seen, terms)):
+            continue
+        key = tuple(map(print_term, terms))
+        if key not in printed:
+            printed.add(key)
+            yield terms, key
 
 
 def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
-    """All substitutions satisfying a literal or conjunction of literals."""
-    slots, envs = _solutions(kb, goal)
-    seen = set()
-    out: List[Binding] = []
-    for env in envs:
-        resolved = {v: FlVariable(v) if env[s] is None else env[s]
-                    for v, s in slots.items()}
-        key = tuple(sorted((v, print_term(t)) for v, t in resolved.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(resolved)
-    return out
+    """All substitutions satisfying a literal or conjunction of literals,
+    one per printed form."""
+    prepared, envs = _prepare(kb, goal)
+    return [dict(zip(prepared.names, terms))
+            for terms, _ in _distinct(prepared.names, envs)]
 
 
 def holds(kb: KnowledgeBase, goal) -> bool:
     """True when the goal has a solution; stops at the first."""
-    return next(iter(_solutions(kb, goal)[1]), None) is not None
+    return next(_prepare(kb, goal)[1], None) is not None
 
 
 def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:
     """Deduplicated values of one variable over all solutions, sorted by
-    printed form."""
-    literals = list(goal) if isinstance(goal, (list, tuple)) else [goal]
-    all_vars: Set[str] = set()
-    for lit in literals:
-        all_vars |= literal_vars(lit)
-    if template_var not in all_vars:
-        raise EngineError("unsafe-goal",
-                          f"?{template_var} does not occur in the goal")
+    printed form; of values that print alike, the one in the last solution
+    that ``query_goal`` keeps."""
+    prepared, envs = _prepare(kb, goal, template_var)
+    names = prepared.names
+    if len(names) > 1:
+        i = names.index(template_var)
+        values = {key[i]: terms[i] for terms, key in _distinct(names, envs)}
+        return [values[k] for k in sorted(values)]
+    # the first solution of each printed form: each term, and each later
+    # equal one that is another object, is printed once
+    unbound = FlVariable(template_var)
+    first: Dict[FlTerm, FlTerm] = {}
+    found = []
+    for env in envs:
+        t = env[0]
+        if t is None:
+            t = unbound
+        if first.get(t) is not t:
+            first.setdefault(t, t)
+            found.append(t)
     values = {}
-    for b in query_goal(kb, literals):
-        t = b[template_var]
-        values[print_term(t)] = t
+    for t in found:
+        values.setdefault(print_term(t), t)
     return [values[k] for k in sorted(values)]
 
 

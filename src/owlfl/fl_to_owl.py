@@ -18,7 +18,7 @@ from .diagnostics import Diagnostic, ERROR, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLit, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
-    FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable,
+    FlSignature, FlSubClass, FlSymbol, FlUnion, FlVariable,
     print_rule,
 )
 from .node import Node
@@ -33,6 +33,9 @@ class TemplateMatch(Node):
 
 
 # --- symbol / term mapping ---------------------------------------------------
+
+
+_VALUE = (FlSymbol, FlLiteralTerm)  # the terms that have an OWL value
 
 
 class _Namer:
@@ -55,15 +58,14 @@ class _Namer:
                 return om.Iri(name)
         return om.Iri(om.namespace(self.base) + name)
 
-    def value(self, t: FlTerm) -> Union[om.Iri, om.OwlLiteral]:
+    def value(self, t: Union[FlSymbol, FlLiteralTerm]
+              ) -> Union[om.Iri, om.OwlLiteral]:
         """Property-value position: literals print quoted or as numbers."""
         if isinstance(t, FlLiteralTerm):
             return om.OwlLiteral(t.value, t.type_tag)
-        if isinstance(t, FlSymbol):
-            if t.quoted and not ("://" in t.name and om.is_absolute(t.name)):
-                return om.OwlLiteral(t.name, "_string")
-            return self.iri(t)
-        raise TypeError(f"cannot map {t!r} to an OWL value")
+        if t.quoted and not ("://" in t.name and om.is_absolute(t.name)):
+            return om.OwlLiteral(t.name, "_string")
+        return self.iri(t)
 
     def cls(self, e: FlClassExpr) -> om.ClassExpression:
         if isinstance(e, Atom) and isinstance(e.term, FlSymbol):
@@ -211,6 +213,8 @@ def _attr_rule(rule: FlRule):
         return None
     hs, hp, hv = h
     bs, bp, bv = b
+    if hs == hv:  # the lowering's subject and value are two variables
+        return None
     if hs == bs and hv == bv:
         return hp, bp, False
     if hs == bv and hv == bs:
@@ -246,7 +250,7 @@ def _avf_dual_rule(rule: FlRule):
         return None
     xvar, cls_sym = b0
     s, p, v = b1
-    if s != xvar or v != rule.head.obj.name:
+    if s != xvar or v != rule.head.obj.name or v == s:
         return None
     return cls_sym, p, rule.head.cls
 
@@ -527,7 +531,8 @@ class _Recognizer:
                 ))
             elif h.name == "hasValue" and len(h.args) == 3 and \
                     isinstance(h.args[0], FlSymbol) and \
-                    isinstance(h.args[1], FlSymbol):
+                    isinstance(h.args[1], FlSymbol) and \
+                    isinstance(h.args[2], _VALUE):
                 c, p, v = h.args
                 self.claim("hasValue", [i], cls=c.name, prop=p.name)
                 self.class_axioms.append(om.SubClassOf(
@@ -677,7 +682,7 @@ class _Recognizer:
             elif isinstance(h, FlAttrValue) and \
                     isinstance(h.obj, FlSymbol) and \
                     isinstance(h.prop, FlSymbol) and \
-                    not isinstance(h.value, FlVariable):
+                    isinstance(h.value, _VALUE):
                 self.claim("property-assertion", [i], subj=h.obj.name,
                            prop=h.prop.name)
                 self.assertions.append(om.PropertyAssertion(

@@ -179,6 +179,20 @@ def test_translate_existential_subsumer_exits_2(tmp_path, capsys):
     assert "untranslatable-existential" in err
 
 
+@pytest.mark.parametrize("fact", ["a[p -> [b,c]].", "hasValue(C, p, ?V)."],
+                         ids=["list", "variable"])
+def test_translate_fact_without_an_owl_value_is_left_over(fact, tmp_path,
+                                                          capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text(f"{fact}\nx:C.\n")
+    out = tmp_path / "out.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err == \
+        f"warning: unrepresentable-in-owl: no OWL form for: {fact}\n"
+    assert '<owl:Thing rdf:about="#x">' in out.read_text()
+
+
 @pytest.mark.parametrize("rule", [
     "?X:G :- ?X:A, ?X:B.",
     "?X:G :- ?X:_object, \\naf ?X:A.",
@@ -711,6 +725,78 @@ def test_query_takes_back_the_names_it_prints(tmp_path, capsys):
         assert main(["query", str(src), "is", name, "C"]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("true\n", "")
+
+
+PRINTED_ALIKE_OWL = """<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#"
+         xmlns="http://example.org/t#"
+         xml:base="http://example.org/t">
+  <owl:Class rdf:about="#C">
+    <rdfs:subClassOf>
+      <owl:Restriction>
+        <owl:onProperty rdf:resource="#hasCode"/>
+        <owl:allValuesFrom rdf:resource="#D"/>
+      </owl:Restriction>
+    </rdfs:subClassOf>
+  </owl:Class>
+  <C rdf:about="#x">
+    <hasCode>a b</hasCode>
+    <hasCode rdf:datatype="http://other.org/t#code">a b</hasCode>
+  </C>
+</rdf:RDF>
+"""
+
+
+def test_query_answers_that_print_alike(tmp_path, capsys):
+    """Answers are told apart by their printed form, as they always were: of
+    a symbol and a string that both print 'a b' the first solution is kept;
+    equal symbols that print apart (quoted or not) are both kept; and a
+    listing takes each printed form's term from the last kept solution."""
+    from owlfl.engine import collect_set, load_program, query_goal
+    from owlfl.flogic import (
+        FlIsA, FlLiteralTerm, FlPred, FlProgram, FlSymbol, FlUnion, FlVariable,
+        atom, fact, print_term)
+    sym, lit = FlSymbol("a b", quoted=True), FlLiteralTerm("a b")
+    u, v = FlSymbol("u"), FlSymbol("v")
+    kb = load_program(FlProgram(tuple(map(fact, (
+        FlIsA(sym, atom("C1")), FlIsA(lit, atom("D1")),
+        FlPred("r", (sym, u)), FlPred("r", (lit, v)),
+        FlIsA(FlSymbol("abc", quoted=True), atom("C2")),
+        FlIsA(FlSymbol("abc"), atom("D2")))))))
+    x, y = FlVariable("X"), FlVariable("Y")
+
+    def either(a, b):
+        return FlIsA(x, FlUnion(atom(a), atom(b)))
+
+    def rows(goal):
+        return [{k: repr(t) for k, t in b.items()}
+                for b in query_goal(kb, goal)]
+
+    def listed(var, goal):
+        return [repr(t) for t in collect_set(kb, var, goal)]
+
+    assert rows(either("C1", "D1")) == [{"X": repr(sym)}]
+    assert listed("X", either("C1", "D1")) == [repr(sym)]
+    assert rows(either("D1", "C1")) == [{"X": repr(lit)}]
+    assert listed("X", either("D1", "C1")) == [repr(lit)]
+    joined = [either("C1", "D1"), FlPred("r", (x, y))]
+    assert rows(joined) == [{"X": repr(sym), "Y": repr(u)},
+                            {"X": repr(lit), "Y": repr(v)}]
+    assert listed("X", joined) == [repr(lit)]
+    assert listed("Y", joined) == [repr(u), repr(v)]
+    assert [print_term(t) for t in collect_set(kb, "X", either("C2", "D2"))] \
+        == ["'abc'", "abc"]
+    assert rows(either("C2", "D2")) == [{"X": repr(FlSymbol("abc", True))},
+                                        {"X": repr(FlSymbol("abc"))}]
+    src = tmp_path / "kb.owl"
+    src.write_text(PRINTED_ALIKE_OWL)
+    warning = ("warning: unknown-type: no builtin mapping for type "
+               "'http://other.org/t#code'\n")
+    for cls, out in [("D", "'a b'\n"), ("_object", "'a b'\nx\n")]:
+        assert main(["query", str(src), "instances", cls]) == 0
+        assert capsys.readouterr() == (out, warning)
 
 
 def test_query_unknown_name_warns_and_exits_0(flr_file, capsys):

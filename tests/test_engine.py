@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from owlfl.engine import (
-    EngineError, collect_set, holds, insert_fact, load_program, query_goal,
-    run_constraint_checks, saturate, stratify,
+    EngineError, _compile_conj, _solve, collect_set, holds, insert_fact,
+    literal_vars, load_program, query_goal, run_constraint_checks, saturate,
+    stratify,
 )
 from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
-    FlNaf, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
-    FlUnion, FlVariable, atom, fact, parse_program, print_term,
+    FlMember, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
+    FlSubClass, FlSymbol, FlUnion, FlVariable, atom, fact, parse_program,
+    print_term,
 )
 
 
@@ -264,9 +266,61 @@ def test_collect_set_sorted_and_deduplicated():
 
 def test_collect_set_unused_variable_rejected():
     kb = kb_from("a:C.")
-    with pytest.raises(EngineError) as e:
-        collect_set(kb, "Z", FlIsA(X, atom("C")))
-    assert e.value.code == "unsafe-goal"
+    for cls in ("C", "D"):  # the second call finds the goal's shape compiled
+        with pytest.raises(EngineError) as e:
+            collect_set(kb, "Z", FlIsA(X, atom(cls)))
+        assert (e.value.code, e.value.message) == \
+            ("unsafe-goal", "?Z does not occur in the goal")
+        assert names(collect_set(kb, "X", FlIsA(X, atom(cls)))) == \
+            (["a"] if cls == "C" else [])
+
+
+def test_goals_of_one_shape_share_a_plan_not_constants():
+    kb = kb_from("a:C.\nb:D.\nC::E.")
+    assert names(collect_set(kb, "X", FlIsA(X, atom("C")))) == ["a"]
+    assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["b"]
+    assert len(kb._goals) == 1
+    insert_fact(kb, FlIsA(FlSymbol("c"), atom("D")))
+    assert names(collect_set(kb, "X", FlIsA(X, atom("E")))) == ["a"]
+    assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["b", "c"]
+    assert [holds(kb, FlIsA(FlSymbol(i), atom("D"))) for i in "abc"] == \
+        [False, True, True]
+    assert len(kb._goals) == 2
+
+
+def test_refused_goal_is_refused_on_every_call():
+    kb = kb_from("a:C.\nb:D.")
+    unsafe = [FlNaf((FlIsA(X, atom("C")),)), FlIsA(X, atom("D"))]
+    for call in [lambda: query_goal(kb, unsafe), lambda: holds(kb, unsafe),
+                 lambda: collect_set(kb, "X", unsafe)] * 2:
+        with pytest.raises(EngineError) as e:
+            call()
+        assert (e.value.code, e.value.message) == \
+            ("unsafe-goal", "unbound variable under negation in goal")
+    for a, b in [("a", "b"), ("c", "d")]:  # worded with each call's constants
+        with pytest.raises(EngineError) as e:
+            query_goal(kb, FlEquiv(atom(a), atom(b)))
+        assert (e.value.code, e.value.message) == \
+            ("unsupported-literal", f"cannot evaluate {a} :=: {b}")
+
+
+def test_naf_and_list_goals():
+    kb = kb_from("a:C.\nb:C.\nb:D.\noneOf(E, [a, b]).\nr([a, b]).")
+    a, b, e = FlSymbol("a"), FlSymbol("b"), FlSymbol("E")
+
+    def naf(c, d):
+        return [FlIsA(X, atom(c)), FlNaf((FlIsA(X, atom(d)),))]
+    assert names(collect_set(kb, "X", naf("C", "D"))) == ["a"]
+    assert names(collect_set(kb, "X", naf("D", "C"))) == []
+    assert names(collect_set(kb, "X", naf("C", "E"))) == ["a", "b"]
+    assert [holds(kb, FlPred("r", (FlList(pair),)))
+            for pair in [(a, b), (b, a), (a, a)]] == [True, False, False]
+    assert names(collect_set(kb, "X", FlPred("oneOf", (e, X)))) == ["[a,b]"]
+    members = [FlPred("oneOf", (e, FlVariable("L"))),
+               FlMember(X, FlVariable("L"))]
+    assert names(collect_set(kb, "X", members)) == ["a", "b"]
+    assert [print_term(s["L"]) for s in query_goal(kb, members)] == \
+        ["[a,b]", "[a,b]"]
 
 
 def test_conjunctive_goal():
@@ -705,6 +759,125 @@ def test_insert_order_independence():
         insert_fact(incremental, extra)
         assert upfront.store.snapshot() == incremental.store.snapshot(), \
             f"trial {trial}"
+
+
+# --- prepared goals against the query code they replaced --------------------
+
+
+def _oracle_solutions(kb, goal):
+    """Each call checks and compiles its goal anew, constants in place."""
+    literals = list(goal) if isinstance(goal, (list, tuple)) else [goal]
+    store = kb.store
+    bound, goal_vars = set(), set()
+    for lit in literals:
+        lit_vars = literal_vars(lit)
+        if not isinstance(lit, (FlNaf, FlNeq)):
+            bound |= lit_vars
+        elif not lit_vars <= bound:
+            raise EngineError("unsafe-goal",
+                              "unbound variable under negation in goal")
+        goal_vars |= lit_vars
+    slots = {v: i for i, v in enumerate(sorted(goal_vars))}
+    plan = _compile_conj(literals, slots)
+    return slots, _solve(plan, [None] * len(slots), store, None)
+
+
+def oracle_query_goal(kb, goal):
+    slots, envs = _oracle_solutions(kb, goal)
+    seen, out = set(), []
+    for env in envs:
+        resolved = {v: FlVariable(v) if env[s] is None else env[s]
+                    for v, s in slots.items()}
+        key = tuple(sorted((v, print_term(t)) for v, t in resolved.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append(resolved)
+    return out
+
+
+def oracle_holds(kb, goal):
+    return next(iter(_oracle_solutions(kb, goal)[1]), None) is not None
+
+
+def oracle_collect_set(kb, template_var, goal):
+    literals = list(goal) if isinstance(goal, (list, tuple)) else [goal]
+    all_vars = set()
+    for lit in literals:
+        all_vars |= literal_vars(lit)
+    if template_var not in all_vars:
+        raise EngineError("unsafe-goal",
+                          f"?{template_var} does not occur in the goal")
+    values = {}
+    for b in oracle_query_goal(kb, literals):
+        t = b[template_var]
+        values[print_term(t)] = t
+    return [values[k] for k in sorted(values)]
+
+
+def outcome(fn, *args):
+    """A call's result as printed, or its error's code and message."""
+    try:
+        return repr(fn(*args))
+    except EngineError as e:
+        return e.code, e.message
+
+
+def random_mixed_program(rng):
+    """``mixed_program`` over tuples drawn as its hypothesis test draws
+    them."""
+    facts = [(rng.randrange(5), rng.choice(INDIVIDUALS),
+              rng.choice(INDIVIDUALS), rng.choice(POOL), rng.choice(POOL))
+             for _ in range(rng.randrange(7))]
+    rules = [(rng.randrange(11), rng.choice(POOL), rng.choice(POOL),
+              rng.choice(POOL), rng.choice(INDIVIDUALS))
+             for _ in range(rng.randrange(1, 7))]
+    return mixed_program(facts, rules)
+
+
+def _constants(x):
+    """The symbols of a literal, class expression or term."""
+    if isinstance(x, FlSymbol):
+        return {x}
+    if isinstance(x, (tuple, list)):
+        return set().union(*map(_constants, x))
+    return set().union(*(_constants(getattr(x, f))
+                         for f in getattr(x, "_fields", ())))
+
+
+@pytest.mark.parametrize("make", [random_mixed_program,
+                                  random_two_stratum_program])
+def test_prepared_goals_match_the_old_query_code(make):
+    """Every query verb's goal and the goal of --most-specific/--most-general,
+    with random constants, on one KB at a time, so most calls reuse a plan
+    compiled for other constants; the same answers in the same order, and
+    the same errors, as solving each goal from scratch.  An insert between
+    the calls changes the answers but not the plans."""
+    from owlfl.cli import M, QUERIES, _sub
+    rng = random.Random(20261019)
+    for trial in range(60):
+        program = make(rng)
+        names = sorted(_constants([r.head for r in program.rules]) |
+                       {FlSymbol("_object"), FlSymbol("nowhere")})
+        kb = load_program(program)
+        for step in range(40):
+            if step == 20:
+                insert_fact(kb, FlIsA(rng.choice(names), Atom(rng.choice(
+                    names))))
+            verb = rng.choice(sorted(QUERIES) + ["middle"])
+            if verb == "middle":
+                a, b = rng.choice(names), rng.choice(names)
+                goal = [_sub(a, M), FlNeq(M, a), FlNeq(M, b), _sub(M, b)]
+            else:
+                n, goal_of = QUERIES[verb]
+                goal = goal_of(*(rng.choice(names) for _ in range(n)))
+            where = (trial, step, goal)
+            assert outcome(query_goal, kb, goal) == \
+                outcome(oracle_query_goal, kb, goal), where
+            assert outcome(holds, kb, goal) == \
+                outcome(oracle_holds, kb, goal), where
+            for var in ("X", "M"):
+                assert outcome(collect_set, kb, var, goal) == \
+                    outcome(oracle_collect_set, kb, var, goal), where
 
 
 CLASSES_C = ["C0", "C1", "C2", "C3"]

@@ -261,6 +261,18 @@ def test_near_miss_closure_rule_is_left_over(rule):
         [("unrepresentable-in-owl", f"no OWL form for: {rule}")]
 
 
+@pytest.mark.parametrize("text, claimed", [
+    ("?X[hasColor -> ?X] :- ?X[hasTint -> ?X].", []),
+    ("A::_object[p *=> B].\n?X:B :- ?X:A, ?X[p -> ?X].", ["allValuesFrom"]),
+], ids=["sub-property", "allValuesFrom-dual"])
+def test_rule_with_one_variable_for_two_is_left_over(text, claimed):
+    m, diags = matches_of(text)
+    assert ids(m) == claimed
+    rule = text.splitlines()[-1]
+    assert [(d.code, d.message) for d in diags] == \
+        [("unrepresentable-in-owl", f"no OWL form for: {rule}")]
+
+
 def test_closure_rule_with_other_variable_names_is_claimed():
     m, diags = matches_of(
         "?A[?Q -> ?C] :- TransitiveProperty(?Q), ?A[?Q -> ?B], ?B[?Q -> ?C].\n"
