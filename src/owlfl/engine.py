@@ -13,7 +13,7 @@ are closed-world: no equality inference, distinct values for cardinality.
 
 from __future__ import annotations
 
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import CHECKER_RULES, MESSAGES, RANGE_MSG, is_checker_rule
@@ -786,7 +786,7 @@ def _split(x, consts: List[FlTerm]):
     """The shape of a goal or a part of one as nested tuples, with
     ``_PARAM`` in place of each constant, which goes to ``consts``."""
     kind = type(x)
-    if kind is tuple:
+    if kind is tuple or kind is list:
         return tuple([_split(e, consts) for e in x])
     if kind is FlSymbol or kind is FlLiteralTerm:
         consts.append(x)
@@ -796,15 +796,7 @@ def _split(x, consts: List[FlTerm]):
     fields = getattr(kind, "_fields", None)
     if fields is None:  # a predicate name, a naf style, a bound
         return x
-    out = [kind]
-    for f in fields:
-        y = getattr(x, f)
-        if type(y) is FlSymbol:  # the commonest part, without a call
-            consts.append(y)
-            out.append(_PARAM)
-        else:
-            out.append(_split(y, consts))
-    return tuple(out)
+    return (kind, *[_split(getattr(x, f), consts) for f in fields])
 
 
 def _build(shape, params: List[str]):
@@ -877,20 +869,14 @@ def _prepare(kb: KnowledgeBase, goal, output: Optional[str] = None
 
 def _distinct(names: List[str], envs: Iterable[list]):
     """The solutions whose printed form is new, in order, each as its terms
-    (a variable for an unbound name) and their printed forms.  Equal terms
-    can print apart (a symbol quoted or not), so a repeat is skipped unprinted
-    only when it holds the very terms of the first one."""
+    (a variable for an unbound name) and their printed forms."""
     k = len(names)
-    first: Dict[tuple, tuple] = {}
     printed: Set[tuple] = set()
     for env in envs:
         terms = tuple(env[:k])
         if None in terms:
             terms = tuple(FlVariable(v) if t is None else t
                           for v, t in zip(names, terms))
-        seen = first.setdefault(terms, terms)
-        if seen is not terms and all(map(is_, seen, terms)):
-            continue
         key = tuple(map(print_term, terms))
         if key not in printed:
             printed.add(key)
@@ -915,26 +901,9 @@ def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:
     printed form; of values that print alike, the one in the last solution
     that ``query_goal`` keeps."""
     prepared, envs = _prepare(kb, goal, template_var)
-    names = prepared.names
-    if len(names) > 1:
-        i = names.index(template_var)
-        values = {key[i]: terms[i] for terms, key in _distinct(names, envs)}
-        return [values[k] for k in sorted(values)]
-    # the first solution of each printed form: each term, and each later
-    # equal one that is another object, is printed once
-    unbound = FlVariable(template_var)
-    first: Dict[FlTerm, FlTerm] = {}
-    found = []
-    for env in envs:
-        t = env[0]
-        if t is None:
-            t = unbound
-        if first.get(t) is not t:
-            first.setdefault(t, t)
-            found.append(t)
-    values = {}
-    for t in found:
-        values.setdefault(print_term(t), t)
+    i = prepared.names.index(template_var)
+    values = {key[i]: terms[i]
+              for terms, key in _distinct(prepared.names, envs)}
     return [values[k] for k in sorted(values)]
 
 

@@ -313,6 +313,11 @@ def test_naf_and_list_goals():
     assert names(collect_set(kb, "X", naf("C", "D"))) == ["a"]
     assert names(collect_set(kb, "X", naf("D", "C"))) == []
     assert names(collect_set(kb, "X", naf("C", "E"))) == ["a", "b"]
+    # a body built in Python as a list, not the parser's tuple
+    in_list = [FlIsA(X, atom("C")), FlNaf([FlIsA(X, atom("D"))])]
+    assert names(collect_set(kb, "X", in_list)) == ["a"]
+    assert names(s["X"] for s in query_goal(kb, in_list)) == ["a"]
+    assert holds(kb, in_list)
     assert [holds(kb, FlPred("r", (FlList(pair),)))
             for pair in [(a, b), (b, a), (a, a)]] == [True, False, False]
     assert names(collect_set(kb, "X", FlPred("oneOf", (e, X)))) == ["[a,b]"]
