@@ -500,11 +500,14 @@ def _member(item, coll):
 
 def _solve(steps: tuple, env: list, store: FactStore, delta,
            i: int = 0) -> Iterable[list]:
-    if i == len(steps):
+    if not steps:
         yield env
         return
     for _ in steps[i](env, store, delta):
-        yield from _solve(steps, env, store, delta, i + 1)
+        if i + 1 == len(steps):
+            yield env
+        else:
+            yield from _solve(steps, env, store, delta, i + 1)
 
 
 def _arg(t: FlTerm, slots: Dict[str, int]):

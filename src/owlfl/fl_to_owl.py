@@ -71,17 +71,20 @@ class _Namer:
         if isinstance(e, Atom) and isinstance(e.term, FlSymbol):
             return om.Named(self.iri(e.term))
         if isinstance(e, FlUnion):
-            return om.UnionOf(tuple(self._flatten(e, FlUnion)))
+            return om.UnionOf(tuple(map(self.cls, _leaves(e, FlUnion))))
         if isinstance(e, FlIntersection):
-            return om.IntersectionOf(tuple(self._flatten(e, FlIntersection)))
+            return om.IntersectionOf(tuple(
+                map(self.cls, _leaves(e, FlIntersection))))
         if isinstance(e, FlDifference) and _is_object_atom(e.a):
             return om.ComplementOf(self.cls(e.b))
         raise TypeError(f"cannot map {e!r} to a class expression")
 
-    def _flatten(self, e: FlClassExpr, kind) -> List[om.ClassExpression]:
-        if isinstance(e, kind):
-            return self._flatten(e.a, kind) + self._flatten(e.b, kind)
-        return [self.cls(e)]
+
+def _leaves(e: FlClassExpr, kind) -> List[FlClassExpr]:
+    """The operands that ``kind`` joins in e, nested ones flattened."""
+    if isinstance(e, kind):
+        return _leaves(e.a, kind) + _leaves(e.b, kind)
+    return [e]
 
 
 def _is_object_atom(e: FlClassExpr) -> bool:
@@ -95,19 +98,13 @@ def _atom_sym(e: FlClassExpr) -> Optional[FlSymbol]:
     return None
 
 
-def _operand_atoms(e: FlClassExpr, kind) -> Optional[List[FlSymbol]]:
-    """The atoms that ``kind`` joins in e, or None if one is compound."""
-    if isinstance(e, kind):
-        a = _operand_atoms(e.a, kind)
-        b = _operand_atoms(e.b, kind)
-        if a is None or b is None:
-            return None
-        return a + b
-    s = _atom_sym(e)
-    return [s] if s is not None else None
+def _operand_atoms(e: FlClassExpr, kind) -> set:
+    """The atoms that ``kind`` joins in e, or none if one is compound."""
+    atoms = {_atom_sym(leaf) for leaf in _leaves(e, kind)}
+    return set() if None in atoms else atoms
 
 
-# --- rule-shape predicates ---------------------------------------------------
+# --- rule shapes -------------------------------------------------------------
 
 
 def _isa_var(lit: FlLit):
@@ -120,106 +117,73 @@ def _isa_var(lit: FlLit):
 
 
 def _attr_vars(lit: FlLit):
-    """(subj_var, prop_symbol, val_var) for ``?S[p -> ?V]``."""
+    """(subj_var, prop_symbol, val_var) for ``?S[p -> ?V]``, where the
+    lowering's subject and value are two variables."""
     if isinstance(lit, FlAttrValue) and isinstance(lit.obj, FlVariable) and \
-            isinstance(lit.prop, FlSymbol) and isinstance(lit.value, FlVariable):
+            isinstance(lit.prop, FlSymbol) and \
+            isinstance(lit.value, FlVariable) and \
+            lit.obj.name != lit.value.name:
         return lit.obj.name, lit.prop, lit.value.name
     return None
 
 
-def _membership_rule(rule: FlRule):
-    """``?X:D :- ?X:C1, ..., ?X:Cn`` (all positive, same variable)."""
-    h = _isa_var(rule.head)
-    if h is None or not rule.body:
-        return None
-    var, head_cls = h
-    body_classes = []
-    for lit in rule.body:
-        b = _isa_var(lit)
-        if b is None or b[0] != var:
-            return None
-        body_classes.append(b[1])
-    return head_cls, body_classes
+def _shape(rule: FlRule):
+    """The lowering's rule shape that ``rule`` has, or None:
 
-
-def _naf_isa(lit: FlLit):
-    if isinstance(lit, FlNaf) and len(lit.inner) == 1:
-        return _isa_var(lit.inner[0])
-    return None
-
-
-def _case_split_rule(rule: FlRule):
-    """``?X:A :- ?X:D, \\naf ?X:B1, ...`` -> (A, D, [B1..])."""
-    h = _isa_var(rule.head)
-    if h is None or not rule.body:
-        return None
-    var, head_cls = h
-    first = _isa_var(rule.body[0])
-    if first is None or first[0] != var:
-        return None
-    nafs = []
-    for lit in rule.body[1:]:
-        n = _naf_isa(lit)
-        if n is None or n[0] != var:
-            return None
-        nafs.append(n[1])
-    if not nafs:
-        return None
-    return head_cls, first[1], nafs
-
-
-def _complement_rule(rule: FlRule):
-    """``?X:N :- ?X:_object, \\naf ?X:C`` -> (N, C)."""
-    h = _isa_var(rule.head)
-    if h is None or len(rule.body) != 2:
-        return None
-    var, head_cls = h
-    first = _isa_var(rule.body[0])
-    if first is None or first[0] != var or first[1].name != OBJECT_NAME:
-        return None
-    n = _naf_isa(rule.body[1])
-    if n is None or n[0] != var:
-        return None
-    return head_cls, n[1]
-
-
-def _sub_rule(rule: FlRule):
-    """``?X::A :- ?X::B`` -> (A, B)."""
-    if not isinstance(rule.head, FlSubClass) or len(rule.body) != 1 or \
-            not isinstance(rule.body[0], FlSubClass):
-        return None
-    h, b = rule.head, rule.body[0]
-    hs, hv = _atom_sym(h.super), h.sub
-    bs, bv = _atom_sym(b.super), b.sub
-    if hs is None or bs is None:
-        return None
-    if isinstance(hv, Atom) and isinstance(hv.term, FlVariable) and \
-            isinstance(bv, Atom) and isinstance(bv.term, FlVariable) and \
-            hv.term.name == bv.term.name:
-        return hs, bs
-    return None
-
-
-def _attr_rule(rule: FlRule):
-    """``?X[p -> ?Y] :- ?X[q -> ?Y]`` or inverse orientation.
-
-    Returns (p, q, inverted?) or None.
+    - ``("isa", D, [C1..Cn], [])`` for ``?X:D :- ?X:C1, ..., ?X:Cn``;
+    - ``("isa", A, [D], [B1..])`` for ``?X:A :- ?X:D, \\naf ?X:B1, ...``, a
+      case split, or a complement rule if D is ``_object`` with one B;
+    - ``("dual", C, p, F)`` for ``?Y:F :- ?X:C, ?X[p -> ?Y]``;
+    - ``("domain", C, p)`` for ``?X:C :- ?X[p -> ?Y]``;
+    - ``("range", R, p)`` for ``?Y:R :- ?X[p -> ?Y]``;
+    - ``("sub", A, B)`` for ``?X::A :- ?X::B``;
+    - ``("attr", p, q, inverted)`` for ``?X[p -> ?Y] :- ?X[q -> ?Y]``, or
+      ``?Y[q -> ?X]`` when inverted.
     """
-    if not isinstance(rule.head, FlAttrValue) or len(rule.body) != 1:
+    head, body = rule.head, rule.body
+    if not body:
         return None
-    h = _attr_vars(rule.head)
-    b = _attr_vars(rule.body[0])
-    if h is None or b is None:
-        return None
-    hs, hp, hv = h
-    bs, bp, bv = b
-    if hs == hv:  # the lowering's subject and value are two variables
-        return None
-    if hs == bs and hv == bv:
-        return hp, bp, False
-    if hs == bv and hv == bs:
-        return hp, bp, True
+    if isinstance(head, FlIsA) and isinstance(head.obj, FlVariable):
+        var = head.obj.name
+        first = _isa_var(body[0])
+        if len(body) == 2 and first is not None:
+            a = _attr_vars(body[1])
+            if a is not None and a[0] == first[0] and a[2] == var:
+                return "dual", first[1], a[1], head.cls
+        cls = _atom_sym(head.cls)
+        if cls is None:
+            return None
+        if len(body) == 1:
+            a = _attr_vars(body[0])
+            if a is not None and var in (a[0], a[2]):
+                return "domain" if var == a[0] else "range", cls, a[1]
+        nafs = [lit.inner[0] for lit in body[1:]
+                if isinstance(lit, FlNaf) and len(lit.inner) == 1]
+        pos = body[:1] if nafs else body
+        if len(pos) + len(nafs) != len(body):
+            return None
+        classes = [_isa_var(lit) for lit in (*pos, *nafs)]
+        if any(c is None or c[0] != var for c in classes):
+            return None
+        classes = [c[1] for c in classes]
+        return "isa", cls, classes[:len(pos)], classes[len(pos):]
+    if isinstance(head, FlSubClass) and len(body) == 1 and \
+            isinstance(body[0], FlSubClass):
+        hs, bs = _atom_sym(head.super), _atom_sym(body[0].super)
+        sub = head.sub
+        if hs is not None and bs is not None and isinstance(sub, Atom) and \
+                isinstance(sub.term, FlVariable) and sub == body[0].sub:
+            return "sub", hs, bs
+    if isinstance(head, FlAttrValue) and len(body) == 1:
+        h, b = _attr_vars(head), _attr_vars(body[0])
+        if h is not None and b is not None and {h[0], h[2]} == {b[0], b[2]}:
+            return "attr", h[1], b[1], h[0] != b[0]
     return None
+
+
+def _is_complement(shape) -> bool:
+    """True for the isa shape of ``?X:N :- ?X:_object, \\naf ?X:C``."""
+    return shape[2] == [OBJECT_NAME] and len(shape[3]) == 1
 
 
 def _renames(rule: FlRule, of: FlRule) -> bool:
@@ -236,23 +200,6 @@ def _renames(rule: FlRule, of: FlRule) -> bool:
             return len(a) == len(b) and all(map(same, a, b))
         return same(a._key, b._key) if isinstance(a, Node) else a == b
     return same(of, rule) and len(set(names.values())) == len(names)
-
-
-def _avf_dual_rule(rule: FlRule):
-    """``?Y:F :- ?X:C, ?X[p -> ?Y]`` -> (C, p, F-expr)."""
-    if not isinstance(rule.head, FlIsA) or len(rule.body) != 2:
-        return None
-    if not isinstance(rule.head.obj, FlVariable):
-        return None
-    b0 = _isa_var(rule.body[0])
-    b1 = _attr_vars(rule.body[1])
-    if b0 is None or b1 is None:
-        return None
-    xvar, cls_sym = b0
-    s, p, v = b1
-    if s != xvar or v != rule.head.obj.name or v == s:
-        return None
-    return cls_sym, p, rule.head.cls
 
 
 def _aux_name(name: str) -> bool:
@@ -285,28 +232,22 @@ class _Recognizer:
         self.assertions: List[om.Assertion] = []
         # rules whose axiom is a general inclusion, which the writer lacks
         self.general: List[int] = []
-        # each rule's shapes, computed once; None where a shape does not fit
-        self.membership = [_membership_rule(r) for r in self.rules]
-        self.case_split = [_case_split_rule(r) for r in self.rules]
-        self.complement = [_complement_rule(r) for r in self.rules]
-        self.sub = [_sub_rule(r) for r in self.rules]
-        self.avf_dual = [_avf_dual_rule(r) for r in self.rules]
-        self.attr = [_attr_rule(r) for r in self.rules]
+        # each rule's shape (`_shape`), computed once
+        self.shape = [_shape(r) for r in self.rules]
         # rule positions, ascending, by the class each group member is filed
-        # under: a membership, case-split or complement rule under its head,
-        # a `::` rule under its superclass, an allValuesFrom dual under its
-        # body class, a ground membership fact under its class
+        # under: a class shape under its second element (an isa rule's head,
+        # a `::` rule's superclass, a dual's body class, a domain or range
+        # rule's class), a ground membership fact under its class
         self.by_class: Dict[FlSymbol, List[int]] = {}
-        for i, r in enumerate(self.rules):
-            keys = {shape[0] for shape in (
-                self.membership[i], self.case_split[i], self.complement[i],
-                self.sub[i], self.avf_dual[i]) if shape is not None}
-            if r.is_fact and isinstance(r.head, FlIsA) and \
+        for i, (r, shape) in enumerate(zip(self.rules, self.shape)):
+            key = None
+            if shape is not None and shape[0] != "attr":
+                key = shape[1]
+            elif r.is_fact and isinstance(r.head, FlIsA) and \
                     isinstance(r.head.obj, FlSymbol):
-                keys.add(_atom_sym(r.head.cls))
-            keys.discard(None)
-            for k in keys:
-                self.by_class.setdefault(k, []).append(i)
+                key = _atom_sym(r.head.cls)
+            if key is not None:
+                self.by_class.setdefault(key, []).append(i)
 
     # -- bookkeeping
 
@@ -321,6 +262,11 @@ class _Recognizer:
 
     def open_indices(self):
         return [i for i, c in enumerate(self.consumed) if not c]
+
+    def open_shapes(self, tag: str) -> List[Tuple[int, tuple]]:
+        """Each open rule whose shape is tagged ``tag``, with the shape."""
+        return [(i, s) for i in self.open_indices()
+                if (s := self.shape[i]) is not None and s[0] == tag]
 
     def fact_head(self, i: int) -> Optional[FlLit]:
         r = self.rules[i]
@@ -399,45 +345,45 @@ class _Recognizer:
             # companion rule fits and the fact is claimed alone
             if isinstance(b, FlUnion):
                 template = "union-definition"
-                ops = set(_operand_atoms(b, FlUnion) or ())
+                ops = _operand_atoms(b, FlUnion)
                 keys += ops  # case-split rules head an operand
 
                 def fits(j):
-                    m, cs = self.membership[j], self.case_split[j]
-                    if m is not None and m[0] == name and len(m[1]) == 1 \
-                            and m[1][0] in ops:
-                        return True
-                    return cs is not None and cs[0] in ops and \
-                        cs[1] == name and set(cs[2]) == ops - {cs[0]}
+                    s = self.shape[j]
+                    if s is None or s[0] != "isa" or len(s[2]) != 1:
+                        return False
+                    _, head, (pos,), nafs = s
+                    if not nafs:
+                        return head == name and pos in ops
+                    return head in ops and pos == name and \
+                        set(nafs) == ops - {head}
             elif isinstance(b, FlIntersection):
                 template = "intersection-definition"
-                ops = set(_operand_atoms(b, FlIntersection) or ())
+                ops = _operand_atoms(b, FlIntersection)
                 keys += ops  # `?X:Op :- ?X:Name` heads an operand
 
                 def fits(j):
-                    m = self.membership[j]
-                    if m is None:
+                    s = self.shape[j]
+                    if s is None or s[0] != "isa" or s[3]:
                         return False
-                    return (m[0] == name and set(m[1]) == ops) or \
-                        (m[0] in ops and m[1] == [name])
+                    return (s[1] == name and set(s[2]) == ops) or \
+                        (s[1] in ops and s[2] == [name])
             elif isinstance(b, FlDifference) and _is_object_atom(b.a):
                 template = "complement-definition"
                 operand = _atom_sym(b.b)
 
                 def fits(j):
-                    return self.complement[j] == (name, operand)
+                    return self.shape[j] == \
+                        ("isa", name, [OBJECT_NAME], [operand])
             elif other is not None:
                 template = "named-equivalence"
                 bindings = {"a": name.name, "b": other.name}
-                pair = {name, other}
                 keys.append(other)
+                pairs = [("isa", name, [other], []), ("isa", other, [name], []),
+                         ("sub", name, other), ("sub", other, name)]
 
                 def fits(j):
-                    m, s = self.membership[j], self.sub[j]
-                    if m is not None and len(m[1]) == 1 and \
-                            {m[0], m[1][0]} == pair:
-                        return True
-                    return s is not None and set(s) == pair
+                    return self.shape[j] in pairs
             else:
                 continue
             self.claim(template, self.gather(i, keys, fits), **bindings)
@@ -453,9 +399,9 @@ class _Recognizer:
             cls_sym = _atom_sym(h.cls)
             if cls_sym is None or not isinstance(h.prop, FlSymbol):
                 continue
-            dual = (cls_sym, h.prop, h.range)
+            dual = ("dual", cls_sym, h.prop, h.range)
             group = self.gather(i, [cls_sym],
-                                lambda j: self.avf_dual[j] == dual)
+                                lambda j: self.shape[j] == dual)
             # one dual rule per signature; a second one is left over
             self.claim("allValuesFrom", group[:2], cls=cls_sym.name,
                        prop=h.prop.name)
@@ -491,15 +437,14 @@ class _Recognizer:
 
     def pass_inverse_and_equivalent_properties(self):
         # each rule pairs with the first open rule of the mirrored shape
-        anchors = [i for i in self.open_indices() if self.attr[i] is not None]
+        anchors = self.open_shapes("attr")
         by_shape: Dict[tuple, deque] = {}
-        for i in anchors:
-            by_shape.setdefault(self.attr[i], deque()).append(i)
-        for i in anchors:
-            p, q, inv = self.attr[i]
+        for i, shape in anchors:
+            by_shape.setdefault(shape, deque()).append(i)
+        for i, (_, p, q, inv) in anchors:
             if self.consumed[i] or p == q:
                 continue
-            partners = by_shape.get((q, p, inv))
+            partners = by_shape.get(("attr", q, p, inv))
             while partners and self.consumed[partners[0]]:
                 partners.popleft()
             if not partners:
@@ -564,18 +509,24 @@ class _Recognizer:
                 continue
             prop_iri = self.namer.iri(h.prop)
             cls_is_obj = cls_sym.name == OBJECT_NAME
-            rng_is_obj = rng_sym is not None and rng_sym.name == OBJECT_NAME
+            # a named range other than _object, which OWL can state
+            has_range = rng_sym is not None and rng_sym.name != OBJECT_NAME
             if h.card is None:
-                if cls_is_obj and not rng_is_obj:
-                    self.claim("range", [i], prop=h.prop.name)
+                # with the rules that `--owl-domain-range-rules` adds
+                rules = (("domain", cls_sym, h.prop),
+                         ("range", rng_sym, h.prop))
+                group = self.gather(i, [cls_sym, rng_sym],
+                                    lambda j: self.shape[j] in rules)
+                if cls_is_obj and has_range:
+                    self.claim("range", group, prop=h.prop.name)
                     self.property_axioms.append(om.Range(
                         prop_iri, self.namer.iri(rng_sym)))
                 elif not cls_is_obj:
-                    self.claim("domain-range", [i], cls=cls_sym.name,
+                    self.claim("domain-range", group, cls=cls_sym.name,
                                prop=h.prop.name)
                     self.property_axioms.append(om.Domain(
                         prop_iri, self.namer.iri(cls_sym)))
-                    if not rng_is_obj and rng_sym is not None:
+                    if has_range:
                         self.property_axioms.append(om.Range(
                             prop_iri, self.namer.iri(rng_sym)))
                 continue
@@ -602,11 +553,7 @@ class _Recognizer:
                 om.Restriction(prop_iri, kind)))
 
     def pass_subproperty_rules(self):
-        for i in self.open_indices():
-            a = self.attr[i]
-            if a is None:
-                continue
-            p, q, inv = a
+        for i, (_, p, q, inv) in self.open_shapes("attr"):
             if inv:
                 continue  # a lone inverse-orientation rule has no OWL axiom
             self.claim("sub-property", [i], sub=q.name, super=p.name)
@@ -623,9 +570,8 @@ class _Recognizer:
                 "Lloyd-Topor auxiliary rules come from a lowered universal "
                 "restriction and are not reconstructed as OWL axioms",
             ))
-        cases = [i for i in self.open_indices()
-                 if self.case_split[i] is not None
-                 and self.complement[i] is None]
+        cases = [i for i, s in self.open_shapes("isa")
+                 if s[3] and not _is_complement(s)]
         if cases:
             self.claim("case-split-group", cases)
             self.diagnostics.append(Diagnostic(
@@ -635,10 +581,9 @@ class _Recognizer:
             ))
 
     def pass_subclass_rules(self):
-        for i in self.open_indices():
-            m = self.membership[i]
-            if m is not None:
-                head_cls, body = m
+        for i, s in self.open_shapes("isa"):
+            _, head_cls, body, nafs = s
+            if not nafs:
                 sup = om.Named(self.namer.iri(head_cls))
                 if len(body) == 1:
                     sub: om.ClassExpression = om.Named(self.namer.iri(body[0]))
@@ -648,14 +593,11 @@ class _Recognizer:
                     self.general.append(i)
                 self.claim("membership-rule", [i], cls=head_cls.name)
                 self.class_axioms.append(om.SubClassOf(sub, sup))
-                continue
-            c = self.complement[i]
-            if c is not None:
-                head_cls, operand = c
+            elif _is_complement(s):
                 self.claim("complement-subclass", [i], cls=head_cls.name)
                 self.general.append(i)
                 self.class_axioms.append(om.SubClassOf(
-                    om.ComplementOf(om.Named(self.namer.iri(operand))),
+                    om.ComplementOf(om.Named(self.namer.iri(nafs[0]))),
                     om.Named(self.namer.iri(head_cls))))
 
     def pass_subclass_facts(self):

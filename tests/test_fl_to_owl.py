@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from owlfl.fl_to_owl import recognize_templates, translate_program
 from owlfl.flogic import FlProgram, parse_program
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import TranslationOptions, translate_ontology
+from owlfl.owl_writer import serialize_document
 
 from _table1 import ROWS, wrap
 
@@ -184,6 +186,13 @@ def test_signature_forms():
         om.SubClassOf(named("Person"), om.Restriction(
             iri("hasSpouse"), om.ExactCardinality(1))),
     ]
+
+
+def test_compound_range_without_domain_is_left_over():
+    doc, diags = build("_object[hasColor *=> (Red ; White)].")
+    assert doc.property_axioms == []
+    assert [d.message for d in diags] == [
+        "no OWL form for: _object[hasColor *=> (Red ; White)]."]
 
 
 def test_subproperty_rule():
@@ -581,9 +590,25 @@ GENERAL_INCLUSIONS = {
     "union-right": (named("D"), om.UnionOf((named("C1"), named("C2")))),
 }
 LOSSY = {"allValuesFrom-left", "union-right"}
+# lowered with `owl_domain_range_rules`, which adds a rule beside each
+# signature
+DOMAIN_RANGE_RULES = {
+    "domain-rules": (om.Domain(iri("locatedIn"), iri("Country")),),
+    "range-rules": (om.Range(iri("locatedIn"), iri("Region")),),
+    "domain-range-rules": (om.Domain(iri("locatedIn"), iri("Country")),
+                           om.Range(iri("locatedIn"), iri("Region"))),
+}
 
 
 def lowered(case):
+    if case in DOMAIN_RANGE_RULES:
+        doc = om.OntologyDocument(
+            prefixes={"": BASE},
+            property_axioms=list(DOMAIN_RANGE_RULES[case]))
+        program, diags = translate_ontology(
+            doc, TranslationOptions(owl_domain_range_rules=True))
+        assert not diags and any(r.body for r in program.rules)
+        return program
     if case in GENERAL_INCLUSIONS:
         doc = om.OntologyDocument(prefixes={"": BASE})
         doc.class_axioms.append(om.SubClassOf(*GENERAL_INCLUSIONS[case]))
@@ -595,7 +620,8 @@ def lowered(case):
 
 
 @pytest.mark.parametrize("case", [r[0] for r in ROWS] +
-                         sorted(GENERAL_INCLUSIONS))
+                         sorted(GENERAL_INCLUSIONS) +
+                         sorted(DOMAIN_RANGE_RULES))
 def test_every_lowering_reads_back(case):
     program = lowered(case)
     m, diags = recognize_templates(program)
@@ -603,6 +629,13 @@ def test_every_lowering_reads_back(case):
         list(range(len(program.rules)))
     assert [d.code for d in diags] == \
         (["lossy-origin"] if case in LOSSY else [])
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_RANGE_RULES))
+def test_domain_range_rules_read_back_as_their_axioms(case):
+    doc, diags = translate_program(lowered(case), base_iri=BASE)
+    assert not diags
+    assert set(doc.property_axioms) == set(DOMAIN_RANGE_RULES[case])
 
 
 # --- naming ------------------------------------------------------------------
@@ -701,3 +734,213 @@ def test_round_trip_recovers_axiom_sets():
     assert set(back.class_axioms) == set(doc.class_axioms)
     assert set(back.property_axioms) == set(doc.property_axioms)
     assert set(back.assertions) == set(doc.assertions)
+
+
+# --- near-template programs --------------------------------------------------
+
+CLASSES = ("A", "B", "C", "D")
+PROPS = ("p", "q", "r")
+
+
+def near_template_program(rng):
+    """F-logic text of a few groups of the lowering's statements over a small
+    pool of names, some of them bent: a variable swapped, ``\\naf`` written
+    as ``not(...)``, a body reordered, a head made compound, a statement
+    dropped or its variables renamed."""
+    def c():
+        return rng.choice(CLASSES)
+
+    def p():
+        return rng.choice(PROPS)
+
+    def cx():  # a class, sometimes compound
+        r = rng.random()
+        if r < .08:
+            return f"({c()} ; {c()})"
+        return f"({c()} , {c()})" if r < .16 else c()
+
+    def v(name):  # the template's variable, sometimes another
+        return name if rng.random() < .9 else rng.choice("XYZ")
+
+    def naf(lit):
+        r = rng.random()
+        if r < .05:
+            return f"\\naf ({lit}, {lit})"
+        return f"not({lit})" if r < .3 else f"\\naf {lit}"
+
+    def rule(head, body):
+        if rng.random() < .12:
+            rng.shuffle(body)
+        return f"{head} :- {', '.join(body)}."
+
+    def isa(cls, x="X"):
+        return f"?{v(x)}:{cls}"
+
+    def union():
+        u, a, b = rng.sample(CLASSES, 3)
+        return [f"{u} :=: ({a} ; {b}).",
+                rule(f"?X:{u}", [isa(a)]), rule(f"?X:{u}", [isa(b)]),
+                rule(f"?X:{a}", [isa(u), naf(isa(b))]),
+                rule(f"?X:{b}", [isa(u), naf(isa(a))])]
+
+    def intersection():
+        n, a, b = rng.sample(CLASSES, 3)
+        return [f"{n} :=: ({a} , {b}).",
+                rule(f"?X:{n}", [isa(a), isa(b)]),
+                rule(f"?X:{a}", [isa(n)]), rule(f"?X:{b}", [isa(n)])]
+
+    def complement():
+        k, a = rng.sample(CLASSES, 2)
+        return [f"{k} :=: (_object - {a}).",
+                rule(f"?X:{k}", [isa("_object"), naf(isa(a))])]
+
+    def equivalence():
+        e, a = rng.sample(CLASSES, 2)
+        return [f"{e} :=: {a}.", rule(f"?X:{e}", [isa(a)]),
+                rule(f"?X:{a}", [isa(e)]),
+                rule(f"?X::{e}", [f"?{v('X')}::{a}"]),
+                rule(f"?X::{a}", [f"?{v('X')}::{e}"])]
+
+    def membership():
+        return [rule(f"?X:{cx()}",
+                     [isa(c()) for _ in range(rng.randint(1, 3))])]
+
+    def case_split():
+        return [rule(f"?X:{c()}", [isa(rng.choice(CLASSES + ("_object",)))]
+                     + [naf(isa(c())) for _ in range(rng.randint(1, 2))])]
+
+    def all_values():
+        a, f, q = c(), cx(), p()
+        return [f"{a}::_object[{q} *=> {f}].",
+                rule(f"?{v('Y')}:{f}",
+                     [isa(a), f"?{v('X')}[{q} -> ?{v('Y')}]"])]
+
+    def properties():
+        a, b = rng.sample(PROPS, 2)
+        x, y = rng.choice((("X", "Y"), ("Y", "X")))
+        return [rule(f"?X[{a} -> ?Y]", [f"?{v(x)}[{b} -> ?{v(y)}]"]),
+                rule(f"?X[{b} -> ?Y]", [f"?{v(x)}[{a} -> ?{v(y)}]"])]
+
+    def characteristics():
+        kind, closure = rng.choice((
+            ("TransitiveProperty",
+             ["'TransitiveProperty'(?P)", "?X[?P -> ?Y]", "?Y[?P -> ?Z]"]),
+            ("SymmetricProperty",
+             ["'SymmetricProperty'(?P)", "?Y[?P -> ?X]"])))
+        head = "?X[?P -> ?Z]" if kind[0] == "T" else "?X[?P -> ?Y]"
+        return [f"'{kind}'({p()}).", rule(head, closure)]
+
+    def inverse_functional():
+        a, b = rng.sample(PROPS, 2)
+        return [f"inverseFunctional({a}).",
+                f"_object[{b}{{1:1}} *=> _object].",
+                rule(f"?X[{a} -> ?Y]", [f"?{v('Y')}[{b} -> ?{v('X')}]"]),
+                rule(f"?X[{b} -> ?Y]", [f"?{v('Y')}[{a} -> ?{v('X')}]"])]
+
+    def one_of():
+        a = c()
+        return [f"oneOf({a}, [m, n]).", f"m:{a}.", f"n:{a}.", f"o:{a}."]
+
+    def lloyd_topor():
+        a, q = c(), c()
+        return [f"{q}::_object[{p()} *=> {a}].",
+                rule("'_lt_aux1'(?X)", [f"?X[{p()} -> ?Y]", naf(isa(a, "Y"))]),
+                rule(f"?X:{q}", [isa("_object"), naf("'_lt_aux1'(?X)")])]
+
+    def facts():
+        a, b = rng.sample(CLASSES, 2)
+        return [rng.choice((
+            f"someValuesFrom({a}, {p()}, {b}).",
+            f"hasValue({a}, {p()}, m).", f"hasValue({a}, {p()}, 'v').",
+            f"disjoint_classes({a}, {b}).", f"{a}::{b}.",
+            f"{a}[{p()} *=> {b}].", f"_object[{p()} *=> {b}].",
+            f"{a}[{p()}{{0:2}} *=> _object].",
+            f"{a}[{p()}{{1:*}} *=> _object].",
+            f"{a}[{p()}{{2:2}} *=> _object].",
+            f"{a}[{p()}{{1:3}} *=> _object].",
+            f"_object[{p()}{{1:1}} *=> _object].",
+            f"m:{a}.", "m:_object.", f"m[{p()} -> n].", f"m[{p()} -> 'v'].",
+            f"check_{a}(?X) :- ?X:{a}, \\naf ?X:{b}.",
+            f"?X::{a} :- ?{v('X')}::{b}."))]
+
+    groups = (union, intersection, complement, equivalence, membership,
+              case_split, all_values, properties, characteristics,
+              inverse_functional, one_of, lloyd_topor, facts)
+    statements = []
+    for _ in range(rng.randint(3, 8)):
+        for s in rng.choice(groups)():
+            if rng.random() < .1:
+                continue
+            if rng.random() < .1:
+                s = s.replace("?X", "?W")
+            statements.append(s)
+    if rng.random() < .5:
+        rng.shuffle(statements)
+    return "\n".join(statements) + "\n"
+
+
+def near_template_results(seed):
+    """Each of a seed's programs with what the recognizer makes of it."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        text = near_template_program(rng)
+        program, diags = parse_program(text)
+        assert not diags, (text, [d.message for d in diags])
+        matches, _ = recognize_templates(program)
+        doc, diags = translate_program(program)
+        yield text, matches, diags, serialize_document(doc)
+
+
+def near_template_digest(seed):
+    h = hashlib.sha256()
+    for text, matches, diags, rdf in near_template_results(seed):
+        h.update(text.encode())
+        h.update(repr([(m.template_id, m.bindings, m.consumed)
+                       for m in matches]).encode())
+        h.update(repr([(d.severity, d.code, d.message, d.location)
+                       for d in diags]).encode())
+        h.update(rdf.encode())
+    return h.hexdigest()[:16]
+
+
+# the recognizer's output pinned per seed
+NEAR_TEMPLATE_DIGESTS = {
+    0: "ced68d926c8b2354",
+    1: "e04f789f33593670",
+    2: "8e3c238701565c44",
+    3: "e34aa5d2dbcdf67a",
+    4: "6af67f4d72bdfec2",
+    5: "c87b71f10d16d08f",
+    6: "6a3a66ec8f6b4f1b",
+    7: "f4fd54aa3253c0de",
+    8: "55bf26c49ce17971",
+    9: "de2d41eb1f02362b",
+    10: "a6abb905cceb8e7d",
+    11: "7e809e5efccddb67",
+    12: "2abeba998da1f8e1",
+    13: "3dcdb61e41b9273a",
+    14: "79a38eb6b261d3ec",
+    15: "bafec99cd5516d51",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NEAR_TEMPLATE_DIGESTS))
+def test_near_template_programs_are_unchanged(seed):
+    assert near_template_digest(seed) == NEAR_TEMPLATE_DIGESTS[seed]
+
+
+def test_near_template_programs_reach_every_template():
+    seen = {m.template_id for seed in NEAR_TEMPLATE_DIGESTS
+            for _, matches, _, _ in near_template_results(seed)
+            for m in matches}
+    assert seen == {
+        "checker-library", "oneof-definition", "union-definition",
+        "intersection-definition", "complement-definition",
+        "named-equivalence", "allValuesFrom", "transitiveProperty",
+        "symmetricProperty", "generic-transitive-rule",
+        "generic-symmetric-rule", "inverse-of", "equivalent-property",
+        "someValuesFrom", "hasValue", "disjoint-classes",
+        "inverse-functional", "range", "domain-range", "functional",
+        "cardinality-restriction", "sub-property", "lloyd-topor-aux",
+        "case-split-group", "membership-rule", "complement-subclass",
+        "subclass-fact", "class-assertion", "property-assertion"}
