@@ -98,6 +98,16 @@ def _atom_sym(e: FlClassExpr) -> Optional[FlSymbol]:
     return None
 
 
+def _maps_to_owl(e: FlClassExpr) -> bool:
+    """Whether ``_Namer.cls`` maps e: named classes joined by union,
+    intersection and difference from ``_object``."""
+    if isinstance(e, (FlUnion, FlIntersection)):
+        return _maps_to_owl(e.a) and _maps_to_owl(e.b)
+    if isinstance(e, FlDifference):
+        return _is_object_atom(e.a) and _maps_to_owl(e.b)
+    return _atom_sym(e) is not None
+
+
 def _operand_atoms(e: FlClassExpr, kind) -> set:
     """The atoms that ``kind`` joins in e, or none if one is compound."""
     atoms = {_atom_sym(leaf) for leaf in _leaves(e, kind)}
@@ -335,7 +345,7 @@ class _Recognizer:
             if not isinstance(h, FlEquiv):
                 continue
             name = _atom_sym(h.a)
-            if name is None:
+            if name is None or not _maps_to_owl(h.b):
                 continue
             b = h.b
             other = _atom_sym(b)
@@ -397,7 +407,8 @@ class _Recognizer:
                     and h.card is None):
                 continue
             cls_sym = _atom_sym(h.cls)
-            if cls_sym is None or not isinstance(h.prop, FlSymbol):
+            if cls_sym is None or not isinstance(h.prop, FlSymbol) or \
+                    not _maps_to_owl(h.range):
                 continue
             dual = ("dual", cls_sym, h.prop, h.range)
             group = self.gather(i, [cls_sym],

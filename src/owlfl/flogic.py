@@ -352,55 +352,58 @@ def print_program(program: FlProgram) -> str:
 # --- lexer -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    # most frequent first; an alternative that is a prefix of another
-    # (':' of ':-', '-' of '->') comes after it
+    # spaces and comments, then one token (group 1), most frequent first; an
+    # alternative that is a prefix of another (':' of ':-', '-' of '->')
+    # comes after it.  A character that no other alternative takes is a
+    # token of its own, which _lex rejects; the empty match at the end is
+    # the eof token.
     r"""
-      (?P<ws>\s+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<quoted>'(?:\\.|[^'\\])*')
-    | (?P<comment>//[^\n]*)
-    | (?P<equiv>:=:)
-    | (?P<implies>:-)
-    | (?P<subclass>::)
-    | (?P<sigarrow>\*=>)
-    | (?P<arrow>->)
-    | (?P<neq>!=)
-    | (?P<naf>\\naf\b)
-    | (?P<num>\d+)
-    | (?P<punct>[\[\]{}(),;.@*:]|[-–])
-    | (?P<bad>.)
+    (?: \s+ | //[^\n]* )*
+    ( [A-Za-z_][A-Za-z0-9_]*
+    | \?[A-Za-z_][A-Za-z0-9_]*
+    | '(?:\\.|[^'\\])*'
+    | :=: | :- | :: | \*=> | -> | != | \\naf\b
+    | \d+
+    | [\[\]{}(),;.@*:] | [-–]
+    | .
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
 
-# a token is (kind, value, offset): kind is a group name of _TOKEN_RE or
-# "eof", offset the character position of its first character in the text
-_Tok = Tuple[str, str, int]
-
 
 class FlParseError(Exception):
-    def __init__(self, message: str, offset: int):
+    """A syntax error at the token with this index in the token list."""
+
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.message = message
-        self.offset = offset
+        self.index = index
 
 
-def _lex(text: str) -> List[_Tok]:
-    toks = []
-    append = toks.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        value = m.group()
-        if kind == "bad":
-            raise FlParseError(f"unexpected character {value!r}", m.start())
-        if value == "–":
-            value = "-"  # accept the typographic dash as set difference
-        append((kind, value, m.start()))
-    append(("eof", "", len(text)))
+def _lex(text: str) -> List[str]:
+    """The tokens of text, ending in the eof token ``""``."""
+    toks = _TOKEN_RE.findall(text)
+    bad = [t for t in set(toks) if len(t) == 1 and t not in "[]{}(),;.@*:-–_"
+           and not t.isdecimal() and not (t.isascii() and t.isalpha())]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise FlParseError(f"unexpected character {toks[i]!r}", i)
+    if "–" in text:  # accept the typographic dash as set difference
+        toks = ["-" if t == "–" else t for t in toks]
     return toks
+
+
+def _kind(tok: str) -> str:
+    """The kind of a token of text that _lex accepted, from its first
+    character."""
+    c = tok[:1]
+    if c == "'":
+        return "quoted"
+    if c.isdecimal():
+        return "num"
+    return "ident" if c.isalpha() or c == "_" else "other"
 
 
 def unquote(lexeme: str) -> str:
@@ -413,31 +416,20 @@ def unquote(lexeme: str) -> str:
 
 
 class _Parser:
-    def __init__(self, toks: List[_Tok], prefixes: Dict[str, str]):
+    def __init__(self, toks: List[str], prefixes: Dict[str, str]):
         self.toks = toks
         self.i = 0
         self.prefixes = dict(prefixes)
         self.symbols: Dict[str, FlSymbol] = {}  # one per plain name
+        self.nafs: List[int] = []  # the token index of each naf read
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
+    def expect(self, want: str, kind: bool = False) -> str:
+        """The next token, consumed, if it is ``want`` (a kind if ``kind``)."""
         t = self.toks[self.i]
+        if (_kind(t) if kind else t) != want:
+            raise FlParseError(f"expected {want!r}, got {t!r}", self.i)
         self.i += 1
         return t
-
-    def expect(self, kind: str, value: Optional[str] = None) -> _Tok:
-        t = self.toks[self.i]
-        if t[0] != kind or (value is not None and t[1] != value):
-            want = value or kind
-            raise FlParseError(f"expected {want!r}, got {t[1]!r}", t[2])
-        self.i += 1
-        return t
-
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        t = self.toks[self.i]
-        return t[0] == kind and (value is None or t[1] == value)
 
     # terms
 
@@ -447,92 +439,100 @@ class _Parser:
         # expressions, frame properties/values, predicate arguments, lists)
         # `pfx:local` can only be a prefixed name, so callers pass
         # merge_prefixed=True; subjects merge only declared prefixes.
-        kind, value, offset = self.peek()
-        if kind == "var":
-            self.next()
-            return FlVariable(value[1:])
-        if kind == "num":
-            self.next()
-            return FlLiteralTerm(value, "_integer")
-        if kind == "quoted":
-            self.next()
-            name = unquote(value)
+        toks = self.toks
+        i = self.i
+        t = toks[i]
+        c = t[:1]
+        if c == "?":
+            self.i = i + 1
+            return FlVariable(t[1:])
+        if c == "'":
+            self.i = i + 1
+            name = unquote(t)
             if not name:  # '' names nothing; it is the empty string
                 return FlLiteralTerm("")
             return FlSymbol(name, quoted=True)
-        if kind == "ident":
-            self.next()
-            name = value
-            if (
-                (merge_prefixed or name in self.prefixes)
-                and self.at("punct", ":")
-                and self.toks[self.i + 1][0] == "ident"
-            ):
-                self.next()
-                name = f"{name}:{self.next()[1]}"
-            sym = self.symbols.get(name)
-            if sym is None:
-                sym = self.symbols[name] = FlSymbol(name)
-            return sym
-        if kind == "punct" and value == "[":
-            self.next()
-            elems = []
-            if not self.at("punct", "]"):
-                elems.append(self.parse_term(merge_prefixed=True))
-                while self.at("punct", ","):
-                    self.next()
-                    elems.append(self.parse_term(merge_prefixed=True))
-            self.expect("punct", "]")
-            return FlList(tuple(elems))
-        raise FlParseError(f"expected a term, got {value!r}", offset)
+        if c == "[":
+            self.i = i + 1
+            return FlList(self.parse_terms("]"))
+        if c.isdecimal():
+            self.i = i + 1
+            return FlLiteralTerm(t, "_integer")
+        if not (c.isalpha() or c == "_"):
+            raise FlParseError(f"expected a term, got {t!r}", i)
+        i += 1
+        if (merge_prefixed or t in self.prefixes) and toks[i] == ":" \
+                and _kind(toks[i + 1]) == "ident":
+            t = f"{t}:{toks[i + 1]}"
+            i += 2
+        self.i = i
+        sym = self.symbols.get(t)
+        if sym is None:
+            sym = self.symbols[t] = FlSymbol(t)
+        return sym
+
+    def parse_terms(self, close: str) -> Tuple[FlTerm, ...]:
+        """Terms separated by ``,`` up to the token ``close``, consumed."""
+        terms = []
+        if self.toks[self.i] != close:
+            terms.append(self.parse_term(merge_prefixed=True))
+            while self.toks[self.i] == ",":
+                self.i += 1
+                terms.append(self.parse_term(merge_prefixed=True))
+        self.expect(close)
+        return tuple(terms)
 
     # class expressions
 
     def parse_class_expr(self) -> FlClassExpr:
-        if self.at("punct", "("):
-            self.next()
-            a = self.parse_class_expr()
-            t = self.peek()
-            if t[0] == "punct" and t[1] in (";", ",", "-"):
-                self.next()
-                b = self.parse_class_expr()
-                self.expect("punct", ")")
-                if t[1] == ";":
-                    return FlUnion(a, b)
-                if t[1] == ",":
-                    return FlIntersection(a, b)
-                return FlDifference(a, b)
-            self.expect("punct", ")")
-            return a
-        return Atom(self.parse_term(merge_prefixed=True))
+        if self.toks[self.i] != "(":
+            return Atom(self.parse_term(merge_prefixed=True))
+        self.i += 1
+        a = self.parse_class_expr()
+        op = self.toks[self.i]
+        if op == ";" or op == "," or op == "-":
+            self.i += 1
+            b = self.parse_class_expr()
+            self.expect(")")
+            if op == ";":
+                return FlUnion(a, b)
+            if op == ",":
+                return FlIntersection(a, b)
+            return FlDifference(a, b)
+        self.expect(")")
+        return a
 
     # frame contents after '[': returns list of literals for subject term
     def parse_frame(self, subject: FlTerm, via: Optional[FlClassExpr],
                     cls: Optional[FlClassExpr]) -> List[FlLit]:
+        toks = self.toks
         items: List[FlLit] = []
         while True:
             prop = self.parse_term(merge_prefixed=True)
             card = None
-            if self.at("punct", "{"):
-                brace = self.next()
-                low = int(self.expect("num")[1])
-                # the ':' between bounds lexes as punct ':'
-                t = self.next()
-                if not (t[0] == "punct" and t[1] == ":"):
-                    raise FlParseError("expected ':' in cardinality", t[2])
-                if self.at("punct", "*"):
-                    self.next()
+            if toks[self.i] == "{":
+                brace = self.i
+                self.i += 1
+                low = int(self.expect("num", kind=True))
+                # the token in the place of ':' is consumed, unless it is eof
+                colon = self.i
+                self.i += toks[colon] != ""
+                if toks[colon] != ":":
+                    raise FlParseError("expected ':' in cardinality", colon)
+                if toks[self.i] == "*":
+                    self.i += 1
                     high: Optional[int] = None
                 else:
-                    high = int(self.expect("num")[1])
-                self.expect("punct", "}")
+                    high = int(self.expect("num", kind=True))
+                self.expect("}")
                 if high is not None and high < low:
                     raise FlParseError(f"cardinality {{{low}:{high}}} has its "
                                        "upper bound below its lower bound",
-                                       brace[2])
+                                       brace)
                 card = (low, high)
-            if self.at("sigarrow"):
-                self.next()
+            t = toks[self.i]
+            if t == "*=>":
+                self.i += 1
                 rng = self.parse_class_expr()
                 items.append(
                     FlSignature(
@@ -540,23 +540,20 @@ class _Parser:
                         prop, rng, card, via,
                     )
                 )
-            elif self.at("arrow"):
+            elif t == "->":
                 if card is not None:
-                    t = self.peek()
-                    raise FlParseError("cardinality on attribute value", t[2])
-                self.next()
+                    raise FlParseError("cardinality on attribute value",
+                                       self.i)
+                self.i += 1
                 value = self.parse_term(merge_prefixed=True)
                 items.append(FlAttrValue(subject, prop, value))
             else:
-                t = self.peek()
-                raise FlParseError(
-                    f"expected '->' or '*=>', got {t[1]!r}", t[2]
-                )
-            if self.at("punct", ","):
-                self.next()
-                continue
-            break
-        self.expect("punct", "]")
+                raise FlParseError(f"expected '->' or '*=>', got {t!r}",
+                                   self.i)
+            if toks[self.i] != ",":
+                break
+            self.i += 1
+        self.expect("]")
         return items
 
     # literals; may return several (combined frame molecules split here)
@@ -564,42 +561,39 @@ class _Parser:
     def parse_literals(self) -> List[FlLit]:
         """Literals separated by ``,``, up to the first other token."""
         lits = self.parse_literal()
-        while self.at("punct", ","):
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             lits.extend(self.parse_literal())
         return lits
 
     def parse_literal(self) -> List[FlLit]:
-        t = self.peek()
-        if t[0] == "naf" or (t[0] == "ident" and t[1] == "naf"):
-            self.next()
-            if self.at("punct", "("):
-                self.next()
+        toks = self.toks
+        t = toks[self.i]
+        if t == "\\naf" or t == "naf" or t == "not":
+            mark = len(self.nafs)
+            self.nafs.append(self.i)
+            self.i += 1
+            if t == "not" or toks[self.i] == "(":
+                self.expect("(")
                 inner = self.parse_literals()
-                self.expect("punct", ")")
+                self.expect(")")
             else:
                 inner = self.parse_literal()
-            return [FlNaf(tuple(inner), style="naf")]
-        if t[0] == "ident" and t[1] == "not":
-            self.next()
-            self.expect("punct", "(")
-            inner = self.parse_literals()
-            self.expect("punct", ")")
-            return [FlNaf(tuple(inner), style="not")]
-        if t[0] == "ident" and t[1] == "format":
+            if len(self.nafs) > mark + 1:  # the first naf read inside
+                raise FlParseError("naf may not directly wrap naf",
+                                   self.nafs[mark + 1])
+            return [FlNaf(tuple(inner), style="not" if t == "not" else "naf")]
+        if t == "format":
             return [self.parse_format()]
-        if t[0] == "ident" and t[1] == "member" and \
-                self.toks[self.i + 1][0] == "punct" and \
-                self.toks[self.i + 1][1] == "(":
-            self.next()
-            self.next()
+        if t == "member" and toks[self.i + 1] == "(":
+            self.i += 2
             item = self.parse_term(merge_prefixed=True)
-            self.expect("punct", ",")
+            self.expect(",")
             coll = self.parse_term(merge_prefixed=True)
-            self.expect("punct", ")")
+            self.expect(")")
             return [FlMember(item, coll)]
 
-        if self.at("punct", "("):
+        if t == "(":
             subj_expr: Optional[FlClassExpr] = self.parse_class_expr()
             subj_term: Optional[FlTerm] = None
             quoted = False
@@ -609,118 +603,103 @@ class _Parser:
             subj_expr = None
             quoted = isinstance(term, FlSymbol) and term.quoted
 
-        t = self.peek()
+        at = self.i
+        t = toks[at]
         # predicate application
-        if subj_term is not None and isinstance(subj_term, FlSymbol) and \
-                t[0] == "punct" and t[1] == "(":
-            self.next()
-            args = []
-            if not self.at("punct", ")"):
-                args.append(self.parse_term(merge_prefixed=True))
-                while self.at("punct", ","):
-                    self.next()
-                    args.append(self.parse_term(merge_prefixed=True))
-            self.expect("punct", ")")
-            return [FlPred(subj_term.name, tuple(args), quoted=quoted)]
-        if subj_term is not None and t[0] == "neq":
-            self.next()
+        if isinstance(subj_term, FlSymbol) and t == "(":
+            self.i += 1
+            args = self.parse_terms(")")
+            return [FlPred(subj_term.name, args, quoted=quoted)]
+        if subj_term is not None and t == "!=":
+            self.i += 1
             return [FlNeq(subj_term, self.parse_term(merge_prefixed=True))]
 
         left = subj_expr if subj_expr is not None else Atom(subj_term)
 
-        if self.at("equiv"):
-            self.next()
+        if t == ":=:":
+            self.i += 1
             return [FlEquiv(left, self.parse_class_expr())]
-        if self.at("subclass"):
-            self.next()
+        if t == "::":
+            self.i += 1
             sup = self.parse_class_expr()
-            if self.at("punct", "["):
-                self.next()
+            if toks[self.i] == "[":
+                self.i += 1
                 return self.parse_frame(subj_term, via=sup, cls=left)
             return [FlSubClass(left, sup)]
-        if self.at("punct", ":"):
-            self.next()
+        if t == ":":
+            self.i += 1
             cls = self.parse_class_expr()
-            if subj_term is not None and self.at("punct", "["):
-                self.next()
+            if subj_term is not None and toks[self.i] == "[":
+                self.i += 1
                 return [FlIsA(subj_term, cls)] + self.parse_frame(
                     subj_term, via=None, cls=None
                 )
             if subj_term is None:
-                raise FlParseError("membership needs a term subject", t[2])
+                raise FlParseError("membership needs a term subject", at)
             return [FlIsA(subj_term, cls)]
-        if self.at("punct", "["):
-            self.next()
-            return self.parse_frame(
-                subj_term if subj_term is not None else None, via=None, cls=left
-            )
-        if subj_term is not None and isinstance(subj_term, FlSymbol):
+        if t == "[":
+            self.i += 1
+            return self.parse_frame(subj_term, via=None, cls=left)
+        if isinstance(subj_term, FlSymbol):
             return [FlPred(subj_term.name, (), quoted=quoted)]
-        raise FlParseError(f"unexpected {t[1]!r}", t[2])
+        raise FlParseError(f"unexpected {t!r}", at)
 
     def parse_format(self) -> FlFormat:
-        self.expect("ident", "format")
-        self.expect("punct", "(")
-        if self.at("num"):
-            self.next()
-            self.expect("punct", ",")
-        msg_tok = self.expect("quoted")
-        message = unquote(msg_tok[1])
+        self.expect("format")
+        self.expect("(")
+        if _kind(self.toks[self.i]) == "num":
+            self.i += 1
+            self.expect(",")
+        message = unquote(self.expect("quoted", kind=True))
         args: Tuple[FlTerm, ...] = ()
-        if self.at("punct", ","):
-            self.next()
+        if self.toks[self.i] == ",":
+            self.i += 1
             arg_term = self.parse_term()
             if isinstance(arg_term, FlList):
                 args = arg_term.elements
             else:
                 args = (arg_term,)
-        self.expect("punct", ")")
-        self.expect("punct", "@")
-        self.expect("ident", "_prolog")
-        self.expect("punct", "(")
-        self.expect("ident", "format")
-        self.expect("punct", ")")
+        for t in (")", "@", "_prolog", "(", "format", ")"):
+            self.expect(t)
         return FlFormat(message, args)
 
     # statements
 
     def parse_directive(self):
         # ':- base('...').' or ':- prefix(name, '...').'
-        self.expect("implies")
-        kw = self.expect("ident")
-        self.expect("punct", "(")
-        if kw[1] == "base":
-            iri = unquote(self.expect("quoted")[1])
-            self.prefixes[""] = iri
-        elif kw[1] == "prefix":
-            name = self.expect("ident")[1]
-            self.expect("punct", ",")
-            iri = unquote(self.expect("quoted")[1])
-            self.prefixes[name] = iri
+        self.expect(":-")
+        at = self.i
+        kw = self.expect("ident", kind=True)
+        self.expect("(")
+        if kw == "base":
+            self.prefixes[""] = unquote(self.expect("quoted", kind=True))
+        elif kw == "prefix":
+            name = self.expect("ident", kind=True)
+            self.expect(",")
+            self.prefixes[name] = unquote(self.expect("quoted", kind=True))
         else:
-            raise FlParseError(f"unknown directive {kw[1]!r}", kw[2])
-        self.expect("punct", ")")
-        self.expect("punct", ".")
+            raise FlParseError(f"unknown directive {kw!r}", at)
+        self.expect(")")
+        self.expect(".")
 
     def parse_statement(self) -> List[FlRule]:
-        if self.at("implies"):
+        if self.toks[self.i] == ":-":
             self.parse_directive()
             return []
-        start = self.peek()
+        start = self.i
         heads = self.parse_literal()
         for h in heads:
             if not isinstance(h, HEADS):
                 raise FlParseError(f"{print_literal(h)} cannot head a "
-                                   "statement", start[2])
-        if self.at("implies"):
-            self.next()
+                                   "statement", start)
+        if self.toks[self.i] == ":-":
+            self.i += 1
             if len(heads) != 1:
-                t = self.peek()
-                raise FlParseError("combined molecule as rule head", t[2])
+                raise FlParseError("combined molecule as rule head", self.i)
             body = self.parse_literals()
-            self.expect("punct", ".")
+            self.expect(".")
             return [FlRule(heads[0], tuple(body))]
-        self.expect("punct", ".")
+        self.expect(".")
         return [FlRule(h) for h in heads]
 
 
@@ -734,16 +713,15 @@ def parse_program(text: str, prefixes: Optional[Dict[str, str]] = None
     p = _Parser(toks, prefixes or {})
     rules: List[FlRule] = []
     errors: List[FlParseError] = []
-    while not p.at("eof"):
+    while toks[p.i]:
         try:
             rules.extend(p.parse_statement())
         except FlParseError as e:
             errors.append(e)
             # resync: skip to just past the next '.'
-            while not p.at("eof") and not p.at("punct", "."):
-                p.next()
-            if p.at("punct", "."):
-                p.next()
+            while toks[p.i] not in ("", "."):
+                p.i += 1
+            p.i += toks[p.i] == "."
     return FlProgram(tuple(rules), p.prefixes), _syntax_errors(text, errors)
 
 
@@ -757,10 +735,14 @@ def parse_rules(text: str) -> Tuple[FlRule, ...]:
 
 def _syntax_errors(text: str, errors: List[FlParseError]) -> List[Diagnostic]:
     """One diagnostic per error, located at (line, column) from 1."""
-    newlines = [m.start() for m in re.finditer("\n", text)] if errors else []
+    if not errors:
+        return []
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    newlines = [m.start() for m in re.finditer("\n", text)]
     out = []
     for e in errors:
-        line = bisect_left(newlines, e.offset)
-        col = e.offset - (newlines[line - 1] if line else -1)
+        offset = starts[e.index]
+        line = bisect_left(newlines, offset)
+        col = offset - (newlines[line - 1] if line else -1)
         out.append(Diagnostic(ERROR, "syntax-error", e.message, (line + 1, col)))
     return out

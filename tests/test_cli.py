@@ -131,6 +131,43 @@ def test_translate_flora_error_writes_no_output(dst, text, err, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,err", [
+    ("a:b :- \\naf \\naf c:d.\n",
+     "error: syntax-error: naf may not directly wrap naf at 1:13\n"),
+    ("a:b :- not(\\naf c:d).\n",
+     "error: syntax-error: naf may not directly wrap naf at 1:12\n"),
+    ("a:b :- \\naf not(c:d).\n",
+     "error: syntax-error: naf may not directly wrap naf at 1:13\n"),
+    ("a:b :- \\naf (c:d, \\naf e:f).\n",
+     "error: syntax-error: naf may not directly wrap naf at 1:19\n"),
+    ("c[p{1", "error: syntax-error: expected ':' in cardinality at 1:6\n"),
+], ids=["naf-naf", "not-naf", "naf-not", "naf-list", "cut-cardinality"])
+@pytest.mark.parametrize("command", ["check", "translate"])
+def test_flora_syntax_error_exits_2(command, text, err, tmp_path, capsys):
+    src = tmp_path / "bad.flr"
+    src.write_text(text)
+    out = tmp_path / "out.owl"
+    argv = ["check", str(src)] if command == "check" else [
+        "translate", "--from", "flora", "--to", "owl", str(src),
+        "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["A::_object[p *=> (B - C)].\n",
+                                  "A :=: (B ; (C - D)).\n"])
+def test_translate_class_without_owl_form_warns(text, tmp_path, capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text(text)
+    out = tmp_path / "out.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err == \
+        f"warning: unrepresentable-in-owl: no OWL form for: {text}"
+    assert "owl:Class" not in out.read_text()
+
+
 def test_translate_property_without_an_element_name_exits_2(tmp_path,
                                                             capsys):
     src = tmp_path / "kb.flr"

@@ -195,6 +195,21 @@ def test_compound_range_without_domain_is_left_over():
         "no OWL form for: _object[hasColor *=> (Red ; White)]."]
 
 
+@pytest.mark.parametrize("text", [
+    "A::_object[p *=> (B - C)].",
+    "A::_object[p *=> ?X].",
+    "A :=: (B ; (C - D)).",
+    "A :=: (B ; ?X).",
+    "A :=: (B , (_object - ?X)).",
+])
+def test_class_without_owl_form_is_left_over(text):
+    # a difference from a class other than _object, or a variable class
+    doc, diags = build(text)
+    assert doc.class_axioms == []
+    assert [(d.code, d.message) for d in diags] == [
+        ("unrepresentable-in-owl", f"no OWL form for: {text}")]
+
+
 def test_subproperty_rule():
     doc, _ = build("?X[hasWineDescriptor -> ?Y] :- ?X[hasColor -> ?Y].")
     assert doc.property_axioms == [
