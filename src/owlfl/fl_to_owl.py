@@ -42,21 +42,28 @@ class _Namer:
     def __init__(self, base: str, prefixes: Dict[str, str]):
         self.base = base
         self.prefixes = prefixes
+        self.iris: Dict[tuple, om.Iri] = {}
 
     def iri(self, sym: FlSymbol) -> om.Iri:
-        """Inverse of ``owl_to_fl.Context._new_symbol``: a declared ``pfx:L``
-        is ``L`` in the prefix's namespace; a quoted absolute name, or one
-        with ``://``, is itself; any other name is in the base's namespace
-        (``om.namespace``)."""
-        name = sym.name
+        """Inverse of ``owl_to_fl.Context._new_symbol``, made once per name
+        and quoting (a symbol's equality ignores ``quoted``)."""
+        key = sym.name, sym.quoted
+        if key not in self.iris:
+            self.iris[key] = om.Iri(self.absolute(*key))
+        return self.iris[key]
+
+    def absolute(self, name: str, quoted: bool) -> str:
+        """A declared ``pfx:L`` is ``L`` in the prefix's namespace; a quoted
+        absolute name, or one with ``://``, is itself; any other name is in
+        the base's namespace (``om.namespace``)."""
         pfx, colon, local = name.partition(":")
         if colon:  # a prefixed name or an IRI
             ns = self.prefixes.get(pfx)
             if ns:
-                return om.Iri(om.namespace(ns) + local)
-            if (sym.quoted or "://" in name) and om.is_absolute(name):
-                return om.Iri(name)
-        return om.Iri(om.namespace(self.base) + name)
+                return om.namespace(ns) + local
+            if (quoted or "://" in name) and om.is_absolute(name):
+                return name
+        return om.namespace(self.base) + name
 
     def value(self, t: Union[FlSymbol, FlLiteralTerm]
               ) -> Union[om.Iri, om.OwlLiteral]:
@@ -235,7 +242,8 @@ class _Recognizer:
         self.rules = list(program.rules)
         self.consumed = [False] * len(self.rules)
         self.namer = _Namer(base, prefixes)
-        self.matches: List[TemplateMatch] = []
+        # (template_id, rule positions, bindings) of each claim
+        self.matches: List[tuple] = []
         self.diagnostics: List[Diagnostic] = []
         self.class_axioms: List[om.ClassAxiom] = []
         self.property_axioms: List[om.PropertyAxiom] = []
@@ -244,17 +252,21 @@ class _Recognizer:
         self.general: List[int] = []
         # each rule's shape (`_shape`), computed once
         self.shape = [_shape(r) for r in self.rules]
+        # rule positions, ascending, by kind: a shaped rule under its tag, a
+        # fact under its head's type, any other rule under None
+        self.kinds: Dict[object, List[int]] = {}
         # rule positions, ascending, by the class each group member is filed
         # under: a class shape under its second element (an isa rule's head,
         # a `::` rule's superclass, a dual's body class, a domain or range
         # rule's class), a ground membership fact under its class
         self.by_class: Dict[FlSymbol, List[int]] = {}
         for i, (r, shape) in enumerate(zip(self.rules, self.shape)):
+            kind = shape[0] if shape else type(r.head) if r.is_fact else None
+            self.kinds.setdefault(kind, []).append(i)
             key = None
-            if shape is not None and shape[0] != "attr":
+            if shape and kind != "attr":
                 key = shape[1]
-            elif r.is_fact and isinstance(r.head, FlIsA) and \
-                    isinstance(r.head.obj, FlSymbol):
+            elif kind is FlIsA and isinstance(r.head.obj, FlSymbol):
                 key = _atom_sym(r.head.cls)
             if key is not None:
                 self.by_class.setdefault(key, []).append(i)
@@ -264,23 +276,20 @@ class _Recognizer:
     def claim(self, template_id: str, indices: Sequence[int], **bindings):
         for i in indices:
             self.consumed[i] = True
-        self.matches.append(TemplateMatch(
-            template_id,
-            tuple(sorted((k, str(v)) for k, v in bindings.items())),
-            tuple(sorted(indices)),
-        ))
+        self.matches.append((template_id, indices, bindings))
 
-    def open_indices(self):
-        return [i for i, c in enumerate(self.consumed) if not c]
+    def open(self, *kinds) -> List[int]:
+        """The open rules filed under ``kinds``, in rule order."""
+        return sorted(i for k in kinds for i in self.kinds.get(k, ())
+                      if not self.consumed[i])
+
+    def facts(self, *kinds) -> List[tuple]:
+        """Each open fact filed under ``kinds``, with its head."""
+        return [(i, self.rules[i].head) for i in self.open(*kinds)]
 
     def open_shapes(self, tag: str) -> List[Tuple[int, tuple]]:
         """Each open rule whose shape is tagged ``tag``, with the shape."""
-        return [(i, s) for i in self.open_indices()
-                if (s := self.shape[i]) is not None and s[0] == tag]
-
-    def fact_head(self, i: int) -> Optional[FlLit]:
-        r = self.rules[i]
-        return r.head if r.is_fact else None
+        return [(i, self.shape[i]) for i in self.open(tag)]
 
     def gather(self, anchor: int, keys, fits) -> List[int]:
         """The anchor and every other open rule filed under one of ``keys``
@@ -310,15 +319,15 @@ class _Recognizer:
         self.pass_leftovers()
 
     def pass_checker_library(self):
-        claimed = [i for i in self.open_indices()
+        # a checker heads a predicate, in a rule or a fact
+        claimed = [i for i in self.open(None, FlPred)
                    if is_checker_rule(self.rules[i])]
         if claimed:
             self.claim("checker-library", claimed)
 
     def pass_oneof_definitions(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if not (isinstance(h, FlPred) and h.name == "oneOf"
+        for i, h in self.facts(FlPred):
+            if not (h.name == "oneOf"
                     and len(h.args) == 2 and isinstance(h.args[0], FlSymbol)
                     and isinstance(h.args[1], FlList)):
                 continue
@@ -328,10 +337,9 @@ class _Recognizer:
                 continue
             member_set = set(members)
 
-            def fits(j):
-                hj = self.fact_head(j)
-                return isinstance(hj, FlIsA) and isinstance(hj.obj, FlSymbol) \
-                    and hj.obj in member_set and _atom_sym(hj.cls) == cls_sym
+            def fits(j):  # a membership fact, filed under cls_sym
+                return self.shape[j] is None and \
+                    self.rules[j].head.obj in member_set
             self.claim("oneof-definition", self.gather(i, [cls_sym], fits),
                        cls=cls_sym.name)
             self.class_axioms.append(om.EquivalentClass(
@@ -340,10 +348,7 @@ class _Recognizer:
             ))
 
     def pass_equiv_definitions(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if not isinstance(h, FlEquiv):
-                continue
+        for i, h in self.facts(FlEquiv):
             name = _atom_sym(h.a)
             if name is None or not _maps_to_owl(h.b):
                 continue
@@ -401,10 +406,8 @@ class _Recognizer:
                 om.Named(self.namer.iri(name)), self.namer.cls(b)))
 
     def pass_avf_dual_pairs(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if not (isinstance(h, FlSignature) and h.via is not None
-                    and h.card is None):
+        for i, h in self.facts(FlSignature):
+            if h.via is None or h.card is not None:
                 continue
             cls_sym = _atom_sym(h.cls)
             if cls_sym is None or not isinstance(h.prop, FlSymbol) or \
@@ -426,18 +429,14 @@ class _Recognizer:
         for kind, pred_name, closure in (
                 (om.TRANSITIVE, "TransitiveProperty", TRANSITIVE_RULE),
                 (om.SYMMETRIC, "SymmetricProperty", SYMMETRIC_RULE)):
-            prop_facts = []
-            for i in self.open_indices():
-                h = self.fact_head(i)
-                if isinstance(h, FlPred) and h.name == pred_name and \
-                        len(h.args) == 1 and isinstance(h.args[0], FlSymbol):
-                    prop_facts.append(i)
+            prop_facts = [(i, h.args[0]) for i, h in self.facts(FlPred)
+                          if h.name == pred_name and len(h.args) == 1
+                          and isinstance(h.args[0], FlSymbol)]
             # the lowering's own closure rule, up to its variable names
-            generic = [i for i in self.open_indices()
+            generic = [i for i in self.open(None)
                        if len(self.rules[i].body) == len(closure.body)
                        and _renames(self.rules[i], closure)]
-            for i in prop_facts:
-                p = self.fact_head(i).args[0]
+            for i, p in prop_facts:
                 self.claim(f"{pred_name[0].lower()}{pred_name[1:]}", [i],
                            prop=p.name)
                 self.property_axioms.append(
@@ -472,10 +471,7 @@ class _Recognizer:
                     self.namer.iri(p), self.namer.iri(q)))
 
     def pass_fact_predicates(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if not isinstance(h, FlPred):
-                continue
+        for i, h in self.facts(FlPred):
             if h.name == "someValuesFrom" and len(h.args) == 3 and \
                     all(isinstance(a, FlSymbol) for a in h.args):
                 c, p, f = h.args
@@ -510,9 +506,8 @@ class _Recognizer:
                     self.namer.iri(p), om.INVERSE_FUNCTIONAL))
 
     def pass_signatures(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if not isinstance(h, FlSignature) or h.via is not None:
+        for i, h in self.facts(FlSignature):
+            if h.via is not None:
                 continue
             cls_sym = _atom_sym(h.cls)
             rng_sym = _atom_sym(h.range)
@@ -572,7 +567,8 @@ class _Recognizer:
                 self.namer.iri(q), self.namer.iri(p)))
 
     def pass_lossy_groups(self):
-        aux = [i for i in self.open_indices()
+        # an auxiliary is a predicate, in a rule or a fact
+        aux = [i for i in self.open(None, FlPred)
                if _mentions_aux(self.rules[i])]
         if aux:
             self.claim("lloyd-topor-aux", aux)
@@ -612,30 +608,25 @@ class _Recognizer:
                     om.Named(self.namer.iri(head_cls))))
 
     def pass_subclass_facts(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if isinstance(h, FlSubClass):
-                a, b = _atom_sym(h.sub), _atom_sym(h.super)
-                if a is not None and b is not None:
-                    self.claim("subclass-fact", [i], sub=a.name, super=b.name)
-                    self.class_axioms.append(om.SubClassOf(
-                        om.Named(self.namer.iri(a)),
-                        om.Named(self.namer.iri(b))))
+        for i, h in self.facts(FlSubClass):
+            a, b = _atom_sym(h.sub), _atom_sym(h.super)
+            if a is not None and b is not None:
+                self.claim("subclass-fact", [i], sub=a.name, super=b.name)
+                self.class_axioms.append(om.SubClassOf(
+                    om.Named(self.namer.iri(a)), om.Named(self.namer.iri(b))))
 
     def pass_abox(self):
-        for i in self.open_indices():
-            h = self.fact_head(i)
-            if isinstance(h, FlIsA) and isinstance(h.obj, FlSymbol):
+        for i, h in self.facts(FlIsA, FlAttrValue):
+            if not isinstance(h.obj, FlSymbol):
+                continue
+            if isinstance(h, FlIsA):
                 cls_sym = _atom_sym(h.cls)
                 if cls_sym is not None and cls_sym.name != OBJECT_NAME:
                     self.claim("class-assertion", [i], ind=h.obj.name,
                                cls=cls_sym.name)
                     self.assertions.append(om.ClassAssertion(
                         self.namer.iri(h.obj), self.namer.iri(cls_sym)))
-            elif isinstance(h, FlAttrValue) and \
-                    isinstance(h.obj, FlSymbol) and \
-                    isinstance(h.prop, FlSymbol) and \
-                    isinstance(h.value, _VALUE):
+            elif isinstance(h.prop, FlSymbol) and isinstance(h.value, _VALUE):
                 self.claim("property-assertion", [i], subj=h.obj.name,
                            prop=h.prop.name)
                 self.assertions.append(om.PropertyAssertion(
@@ -643,7 +634,7 @@ class _Recognizer:
                     self.namer.value(h.value)))
 
     def pass_leftovers(self):
-        for i in self.open_indices():
+        for i in self.open(*self.kinds):
             self.diagnostics.append(Diagnostic(
                 WARNING, "unrepresentable-in-owl",
                 f"no OWL form for: {print_rule(self.rules[i])}",
@@ -657,7 +648,8 @@ def recognize_templates(program: FlProgram, base_iri: Optional[str] = None,
                         prefixes: Optional[Dict[str, str]] = None
                         ) -> Tuple[List[TemplateMatch], List[Diagnostic]]:
     rec = _build(program, base_iri, prefixes)
-    return rec.matches, rec.diagnostics
+    return [TemplateMatch(t, tuple(sorted(bindings.items())), tuple(sorted(ix)))
+            for t, ix, bindings in rec.matches], rec.diagnostics
 
 
 def translate_program(program: FlProgram, base_iri: Optional[str] = None,

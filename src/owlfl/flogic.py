@@ -363,7 +363,7 @@ _TOKEN_RE = re.compile(
     | \?[A-Za-z_][A-Za-z0-9_]*
     | '(?:\\.|[^'\\])*'
     | :=: | :- | :: | \*=> | -> | != | \\naf\b
-    | \d+
+    | [0-9]+
     | [\[\]{}(),;.@*:] | [-–]
     | .
     | \Z
@@ -386,7 +386,7 @@ def _lex(text: str) -> List[str]:
     """The tokens of text, ending in the eof token ``""``."""
     toks = _TOKEN_RE.findall(text)
     bad = [t for t in set(toks) if len(t) == 1 and t not in "[]{}(),;.@*:-–_"
-           and not t.isdecimal() and not (t.isascii() and t.isalpha())]
+           and not (t.isascii() and t.isalnum())]
     if bad:
         i = min(map(toks.index, bad))
         raise FlParseError(f"unexpected character {toks[i]!r}", i)

@@ -113,24 +113,27 @@ class _Writer:
         self.new_namespaces: List[str] = []
         self.fresh = (pfx for pfx in map("ns{}".format, count(1))
                       if pfx not in doc.prefixes)
+        self.refs = {}
 
-    def ref(self, iri: Iri) -> str:
-        """``#L`` for an IRI in the base's namespace (no ``:`` in ``L``),
-        else the whole IRI."""
-        local = iri.value[len(self.ns):]
-        if iri.value.startswith(self.ns) and ":" not in local:
-            return "#" + local
-        return iri.value
+    def ref(self, value: str) -> str:
+        """The quoted attribute value that names the IRI ``value``, made once
+        per IRI: ``#L`` for an IRI in the base's namespace (no ``:`` in
+        ``L``), else the whole IRI."""
+        if value not in self.refs:
+            local = value.removeprefix(self.ns)  # value, if outside it
+            self.refs[value] = quoteattr(
+                "#" + local if local != value and ":" not in local else value)
+        return self.refs[value]
 
     # -- element builders
 
     def about(self, tag: str, iri: Iri, *children):
         """``<tag rdf:about=iri>`` around ``children`` (empty without)."""
-        return (tag, f" rdf:about={quoteattr(self.ref(iri))}",
+        return (tag, f" rdf:about={self.ref(iri.value)}",
                 list(children) or None)
 
     def resource(self, tag: str, iri: Iri):
-        return (tag, f" rdf:resource={quoteattr(self.ref(iri))}", None)
+        return (tag, f" rdf:resource={self.ref(iri.value)}", None)
 
     def wrap(self, tag: str, expr):
         """``tag`` naming ``expr``: by reference when it is a named class,

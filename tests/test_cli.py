@@ -141,11 +141,15 @@ def test_translate_flora_error_writes_no_output(dst, text, err, tmp_path,
     ("a:b :- \\naf (c:d, \\naf e:f).\n",
      "error: syntax-error: naf may not directly wrap naf at 1:19\n"),
     ("c[p{1", "error: syntax-error: expected ':' in cardinality at 1:6\n"),
-], ids=["naf-naf", "not-naf", "naf-not", "naf-list", "cut-cardinality"])
+    ("a[p -> ٣].\n", "error: syntax-error: unexpected character '٣' at 1:8\n"),
+    ("C[p{٣:٣} *=> _object].\n",
+     "error: syntax-error: unexpected character '٣' at 1:5\n"),
+], ids=["naf-naf", "not-naf", "naf-not", "naf-list", "cut-cardinality",
+        "non-ascii-value", "non-ascii-cardinality"])
 @pytest.mark.parametrize("command", ["check", "translate"])
 def test_flora_syntax_error_exits_2(command, text, err, tmp_path, capsys):
     src = tmp_path / "bad.flr"
-    src.write_text(text)
+    src.write_text(text, encoding="utf-8")
     out = tmp_path / "out.owl"
     argv = ["check", str(src)] if command == "check" else [
         "translate", "--from", "flora", "--to", "owl", str(src),

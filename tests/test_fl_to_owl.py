@@ -589,6 +589,119 @@ def test_group_members_found_under_every_key(order):
     ]
 
 
+# Membership and attribute facts interleaved with facts and rules that
+# earlier passes claim (oneOf members, the `::` pair of a named equivalence,
+# the rules of a domain-range signature), and with two facts no pass takes.
+# The assertions keep the order of their facts across the two kinds.
+ORDER_PROGRAM = (
+    "a:Wine.\n"
+    "a[hasColor -> Red].\n"
+    "Red:WineColor.\n"
+    "b[hasMaker -> m1].\n"
+    "oneOf(WineColor, [Red, White]).\n"
+    "White:WineColor.\n"
+    "b:Wine.\n"
+    "?X:Vin :- ?X:Wine.\n"
+    "c:Vin.\n"
+    "Wine :=: Vin.\n"
+    "c[hasColor -> 'rouge'].\n"
+    "?X:Wine :- ?X:Vin.\n"
+    "d:_object.\n"
+    "?X:Wine :- ?X[hasMaker -> ?Y].\n"
+    "d[hasMaker -> 3].\n"
+    "Wine[hasMaker *=> Winery].\n"
+    "Green:WineColor.\n"
+    "?Y:Winery :- ?X[hasMaker -> ?Y].\n"
+    "m1:Winery.\n"
+    "e[hasMaker -> ?V].\n"
+    "m1[locatedIn -> 'Bordeaux'].\n"
+)
+ORDER_MATCHES = [
+    ("oneof-definition", (("cls", "WineColor"),), (2, 4, 5)),
+    ("named-equivalence", (("a", "Wine"), ("b", "Vin")), (7, 9, 11)),
+    ("domain-range", (("cls", "Wine"), ("prop", "hasMaker")), (13, 15, 17)),
+    ("class-assertion", (("cls", "Wine"), ("ind", "a")), (0,)),
+    ("property-assertion", (("prop", "hasColor"), ("subj", "a")), (1,)),
+    ("property-assertion", (("prop", "hasMaker"), ("subj", "b")), (3,)),
+    ("class-assertion", (("cls", "Wine"), ("ind", "b")), (6,)),
+    ("class-assertion", (("cls", "Vin"), ("ind", "c")), (8,)),
+    ("property-assertion", (("prop", "hasColor"), ("subj", "c")), (10,)),
+    ("property-assertion", (("prop", "hasMaker"), ("subj", "d")), (14,)),
+    ("class-assertion", (("cls", "WineColor"), ("ind", "Green")), (16,)),
+    ("class-assertion", (("cls", "Winery"), ("ind", "m1")), (18,)),
+    ("property-assertion", (("prop", "locatedIn"), ("subj", "m1")), (20,)),
+]
+ORDER_RDF_XML = """\
+<?xml version="1.0"?>
+<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:rdfs="http://www.w3.org/2000/01/rdf-schema#"
+         xmlns:owl="http://www.w3.org/2002/07/owl#"
+         xmlns="http://example.org/wine#"
+         xml:base="http://example.org/wine">
+  <owl:Class rdf:about="#WineColor">
+    <owl:oneOf rdf:parseType="Collection">
+      <owl:Thing rdf:about="#Red"/>
+      <owl:Thing rdf:about="#White"/>
+    </owl:oneOf>
+  </owl:Class>
+  <owl:Class rdf:about="#Wine">
+    <owl:equivalentClass rdf:resource="#Vin"/>
+  </owl:Class>
+  <owl:ObjectProperty rdf:about="#hasMaker">
+    <rdfs:domain rdf:resource="#Wine"/>
+  </owl:ObjectProperty>
+  <owl:ObjectProperty rdf:about="#hasMaker">
+    <rdfs:range rdf:resource="#Winery"/>
+  </owl:ObjectProperty>
+  <owl:Thing rdf:about="#a">
+    <rdf:type rdf:resource="#Wine"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#a">
+    <hasColor rdf:resource="#Red"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#b">
+    <hasMaker rdf:resource="#m1"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#b">
+    <rdf:type rdf:resource="#Wine"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#c">
+    <rdf:type rdf:resource="#Vin"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#c">
+    <hasColor>rouge</hasColor>
+  </owl:Thing>
+  <owl:Thing rdf:about="#d">
+    <hasMaker rdf:datatype="http://www.w3.org/2001/XMLSchema#integer">3</hasMaker>
+  </owl:Thing>
+  <owl:Thing rdf:about="#Green">
+    <rdf:type rdf:resource="#WineColor"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#m1">
+    <rdf:type rdf:resource="#Winery"/>
+  </owl:Thing>
+  <owl:Thing rdf:about="#m1">
+    <locatedIn>Bordeaux</locatedIn>
+  </owl:Thing>
+</rdf:RDF>
+"""
+
+
+def test_claims_keep_rule_order_across_kinds():
+    program, diags = parse_program(ORDER_PROGRAM)
+    assert not diags
+    m, d = recognize_templates(program, base_iri=BASE)
+    assert [(x.template_id, x.bindings, x.consumed) for x in m] == \
+        ORDER_MATCHES
+    assert [(x.severity, x.code, x.message) for x in d] == [
+        ("warning", "unrepresentable-in-owl", "no OWL form for: d:_object."),
+        ("warning", "unrepresentable-in-owl",
+         "no OWL form for: e[hasMaker -> ?V]."),
+    ]
+    doc, _ = translate_program(program, base_iri=BASE)
+    assert serialize_document(doc) == ORDER_RDF_XML
+
+
 # --- every lowering reads back -----------------------------------------------
 
 GENERAL_INCLUSIONS = {

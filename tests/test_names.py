@@ -8,6 +8,7 @@ property value is left out: a quoted value that is not a ``scheme://`` IRI
 reads back as a string literal.
 """
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from owlfl import owl_model as om
@@ -111,3 +112,20 @@ def test_names_of_each_kind_of_iri():
     # without a document, an IRI's own namespace is the base
     assert Context().symbol(om.Iri("http://other.org/x#Red")) == "Red"
 
+
+
+@pytest.mark.parametrize("text", ["x:'urn:c'. y:urn:c.", "y:urn:c. x:'urn:c'."])
+def test_quoted_and_plain_name_stay_two_classes(text):
+    """``'urn:c'`` is the absolute IRI and ``urn:c`` a name in the base's
+    namespace, though the two symbols are equal."""
+    program, diags = parse_program(text)
+    assert diags == []
+    doc, diags = translate_program(program, base_iri=BASE)
+    assert diags == []
+    classes = {a.individual.value: a.cls.value for a in doc.assertions}
+    assert classes == {BASE + "#x": "urn:c", BASE + "#y": BASE + "#urn:c"}
+    xml = serialize_document(doc)
+    assert parse_document(xml)[0].assertions == doc.assertions
+    for ind, cls in (("x", "urn:c"), ("y", BASE + "#urn:c")):
+        assert f'<owl:Thing rdf:about="#{ind}">\n' \
+            f'    <rdf:type rdf:resource="{cls}"/>' in xml
