@@ -3,9 +3,11 @@
 Semi-naive saturation with stratified negation over the finite constant
 domain of the loaded program.  Facts live in one map of relations with hash
 indexes on the argument positions a lookup binds; rule bodies compile once
-into join plans over variable slots.  Structural rules (subclass
-transitivity, membership inheritance, universal ``_object`` membership) are
-applied to each new fact as it is added.  The saturated store is kept on
+into join plans over variable slots, and the plan of a semi-naive pass
+starts at the round's new facts.  Structural rules (subclass
+transitivity, membership inheritance, universal ``_object`` membership) and
+the closure rules of transitive properties are applied to each new fact as
+it is added.  The saturated store is kept on
 the KB, and inserted facts extend it when no rule body holds a negation.
 Constraint checks solve the ``check_*`` rules with the same join plans and
 are closed-world: no equality inference, distinct values for cardinality.
@@ -76,13 +78,16 @@ class FactStore:
     (class, class), ``attr`` (subject, property, value), and one relation
     per predicate keyed by (name, arity).  ``individuals`` holds every term
     that is a member, a subject or value of an attribute, or an element of a
-    ``oneOf`` list.
+    ``oneOf`` list.  The ``attr`` edges of each property in ``closed`` are
+    kept transitively closed; a member of a ``guards`` relation joins it.
     """
 
-    def __init__(self):
+    def __init__(self, closures: Sequence[tuple] = ()):
         self.relations: Dict[object, Relation] = {
             ISA: Relation(), SUB: Relation(), ATTR: Relation()}
         self.individuals: Set[FlTerm] = set()
+        self.closed: Set[FlTerm] = {p for g, p in closures if g is None}
+        self.guards = {g for g, _ in closures if g is not None}
         self.isa: Set[Tuple[FlTerm, FlTerm]] = self.relations[ISA].facts
         self.sub: Set[Tuple[FlTerm, FlTerm]] = self.relations[SUB].facts
         self.attr: Set[Tuple[FlTerm, FlTerm, FlTerm]] = \
@@ -135,6 +140,8 @@ class KnowledgeBase:
         # a rule body reads a relation under ``\naf`` or a class difference
         self._negation = any(neg for r in rules
                              for _, neg in _reads(r.body, False, []))
+        # the (guard, property) of each transitive closure rule, see _closure
+        self._closures = [c for c in map(_closure, rules) if c]
 
     @property
     def store(self) -> FactStore:
@@ -295,9 +302,11 @@ def _makes_individuals(rule: FlRule) -> bool:
 
 
 def _reach(start, edges) -> Set:
-    seen, work = {start}, [start]
+    """The nodes a path of one edge or more leads to from ``start``;
+    ``edges`` maps a node to its (node, label) pairs."""
+    seen, work = set(), [start]
     while work:
-        new = {node for node, _ in edges[work.pop()]} - seen
+        new = {node for node, _ in edges.get(work.pop(), ())} - seen
         seen |= new
         work.extend(new)
     return seen
@@ -578,10 +587,16 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
     whose variables are not all bound yet (by ``bound`` or a literal before
     it) moves to the end.  A variable that occurs in no literal but one
     negation is local to it.  The literal at ``delta_at`` reads only the new
-    facts of the round."""
+    facts of the round and goes first, so the pass starts from them, unless
+    a ``member`` literal, which holds nowhere before its list is bound,
+    needs the order as written."""
     steps, pending = [], []
     bound = set(bound)
-    for i, lit in enumerate(literals):
+    order = range(len(literals))
+    if delta_at is not None and FlMember not in map(type, literals):
+        order = [delta_at, *order[:delta_at], *order[delta_at + 1:]]
+    for i in order:
+        lit = literals[i]
         if isinstance(lit, FlFormat):
             continue
         needs = literal_vars(lit)
@@ -631,6 +646,28 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
     return _relation_of(lit), args
 
 
+def _closure(rule: FlRule) -> Optional[tuple]:
+    """(None, P) for ``?X[P -> ?Z] :- ?X[P -> ?Y], ?Y[P -> ?Z]`` with P a
+    constant, ((g, 1), None) for ``?X[?P -> ?Z] :- g(?P), ?X[?P -> ?Y],
+    ?Y[?P -> ?Z]``, and None for any other rule.  ``_assert`` keeps such a
+    rule's property closed, so it is never joined."""
+    head, body = rule.head, rule.body
+    if type(head) is not FlAttrValue or len(body) not in (2, 3) or \
+            type(body[-1]) is not FlAttrValue:
+        return None
+    x, p, y, z = head.obj, head.prop, body[-1].obj, head.value
+    if body[-2:] != (FlAttrValue(x, p, y), FlAttrValue(y, p, z)) or \
+            any(type(v) is not FlVariable for v in (x, y, z)) or \
+            len({x, y, z, p}) < 4:
+        return None
+    if len(body) == 2:
+        return (None, p) if type(p) in _CONSTANTS else None
+    guard = body[0]
+    if type(p) is FlVariable and type(guard) is FlPred and guard.args == (p,):
+        return (guard.name, 1), None
+    return None
+
+
 class _Rule:
     """A rule compiled for saturation: the head relation, the head
     arguments (a slot per variable), the plan of the first pass and a
@@ -674,10 +711,21 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
     ``sub`` edge (a, c) adds every edge from a or a class below it to c or
     a class above it, and gives each new edge's upper class the members of
     its lower one.  A new ``isa`` fact adds the superclasses of its class,
-    and a new individual gets its ``_object`` membership.
+    and a new individual gets its ``_object`` membership.  The ``attr``
+    edges of a closed property are kept closed the way ``sub`` is; when a
+    guard first closes a property, each node gets an edge to every node it
+    reaches.
     """
-    isa, sub = store.relations[ISA], store.relations[SUB]
-    individuals = store.individuals
+    isa, sub, attr = (store.relations[k] for k in (ISA, SUB, ATTR))
+    individuals, closed = store.individuals, store.closed
+
+    def close(x, p, y):
+        """Add an edge of ``p`` from x or a node with one into x to y or a
+        node y has one to."""
+        ends = [y] + [z for _, _, z in attr.lookup((0, 1), (y, p))]
+        for w in [x] + [w for w, _, _ in attr.lookup((1, 2), (p, x))]:
+            for z in ends:
+                add(ATTR, (w, p, z))
 
     def add(key, t) -> bool:
         if not store.add(key, t):
@@ -711,6 +759,17 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
                             add(ISA, (m, y))
         elif key == ATTR:
             members = (t[0], t[2])
+            if t[1] in closed:
+                close(*t)
+        elif key in store.guards and t[0] not in closed:
+            closed.add(t[0])
+            edges: Dict[FlTerm, list] = {}
+            for x, p, y in attr.facts:
+                if p == t[0]:
+                    edges.setdefault(x, []).append((y, p))
+            for x in edges:
+                for y in _reach(x, edges):
+                    add(ATTR, (x, t[0], y))
         elif key == ("oneOf", 2) and isinstance(t[1], FlList):
             members = t[1].elements
         for x in members:
@@ -722,7 +781,7 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
 
 def _compiled_strata(kb: KnowledgeBase) -> List[List[_Rule]]:
     if kb._compiled is None:
-        kb._compiled = [[_Rule(r) for r in stratum]
+        kb._compiled = [[_Rule(r) for r in stratum if not _closure(r)]
                         for stratum in stratify(kb).strata]
     return kb._compiled
 
@@ -767,7 +826,7 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     if store is not None and not kb._negation:
         delta = _assert(store, [_head(f) for f in pending], {})
     else:
-        store, delta = FactStore(), None
+        store, delta = FactStore(kb._closures), None
         _assert(store, [_head(f) for f in kb.base_facts])
     for stratum in strata:
         _run_stratum(stratum, store, delta)

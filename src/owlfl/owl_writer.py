@@ -114,6 +114,7 @@ class _Writer:
         self.fresh = (pfx for pfx in map("ns{}".format, count(1))
                       if pfx not in doc.prefixes)
         self.refs = {}
+        self.tags = {}
 
     def ref(self, value: str) -> str:
         """The quoted attribute value that names the IRI ``value``, made once
@@ -234,8 +235,11 @@ class _Writer:
         raise TypeError(f"cannot serialize {ax!r}")
 
     def prop_tag(self, prop: Iri) -> str:
-        """Its element name: the local name, after its namespace's prefix (a
-        new ``nsN`` where none is declared) unless that is the base."""
+        """Its element name, made once per property: the local name, after
+        its namespace's prefix (a new ``nsN`` where none is declared) unless
+        that is the base."""
+        if prop.value in self.tags:
+            return self.tags[prop.value]
         local = prop.local_name
         ns = prop.value[:len(prop.value) - len(local)]
         if not _is_element_name(local):
@@ -245,7 +249,8 @@ class _Writer:
             self.prefix_of[ns] = next(self.fresh)
             self.new_namespaces.append(ns)
         pfx = self.prefix_of[ns]
-        return f"{pfx}:{local}" if pfx else local
+        tag = self.tags[prop.value] = f"{pfx}:{local}" if pfx else local
+        return tag
 
     def run(self) -> str:
         body: List[str] = []

@@ -4,16 +4,17 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from owlfl.checkers import SYMMETRIC_RULE, TRANSITIVE_RULE
 from owlfl.engine import (
-    EngineError, _compile_conj, _solve, collect_set, holds, insert_fact,
-    literal_vars, load_program, query_goal, run_constraint_checks, saturate,
-    stratify,
+    EngineError, Relation, _compile_conj, _solve, collect_set, holds,
+    insert_fact, literal_vars, load_program, query_goal,
+    run_constraint_checks, saturate, stratify,
 )
 from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
     FlMember, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
     FlSubClass, FlSymbol, FlUnion, FlVariable, atom, fact, parse_program,
-    print_term,
+    print_rule, print_term,
 )
 
 
@@ -1066,5 +1067,132 @@ def test_incremental_insert_matches_upfront_load():
         if not negation:
             assert kb.store is store, f"trial {trial}"
         seen["rebuilt" if negation else "kept"] += 1
+    assert all(seen.values()), seen
+    assert time.monotonic() - start < 30.0
+
+
+# --- work in proportion to the new facts -------------------------------------
+
+
+def lookups_of_saturate(kb) -> int:
+    """Saturate ``kb``; the number of stored tuples ``Relation.lookup``
+    returned meanwhile."""
+    count = 0
+    lookup = Relation.lookup
+
+    def counting(rel, positions, key):
+        nonlocal count
+        found = lookup(rel, positions, key)
+        count += len(found)
+        return found
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Relation, "lookup", counting)
+        saturate(kb)
+    return count
+
+
+def test_insert_does_not_scan_the_kb():
+    """The plan of a new ``attr`` fact starts at that fact, so an insert
+    reads no more of the store for 4,000 members of ``S`` than for 1,000."""
+    counts = []
+    for n in (1000, 4000):
+        kb = kb_from("?Y:T :- ?X:S, ?X[r -> ?Y].\n" +
+                     "\n".join(f"m{i}:S." for i in range(n)))
+        saturate(kb)
+        insert_fact(kb, FlAttrValue(FlSymbol("m0"), FlSymbol("r"),
+                                    FlSymbol("b")))
+        counts.append(lookups_of_saturate(kb))
+        assert holds(kb, FlIsA(FlSymbol("b"), atom("T")))
+    assert counts[0] == counts[1] <= 2, counts
+
+
+def test_member_before_its_list_holds_on_insert_as_up_front():
+    """A delta plan keeps the written order of a body with ``member``, which
+    holds nowhere before its list is bound."""
+    text = "?X:T :- member(?X, ?L), l(?L).\nl([a, b])."
+    kb, upfront = kb_from(text), kb_from(text + "\nl([c]).")
+    saturate(kb)
+    insert_fact(kb, FlPred("l", (FlList((FlSymbol("c"),)),)))
+    assert kb.store.snapshot() == upfront.store.snapshot()
+
+
+@pytest.mark.parametrize("guard_first", [True, False])
+def test_each_transitive_closure_edge_is_made_once(guard_first):
+    """A chain asserted in shuffled order under ``TRANSITIVE_RULE`` reads
+    fewer stored tuples than three per edge of its closure, with the guard
+    fact before the chain's edges or after them."""
+    rng = random.Random(21)
+    for n in (100, 200):
+        edges = [f"n{i}[p -> n{i + 1}]." for i in range(n)]
+        rng.shuffle(edges)
+        guard = ["'TransitiveProperty'(p).", print_rule(TRANSITIVE_RULE)]
+        kb = kb_from("\n".join(guard + edges if guard_first
+                               else edges + guard))
+        lookups = lookups_of_saturate(kb)
+        assert len(kb.store.attr) == (n + 1) * n // 2
+        assert lookups <= 3 * len(kb.store.attr), (n, lookups)
+
+
+PROPERTY_RULES = (
+    "?X[r -> ?Z] :- ?X[r -> ?Y], ?Y[r -> ?Z].",  # a constant property
+    "?Y[q -> ?X] :- ?X[p -> ?Y].",  # p and q inverse
+    "?Y[p -> ?X] :- ?X[q -> ?Y].",
+    "'SymmetricProperty'(s).",
+    "'TransitiveProperty'(p).",
+    "'TransitiveProperty'(q) :- i0[s -> ?Y].",  # a guard derived late
+    "?Y:C :- ?X[s -> ?Y].",
+    "'TransitiveProperty'(s) :- i1:C.",
+)
+
+
+def random_property_program(rng):
+    """Attribute edges in random order under a random subset of the closure
+    rules of transitive, inverse and symmetric properties, which all share
+    the stratum of ``attr``."""
+    inds = [f"i{k}" for k in range(rng.randrange(3, 7))]
+    lines = [f"{rng.choice(inds)}[{rng.choice('pqrs')} -> "
+             f"{rng.choice(inds)}]." for _ in range(rng.randrange(2, 14))]
+    lines += [r for r in PROPERTY_RULES if rng.random() < 0.6]
+    lines += [print_rule(r) for r in (TRANSITIVE_RULE, SYMMETRIC_RULE)
+              if rng.random() < 0.8]
+    rng.shuffle(lines)
+    program, diags = parse_program("\n".join(lines))
+    assert not diags
+    return program, inds
+
+
+def test_transitive_closure_matches_naive_oracle():
+    """Transitive properties closed as their edges come, with a guard
+    given, derived late or inserted, against the naive oracle, before and
+    after each insert."""
+    rng = random.Random(20261021)
+    seen = {"late-guard": 0, "inserted-guard": 0, "constant": 0,
+            "inserted-edge": 0}
+    start = time.monotonic()
+    for trial in range(150):
+        program, inds = random_property_program(rng)
+        kb = load_program(program)
+        inserted = []
+        for k in range(rng.randrange(0, 4) + 1):
+            if k:
+                if rng.random() < 0.3:
+                    f = FlPred("TransitiveProperty",
+                               (FlSymbol(rng.choice("pqrs")),))
+                    seen["inserted-guard"] += f not in kb.base_facts
+                else:
+                    f = FlAttrValue(*(FlSymbol(rng.choice(names)) for names
+                                      in (inds, "pqrs", inds)))
+                    seen["inserted-edge"] += 1
+                insert_fact(kb, f)
+                inserted.append(fact(f))
+            isa, _, attr = naive_evaluate(
+                FlProgram(program.rules + tuple(inserted)))
+            store = saturate(kb)
+            assert (store.isa, store.attr) == (isa, attr), \
+                f"trial {trial}: {inserted}"
+        text = {print_rule(r) for r in program.rules}
+        seen["late-guard"] += PROPERTY_RULES[5] in text and any(
+            s == FlSymbol("i0") and p == FlSymbol("s") for s, p, _ in attr)
+        seen["constant"] += PROPERTY_RULES[0] in text
     assert all(seen.values()), seen
     assert time.monotonic() - start < 30.0
