@@ -31,11 +31,9 @@ EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
 
 
-def _report(diags: Sequence[Diagnostic], stream=None):
-    stream = stream or sys.stderr
+def _report(diags: Sequence[Diagnostic]):
     for d in diags:
-        loc = f" at {d.location[0]}:{d.location[1]}" if d.location else ""
-        print(f"{d.severity}: {d.code}: {d.message}{loc}", file=stream)
+        print(d, file=sys.stderr)
 
 
 # --- KB loading --------------------------------------------------------------

@@ -23,8 +23,9 @@ class Diagnostic(Node):
             raise ValueError(f"bad severity: {self.severity!r}")
 
     def __str__(self):
+        """The line the CLI prints: ``severity: code: message at line:col``."""
         loc = f" at {self.location[0]}:{self.location[1]}" if self.location else ""
-        return f"{self.severity}[{self.code}]{loc}: {self.message}"
+        return f"{self.severity}: {self.code}: {self.message}{loc}"
 
 
 def has_errors(diagnostics) -> bool:

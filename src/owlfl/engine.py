@@ -4,13 +4,14 @@ Semi-naive saturation with stratified negation over the finite constant
 domain of the loaded program.  Facts live in one map of relations with hash
 indexes on the argument positions a lookup binds; rule bodies compile once
 into join plans over variable slots, and the plan of a semi-naive pass
-starts at the round's new facts.  Structural rules (subclass
-transitivity, membership inheritance, universal ``_object`` membership) and
-the closure rules of transitive properties are applied to each new fact as
-it is added.  The saturated store is kept on
-the KB, and inserted facts extend it when no rule body holds a negation.
-Constraint checks solve the ``check_*`` rules with the same join plans and
-are closed-world: no equality inference, distinct values for cardinality.
+starts at the round's new facts.  A ``member`` literal joins a plan once
+its list is bound, as a negation does once its variables are.  Structural
+rules (subclass transitivity, membership inheritance, universal ``_object``
+membership) and the closure rules of transitive properties are applied to
+each new fact as it is added.  The saturated store is kept on the KB, and
+inserted facts extend it when no rule body holds a negation.  Constraint
+checks solve the ``check_*`` rules with the same join plans and are
+closed-world: no equality inference, distinct values for cardinality.
 """
 
 from __future__ import annotations
@@ -569,7 +570,7 @@ def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
         return _scan((lit.name, len(lit.args)),
                      tuple(_arg(a, slots) for a in lit.args), use_delta)
     if isinstance(lit, FlNaf):
-        return _not(_compile_conj(lit.inner, slots),
+        return _not(_compile_conj(lit.inner, slots, bound=needs),
                     tuple((_arg(FlVariable(v), slots), v)
                           for v in sorted(needs)))
     if isinstance(lit, FlNeq):
@@ -583,17 +584,16 @@ def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
 def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
                   delta_at: Optional[int] = None,
                   bound: Iterable[str] = ()) -> tuple:
-    """Join plan of a conjunction, left to right; a negation or disequality
-    whose variables are not all bound yet (by ``bound`` or a literal before
-    it) moves to the end.  A variable that occurs in no literal but one
-    negation is local to it.  The literal at ``delta_at`` reads only the new
-    facts of the round and goes first, so the pass starts from them, unless
-    a ``member`` literal, which holds nowhere before its list is bound,
-    needs the order as written."""
-    steps, pending = [], []
+    """Join plan of a conjunction, left to right.  A negation or disequality
+    waits for its variables, and a ``member`` literal for its list's, to be
+    bound (by ``bound`` or a literal before it); it goes in once they are,
+    or at the end.  A variable that occurs in no literal but one negation
+    is local to it.  The literal at ``delta_at`` reads only the new facts of
+    the round and goes first, so the pass starts from them."""
+    steps, waiting = [], []
     bound = set(bound)
     order = range(len(literals))
-    if delta_at is not None and FlMember not in map(type, literals):
+    if delta_at is not None:
         order = [delta_at, *order[:delta_at], *order[delta_at + 1:]]
     for i in order:
         lit = literals[i]
@@ -603,15 +603,19 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
         if isinstance(lit, FlNaf):
             needs &= set().union(*map(literal_vars,
                                       literals[:i] + literals[i + 1:]))
-        if isinstance(lit, (FlNaf, FlNeq)) and not needs <= bound:
-            pending.append((lit, needs))
-            continue
-        steps.append(_compile_literal(lit, slots, i == delta_at, needs))
-        if isinstance(lit, (FlSubClass, FlAttrValue, FlPred)) or (
-                isinstance(lit, FlIsA) and isinstance(lit.cls, Atom)):
-            bound |= needs
+        waits = literal_vars(lit.collection) if isinstance(lit, FlMember) \
+            else needs if isinstance(lit, (FlNaf, FlNeq)) else set()
+        waiting.append((lit, needs, waits, i))
+        # place each literal whose wait is over, the earliest first
+        while ready := [w for w in waiting if w[2] <= bound]:
+            waiting.remove(ready[0])
+            lit, needs, _, j = ready[0]
+            steps.append(_compile_literal(lit, slots, j == delta_at, needs))
+            if isinstance(lit, (FlSubClass, FlAttrValue, FlPred, FlMember)) \
+                    or (isinstance(lit, FlIsA) and isinstance(lit.cls, Atom)):
+                bound |= needs
     steps.extend(_compile_literal(lit, slots, False, needs)
-                 for lit, needs in pending)
+                 for lit, needs, _, _ in waiting)
     return tuple(steps)
 
 

@@ -39,8 +39,8 @@ _VALUE = (FlSymbol, FlLiteralTerm)  # the terms that have an OWL value
 
 
 class _Namer:
-    def __init__(self, base: str, prefixes: Dict[str, str]):
-        self.base = base
+    def __init__(self, prefixes: Dict[str, str]):
+        self.base = prefixes.get("") or DEFAULT_BASE
         self.prefixes = prefixes
         self.iris: Dict[tuple, om.Iri] = {}
 
@@ -74,17 +74,19 @@ class _Namer:
             return om.OwlLiteral(t.name, "_string")
         return self.iri(t)
 
-    def cls(self, e: FlClassExpr) -> om.ClassExpression:
+    def cls(self, e: FlClassExpr) -> Optional[om.ClassExpression]:
+        """Named classes joined by union, intersection and difference from
+        ``_object``; None for any other class expression."""
         if isinstance(e, Atom) and isinstance(e.term, FlSymbol):
             return om.Named(self.iri(e.term))
-        if isinstance(e, FlUnion):
-            return om.UnionOf(tuple(map(self.cls, _leaves(e, FlUnion))))
-        if isinstance(e, FlIntersection):
-            return om.IntersectionOf(tuple(
-                map(self.cls, _leaves(e, FlIntersection))))
+        if isinstance(e, (FlUnion, FlIntersection)):
+            ops = tuple(map(self.cls, _leaves(e, type(e))))
+            owl = om.UnionOf if isinstance(e, FlUnion) else om.IntersectionOf
+            return None if None in ops else owl(ops)
         if isinstance(e, FlDifference) and _is_object_atom(e.a):
-            return om.ComplementOf(self.cls(e.b))
-        raise TypeError(f"cannot map {e!r} to a class expression")
+            b = self.cls(e.b)
+            return None if b is None else om.ComplementOf(b)
+        return None
 
 
 def _leaves(e: FlClassExpr, kind) -> List[FlClassExpr]:
@@ -103,16 +105,6 @@ def _atom_sym(e: FlClassExpr) -> Optional[FlSymbol]:
     if isinstance(e, Atom) and isinstance(e.term, FlSymbol):
         return e.term
     return None
-
-
-def _maps_to_owl(e: FlClassExpr) -> bool:
-    """Whether ``_Namer.cls`` maps e: named classes joined by union,
-    intersection and difference from ``_object``."""
-    if isinstance(e, (FlUnion, FlIntersection)):
-        return _maps_to_owl(e.a) and _maps_to_owl(e.b)
-    if isinstance(e, FlDifference):
-        return _is_object_atom(e.a) and _maps_to_owl(e.b)
-    return _atom_sym(e) is not None
 
 
 def _operand_atoms(e: FlClassExpr, kind) -> set:
@@ -237,11 +229,10 @@ def _mentions_aux(rule: FlRule) -> bool:
 
 
 class _Recognizer:
-    def __init__(self, program: FlProgram, base: str,
-                 prefixes: Dict[str, str]):
+    def __init__(self, program: FlProgram):
         self.rules = list(program.rules)
         self.consumed = [False] * len(self.rules)
-        self.namer = _Namer(base, prefixes)
+        self.namer = _Namer(program.prefixes)
         # (template_id, rule positions, bindings) of each claim
         self.matches: List[tuple] = []
         self.diagnostics: List[Diagnostic] = []
@@ -350,7 +341,8 @@ class _Recognizer:
     def pass_equiv_definitions(self):
         for i, h in self.facts(FlEquiv):
             name = _atom_sym(h.a)
-            if name is None or not _maps_to_owl(h.b):
+            cls = self.namer.cls(h.b)
+            if name is None or cls is None:
                 continue
             b = h.b
             other = _atom_sym(b)
@@ -403,15 +395,16 @@ class _Recognizer:
                 continue
             self.claim(template, self.gather(i, keys, fits), **bindings)
             self.class_axioms.append(om.EquivalentClass(
-                om.Named(self.namer.iri(name)), self.namer.cls(b)))
+                om.Named(self.namer.iri(name)), cls))
 
     def pass_avf_dual_pairs(self):
         for i, h in self.facts(FlSignature):
             if h.via is None or h.card is not None:
                 continue
             cls_sym = _atom_sym(h.cls)
+            filler = self.namer.cls(h.range)
             if cls_sym is None or not isinstance(h.prop, FlSymbol) or \
-                    not _maps_to_owl(h.range):
+                    filler is None:
                 continue
             dual = ("dual", cls_sym, h.prop, h.range)
             group = self.gather(i, [cls_sym],
@@ -422,7 +415,7 @@ class _Recognizer:
             self.class_axioms.append(om.SubClassOf(
                 om.Named(self.namer.iri(cls_sym)),
                 om.Restriction(self.namer.iri(h.prop),
-                               om.AllValuesFrom(self.namer.cls(h.range))),
+                               om.AllValuesFrom(filler)),
             ))
 
     def pass_characteristics(self):
@@ -644,18 +637,18 @@ class _Recognizer:
 # --- public API --------------------------------------------------------------
 
 
-def recognize_templates(program: FlProgram, base_iri: Optional[str] = None,
-                        prefixes: Optional[Dict[str, str]] = None
+def recognize_templates(program: FlProgram
                         ) -> Tuple[List[TemplateMatch], List[Diagnostic]]:
-    rec = _build(program, base_iri, prefixes)
+    rec = _build(program)
     return [TemplateMatch(t, tuple(sorted(bindings.items())), tuple(sorted(ix)))
             for t, ix, bindings in rec.matches], rec.diagnostics
 
 
-def translate_program(program: FlProgram, base_iri: Optional[str] = None,
-                      prefixes: Optional[Dict[str, str]] = None
+def translate_program(program: FlProgram
                       ) -> Tuple[om.OntologyDocument, List[Diagnostic]]:
-    rec = _build(program, base_iri, prefixes)
+    """The OWL form of a program, in the namespaces it declares; its base
+    is its ``base`` directive, else ``DEFAULT_BASE``."""
+    rec = _build(program)
     doc = om.OntologyDocument(
         prefixes={**rec.namer.prefixes, "": rec.namer.base},
         class_axioms=list(rec.class_axioms),
@@ -668,16 +661,12 @@ def translate_program(program: FlProgram, base_iri: Optional[str] = None,
         f"RDF/XML: {print_rule(rec.rules[i])}") for i in rec.general]
 
 
-def _build(program: FlProgram, base_iri, prefixes) -> _Recognizer:
-    merged = dict(program.prefixes)
-    if prefixes:
-        merged.update(prefixes)
-    base = base_iri or merged.get("") or DEFAULT_BASE
-    rec = _Recognizer(program, base, merged)
+def _build(program: FlProgram) -> _Recognizer:
+    rec = _Recognizer(program)
     # names are made absolute from these, so a relative one stops recognition
-    namespaces = [("base", base)] + [
+    namespaces = [("base", rec.namer.base)] + [
         (f"prefix {pfx} namespace", ns)
-        for pfx, ns in sorted(merged.items()) if pfx and ns]
+        for pfx, ns in sorted(program.prefixes.items()) if pfx and ns]
     for what, ns in namespaces:
         if not om.is_absolute(ns):
             rec.diagnostics.append(Diagnostic(

@@ -194,16 +194,13 @@ def fact(head: FlLit) -> FlRule:
 class FlProgram:
     """A rule tuple; mutable, so it has no hash.  ``prefixes`` (``""`` holds
     the base IRI) is printed as directives, so it survives a round trip, but
-    it is not part of program equality.  ``covered_axiom_ids`` are the ids of
-    the source axioms covered by at least one emitted rule."""
+    it is not part of program equality."""
 
-    __slots__ = _FIELDS = ("rules", "prefixes", "covered_axiom_ids")
+    __slots__ = _FIELDS = ("rules", "prefixes")
 
-    def __init__(self, rules=(), prefixes=None, covered_axiom_ids=None):
+    def __init__(self, rules=(), prefixes=None):
         self.rules = rules
         self.prefixes = {} if prefixes is None else prefixes
-        self.covered_axiom_ids = set() if covered_axiom_ids is None \
-            else covered_axiom_ids
 
     def __eq__(self, other):
         return isinstance(other, FlProgram) and self.rules == other.rules

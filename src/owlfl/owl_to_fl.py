@@ -38,26 +38,23 @@ class _NoClassForm(TypeError):
 class Context:
     """Per-translation state: naming, options, one-shot rules."""
 
-    def __init__(self, doc: Optional[om.OntologyDocument] = None,
+    def __init__(self, doc: om.OntologyDocument,
                  opts: Optional[TranslationOptions] = None):
-        self.doc = doc
         self.opts = opts or TranslationOptions()
         self.diagnostics: List[Diagnostic] = []
-        self.emitted_transitive_rule = False
-        self.emitted_symmetric_rule = False
+        self.closures: set = set()  # the kinds whose closure rule is emitted
         self.aux_counter = 0
         self.consumed_range_axioms: set = set()
         self.symbols: Dict[str, FlSymbol] = {}  # IRI -> its one symbol
         self.atoms: Dict[str, Atom] = {}        # IRI -> its one class atom
-        # (prefix, namespace) pairs that shorten a name, the base ("") first;
-        # without a document, an IRI's own namespace is its base
-        self.namespaces = None if doc is None else sorted(
+        # (prefix, namespace) pairs that shorten a name, the base ("") first
+        self.namespaces = sorted(
             (pfx, om.namespace(ns)) for pfx, ns in doc.prefixes.items())
         # per property, its first Range and its first declared inverse, in
         # document order
         self.ranges: Dict[om.Iri, om.Range] = {}
         self.inverses: Dict[om.Iri, om.Iri] = {}
-        for ax in doc.property_axioms if doc is not None else ():
+        for ax in doc.property_axioms:
             if isinstance(ax, om.Range):
                 self.ranges.setdefault(ax.property, ax)
             elif isinstance(ax, om.InverseOf):
@@ -83,9 +80,7 @@ class Context:
         """``L`` for ``L`` in the base's namespace and ``pfx:L`` for ``L``
         in a prefix's (``L`` non-empty, no colon; ``om.namespace``), else
         the quoted IRI; inverse of ``fl_to_owl._Namer.iri``."""
-        namespaces = self.namespaces if self.doc is not None \
-            else [("", value.rpartition("#")[0] + "#")]
-        for pfx, ns in namespaces:
+        for pfx, ns in self.namespaces:
             if value.startswith(ns):
                 local = value[len(ns):]
                 if local and ":" not in local:
@@ -135,10 +130,17 @@ def _is_named(e) -> bool:
 # --- class axioms ------------------------------------------------------------
 
 
-def translate_class_axiom(ax: om.ClassAxiom, ctx: Optional[Context] = None
-                          ) -> Tuple[List[FlRule], List[Diagnostic]]:
-    ctx = ctx or Context()
-    before = len(ctx.diagnostics)
+def _case_split(d: Atom, atoms: List[Atom]) -> List[FlRule]:
+    """Reasoning by cases for ``D`` in the union of ``atoms``: ``?X:A :-
+    ?X:D, \\naf ?X:B, ...`` for each operand A, with B each other operand by
+    position, so an operand listed twice negates its twin."""
+    x = _var("X")
+    return [FlRule(FlIsA(x, a), (FlIsA(x, d),) + tuple(
+        FlNaf((FlIsA(x, b),)) for j, b in enumerate(atoms) if j != i))
+        for i, a in enumerate(atoms)]
+
+
+def translate_class_axiom(ax: om.ClassAxiom, ctx: Context) -> List[FlRule]:
     rules: List[FlRule] = []
     x = _var("X")
     if isinstance(ax, om.SubClassOf):
@@ -174,12 +176,11 @@ def translate_class_axiom(ax: om.ClassAxiom, ctx: Optional[Context] = None
                                  (ctx.symbol(ax.b), ctx.symbol(ax.a)))))
     else:
         ctx.error("unknown-construct", f"unsupported class axiom {ax!r}")
-    return rules, ctx.diagnostics[before:]
+    return rules
 
 
 def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
-                               ctx: Optional[Context] = None) -> List[FlRule]:
-    ctx = ctx or Context()
+                               ctx: Context) -> List[FlRule]:
     n = ctx.atom(name)
     x = _var("X")
     rules: List[FlRule] = []
@@ -193,12 +194,7 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
         for a in atoms:
             rules.append(FlRule(FlIsA(x, n), (FlIsA(x, a),)))
         if ctx.opts.case_split_rhs_disjunction and len(atoms) >= 2:
-            for i, a in enumerate(atoms):
-                nafs = tuple(
-                    FlNaf((FlIsA(x, other),))
-                    for j, other in enumerate(atoms) if j != i
-                )
-                rules.append(FlRule(FlIsA(x, a), (FlIsA(x, n),) + nafs))
+            rules.extend(_case_split(n, atoms))
             ctx.warn("case-split-weakening",
                      "union definition lowered to reasoning by cases; the "
                      "case rules change the semantics")
@@ -217,19 +213,16 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
         c = ctx.cls_expr(expr.operand)
         rules.append(fact(FlEquiv(n, FlDifference(OBJ, c))))
         rules.append(FlRule(FlIsA(x, n), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),)))))
-    elif isinstance(expr, om.OneOf):
+    else:  # om.OneOf
         members = [ctx.symbol(i) for i in expr.individuals]
         for m in members:
             rules.append(fact(FlIsA(m, n)))
         rules.append(fact(FlPred("oneOf", (n.term, FlList(tuple(members))))))
-    else:
-        raise TypeError(f"not a class definition: {expr!r}")
     return rules
 
 
 def translate_restriction(cls: om.Iri, r: om.Restriction,
-                          ctx: Optional[Context] = None) -> List[FlRule]:
-    ctx = ctx or Context()
+                          ctx: Context) -> List[FlRule]:
     c = ctx.atom(cls)
     p = ctx.symbol(r.property)
     x, y = _var("X"), _var("Y")
@@ -267,6 +260,11 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
 # --- property axioms ---------------------------------------------------------
 
 
+# a characteristic a generic rule closes: its predicate and that rule
+_CLOSURES = {om.TRANSITIVE: ("TransitiveProperty", TRANSITIVE_RULE),
+             om.SYMMETRIC: ("SymmetricProperty", SYMMETRIC_RULE)}
+
+
 def _inverse_rules(p: FlSymbol, q: FlSymbol) -> List[FlRule]:
     x, y = _var("X"), _var("Y")
     return [
@@ -275,9 +273,7 @@ def _inverse_rules(p: FlSymbol, q: FlSymbol) -> List[FlRule]:
     ]
 
 
-def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
-                             ) -> List[FlRule]:
-    ctx = ctx or Context()
+def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]:
     x, y = _var("X"), _var("Y")
     rules: List[FlRule] = []
     if isinstance(ax, om.Domain):
@@ -321,16 +317,12 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
                                               card=(1, 1))))
             else:
                 rules.append(fact(FlPred("inverseFunctional", (p,))))
-        elif ax.kind == om.TRANSITIVE:
-            rules.append(fact(FlPred("TransitiveProperty", (p,), quoted=True)))
-            if not ctx.emitted_transitive_rule:
-                ctx.emitted_transitive_rule = True
-                rules.append(TRANSITIVE_RULE)
-        elif ax.kind == om.SYMMETRIC:
-            rules.append(fact(FlPred("SymmetricProperty", (p,), quoted=True)))
-            if not ctx.emitted_symmetric_rule:
-                ctx.emitted_symmetric_rule = True
-                rules.append(SYMMETRIC_RULE)
+        elif ax.kind in _CLOSURES:
+            pred, closure = _CLOSURES[ax.kind]
+            rules.append(fact(FlPred(pred, (p,), quoted=True)))
+            if ax.kind not in ctx.closures:  # one closure rule per program
+                ctx.closures.add(ax.kind)
+                rules.append(closure)
     else:
         ctx.error("unknown-construct", f"unsupported property axiom {ax!r}")
     return rules
@@ -339,9 +331,7 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Optional[Context] = None
 # --- assertions --------------------------------------------------------------
 
 
-def translate_assertion(a: om.Assertion, ctx: Optional[Context] = None
-                        ) -> List[FlRule]:
-    ctx = ctx or Context()
+def translate_assertion(a: om.Assertion, ctx: Context) -> List[FlRule]:
     kind = type(a)
     if kind is om.ClassAssertion:
         return [fact(FlIsA(ctx.symbol(a.individual), ctx.atom(a.cls)))]
@@ -365,10 +355,9 @@ def _contains_existential(expr: om.ClassExpression) -> bool:
 
 
 def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
-                            ctx: Optional[Context] = None) -> List[FlRule]:
+                            ctx: Context) -> List[FlRule]:
     """Lower an inclusion where at least one side is not a named class;
     what has no rule form is reported on ``ctx``."""
-    ctx = ctx or Context()
     x, y = _var("X"), _var("Y")
     # existentials in subsumer position have no rule form
     if isinstance(sub, om.Restriction) and isinstance(sub.kind, om.SomeValuesFrom):
@@ -425,13 +414,8 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
                       "disjunction in the subsuming set; case splitting is "
                       "disabled")
             return []
-        d = ctx.atom(sub.iri)
-        atoms = [ctx.atom(op.iri) for op in sup.operands]
-        rules = []
-        for i, a in enumerate(atoms):
-            nafs = tuple(FlNaf((FlIsA(x, other),))
-                         for j, other in enumerate(atoms) if j != i)
-            rules.append(FlRule(FlIsA(x, a), (FlIsA(x, d),) + nafs))
+        rules = _case_split(ctx.atom(sub.iri),
+                            [ctx.atom(op.iri) for op in sup.operands])
         ctx.warn("case-split-weakening",
                  "right-hand-side disjunction lowered to reasoning by cases; "
                  "the case rules change the semantics")
@@ -456,28 +440,15 @@ def translate_ontology(doc: om.OntologyDocument,
                        ) -> Tuple[FlProgram, List[Diagnostic]]:
     ctx = Context(doc, opts)
     rules: List[FlRule] = []
-    covered: set = set()
-
-    def add(axiom, new_rules):
-        if new_rules:
-            covered.add(id(axiom))
-        rules.extend(new_rules)
-
     for ax in doc.class_axioms:
         try:
-            new_rules, _ = translate_class_axiom(ax, ctx)
+            rules.extend(translate_class_axiom(ax, ctx))
         except _NoClassForm as e:
             ctx.error("untranslatable-construct", f"{e} in the axiom {ax!r}")
-            new_rules = []
-        add(ax, new_rules)
     for ax in doc.property_axioms:
-        add(ax, translate_property_axiom(ax, ctx))
+        rules.extend(translate_property_axiom(ax, ctx))
     for a in doc.assertions:
-        add(a, translate_assertion(a, ctx))
-    # a Range folded into its Domain's signature is covered by that signature
-    covered |= ctx.consumed_range_axioms
+        rules.extend(translate_assertion(a, ctx))
     if ctx.opts.emit_checkers:
         rules.extend(CHECKER_RULES)
-    program = FlProgram(tuple(rules), dict(doc.prefixes))
-    program.covered_axiom_ids = covered
-    return program, ctx.diagnostics
+    return FlProgram(tuple(rules), dict(doc.prefixes)), ctx.diagnostics

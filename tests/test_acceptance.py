@@ -256,8 +256,11 @@ def test_07_lowering_behaviors():
         def named(n):
             return om.Named(om.Iri(BASE + n))
 
+        def context():
+            return Context(om.OntologyDocument(prefixes={"": BASE}))
+
         # (a) union on the left: exactly two Horn rules
-        ctx = Context()
+        ctx = context()
         rules = lower_general_inclusion(
             om.UnionOf((named("C1"), named("C2"))), named("D"), ctx)
         assert [print_rule(r) for r in rules] == [
@@ -270,7 +273,7 @@ def test_07_lowering_behaviors():
         # one case rule and an individual whose other-disjunct membership
         # is underivable yields the remaining disjunct
         cases = lower_general_inclusion(
-            named("D"), om.UnionOf((named("C1"), named("C2"))))
+            named("D"), om.UnionOf((named("C1"), named("C2"))), context())
         assert sorted(print_rule(r) for r in cases) == [
             "?X:C1 :- ?X:D, \\naf ?X:C2.",
             "?X:C2 :- ?X:D, \\naf ?X:C1.",
@@ -286,7 +289,8 @@ def test_07_lowering_behaviors():
         # 4-individual example identically to a truth-table oracle
         lt = lower_general_inclusion(
             om.Restriction(om.Iri(BASE + "p"),
-                           om.AllValuesFrom(named("F"))), named("D"))
+                           om.AllValuesFrom(named("F"))), named("D"),
+            context())
         facts_text = ("a[p -> f1].\nf1:F.\n"
                       "b[p -> g].\n"
                       "c:C0.\n")
@@ -304,7 +308,7 @@ def test_07_lowering_behaviors():
         assert got == oracle == {"a", "c", "f1", "g"}
 
         # (d) existential subsumer: hard error, zero rules
-        ctx = Context()
+        ctx = context()
         rules = lower_general_inclusion(
             om.Restriction(om.Iri(BASE + "p"),
                            om.SomeValuesFrom(named("F"))), named("D"), ctx)
@@ -338,9 +342,7 @@ def test_09_round_trip():
         doc, _ = parse_document(wrap(INVERTIBLE))
         program, diags = translate_ontology(doc, TranslationOptions())
         assert not [d for d in diags if d.severity == "error"]
-        back, bd = translate_program(
-            program, base_iri="http://example.org/wine",
-            prefixes=dict(doc.prefixes))
+        back, bd = translate_program(program)
         assert not [d for d in bd if d.severity in ("error", "warning")]
         assert set(back.class_axioms) == set(doc.class_axioms)
         assert set(back.property_axioms) == set(doc.property_axioms)

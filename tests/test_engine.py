@@ -1107,13 +1107,19 @@ def test_insert_does_not_scan_the_kb():
 
 
 def test_member_before_its_list_holds_on_insert_as_up_front():
-    """A delta plan keeps the written order of a body with ``member``, which
-    holds nowhere before its list is bound."""
+    """A ``member`` literal written before its list's binder waits for it,
+    in a rule, after an insert and in a goal."""
     text = "?X:T :- member(?X, ?L), l(?L).\nl([a, b])."
     kb, upfront = kb_from(text), kb_from(text + "\nl([c]).")
-    saturate(kb)
+    assert names(collect_set(kb, "X", FlIsA(X, atom("T")))) == ["a", "b"]
+    L = FlVariable("L")
+    goal = [FlMember(X, L), FlPred("l", (L,))]
+    assert sorted(print_term(b["X"]) for b in query_goal(kb, goal)) == \
+        ["a", "b"]
     insert_fact(kb, FlPred("l", (FlList((FlSymbol("c"),)),)))
     assert kb.store.snapshot() == upfront.store.snapshot()
+    assert names(collect_set(kb, "X", FlIsA(X, atom("T")))) == \
+        ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("guard_first", [True, False])

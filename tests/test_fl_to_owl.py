@@ -24,15 +24,15 @@ def named(local):
 
 
 def build(text):
-    program, diags = parse_program(text)
+    program, diags = parse_program(text, {"": BASE})
     assert not diags, [d.message for d in diags]
-    return translate_program(program, base_iri=BASE)
+    return translate_program(program)
 
 
 def matches_of(text):
-    program, diags = parse_program(text)
+    program, diags = parse_program(text, {"": BASE})
     assert not diags
-    m, d = recognize_templates(program, base_iri=BASE)
+    m, d = recognize_templates(program)
     return m, d
 
 
@@ -504,8 +504,8 @@ def test_every_template_matches_in_order(order):
     if order == "reversed":
         rules = tuple(reversed(rules))
         expected, leftovers = PIN_REVERSED, PIN_LEFTOVERS[::-1]
-    m, d = recognize_templates(FlProgram(rules, program.prefixes),
-                               base_iri=BASE)
+    m, d = recognize_templates(FlProgram(rules, {**program.prefixes,
+                                                 "": BASE}))
     assert [(x.template_id, x.bindings, x.consumed) for x in m] == expected
     assert [(x.severity, x.code, x.message) for x in d] == \
         PIN_LOSSY + leftovers
@@ -578,7 +578,7 @@ def test_group_members_found_under_every_key(order):
     elif order == "shuffled":
         random.Random(7).shuffle(lines)
     m, d = recognize_templates(
-        FlProgram(tuple(program.rules[i] for i in lines)), base_iri=BASE)
+        FlProgram(tuple(program.rules[i] for i in lines), {"": BASE}))
     assert [(x.template_id, x.bindings,
              tuple(sorted(lines[i] for i in x.consumed))) for x in m] == \
         [GROUP_MATCHES[k] for k in GROUP_ORDERS[order]]
@@ -688,9 +688,9 @@ ORDER_RDF_XML = """\
 
 
 def test_claims_keep_rule_order_across_kinds():
-    program, diags = parse_program(ORDER_PROGRAM)
+    program, diags = parse_program(ORDER_PROGRAM, {"": BASE})
     assert not diags
-    m, d = recognize_templates(program, base_iri=BASE)
+    m, d = recognize_templates(program)
     assert [(x.template_id, x.bindings, x.consumed) for x in m] == \
         ORDER_MATCHES
     assert [(x.severity, x.code, x.message) for x in d] == [
@@ -698,7 +698,7 @@ def test_claims_keep_rule_order_across_kinds():
         ("warning", "unrepresentable-in-owl",
          "no OWL form for: e[hasMaker -> ?V]."),
     ]
-    doc, _ = translate_program(program, base_iri=BASE)
+    doc, _ = translate_program(program)
     assert serialize_document(doc) == ORDER_RDF_XML
 
 
@@ -761,7 +761,7 @@ def test_every_lowering_reads_back(case):
 
 @pytest.mark.parametrize("case", sorted(DOMAIN_RANGE_RULES))
 def test_domain_range_rules_read_back_as_their_axioms(case):
-    doc, diags = translate_program(lowered(case), base_iri=BASE)
+    doc, diags = translate_program(lowered(case))
     assert not diags
     assert set(doc.property_axioms) == set(DOMAIN_RANGE_RULES[case])
 
@@ -771,8 +771,8 @@ def test_domain_range_rules_read_back_as_their_axioms(case):
 
 def test_prefixed_symbol_maps_to_declared_namespace():
     program, _ = parse_program(":- prefix(food, 'http://example.org/food').\n"
-                               "Wine::food:PotableLiquid.")
-    doc, _ = translate_program(program, base_iri=BASE)
+                               "Wine::food:PotableLiquid.", {"": BASE})
+    doc, _ = translate_program(program)
     assert doc.class_axioms == [om.SubClassOf(
         named("Wine"), om.Named(om.Iri("http://example.org/food#"
                                        "PotableLiquid")))]
@@ -855,8 +855,7 @@ def test_round_trip_recovers_axiom_sets():
     assert not [d for d in pd if d.severity == "error"]
     program, td = translate_ontology(doc, TranslationOptions())
     assert not [d for d in td if d.severity == "error"]
-    back, bd = translate_program(program, base_iri=BASE,
-                                 prefixes=dict(doc.prefixes))
+    back, bd = translate_program(program)
     assert not [d for d in bd if d.severity in ("error", "warning")], \
         [d.message for d in bd]
     assert set(back.class_axioms) == set(doc.class_axioms)

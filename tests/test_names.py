@@ -109,8 +109,10 @@ def test_names_of_each_kind_of_iri():
         BASE + "#zz:x": "'http://example.org/wine#zz:x'",
         "http://other.org/x#": "'http://other.org/x#'",
     }
-    # without a document, an IRI's own namespace is the base
-    assert Context().symbol(om.Iri("http://other.org/x#Red")) == "Red"
+    # a document without a base quotes every IRI
+    ctx = Context(om.OntologyDocument())
+    assert print_term(ctx.symbol(om.Iri("http://other.org/x#Red"))) == \
+        "'http://other.org/x#Red'"
 
 
 
@@ -118,9 +120,9 @@ def test_names_of_each_kind_of_iri():
 def test_quoted_and_plain_name_stay_two_classes(text):
     """``'urn:c'`` is the absolute IRI and ``urn:c`` a name in the base's
     namespace, though the two symbols are equal."""
-    program, diags = parse_program(text)
+    program, diags = parse_program(text, {"": BASE})
     assert diags == []
-    doc, diags = translate_program(program, base_iri=BASE)
+    doc, diags = translate_program(program)
     assert diags == []
     classes = {a.individual.value: a.cls.value for a in doc.assertions}
     assert classes == {BASE + "#x": "urn:c", BASE + "#y": BASE + "#urn:c"}
