@@ -17,7 +17,7 @@ closed-world: no equality inference, distinct values for cardinality.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .checkers import CHECKER_RULES, MESSAGES, RANGE_MSG, is_checker_rule
 from .diagnostics import EngineError
@@ -102,15 +102,6 @@ class FactStore:
 
     def size(self) -> int:
         return sum(len(rel.facts) for rel in self.relations.values())
-
-    def all_facts(self):
-        for key, rel in self.relations.items():
-            for t in rel.facts:
-                yield (key, t) if isinstance(key, str) else \
-                    ("pred", (key[0],) + t)
-
-    def snapshot(self) -> FrozenSet:
-        return frozenset(self.all_facts())
 
 
 class Stratification(Node):

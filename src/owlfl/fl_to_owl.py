@@ -2,9 +2,13 @@
 
 Recognition works by claiming groups of rules that match the known
 translation templates, highest-priority (largest / most specific) templates
-first.  Rules that belong to a lossy lowering (Lloyd-Topor auxiliaries,
-case-split groups) are consumed and reported, never reconstructed.  Anything
-left over is reported as unrepresentable.
+first.  A match records the axioms it stands for, and the document, with the
+warning for each general inclusion the writer cannot write, is read off the
+matches in order.  Rules that belong to a lossy lowering (Lloyd-Topor
+auxiliaries, case-split groups) are consumed and reported, never
+reconstructed.  Anything left over is reported as unrepresentable, such as a
+signature whose range has no OWL form: the lowering names a range, and puts
+``_object`` under a cardinality.
 """
 
 from __future__ import annotations
@@ -233,14 +237,9 @@ class _Recognizer:
         self.rules = list(program.rules)
         self.consumed = [False] * len(self.rules)
         self.namer = _Namer(program.prefixes)
-        # (template_id, rule positions, bindings) of each claim
+        # (template_id, rule positions, bindings, axioms) of each claim
         self.matches: List[tuple] = []
         self.diagnostics: List[Diagnostic] = []
-        self.class_axioms: List[om.ClassAxiom] = []
-        self.property_axioms: List[om.PropertyAxiom] = []
-        self.assertions: List[om.Assertion] = []
-        # rules whose axiom is a general inclusion, which the writer lacks
-        self.general: List[int] = []
         # each rule's shape (`_shape`), computed once
         self.shape = [_shape(r) for r in self.rules]
         # rule positions, ascending, by kind: a shaped rule under its tag, a
@@ -264,10 +263,13 @@ class _Recognizer:
 
     # -- bookkeeping
 
-    def claim(self, template_id: str, indices: Sequence[int], **bindings):
+    def claim(self, template_id: str, indices: Sequence[int], *axioms,
+              **bindings):
+        """Consume the rules at ``indices`` as one match of the template,
+        which stands for ``axioms``."""
         for i in indices:
             self.consumed[i] = True
-        self.matches.append((template_id, indices, bindings))
+        self.matches.append((template_id, indices, bindings, axioms))
 
     def open(self, *kinds) -> List[int]:
         """The open rules filed under ``kinds``, in rule order."""
@@ -332,11 +334,10 @@ class _Recognizer:
                 return self.shape[j] is None and \
                     self.rules[j].head.obj in member_set
             self.claim("oneof-definition", self.gather(i, [cls_sym], fits),
+                       om.EquivalentClass(
+                           om.Named(self.namer.iri(cls_sym)),
+                           om.OneOf(tuple(map(self.namer.iri, members)))),
                        cls=cls_sym.name)
-            self.class_axioms.append(om.EquivalentClass(
-                om.Named(self.namer.iri(cls_sym)),
-                om.OneOf(tuple(self.namer.iri(m) for m in members)),
-            ))
 
     def pass_equiv_definitions(self):
         for i, h in self.facts(FlEquiv):
@@ -393,9 +394,8 @@ class _Recognizer:
                     return self.shape[j] in pairs
             else:
                 continue
-            self.claim(template, self.gather(i, keys, fits), **bindings)
-            self.class_axioms.append(om.EquivalentClass(
-                om.Named(self.namer.iri(name)), cls))
+            self.claim(template, self.gather(i, keys, fits), om.EquivalentClass(
+                om.Named(self.namer.iri(name)), cls), **bindings)
 
     def pass_avf_dual_pairs(self):
         for i, h in self.facts(FlSignature):
@@ -410,13 +410,11 @@ class _Recognizer:
             group = self.gather(i, [cls_sym],
                                 lambda j: self.shape[j] == dual)
             # one dual rule per signature; a second one is left over
-            self.claim("allValuesFrom", group[:2], cls=cls_sym.name,
-                       prop=h.prop.name)
-            self.class_axioms.append(om.SubClassOf(
+            self.claim("allValuesFrom", group[:2], om.SubClassOf(
                 om.Named(self.namer.iri(cls_sym)),
                 om.Restriction(self.namer.iri(h.prop),
-                               om.AllValuesFrom(filler)),
-            ))
+                               om.AllValuesFrom(filler))),
+                cls=cls_sym.name, prop=h.prop.name)
 
     def pass_characteristics(self):
         for kind, pred_name, closure in (
@@ -431,9 +429,8 @@ class _Recognizer:
                        and _renames(self.rules[i], closure)]
             for i, p in prop_facts:
                 self.claim(f"{pred_name[0].lower()}{pred_name[1:]}", [i],
+                           om.Characteristic(self.namer.iri(p), kind),
                            prop=p.name)
-                self.property_axioms.append(
-                    om.Characteristic(self.namer.iri(p), kind))
             if generic:
                 # claimed with or without property facts; with none it is inert
                 self.claim(f"generic-{kind}-rule", generic)
@@ -452,91 +449,77 @@ class _Recognizer:
                 partners.popleft()
             if not partners:
                 continue
-            j = partners.popleft()
-            if inv:
-                self.claim("inverse-of", [i, j], a=p.name, b=q.name)
-                self.property_axioms.append(om.InverseOf(
-                    self.namer.iri(p), self.namer.iri(q)))
-            else:
-                self.claim("equivalent-property", [i, j],
-                           a=p.name, b=q.name)
-                self.property_axioms.append(om.EquivalentProperty(
-                    self.namer.iri(p), self.namer.iri(q)))
+            template, axiom = ("inverse-of", om.InverseOf) if inv else \
+                ("equivalent-property", om.EquivalentProperty)
+            self.claim(template, [i, partners.popleft()],
+                       axiom(self.namer.iri(p), self.namer.iri(q)),
+                       a=p.name, b=q.name)
 
     def pass_fact_predicates(self):
         for i, h in self.facts(FlPred):
             if h.name == "someValuesFrom" and len(h.args) == 3 and \
                     all(isinstance(a, FlSymbol) for a in h.args):
                 c, p, f = h.args
-                self.claim("someValuesFrom", [i], cls=c.name, prop=p.name)
-                self.class_axioms.append(om.SubClassOf(
+                self.claim("someValuesFrom", [i], om.SubClassOf(
                     om.Named(self.namer.iri(c)),
                     om.Restriction(self.namer.iri(p), om.SomeValuesFrom(
-                        om.Named(self.namer.iri(f)))),
-                ))
+                        om.Named(self.namer.iri(f))))),
+                    cls=c.name, prop=p.name)
             elif h.name == "hasValue" and len(h.args) == 3 and \
                     isinstance(h.args[0], FlSymbol) and \
                     isinstance(h.args[1], FlSymbol) and \
                     isinstance(h.args[2], _VALUE):
                 c, p, v = h.args
-                self.claim("hasValue", [i], cls=c.name, prop=p.name)
-                self.class_axioms.append(om.SubClassOf(
+                self.claim("hasValue", [i], om.SubClassOf(
                     om.Named(self.namer.iri(c)),
                     om.Restriction(self.namer.iri(p),
-                                   om.HasValue(self.namer.value(v))),
-                ))
+                                   om.HasValue(self.namer.value(v)))),
+                    cls=c.name, prop=p.name)
             elif h.name == "disjoint_classes" and len(h.args) == 2 and \
                     all(isinstance(a, FlSymbol) for a in h.args):
                 b, a = h.args  # printed object-first; the axiom is (a, b)
-                self.claim("disjoint-classes", [i], a=a.name, b=b.name)
-                self.class_axioms.append(om.DisjointWith(
-                    self.namer.iri(a), self.namer.iri(b)))
+                self.claim("disjoint-classes", [i], om.DisjointWith(
+                    self.namer.iri(a), self.namer.iri(b)), a=a.name, b=b.name)
             elif h.name == "inverseFunctional" and len(h.args) == 1 and \
                     isinstance(h.args[0], FlSymbol):
                 p = h.args[0]
-                self.claim("inverse-functional", [i], prop=p.name)
-                self.property_axioms.append(om.Characteristic(
-                    self.namer.iri(p), om.INVERSE_FUNCTIONAL))
+                self.claim("inverse-functional", [i], om.Characteristic(
+                    self.namer.iri(p), om.INVERSE_FUNCTIONAL), prop=p.name)
 
     def pass_signatures(self):
         for i, h in self.facts(FlSignature):
-            if h.via is not None:
-                continue
             cls_sym = _atom_sym(h.cls)
             rng_sym = _atom_sym(h.range)
-            if cls_sym is None or not isinstance(h.prop, FlSymbol):
+            # the lowering's forms: a named range, `_object` under a
+            # cardinality; any other is left over
+            if h.via is not None or cls_sym is None or rng_sym is None or \
+                    not isinstance(h.prop, FlSymbol) or \
+                    h.card is not None and rng_sym.name != OBJECT_NAME:
                 continue
             prop_iri = self.namer.iri(h.prop)
             cls_is_obj = cls_sym.name == OBJECT_NAME
-            # a named range other than _object, which OWL can state
-            has_range = rng_sym is not None and rng_sym.name != OBJECT_NAME
+            # a range other than _object, which OWL can state
+            ranges = [om.Range(prop_iri, self.namer.iri(rng_sym))] \
+                if rng_sym.name != OBJECT_NAME else []
             if h.card is None:
                 # with the rules that `--owl-domain-range-rules` adds
                 rules = (("domain", cls_sym, h.prop),
                          ("range", rng_sym, h.prop))
                 group = self.gather(i, [cls_sym, rng_sym],
                                     lambda j: self.shape[j] in rules)
-                if cls_is_obj and has_range:
-                    self.claim("range", group, prop=h.prop.name)
-                    self.property_axioms.append(om.Range(
-                        prop_iri, self.namer.iri(rng_sym)))
-                elif not cls_is_obj:
-                    self.claim("domain-range", group, cls=cls_sym.name,
-                               prop=h.prop.name)
-                    self.property_axioms.append(om.Domain(
-                        prop_iri, self.namer.iri(cls_sym)))
-                    if has_range:
-                        self.property_axioms.append(om.Range(
-                            prop_iri, self.namer.iri(rng_sym)))
+                if not cls_is_obj:
+                    self.claim("domain-range", group,
+                               om.Domain(prop_iri, self.namer.iri(cls_sym)),
+                               *ranges, cls=cls_sym.name, prop=h.prop.name)
+                elif ranges:
+                    self.claim("range", group, *ranges, prop=h.prop.name)
                 continue
             low, high = h.card
-            if cls_is_obj and (low, high) == (1, 1):
-                self.claim("functional", [i], prop=h.prop.name)
-                self.property_axioms.append(om.Characteristic(
-                    prop_iri, om.FUNCTIONAL))
-                continue
             if cls_is_obj:
-                continue  # leave for the leftover pass
+                if (low, high) == (1, 1):
+                    self.claim("functional", [i], om.Characteristic(
+                        prop_iri, om.FUNCTIONAL), prop=h.prop.name)
+                continue  # any other is left over
             if low == 0 and high is not None:
                 kind = om.MaxCardinality(high)
             elif high is None:
@@ -545,19 +528,17 @@ class _Recognizer:
                 kind = om.ExactCardinality(low)
             else:
                 continue
-            self.claim("cardinality-restriction", [i], cls=cls_sym.name,
-                       prop=h.prop.name)
-            self.class_axioms.append(om.SubClassOf(
+            self.claim("cardinality-restriction", [i], om.SubClassOf(
                 om.Named(self.namer.iri(cls_sym)),
-                om.Restriction(prop_iri, kind)))
+                om.Restriction(prop_iri, kind)),
+                cls=cls_sym.name, prop=h.prop.name)
 
     def pass_subproperty_rules(self):
         for i, (_, p, q, inv) in self.open_shapes("attr"):
             if inv:
                 continue  # a lone inverse-orientation rule has no OWL axiom
-            self.claim("sub-property", [i], sub=q.name, super=p.name)
-            self.property_axioms.append(om.SubPropertyOf(
-                self.namer.iri(q), self.namer.iri(p)))
+            self.claim("sub-property", [i], om.SubPropertyOf(
+                self.namer.iri(q), self.namer.iri(p)), sub=q.name, super=p.name)
 
     def pass_lossy_groups(self):
         # an auxiliary is a predicate, in a rule or a fact
@@ -583,30 +564,24 @@ class _Recognizer:
     def pass_subclass_rules(self):
         for i, s in self.open_shapes("isa"):
             _, head_cls, body, nafs = s
+            sup = om.Named(self.namer.iri(head_cls))
             if not nafs:
-                sup = om.Named(self.namer.iri(head_cls))
-                if len(body) == 1:
-                    sub: om.ClassExpression = om.Named(self.namer.iri(body[0]))
-                else:
-                    sub = om.IntersectionOf(tuple(
-                        om.Named(self.namer.iri(b)) for b in body))
-                    self.general.append(i)
-                self.claim("membership-rule", [i], cls=head_cls.name)
-                self.class_axioms.append(om.SubClassOf(sub, sup))
+                subs = [om.Named(self.namer.iri(b)) for b in body]
+                self.claim("membership-rule", [i], om.SubClassOf(
+                    subs[0] if len(subs) == 1 else om.IntersectionOf(
+                        tuple(subs)), sup), cls=head_cls.name)
             elif _is_complement(s):
-                self.claim("complement-subclass", [i], cls=head_cls.name)
-                self.general.append(i)
-                self.class_axioms.append(om.SubClassOf(
-                    om.ComplementOf(om.Named(self.namer.iri(nafs[0]))),
-                    om.Named(self.namer.iri(head_cls))))
+                self.claim("complement-subclass", [i], om.SubClassOf(
+                    om.ComplementOf(om.Named(self.namer.iri(nafs[0]))), sup),
+                    cls=head_cls.name)
 
     def pass_subclass_facts(self):
         for i, h in self.facts(FlSubClass):
             a, b = _atom_sym(h.sub), _atom_sym(h.super)
             if a is not None and b is not None:
-                self.claim("subclass-fact", [i], sub=a.name, super=b.name)
-                self.class_axioms.append(om.SubClassOf(
-                    om.Named(self.namer.iri(a)), om.Named(self.namer.iri(b))))
+                self.claim("subclass-fact", [i], om.SubClassOf(
+                    om.Named(self.namer.iri(a)), om.Named(self.namer.iri(b))),
+                    sub=a.name, super=b.name)
 
     def pass_abox(self):
         for i, h in self.facts(FlIsA, FlAttrValue):
@@ -615,16 +590,14 @@ class _Recognizer:
             if isinstance(h, FlIsA):
                 cls_sym = _atom_sym(h.cls)
                 if cls_sym is not None and cls_sym.name != OBJECT_NAME:
-                    self.claim("class-assertion", [i], ind=h.obj.name,
-                               cls=cls_sym.name)
-                    self.assertions.append(om.ClassAssertion(
-                        self.namer.iri(h.obj), self.namer.iri(cls_sym)))
+                    self.claim("class-assertion", [i], om.ClassAssertion(
+                        self.namer.iri(h.obj), self.namer.iri(cls_sym)),
+                        ind=h.obj.name, cls=cls_sym.name)
             elif isinstance(h.prop, FlSymbol) and isinstance(h.value, _VALUE):
-                self.claim("property-assertion", [i], subj=h.obj.name,
-                           prop=h.prop.name)
-                self.assertions.append(om.PropertyAssertion(
+                self.claim("property-assertion", [i], om.PropertyAssertion(
                     self.namer.iri(h.obj), self.namer.iri(h.prop),
-                    self.namer.value(h.value)))
+                    self.namer.value(h.value)), subj=h.obj.name,
+                    prop=h.prop.name)
 
     def pass_leftovers(self):
         for i in self.open(*self.kinds):
@@ -641,7 +614,7 @@ def recognize_templates(program: FlProgram
                         ) -> Tuple[List[TemplateMatch], List[Diagnostic]]:
     rec = _build(program)
     return [TemplateMatch(t, tuple(sorted(bindings.items())), tuple(sorted(ix)))
-            for t, ix, bindings in rec.matches], rec.diagnostics
+            for t, ix, bindings, _ in rec.matches], rec.diagnostics
 
 
 def translate_program(program: FlProgram
@@ -649,16 +622,16 @@ def translate_program(program: FlProgram
     """The OWL form of a program, in the namespaces it declares; its base
     is its ``base`` directive, else ``DEFAULT_BASE``."""
     rec = _build(program)
-    doc = om.OntologyDocument(
-        prefixes={**rec.namer.prefixes, "": rec.namer.base},
-        class_axioms=list(rec.class_axioms),
-        property_axioms=list(rec.property_axioms),
-        assertions=list(rec.assertions),
-    )
+    # each with its match's first rule, for a general inclusion's warning
+    axioms = [(ix[0], a) for _, ix, _, axs in rec.matches for a in axs]
+    doc = om.OntologyDocument({**rec.namer.prefixes, "": rec.namer.base}, *(
+        [a for _, a in axioms if isinstance(a, kind)]
+        for kind in (om.ClassAxiom, om.PropertyAxiom, om.Assertion)))
     return doc, rec.diagnostics + [Diagnostic(
         WARNING, "unrepresentable-in-owl",
         "a general inclusion with a compound subclass is not written in "
-        f"RDF/XML: {print_rule(rec.rules[i])}") for i in rec.general]
+        f"RDF/XML: {print_rule(rec.rules[i])}") for i, a in axioms
+        if isinstance(a, om.SubClassOf) and not isinstance(a.sub, om.Named)]
 
 
 def _build(program: FlProgram) -> _Recognizer:

@@ -229,6 +229,3 @@ class OntologyDocument:
     @property
     def base(self) -> str:
         return self.prefixes.get("", "")
-
-    def axiom_count(self) -> int:
-        return len(self.class_axioms) + len(self.property_axioms) + len(self.assertions)

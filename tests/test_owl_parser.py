@@ -7,6 +7,8 @@ from owlfl.owl_parser import map_xml_type, parse_document
 from owlfl.owl_to_fl import TranslationOptions, translate_ontology
 from owlfl.owl_writer import serialize_document
 
+from test_owl_model import axiom_count
+
 HEADER = (
     '<?xml version="1.0"?>\n'
     '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
@@ -348,7 +350,7 @@ def test_element_name_and_prefixed_reference_agree(ns):
 
 def test_empty_document():
     doc, diags = parse_document(HEADER + "</rdf:RDF>\n")
-    assert doc.axiom_count() == 0
+    assert axiom_count(doc) == 0
     assert not [d for d in diags if d.severity == "error"]
 
 
