@@ -25,11 +25,10 @@ from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlFormat,
     FlIntersection, FlIsA, FlList, FlLit, FlLiteralTerm, FlMember, FlNaf,
     FlNeq, FlPred, FlProgram, FlRule, FlSignature, FlSubClass, FlSymbol,
-    FlTerm, FlUnion, FlVariable, print_class_expr, print_literal, print_term,
+    FlTerm, FlUnion, FlVariable, OBJECT, print_class_expr, print_literal,
+    print_term,
 )
 from .node import Node
-
-OBJECT = FlSymbol("_object")
 
 
 Binding = Dict[str, FlTerm]
@@ -143,14 +142,6 @@ class KnowledgeBase:
 # --- loading -----------------------------------------------------------------
 
 
-_PARTS = {
-    Atom: ("term",), FlUnion: ("a", "b"), FlIntersection: ("a", "b"),
-    FlDifference: ("a", "b"), FlIsA: ("obj", "cls"),
-    FlSubClass: ("sub", "super"), FlAttrValue: ("obj", "prop", "value"),
-    FlMember: ("item", "collection"), FlNeq: ("a", "b"), FlEquiv: ("a", "b"),
-    FlSignature: ("cls", "prop", "range"), FlList: ("elements",),
-    FlPred: ("args",), FlFormat: ("args",), FlNaf: ("inner",),
-}
 _CONSTANTS = (FlSymbol, FlLiteralTerm)
 
 
@@ -158,10 +149,11 @@ def _literal_vars(x, out: Set[str]):
     """Collect the variables of a literal, class expression or term."""
     if type(x) is FlVariable:
         out.add(x.name)
-    for part in _PARTS.get(type(x), ()):
-        y = getattr(x, part)
-        for e in y if type(y) is tuple else (y,):
-            _literal_vars(e, out)
+    elif isinstance(x, Node):
+        for part in x._fields:
+            y = getattr(x, part)
+            for e in y if type(y) is tuple else (y,):
+                _literal_vars(e, out)
 
 
 def literal_vars(lit: FlLit) -> Set[str]:
@@ -181,7 +173,7 @@ def _positive_vars(body: Sequence[FlLit]) -> Set[str]:
 
 def _is_ground(fact: FlLit) -> bool:
     """Whether a fact has no variables; constant parts skip the walk."""
-    for part in _PARTS.get(type(fact), ()):
+    for part in fact._fields:
         x = getattr(fact, part)
         if type(x) is Atom:
             x = x.term
@@ -329,6 +321,7 @@ def _stratify(rules: Sequence[FlRule], facts: Iterable[FlLit]
 
     heads = [_reads(rule.head, False, [])[0][0] or ANY for rule in rules]
     for rule, key in zip(rules, heads):
+        users.setdefault(key, [])  # a body may read no relation
         for src, neg in _reads(rule.body, False, []):
             edge(src, key, neg)
         if isinstance(rule.head, FlSubClass):

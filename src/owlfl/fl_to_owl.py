@@ -8,7 +8,8 @@ matches in order.  Rules that belong to a lossy lowering (Lloyd-Topor
 auxiliaries, case-split groups) are consumed and reported, never
 reconstructed.  Anything left over is reported as unrepresentable, such as a
 signature whose range has no OWL form: the lowering names a range, and puts
-``_object`` under a cardinality.
+``_object`` under a cardinality.  Names become IRIs as
+``owl_to_fl.Context._new_symbol`` made them, ``_object`` as ``owl:Thing``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .diagnostics import Diagnostic, ERROR, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLit, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
-    FlSignature, FlSubClass, FlSymbol, FlUnion, FlVariable,
+    FlSignature, FlSubClass, FlSymbol, FlUnion, FlVariable, OBJECT,
     print_rule,
 )
 from .node import Node
-from .owl_parser import DEFAULT_BASE
-
-OBJECT_NAME = "_object"
+from .owl_parser import DEFAULT_BASE, THING
+from .owl_to_fl import OBJ
 
 
 class TemplateMatch(Node):
@@ -57,9 +57,12 @@ class _Namer:
         return self.iris[key]
 
     def absolute(self, name: str, quoted: bool) -> str:
-        """A declared ``pfx:L`` is ``L`` in the prefix's namespace; a quoted
-        absolute name, or one with ``://``, is itself; any other name is in
-        the base's namespace (``om.namespace``)."""
+        """``_object`` is ``owl:Thing``; a declared ``pfx:L`` is ``L`` in the
+        prefix's namespace; a quoted absolute name, or one with ``://``, is
+        itself; any other name is in the base's namespace
+        (``om.namespace``)."""
+        if name == OBJECT:
+            return THING
         pfx, colon, local = name.partition(":")
         if colon:  # a prefixed name or an IRI
             ns = self.prefixes.get(pfx)
@@ -87,7 +90,7 @@ class _Namer:
             ops = tuple(map(self.cls, _leaves(e, type(e))))
             owl = om.UnionOf if isinstance(e, FlUnion) else om.IntersectionOf
             return None if None in ops else owl(ops)
-        if isinstance(e, FlDifference) and _is_object_atom(e.a):
+        if isinstance(e, FlDifference) and e.a == OBJ:
             b = self.cls(e.b)
             return None if b is None else om.ComplementOf(b)
         return None
@@ -98,11 +101,6 @@ def _leaves(e: FlClassExpr, kind) -> List[FlClassExpr]:
     if isinstance(e, kind):
         return _leaves(e.a, kind) + _leaves(e.b, kind)
     return [e]
-
-
-def _is_object_atom(e: FlClassExpr) -> bool:
-    return isinstance(e, Atom) and isinstance(e.term, FlSymbol) and \
-        e.term.name == OBJECT_NAME
 
 
 def _atom_sym(e: FlClassExpr) -> Optional[FlSymbol]:
@@ -196,7 +194,7 @@ def _shape(rule: FlRule):
 
 def _is_complement(shape) -> bool:
     """True for the isa shape of ``?X:N :- ?X:_object, \\naf ?X:C``."""
-    return shape[2] == [OBJECT_NAME] and len(shape[3]) == 1
+    return shape[2] == [OBJECT] and len(shape[3]) == 1
 
 
 def _renames(rule: FlRule, of: FlRule) -> bool:
@@ -376,13 +374,13 @@ class _Recognizer:
                         return False
                     return (s[1] == name and set(s[2]) == ops) or \
                         (s[1] in ops and s[2] == [name])
-            elif isinstance(b, FlDifference) and _is_object_atom(b.a):
+            elif isinstance(b, FlDifference) and b.a == OBJ:
                 template = "complement-definition"
                 operand = _atom_sym(b.b)
 
                 def fits(j):
                     return self.shape[j] == \
-                        ("isa", name, [OBJECT_NAME], [operand])
+                        ("isa", name, [OBJECT], [operand])
             elif other is not None:
                 template = "named-equivalence"
                 bindings = {"a": name.name, "b": other.name}
@@ -494,13 +492,13 @@ class _Recognizer:
             # cardinality; any other is left over
             if h.via is not None or cls_sym is None or rng_sym is None or \
                     not isinstance(h.prop, FlSymbol) or \
-                    h.card is not None and rng_sym.name != OBJECT_NAME:
+                    h.card is not None and rng_sym != OBJECT:
                 continue
             prop_iri = self.namer.iri(h.prop)
-            cls_is_obj = cls_sym.name == OBJECT_NAME
+            cls_is_obj = cls_sym == OBJECT
             # a range other than _object, which OWL can state
             ranges = [om.Range(prop_iri, self.namer.iri(rng_sym))] \
-                if rng_sym.name != OBJECT_NAME else []
+                if rng_sym != OBJECT else []
             if h.card is None:
                 # with the rules that `--owl-domain-range-rules` adds
                 rules = (("domain", cls_sym, h.prop),
@@ -589,7 +587,7 @@ class _Recognizer:
                 continue
             if isinstance(h, FlIsA):
                 cls_sym = _atom_sym(h.cls)
-                if cls_sym is not None and cls_sym.name != OBJECT_NAME:
+                if cls_sym is not None and cls_sym != OBJECT:
                     self.claim("class-assertion", [i], om.ClassAssertion(
                         self.namer.iri(h.obj), self.namer.iri(cls_sym)),
                         ind=h.obj.name, cls=cls_sym.name)

@@ -44,6 +44,9 @@ class FlSymbol(str, FlTerm):
         return f"FlSymbol(name={self.name!r}, quoted={self.quoted!r})"
 
 
+OBJECT = FlSymbol("_object")  # the top class, of which everything is a member
+
+
 class FlVariable(FlTerm, Node):
     __slots__ = ("name",)
 
@@ -82,12 +85,6 @@ class FlIntersection(FlClassExpr):
 
 class FlDifference(FlClassExpr):
     __slots__ = ("a", "b")
-
-
-def atom(name_or_term) -> Atom:
-    if isinstance(name_or_term, FlTerm):
-        return Atom(name_or_term)
-    return Atom(FlSymbol(name_or_term))
 
 
 def left_assoc(kind, exprs: List[FlClassExpr]) -> FlClassExpr:

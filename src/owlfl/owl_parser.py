@@ -32,6 +32,7 @@ RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
+THING = OWL + "Thing"  # the top class
 
 DEFAULT_BASE = "http://example.org/ontology"
 
@@ -288,7 +289,7 @@ class _DocParser:
         expr = next(self.class_operands(el), None)
         if expr is None:
             self.warn("unknown-construct", "missing restriction filler")
-            return Named(Iri(OWL + "Thing"))
+            return Named(Iri(THING))
         return expr
 
     def _literal(self, el: ET.Element) -> OwlLiteral:

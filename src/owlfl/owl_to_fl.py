@@ -1,9 +1,11 @@
 """Compile an OntologyDocument into an F-logic program.
 
 Each axiom contributes its translation in document order; the generic
-checker library is appended at the end.  Constructs that have no faithful
-rule translation are reported as diagnostics instead of being dropped
-silently.
+checker library is appended at the end.  An inclusion is lowered by one
+dispatch (``lower_general_inclusion``), and an equivalence that defines no
+class is two inclusions.  ``owl:Thing`` is the top class ``_object``.
+Constructs that have no faithful rule translation are reported as
+diagnostics instead of being dropped silently.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from .diagnostics import Diagnostic, ERROR, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
     FlIsA, FlList, FlLiteralTerm, FlNaf, FlPred, FlProgram, FlRule,
-    FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, fact,
-    left_assoc,
+    FlSignature, FlSubClass, FlSymbol, FlTerm, FlUnion, FlVariable, OBJECT,
+    fact, left_assoc,
 )
 from .node import Node
+from .owl_parser import THING
 
-OBJ = Atom(FlSymbol("_object"))
+OBJ = Atom(OBJECT)
+X, Y = FlVariable("X"), FlVariable("Y")  # the variables of every rule
 
 
 class TranslationOptions(Node):
@@ -77,13 +81,16 @@ class Context:
         return a
 
     def _new_symbol(self, value: str) -> FlSymbol:
-        """``L`` for ``L`` in the base's namespace and ``pfx:L`` for ``L``
-        in a prefix's (``L`` non-empty, no colon; ``om.namespace``), else
-        the quoted IRI; inverse of ``fl_to_owl._Namer.iri``."""
+        """``_object`` for ``owl:Thing``; ``L`` for ``L`` in the base's
+        namespace and ``pfx:L`` for ``L`` in a prefix's (``L`` non-empty, no
+        colon, not ``_object``; ``om.namespace``), else the quoted IRI;
+        inverse of ``fl_to_owl._Namer.iri``."""
+        if value == THING:
+            return OBJECT
         for pfx, ns in self.namespaces:
             if value.startswith(ns):
                 local = value[len(ns):]
-                if local and ":" not in local:
+                if local and ":" not in local and local != OBJECT:
                     return FlSymbol(f"{pfx}:{local}" if pfx else local)
         return FlSymbol(value, quoted=True)
 
@@ -119,10 +126,6 @@ class Context:
         self.diagnostics.append(Diagnostic(ERROR, code, message))
 
 
-def _var(name: str) -> FlVariable:
-    return FlVariable(name)
-
-
 def _is_named(e) -> bool:
     return isinstance(e, om.Named)
 
@@ -134,90 +137,69 @@ def _case_split(d: Atom, atoms: List[Atom]) -> List[FlRule]:
     """Reasoning by cases for ``D`` in the union of ``atoms``: ``?X:A :-
     ?X:D, \\naf ?X:B, ...`` for each operand A, with B each other operand by
     position, so an operand listed twice negates its twin."""
-    x = _var("X")
-    return [FlRule(FlIsA(x, a), (FlIsA(x, d),) + tuple(
-        FlNaf((FlIsA(x, b),)) for j, b in enumerate(atoms) if j != i))
+    return [FlRule(FlIsA(X, a), (FlIsA(X, d),) + tuple(
+        FlNaf((FlIsA(X, b),)) for j, b in enumerate(atoms) if j != i))
         for i, a in enumerate(atoms)]
 
 
 def translate_class_axiom(ax: om.ClassAxiom, ctx: Context) -> List[FlRule]:
-    rules: List[FlRule] = []
-    x = _var("X")
     if isinstance(ax, om.SubClassOf):
         if _is_named(ax.sub) and _is_named(ax.super):
-            rules.append(fact(FlSubClass(ctx.cls_expr(ax.sub),
-                                         ctx.cls_expr(ax.super))))
-        elif _is_named(ax.sub) and isinstance(ax.super, om.Restriction):
-            rules.extend(translate_restriction(ax.sub.iri, ax.super, ctx))
-        else:
-            rules.extend(lower_general_inclusion(ax.sub, ax.super, ctx))
-    elif isinstance(ax, om.EquivalentClass):
+            return [fact(FlSubClass(ctx.cls_expr(ax.sub),
+                                    ctx.cls_expr(ax.super)))]
+        return lower_general_inclusion(ax.sub, ax.super, ctx)
+    if isinstance(ax, om.EquivalentClass):
         if _is_named(ax.a) and _is_named(ax.b):
-            a = ctx.cls_expr(ax.a)
-            b = ctx.cls_expr(ax.b)
-            rules.append(fact(FlEquiv(a, b)))
-            rules.append(FlRule(FlIsA(x, a), (FlIsA(x, b),)))
-            rules.append(FlRule(FlIsA(x, b), (FlIsA(x, a),)))
-            rules.append(FlRule(FlSubClass(Atom(x), a), (FlSubClass(Atom(x), b),)))
-            rules.append(FlRule(FlSubClass(Atom(x), b), (FlSubClass(Atom(x), a),)))
-        elif _is_named(ax.a) and isinstance(
+            a, b = ctx.cls_expr(ax.a), ctx.cls_expr(ax.b)
+            return [fact(FlEquiv(a, b)),
+                    FlRule(FlIsA(X, a), (FlIsA(X, b),)),
+                    FlRule(FlIsA(X, b), (FlIsA(X, a),)),
+                    FlRule(FlSubClass(Atom(X), a), (FlSubClass(Atom(X), b),)),
+                    FlRule(FlSubClass(Atom(X), b), (FlSubClass(Atom(X), a),))]
+        if _is_named(ax.a) and isinstance(
                 ax.b, (om.UnionOf, om.IntersectionOf, om.ComplementOf, om.OneOf)):
-            rules.extend(translate_class_definition(ax.a.iri, ax.b, ctx))
-        else:
-            # decompose into two inclusions and lower each
-            for sub, sup in ((ax.a, ax.b), (ax.b, ax.a)):
-                if _is_named(sub) and isinstance(sup, om.Restriction):
-                    rules.extend(translate_restriction(sub.iri, sup, ctx))
-                else:
-                    rules.extend(lower_general_inclusion(sub, sup, ctx))
-    elif isinstance(ax, om.DisjointWith):
+            return translate_class_definition(ax.a.iri, ax.b, ctx)
+        # two inclusions, each lowered
+        return lower_general_inclusion(ax.a, ax.b, ctx) + \
+            lower_general_inclusion(ax.b, ax.a, ctx)
+    if isinstance(ax, om.DisjointWith):
         # argument order mirrors the target syntax: object first, subject second
-        rules.append(fact(FlPred("disjoint_classes",
-                                 (ctx.symbol(ax.b), ctx.symbol(ax.a)))))
-    else:
-        ctx.error("unknown-construct", f"unsupported class axiom {ax!r}")
-    return rules
+        return [fact(FlPred("disjoint_classes",
+                            (ctx.symbol(ax.b), ctx.symbol(ax.a))))]
+    ctx.error("unknown-construct", f"unsupported class axiom {ax!r}")
+    return []
 
 
 def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
                                ctx: Context) -> List[FlRule]:
     n = ctx.atom(name)
-    x = _var("X")
-    rules: List[FlRule] = []
-    if isinstance(expr, om.UnionOf):
-        rules.append(fact(FlEquiv(n, ctx.cls_expr(expr))))
-        named_ops = [op for op in expr.operands if _is_named(op)]
-        if len(named_ops) != len(expr.operands):
-            ctx.warn("complex-operand",
-                     "non-named union operand: membership rules omitted")
-        atoms = [ctx.atom(op.iri) for op in named_ops]
-        for a in atoms:
-            rules.append(FlRule(FlIsA(x, n), (FlIsA(x, a),)))
+    if isinstance(expr, om.ComplementOf):
+        c = ctx.cls_expr(expr.operand)
+        return [fact(FlEquiv(n, FlDifference(OBJ, c))),
+                FlRule(FlIsA(X, n), (FlIsA(X, OBJ), FlNaf((FlIsA(X, c),))))]
+    if isinstance(expr, om.OneOf):
+        members = [ctx.symbol(i) for i in expr.individuals]
+        return [fact(FlIsA(m, n)) for m in members] + \
+            [fact(FlPred("oneOf", (n.term, FlList(tuple(members)))))]
+    # a union or an intersection: its named operands get membership rules
+    union = isinstance(expr, om.UnionOf)
+    rules = [fact(FlEquiv(n, ctx.cls_expr(expr)))]
+    named_ops = [op for op in expr.operands if _is_named(op)]
+    if len(named_ops) != len(expr.operands):
+        ctx.warn("complex-operand",
+                 f"non-named {'union' if union else 'intersection'} operand: "
+                 "membership rules omitted")
+    atoms = [ctx.atom(op.iri) for op in named_ops]
+    if union:
+        rules += [FlRule(FlIsA(X, n), (FlIsA(X, a),)) for a in atoms]
         if ctx.opts.case_split_rhs_disjunction and len(atoms) >= 2:
-            rules.extend(_case_split(n, atoms))
+            rules += _case_split(n, atoms)
             ctx.warn("case-split-weakening",
                      "union definition lowered to reasoning by cases; the "
                      "case rules change the semantics")
-    elif isinstance(expr, om.IntersectionOf):
-        rules.append(fact(FlEquiv(n, ctx.cls_expr(expr))))
-        named_ops = [op for op in expr.operands if _is_named(op)]
-        if len(named_ops) != len(expr.operands):
-            ctx.warn("complex-operand",
-                     "non-named intersection operand: membership rules omitted")
-        atoms = [ctx.atom(op.iri) for op in named_ops]
-        if atoms:
-            rules.append(FlRule(FlIsA(x, n), tuple(FlIsA(x, a) for a in atoms)))
-            for a in atoms:
-                rules.append(FlRule(FlIsA(x, a), (FlIsA(x, n),)))
-    elif isinstance(expr, om.ComplementOf):
-        c = ctx.cls_expr(expr.operand)
-        rules.append(fact(FlEquiv(n, FlDifference(OBJ, c))))
-        rules.append(FlRule(FlIsA(x, n), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),)))))
-    else:  # om.OneOf
-        members = [ctx.symbol(i) for i in expr.individuals]
-        for m in members:
-            rules.append(fact(FlIsA(m, n)))
-        rules.append(fact(FlPred("oneOf", (n.term, FlList(tuple(members))))))
+    elif atoms:
+        rules.append(FlRule(FlIsA(X, n), tuple(FlIsA(X, a) for a in atoms)))
+        rules += [FlRule(FlIsA(X, a), (FlIsA(X, n),)) for a in atoms]
     return rules
 
 
@@ -225,14 +207,13 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
                           ctx: Context) -> List[FlRule]:
     c = ctx.atom(cls)
     p = ctx.symbol(r.property)
-    x, y = _var("X"), _var("Y")
     k = r.kind
     if isinstance(k, om.AllValuesFrom):
         f = ctx.cls_expr(k.filler)
         signature = fact(FlSignature(c, p, f, via=OBJ))
         if isinstance(f, Atom):
             return [signature,
-                    FlRule(FlIsA(y, f), (FlIsA(x, c), FlAttrValue(x, p, y)))]
+                    FlRule(FlIsA(Y, f), (FlIsA(X, c), FlAttrValue(X, p, Y)))]
         # a rule cannot derive membership of a compound class
         ctx.warn("complex-operand",
                  "compound allValuesFrom filler: the signature is a "
@@ -243,9 +224,8 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
         if not isinstance(f, Atom):
             ctx.warn("complex-operand",
                      "someValuesFrom filler flattened to class expression")
-        filler_term = f.term if isinstance(f, Atom) else ctx.symbol(
-            om.Iri("http://www.w3.org/2002/07/owl#Thing"))
-        return [fact(FlPred("someValuesFrom", (c.term, p, filler_term)))]
+            f = OBJ
+        return [fact(FlPred("someValuesFrom", (c.term, p, f.term)))]
     if isinstance(k, om.HasValue):
         return [fact(FlPred("hasValue", (c.term, p, ctx.term(k.value))))]
     if isinstance(k, om.MaxCardinality):
@@ -265,17 +245,11 @@ _CLOSURES = {om.TRANSITIVE: ("TransitiveProperty", TRANSITIVE_RULE),
              om.SYMMETRIC: ("SymmetricProperty", SYMMETRIC_RULE)}
 
 
-def _inverse_rules(p: FlSymbol, q: FlSymbol) -> List[FlRule]:
-    x, y = _var("X"), _var("Y")
-    return [
-        FlRule(FlAttrValue(x, p, y), (FlAttrValue(y, q, x),)),
-        FlRule(FlAttrValue(x, q, y), (FlAttrValue(y, p, x),)),
-    ]
-
-
 def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]:
-    x, y = _var("X"), _var("Y")
     rules: List[FlRule] = []
+    if isinstance(ax, (om.Domain, om.Range)) and ax.cls.value == THING:
+        ctx.warn("vacuous-axiom", f"owl:Thing as a {type(ax).__name__.lower()} "
+                 f"restricts nothing and lowers as none: {ax!r}")
     if isinstance(ax, om.Domain):
         p = ctx.symbol(ax.property)
         c = ctx.atom(ax.cls)
@@ -286,9 +260,9 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]
             ctx.consumed_range_axioms.add(id(other))
         rules.append(fact(FlSignature(c, p, rng)))
         if ctx.opts.owl_domain_range_rules:
-            rules.append(FlRule(FlIsA(x, c), (FlAttrValue(x, p, y),)))
+            rules.append(FlRule(FlIsA(X, c), (FlAttrValue(X, p, Y),)))
             if rng != OBJ:
-                rules.append(FlRule(FlIsA(y, rng), (FlAttrValue(x, p, y),)))
+                rules.append(FlRule(FlIsA(Y, rng), (FlAttrValue(X, p, Y),)))
     elif isinstance(ax, om.Range):
         if id(ax) in ctx.consumed_range_axioms:
             return []
@@ -296,16 +270,18 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]
         rng = ctx.atom(ax.cls)
         rules.append(fact(FlSignature(OBJ, p, rng)))
         if ctx.opts.owl_domain_range_rules:
-            rules.append(FlRule(FlIsA(y, rng), (FlAttrValue(x, p, y),)))
+            rules.append(FlRule(FlIsA(Y, rng), (FlAttrValue(X, p, Y),)))
     elif isinstance(ax, om.SubPropertyOf):
         p, q = ctx.symbol(ax.sub), ctx.symbol(ax.super)
-        rules.append(FlRule(FlAttrValue(x, q, y), (FlAttrValue(x, p, y),)))
+        rules.append(FlRule(FlAttrValue(X, q, Y), (FlAttrValue(X, p, Y),)))
     elif isinstance(ax, om.EquivalentProperty):
         p, q = ctx.symbol(ax.a), ctx.symbol(ax.b)
-        rules.append(FlRule(FlAttrValue(x, p, y), (FlAttrValue(x, q, y),)))
-        rules.append(FlRule(FlAttrValue(x, q, y), (FlAttrValue(x, p, y),)))
+        rules.append(FlRule(FlAttrValue(X, p, Y), (FlAttrValue(X, q, Y),)))
+        rules.append(FlRule(FlAttrValue(X, q, Y), (FlAttrValue(X, p, Y),)))
     elif isinstance(ax, om.InverseOf):
-        rules.extend(_inverse_rules(ctx.symbol(ax.a), ctx.symbol(ax.b)))
+        p, q = ctx.symbol(ax.a), ctx.symbol(ax.b)
+        rules.append(FlRule(FlAttrValue(X, p, Y), (FlAttrValue(Y, q, X),)))
+        rules.append(FlRule(FlAttrValue(X, q, Y), (FlAttrValue(Y, p, X),)))
     elif isinstance(ax, om.Characteristic):
         p = ctx.symbol(ax.property)
         if ax.kind == om.FUNCTIONAL:
@@ -356,9 +332,11 @@ def _contains_existential(expr: om.ClassExpression) -> bool:
 
 def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
                             ctx: Context) -> List[FlRule]:
-    """Lower an inclusion where at least one side is not a named class;
-    what has no rule form is reported on ``ctx``."""
-    x, y = _var("X"), _var("Y")
+    """Lower an inclusion where at least one side is not a named class:
+    a named class under a restriction is that restriction's lowering; what
+    has no rule form is reported on ``ctx``."""
+    if _is_named(sub) and isinstance(sup, om.Restriction):
+        return translate_restriction(sub.iri, sup, ctx)
     # existentials in subsumer position have no rule form
     if isinstance(sub, om.Restriction) and isinstance(sub.kind, om.SomeValuesFrom):
         ctx.error("untranslatable-existential",
@@ -375,14 +353,14 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
     if isinstance(sub, om.UnionOf) and _is_named(sup):
         d = ctx.atom(sup.iri)
         if all(_is_named(op) for op in sub.operands):
-            return [FlRule(FlIsA(x, d), (FlIsA(x, ctx.atom(op.iri)),))
+            return [FlRule(FlIsA(X, d), (FlIsA(X, ctx.atom(op.iri)),))
                     for op in sub.operands]
     # intersection on the left: conjunctive body
     if isinstance(sub, om.IntersectionOf) and _is_named(sup) and \
             all(_is_named(op) for op in sub.operands):
         d = ctx.atom(sup.iri)
-        body = tuple(FlIsA(x, ctx.atom(op.iri)) for op in sub.operands)
-        return [FlRule(FlIsA(x, d), body)]
+        body = tuple(FlIsA(X, ctx.atom(op.iri)) for op in sub.operands)
+        return [FlRule(FlIsA(X, d), body)]
     # enumeration on the left: membership facts
     if isinstance(sub, om.OneOf) and _is_named(sup):
         d = ctx.atom(sup.iri)
@@ -392,7 +370,7 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
             _is_named(sup):
         d = ctx.atom(sup.iri)
         c = ctx.atom(sub.operand.iri)
-        return [FlRule(FlIsA(x, d), (FlIsA(x, OBJ), FlNaf((FlIsA(x, c),))))]
+        return [FlRule(FlIsA(X, d), (FlIsA(X, OBJ), FlNaf((FlIsA(X, c),))))]
     # universal restriction on the left: Lloyd-Topor with an auxiliary
     if isinstance(sub, om.Restriction) and \
             isinstance(sub.kind, om.AllValuesFrom) and _is_named(sup):
@@ -401,10 +379,10 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
         d = ctx.atom(sup.iri)
         aux = ctx.fresh_aux()
         return [
-            FlRule(FlPred(aux.name, (x,), quoted=True),
-                   (FlAttrValue(x, p, y), FlNaf((FlIsA(y, f),)))),
-            FlRule(FlIsA(x, d),
-                   (FlIsA(x, OBJ), FlNaf((FlPred(aux.name, (x,), quoted=True),)))),
+            FlRule(FlPred(aux.name, (X,), quoted=True),
+                   (FlAttrValue(X, p, Y), FlNaf((FlIsA(Y, f),)))),
+            FlRule(FlIsA(X, d),
+                   (FlIsA(X, OBJ), FlNaf((FlPred(aux.name, (X,), quoted=True),)))),
         ]
     # union on the right: reasoning by cases
     if isinstance(sup, om.UnionOf) and _is_named(sub) and \
@@ -424,7 +402,7 @@ def lower_general_inclusion(sub: om.ClassExpression, sup: om.ClassExpression,
     if isinstance(sup, om.IntersectionOf) and _is_named(sub) and \
             all(_is_named(op) for op in sup.operands):
         d = ctx.atom(sub.iri)
-        return [FlRule(FlIsA(x, ctx.atom(op.iri)), (FlIsA(x, d),))
+        return [FlRule(FlIsA(X, ctx.atom(op.iri)), (FlIsA(X, d),))
                 for op in sup.operands]
 
     ctx.error("untranslatable-construct",

@@ -362,6 +362,46 @@ def test_check_unsupported_user_rule_exits_2(rule, tmp_path, capsys):
         "variables a positive body literal binds\n")
 
 
+@pytest.mark.parametrize("text, err", [
+    ("?X[p *=> C] :- ?X:D.",
+     "unsupported-rule: signatures and equivalences cannot be derived by "
+     "rules"),
+    ("p([?X]) :- q(?X).",
+     "function-symbols-unsupported: non-ground list in head: p([?X])"),
+    ("h(?X) :- p(?X), \\naf q(?Y).",
+     "non-range-restricted: negated variables ['Y'] not bound by a positive "
+     "body literal"),
+    ("a:B. h(?C) :- a:(?C ; B).",
+     "non-range-restricted: unbound head variable ?C"),
+    ("a:B. h(?C) :- a:(?C ; B), \\naf q(?C).",
+     "unsafe-goal: unbound variable ?C under negation"),
+    ("a:B. h(?C) :- a:(?C ; B), ?C != b.",
+     "unsafe-goal: unbound variable in disequality"),
+], ids=["derived-signature", "list-in-head", "negated-variable",
+        "head-variable", "variable-under-negation", "disequality-variable"])
+def test_check_rejects_a_rule_the_engine_cannot_run(text, err, tmp_path,
+                                                    capsys):
+    kb = tmp_path / "kb.flr"
+    kb.write_text(text + "\n")
+    assert main(["check", str(kb)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_complement_superclass_has_no_lowering_exits_2(tmp_path, capsys):
+    src = tmp_path / "neg.owl"
+    src.write_text(OWL_DOC.replace(
+        '<rdfs:subClassOf rdf:resource="#Wine"/>',
+        '<rdfs:subClassOf><owl:Class><owl:complementOf rdf:resource="#Wine"/>'
+        '</owl:Class></rdfs:subClassOf>'))
+    assert main(["translate", "--from", "owl", "--to", "flora", str(src),
+                 "-o", str(tmp_path / "out.flr")]) == 2
+    assert capsys.readouterr().err == (
+        "error: untranslatable-construct: no lowering for the inclusion "
+        "Named(iri=Iri(value='http://example.org/wine#RedWine')) <= "
+        "ComplementOf(operand=Named(iri=Iri(value="
+        "'http://example.org/wine#Wine')))\n")
+
+
 COLOURS = OWL_DOC.replace("</rdf:RDF>", """\
   <owl:Class rdf:about="#Red"><owl:disjointWith rdf:resource="#White"/>
   </owl:Class>
@@ -798,7 +838,8 @@ def test_query_answers_that_print_alike(tmp_path, capsys):
     from owlfl.engine import collect_set, load_program, query_goal
     from owlfl.flogic import (
         FlIsA, FlLiteralTerm, FlPred, FlProgram, FlSymbol, FlUnion, FlVariable,
-        atom, fact, print_term)
+        fact, print_term)
+    from _helpers import atom
     sym, lit = FlSymbol("a b", quoted=True), FlLiteralTerm("a b")
     u, v = FlSymbol("u"), FlSymbol("v")
     kb = load_program(FlProgram(tuple(map(fact, (
@@ -890,3 +931,93 @@ def test_insert_closing_a_negation_cycle_exits_2(tmp_path, capsys):
     assert main(["insert", str(src), "e::d"]) == 2
     captured = capsys.readouterr()
     assert "non-stratified-program" in captured.err and captured.out == ""
+
+
+# --- the top class -----------------------------------------------------------
+
+
+THING = "http://www.w3.org/2002/07/owl#Thing"
+UNION_AB = ('<owl:Class><owl:unionOf rdf:parseType="Collection">'
+            '<owl:Class rdf:about="#A"/><owl:Class rdf:about="#B"/>'
+            '</owl:unionOf></owl:Class>')
+
+
+def _owl(tmp_path, body, name="kb.owl"):
+    path = tmp_path / name
+    path.write_text(OWL_DOC.split("  <owl:Class")[0] + body + "\n</rdf:RDF>\n")
+    return str(path)
+
+
+def _vacuous(kind, prop):
+    return ("warning: vacuous-axiom: owl:Thing as a {0} restricts nothing "
+            "and lowers as none: {1}(property=Iri(value='http://example.org/"
+            "wine#{2}'), cls=Iri(value='{3}'))\n").format(
+                kind, kind.capitalize(), prop, THING)
+
+
+def test_range_thing_holds_of_every_value(tmp_path, capsys):
+    kb = _owl(tmp_path, f'<owl:ObjectProperty rdf:about="#p">'
+              f'<rdfs:range rdf:resource="{THING}"/></owl:ObjectProperty>'
+              '<owl:Thing rdf:about="#x"><p rdf:resource="#y"/></owl:Thing>')
+    assert main(["check", kb]) == 0
+    assert capsys.readouterr() == ("", _vacuous("range", "p"))
+
+
+def test_domain_thing_keeps_the_range_checked(tmp_path, capsys):
+    kb = _owl(tmp_path, f'<owl:ObjectProperty rdf:about="#p">'
+              f'<rdfs:domain rdf:resource="{THING}"/>'
+              '<rdfs:range rdf:resource="#R"/></owl:ObjectProperty>'
+              '<owl:Thing rdf:about="#x"><p rdf:resource="#y"/></owl:Thing>')
+    assert main(["check", kb]) == 1
+    assert capsys.readouterr() == (
+        "[OWL2FLORA] signature range violation: x.p value y is not in class "
+        "R\n", _vacuous("domain", "p"))
+
+
+def test_compound_somevaluesfrom_filler_is_any_thing(tmp_path, capsys):
+    kb = _owl(tmp_path, '<owl:Class rdf:about="#C"><rdfs:subClassOf>'
+              '<owl:Restriction><owl:onProperty rdf:resource="#p"/>'
+              f'<owl:someValuesFrom>{UNION_AB}</owl:someValuesFrom>'
+              '</owl:Restriction></rdfs:subClassOf></owl:Class>'
+              '<C rdf:about="#x"><p rdf:resource="#y"/></C><A rdf:about="#y"/>')
+    assert main(["check", kb]) == 0
+    assert capsys.readouterr() == ("", "warning: complex-operand: "
+                                   "someValuesFrom filler flattened to class "
+                                   "expression\n")
+
+
+def test_base_object_iri_is_a_class_of_its_own(tmp_path, capsys):
+    kb = _owl(tmp_path, '<owl:Class rdf:about="#_object">'
+              '<rdfs:subClassOf rdf:resource="#C"/></owl:Class>'
+              '<C rdf:about="#x"/><D rdf:about="#y"/>')
+    out = tmp_path / "kb.flr"
+    assert main(["translate", "--from", "owl", "--to", "flora", kb,
+                 "-o", str(out), "--no-checkers"]) == 0
+    assert "'http://example.org/wine#_object'::C.\n" in out.read_text()
+    assert main(["query", kb, "instances", "C"]) == 0
+    assert capsys.readouterr().out == "x\n"
+
+
+def test_instances_of_every_thing(tmp_path, capsys):
+    kb = _owl(tmp_path, '<owl:Class rdf:about="#B">'
+              f'<rdfs:subClassOf rdf:resource="{THING}"/></owl:Class>'
+              '<B rdf:about="#x"/><C rdf:about="#y"/>')
+    assert main(["query", kb, "instances", "_object"]) == 0
+    assert capsys.readouterr() == ("x\ny\n", "")
+    assert main(["query", kb, "instances", "owl:Thing"]) == 0
+    assert capsys.readouterr() == (
+        "", "warning: unknown-name: owl:Thing does not occur in the KB\n")
+
+
+def test_object_is_written_as_owl_thing(tmp_path, capsys):
+    src = tmp_path / "kb.flr"
+    src.write_text("?X:A :- ?X:_object.\nB::_object.\n")
+    out = tmp_path / "kb.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", str(src),
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    text = out.read_text()
+    assert f'<owl:Class rdf:about="{THING}">\n' \
+        '    <rdfs:subClassOf rdf:resource="#A"/>' in text
+    assert f'<rdfs:subClassOf rdf:resource="{THING}"/>' in text
+    assert "#_object" not in text

@@ -13,9 +13,11 @@ from owlfl.engine import (
 from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
     FlMember, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
-    FlSubClass, FlSymbol, FlUnion, FlVariable, atom, fact, parse_program,
+    FlSubClass, FlSymbol, FlUnion, FlVariable, fact, parse_program,
     print_rule, print_term,
 )
+
+from _helpers import atom
 
 
 def kb_from(text):
@@ -1128,6 +1130,25 @@ def test_member_before_its_list_holds_on_insert_as_up_front():
     assert store_facts(kb.store) == store_facts(upfront.store)
     assert names(collect_set(kb, "X", FlIsA(X, atom("T")))) == \
         ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("h(?X) :- member(?X, [a, b]).", None),
+    ("h(?X) :- ?X[p *=> D].", "cannot evaluate ?X[p *=> D]"),
+    ("h(?X) :- C::?X[p *=> D].", "cannot evaluate C::?X[p *=> D]"),
+], ids=["member", "signature", "signature-via"])
+def test_rule_whose_body_reads_no_relation(text, error):
+    """Such a rule gets a stratum of its own head: it runs, or its body
+    literal is reported, never a lookup error."""
+    kb = kb_from(text)
+    if error is None:
+        saturate(kb)
+        assert sorted(print_term(b["X"]) for b in
+                      query_goal(kb, FlPred("h", (X,)))) == ["a", "b"]
+        return
+    with pytest.raises(EngineError) as e:
+        saturate(kb)
+    assert (e.value.code, e.value.message) == ("unsupported-literal", error)
 
 
 @pytest.mark.parametrize("guard_first", [True, False])

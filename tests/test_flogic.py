@@ -8,11 +8,13 @@ import pytest
 from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
     FlLiteralTerm, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
-    FlSubClass, FlSymbol, FlUnion, FlVariable, atom, fact, left_assoc,
+    FlSubClass, FlSymbol, FlUnion, FlVariable, fact, left_assoc,
     parse_program, print_program, print_rule, print_term,
 )
 from owlfl.owl_parser import parse_document
 from owlfl.owl_to_fl import translate_ontology
+
+from _helpers import atom
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 import gen  # noqa: E402

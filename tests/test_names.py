@@ -131,3 +131,37 @@ def test_quoted_and_plain_name_stay_two_classes(text):
     for ind, cls in (("x", "urn:c"), ("y", BASE + "#urn:c")):
         assert f'<owl:Thing rdf:about="#{ind}">\n' \
             f'    <rdf:type rdf:resource="{cls}"/>' in xml
+
+
+THING = om.Iri("http://www.w3.org/2002/07/owl#Thing")
+BASE_OBJECT = om.Iri(BASE + "#_object")
+
+
+@pytest.mark.parametrize("top", [THING, BASE_OBJECT], ids=["owl:Thing",
+                                                           "#_object"])
+def test_top_class_and_its_namesake_round_trip(top):
+    """``owl:Thing`` is the top class ``_object``; an IRI whose local part
+    is ``_object`` is written whole, so it stays a class of its own."""
+    ctx = Context(om.OntologyDocument(prefixes=dict(PREFIXES)))
+    assert print_term(ctx.symbol(THING)) == "_object"
+    assert print_term(ctx.symbol(BASE_OBJECT)) == \
+        "'http://example.org/wine#_object'"
+    p = om.Iri(BASE + "#p")
+
+    def cls(local):
+        return om.Named(om.Iri(BASE + "#" + local))
+
+    doc = om.OntologyDocument(prefixes=dict(PREFIXES), class_axioms=[
+        om.SubClassOf(om.Named(top), cls("C")),
+        om.SubClassOf(cls("D"), om.Named(top)),
+        om.EquivalentClass(cls("E"), om.Named(top)),
+        om.SubClassOf(cls("F"), om.Restriction(p, om.AllValuesFrom(
+            om.Named(top)))),
+        om.SubClassOf(cls("G"), om.Restriction(p, om.SomeValuesFrom(
+            om.Named(top)))),
+    ])
+    for through_text in (False, True):
+        assert _axioms(_round_trip(doc, through_text)) == _axioms(doc)
+    read, diags = parse_document(serialize_document(doc))
+    assert diags == []
+    assert _axioms(_round_trip(read, True)) == _axioms(doc)

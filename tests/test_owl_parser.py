@@ -130,6 +130,104 @@ def test_parse_negative_cardinality_is_an_error():
     assert doc.class_axioms == []
 
 
+OWL_NS = "http://www.w3.org/2002/07/owl#"
+RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
+
+
+def _restriction(facets: str) -> str:
+    return ('<owl:Class rdf:about="#A"><rdfs:subClassOf><owl:Restriction>'
+            '<owl:onProperty rdf:resource="#p"/>' + facets +
+            '</owl:Restriction></rdfs:subClassOf></owl:Class>')
+
+
+def _a_sub(kind) -> om.SubClassOf:
+    return om.SubClassOf(om.Named(iri("A")), om.Restriction(iri("p"), kind))
+
+
+# (body, diagnostics, (class axioms, property axioms, assertions)); a body
+# that does not start with "<?xml" goes inside HEADER's rdf:RDF
+READER_CASES = {
+    "non-integer-cardinality": (
+        _restriction("<owl:maxCardinality>two</owl:maxCardinality>"),
+        [("error", "bad-cardinality", "non-integer cardinality 'two'"),
+         ("warning", "unknown-construct",
+          "incomplete owl:Restriction skipped")],
+        ([], [], [])),
+    "class-expression": (
+        '<owl:Class rdf:about="#A"><rdfs:subClassOf><owl:Foo/>'
+        '</rdfs:subClassOf></owl:Class>',
+        [("warning", "unknown-construct",
+          "unsupported class expression <{%s}Foo>" % OWL_NS)],
+        ([], [], [])),
+    "restriction-facet": (
+        _restriction("<owl:hasSelf>true</owl:hasSelf>"
+                     "<owl:minCardinality>1</owl:minCardinality>"),
+        [("warning", "unknown-construct",
+          "unsupported restriction facet <{%s}hasSelf>" % OWL_NS)],
+        ([_a_sub(om.MinCardinality(1))], [], [])),
+    "class-axiom-child": (
+        '<owl:Class rdf:about="#A"><rdfs:label>a</rdfs:label></owl:Class>',
+        [("warning", "unknown-construct",
+          "unsupported class axiom <{%s}label>" % RDFS_NS)],
+        ([], [], [])),
+    "property-type": (
+        '<owl:ObjectProperty rdf:about="#p">'
+        '<rdf:type rdf:resource="#Weird"/></owl:ObjectProperty>',
+        [("warning", "unknown-construct",
+          "unsupported property type '#Weird'")],
+        ([], [], [])),
+    "property-axiom-child": (
+        '<owl:ObjectProperty rdf:about="#p"><rdfs:comment>c</rdfs:comment>'
+        '</owl:ObjectProperty>',
+        [("warning", "unknown-construct",
+          "unsupported property axiom <{%s}comment>" % RDFS_NS)],
+        ([], [], [])),
+    "vocabulary-element": (
+        "<owl:AllDifferent/>",
+        [("warning", "unknown-construct",
+          "unsupported element <{%s}AllDifferent>" % OWL_NS)],
+        ([], [], [])),
+    "missing-filler": (
+        _restriction("<owl:allValuesFrom/>"),
+        [("warning", "unknown-construct", "missing restriction filler")],
+        ([_a_sub(om.AllValuesFrom(om.Named(om.Iri(OWL_NS + "Thing"))))],
+         [], [])),
+    "nested-value": (
+        '<owl:Thing rdf:about="#x"><p><C rdf:about="#y" q="v"/></p>'
+        '</owl:Thing>',
+        [],
+        ([], [], [om.PropertyAssertion(iri("x"), iri("p"), iri("y")),
+                  om.ClassAssertion(iri("y"), iri("C")),
+                  om.PropertyAssertion(iri("y"), iri("q"),
+                                       om.OwlLiteral("v"))])),
+    "no-subject": (
+        '<C><p rdf:resource="#y"/></C>',
+        [],
+        ([], [], [om.ClassAssertion(iri("_:b1"), iri("C")),
+                  om.PropertyAssertion(iri("_:b1"), iri("p"), iri("y"))])),
+    "root-not-rdf": (
+        '<?xml version="1.0"?>\n<owl:Class xmlns:owl="%s" '
+        'xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" '
+        'xmlns:rdfs="%s" rdf:about="#A">'
+        '<rdfs:subClassOf rdf:resource="#B"/></owl:Class>' % (OWL_NS, RDFS_NS),
+        [],
+        ([om.SubClassOf(om.Named(om.Iri("http://example.org/ontology#A")),
+                        om.Named(om.Iri("http://example.org/ontology#B")))],
+         [], [])),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_CASES))
+def test_reader_diagnostics_and_document(case):
+    """Each branch of the reader that skips or fills in part of its input
+    says so, and keeps the rest of the document."""
+    body, diagnostics, axioms = READER_CASES[case]
+    text = body if body.startswith("<?xml") else HEADER + body + "</rdf:RDF>\n"
+    doc, diags = parse_document(text)
+    assert [(d.severity, d.code, d.message) for d in diags] == diagnostics
+    assert (doc.class_axioms, doc.property_axioms, doc.assertions) == axioms
+
+
 def test_parse_disjoint_with():
     doc, _ = doc_of(
         '<owl:Class rdf:about="#Female">'

@@ -79,6 +79,33 @@ def test_disjoint_with_argument_order():
     assert print_rule(rules[0]) == "disjoint_classes(Male, Female)."
 
 
+@pytest.mark.parametrize("kind, rules, warnings", [
+    (om.UnionOf,
+     ["D :=: ((A ; B) ; (C , E)).", "?X:D :- ?X:A.", "?X:D :- ?X:B.",
+      "?X:A :- ?X:D, \\naf ?X:B.", "?X:B :- ?X:D, \\naf ?X:A."],
+     [("complex-operand",
+       "non-named union operand: membership rules omitted"),
+      ("case-split-weakening",
+       "union definition lowered to reasoning by cases; the case rules "
+       "change the semantics")]),
+    (om.IntersectionOf,
+     ["D :=: ((A , B) , (C , E)).", "?X:D :- ?X:A, ?X:B.", "?X:A :- ?X:D.",
+      "?X:B :- ?X:D."],
+     [("complex-operand",
+       "non-named intersection operand: membership rules omitted")]),
+], ids=["union", "intersection"])
+def test_definition_with_a_compound_operand(kind, rules, warnings):
+    """The definition keeps its equivalence fact, and only the named
+    operands get membership rules."""
+    ctx = context()
+    got = translate_class_axiom(om.EquivalentClass(named("D"), kind(
+        (named("A"), named("B"),
+         om.IntersectionOf((named("C"), named("E")))))), ctx)
+    assert [print_rule(r) for r in got] == rules
+    assert [(d.severity, d.code, d.message) for d in ctx.diagnostics] == \
+        [("warning", code, message) for code, message in warnings]
+
+
 def test_domain_pairs_with_range():
     doc = om.OntologyDocument(prefixes={"": "http://example.org/wine"})
     doc.property_axioms.extend([
