@@ -60,9 +60,9 @@ class Relation:
             index.setdefault(key_of(t), []).append(t)
         return True
 
-    def lookup(self, positions: Tuple[int, ...], key) -> Sequence[tuple]:
-        """Tuples whose values at ``positions`` equal ``key``: one value for
-        one position, a tuple of values for several."""
+    def index(self, positions: Tuple[int, ...]) -> Dict[object, List[tuple]]:
+        """The tuples by their values at ``positions``: one value for one
+        position, a tuple of values for several."""
         entry = self.indexes.get(positions)
         if entry is None:
             key_of = itemgetter(*positions)
@@ -70,7 +70,12 @@ class Relation:
             for t in self.facts:
                 index.setdefault(key_of(t), []).append(t)
             entry = self.indexes[positions] = (key_of, index)
-        return entry[1].get(key, ())
+        return entry[1]
+
+    def lookup(self, positions: Tuple[int, ...], key) -> Sequence[tuple]:
+        """Tuples whose values at ``positions`` equal ``key``."""
+        entry = self.indexes.get(positions)
+        return (entry[1] if entry else self.index(positions)).get(key, ())
 
 
 class FactStore:
@@ -123,10 +128,12 @@ class KnowledgeBase:
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
-        self._pending: List[FlLit] = []  # inserted, not yet in the store
-        # base_facts as a set, made on the first insert
-        self._base_set: Optional[Set[FlLit]] = None
-        self._compiled: Optional[List[List[_Rule]]] = None
+        self._pending: List[tuple] = []  # inserted heads, not yet stored
+        # base_facts as (relation, args) heads: the list of the last full
+        # saturate, and the set that inserts dedup against
+        self._heads: Optional[List[tuple]] = None
+        self._head_set: Optional[Set[tuple]] = None
+        self._compiled: Optional[List[tuple]] = None
         self._goals: Dict[tuple, _Goal] = {}  # query plans by shape
         # a rule body reads a relation under ``\naf`` or a class difference
         self._negation = any(neg for r in rules
@@ -613,6 +620,18 @@ def _relation_of(lit: FlLit):
     return _FAMILY.get(type(lit))
 
 
+def _args(lit: FlLit) -> Optional[tuple]:
+    """The argument terms of a literal in its stored relation, with ``None``
+    for a compound class; ``None`` for a literal of no stored relation."""
+    if isinstance(lit, FlIsA):
+        return lit.obj, _expr_term(lit.cls)
+    if isinstance(lit, FlSubClass):
+        return _expr_term(lit.sub), _expr_term(lit.super)
+    if isinstance(lit, FlAttrValue):
+        return lit.obj, lit.prop, lit.value
+    return lit.args if isinstance(lit, FlPred) else None
+
+
 def _head(lit: FlLit) -> Tuple[object, tuple]:
     """The relation and argument terms of a head literal."""
     kind = type(lit)  # first the two shapes of nearly every fact
@@ -620,18 +639,28 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
         return ATTR, (lit.obj, lit.prop, lit.value)
     if kind is FlIsA and type(lit.cls) is Atom:
         return ISA, (lit.obj, lit.cls.term)
-    if isinstance(lit, FlIsA):
-        args = (lit.obj, _expr_term(lit.cls))
-    elif isinstance(lit, FlSubClass):
-        args = (_expr_term(lit.sub), _expr_term(lit.super))
-    elif isinstance(lit, FlPred):
-        args = lit.args
-    else:
+    args = _args(lit)
+    if args is None:
         raise EngineError("unsupported-rule", f"bad head {print_literal(lit)}")
     if any(a is None for a in args):
         raise EngineError("unsupported-rule",
                           "compound class expression in rule head")
     return _relation_of(lit), args
+
+
+def _trigger(lit: FlLit) -> tuple:
+    """What the delta plan that starts at a positive body literal is filed
+    under: the literal's relation, the positions of its constant arguments
+    in it and their values (one value for one position).  A literal with a
+    compound class, a list argument or no constant has no positions: any
+    new fact of its relation runs the plan."""
+    args = _args(lit)
+    positions = tuple(p for p, a in enumerate(args) if type(a) in _CONSTANTS)
+    if any(a is None or type(a) is FlList for a in args):
+        positions = ()
+    values = tuple(args[p] for p in positions)
+    return (_relation_of(lit), positions,
+            values[0] if len(values) == 1 else values)
 
 
 def _closure(rule: FlRule) -> Optional[tuple]:
@@ -659,15 +688,16 @@ def _closure(rule: FlRule) -> Optional[tuple]:
 class _Rule:
     """A rule compiled for saturation: the head relation, the head
     arguments (a slot per variable), the plan of the first pass and a
-    (relation, plan) pair per positive body literal for the delta passes."""
+    (trigger, plan) pair per positive body literal for the delta passes
+    that start at it (see ``_trigger``)."""
 
     def __init__(self, rule: FlRule):
         slots: Dict[str, int] = {}
         self.full = _compile_conj(rule.body, slots)
         self.deltas = tuple(
-            (rel, _compile_conj(rule.body, slots, delta_at=i))
-            for i, rel in enumerate(map(_relation_of, rule.body))
-            if rel is not None)
+            (_trigger(lit), _compile_conj(rule.body, slots, delta_at=i))
+            for i, lit in enumerate(rule.body)
+            if _relation_of(lit) is not None)
         self.rel, args = _head(rule.head)
         self.head = tuple(slots.setdefault(t.name, len(slots))
                           if isinstance(t, FlVariable) else t for t in args)
@@ -767,32 +797,59 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
     return added
 
 
-def _compiled_strata(kb: KnowledgeBase) -> List[List[_Rule]]:
+def _compiled_strata(kb: KnowledgeBase) -> List[tuple]:
+    """Each stratum's compiled rules, and its delta plans filed by trigger:
+    ``{(relation, positions): {values: [(n, rule, plan), ...]}}``, with
+    ``n`` the plan's place in rule order."""
     if kb._compiled is None:
-        kb._compiled = [[_Rule(r) for r in stratum if not _closure(r)]
-                        for stratum in stratify(kb).strata]
+        strata = []
+        for stratum in stratify(kb).strata:
+            rules = [_Rule(r) for r in stratum if not _closure(r)]
+            filed: Dict[tuple, Dict[object, list]] = {}
+            plans = [(rule, *d) for rule in rules for d in rule.deltas]
+            for n, (rule, (rel, positions, values), plan) in enumerate(plans):
+                filed.setdefault((rel, positions), {}).setdefault(
+                    values, []).append((n, rule, plan))
+            strata.append((rules, filed))
+        kb._compiled = strata
     return kb._compiled
 
 
-def _run_stratum(stratum: List[_Rule], store: FactStore,
+def _fired(filed: Dict[tuple, Dict[object, list]],
+           delta: Dict[object, Relation]) -> List[tuple]:
+    """The filed delta plans whose trigger a new fact matches, in rule
+    order: the values filed under a relation's positions that are keys of
+    the new facts' index on those positions."""
+    fired: List[tuple] = []
+    for (key, positions), by_values in filed.items():
+        rel = delta.get(key)
+        if rel is not None:
+            for values in by_values.keys() & rel.index(positions).keys() \
+                    if positions else by_values:
+                fired += by_values[values]
+    fired.sort()
+    return fired
+
+
+def _run_stratum(stratum: tuple, store: FactStore,
                  delta: Optional[Dict[object, Relation]]):
     """Run a stratum's rules to their fixpoint, semi-naively: a rule runs
-    once per positive body literal with that literal reading only the
-    previous round's new facts.  The first round reads ``delta`` if given
-    (the store was closed under the stratum before those facts came),
-    and otherwise makes one pass over the whole store."""
+    once per positive body literal whose trigger the previous round's new
+    facts match, with that literal reading only them.  The first round
+    reads ``delta`` if given (the store was closed under the stratum before
+    those facts came), and otherwise makes one pass over the whole store."""
+    rules, filed = stratum
+    runs = [(0, rule, rule.full) for rule in rules] if delta is None \
+        else _fired(filed, delta)
     while True:
         new: Set[Tuple[object, tuple]] = set()
-        for rule in stratum:
-            plans = (rule.full,) if delta is None else \
-                [plan for rel, plan in rule.deltas if rel in delta]
-            for plan in plans:
-                for env in _solve(plan, [None] * len(rule.names), store,
-                                  delta):
-                    new.add((rule.rel, rule.instantiate(env)))
+        for _, rule, plan in runs:
+            for env in _solve(plan, [None] * len(rule.names), store, delta):
+                new.add((rule.rel, rule.instantiate(env)))
         delta = _assert(store, new, {})
         if not delta:
             return
+        runs = _fired(filed, delta)
 
 
 def saturate(kb: KnowledgeBase) -> FactStore:
@@ -812,10 +869,11 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     # an error below leaves no half-updated store behind
     kb._store, kb._pending = None, []
     if store is not None and not kb._negation:
-        delta = _assert(store, [_head(f) for f in pending], {})
+        delta = _assert(store, pending, {})
     else:
         store, delta = FactStore(kb._closures), None
-        _assert(store, [_head(f) for f in kb.base_facts])
+        kb._heads = [_head(f) for f in kb.base_facts]
+        _assert(store, kb._heads)
     for stratum in strata:
         _run_stratum(stratum, store, delta)
     kb._store = store
@@ -1077,6 +1135,21 @@ def run_constraint_checks(kb: KnowledgeBase,
 # --- updates -----------------------------------------------------------------
 
 
+def _base_heads(kb: KnowledgeBase) -> List[tuple]:
+    """The base facts as heads: those of the last full ``saturate`` or,
+    before one, of every base fact that has one (``saturate`` rejects the
+    others)."""
+    if kb._heads is not None:
+        return kb._heads
+    heads = []
+    for f in kb.base_facts:
+        try:
+            heads.append(_head(f))
+        except EngineError:
+            pass
+    return heads
+
+
 def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     """Add one ground fact to the base facts.  The next ``saturate`` adds
     it to the saturated store (see there); a fact already among the base
@@ -1089,18 +1162,19 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     if isinstance(fact_lit, FlSignature):
         kb.signatures.append(fact_lit)
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
-        _head(fact_lit)
-        if kb._base_set is None:
-            kb._base_set = set(kb.base_facts)
-        if fact_lit not in kb._base_set:
+        head = _head(fact_lit)
+        if kb._head_set is None:
+            kb._head_set = set(_base_heads(kb))
+        if head not in kb._head_set:
             if isinstance(fact_lit, FlSubClass) and kb._negation:
                 # a new edge of inheritance can reorder the strata
                 kb._stratification, kb._compiled = _stratify(
                     kb.rules, (*kb.base_facts, fact_lit)), None
-            kb._base_set.add(fact_lit)
+            kb._head_set.add(head)
             kb.base_facts.append(fact_lit)
-            kb._pending.append(fact_lit)
+            kb._pending.append(head)
     elif not isinstance(fact_lit, FlEquiv):  # an equivalence adds no facts
         raise EngineError("non-ground-insert",
                           f"not an insertable fact: {print_literal(fact_lit)}")
     return kb
+
