@@ -181,24 +181,29 @@ def translate_class_definition(name: om.Iri, expr: om.ClassExpression,
         members = [ctx.symbol(i) for i in expr.individuals]
         return [fact(FlIsA(m, n)) for m in members] + \
             [fact(FlPred("oneOf", (n.term, FlList(tuple(members)))))]
-    # a union or an intersection: its named operands get membership rules
+    # a union or an intersection: its named operands get membership rules;
+    # a rule that needs every operand's members, the intersection's own or
+    # the union's cases, only when every operand is named
     union = isinstance(expr, om.UnionOf)
     rules = [fact(FlEquiv(n, ctx.cls_expr(expr)))]
-    named_ops = [op for op in expr.operands if _is_named(op)]
-    if len(named_ops) != len(expr.operands):
-        ctx.warn("complex-operand",
-                 f"non-named {'union' if union else 'intersection'} operand: "
-                 "membership rules omitted")
-    atoms = [ctx.atom(op.iri) for op in named_ops]
+    atoms = [ctx.atom(op.iri) for op in expr.operands if _is_named(op)]
+    whole = len(atoms) == len(expr.operands)
+    if not whole:
+        ctx.warn("complex-operand", "non-named union operand: no membership "
+                 "rule for it and no case rules" if union else
+                 "non-named intersection operand: no membership rule for it "
+                 "and no rule deriving the defined class")
     if union:
         rules += [FlRule(FlIsA(X, n), (FlIsA(X, a),)) for a in atoms]
-        if ctx.opts.case_split_rhs_disjunction and len(atoms) >= 2:
+        if ctx.opts.case_split_rhs_disjunction and whole and len(atoms) >= 2:
             rules += _case_split(n, atoms)
             ctx.warn("case-split-weakening",
                      "union definition lowered to reasoning by cases; the "
                      "case rules change the semantics")
     elif atoms:
-        rules.append(FlRule(FlIsA(X, n), tuple(FlIsA(X, a) for a in atoms)))
+        if whole:
+            rules.append(FlRule(FlIsA(X, n),
+                                tuple(FlIsA(X, a) for a in atoms)))
         rules += [FlRule(FlIsA(X, a), (FlIsA(X, n),)) for a in atoms]
     return rules
 

@@ -1021,3 +1021,70 @@ def test_object_is_written_as_owl_thing(tmp_path, capsys):
         '    <rdfs:subClassOf rdf:resource="#A"/>' in text
     assert f'<rdfs:subClassOf rdf:resource="{THING}"/>' in text
     assert "#_object" not in text
+
+
+def _definition(outer, inner):
+    """``D ≡ A ⋆ B ⋆ (C ⋄ E)``, ⋆ and ⋄ named by their OWL tags, with ``a``
+    a member of ``A`` and of ``B``."""
+    ops = "".join(f'<owl:Class rdf:about="#{c}"/>' for c in "AB")
+    compound = (f'<owl:Class><owl:{inner} rdf:parseType="Collection">'
+                '<owl:Class rdf:about="#C"/><owl:Class rdf:about="#E"/>'
+                f'</owl:{inner}></owl:Class>')
+    return (f'<owl:Class rdf:about="#D"><owl:equivalentClass><owl:Class>'
+            f'<owl:{outer} rdf:parseType="Collection">{ops}{compound}'
+            f'</owl:{outer}></owl:Class></owl:equivalentClass></owl:Class>'
+            '<A rdf:about="#a"/><B rdf:about="#a"/>')
+
+
+def test_intersection_with_a_compound_operand_needs_it(tmp_path, capsys):
+    """A member of ``A`` and ``B`` is not a ``D ≡ A ⊓ B ⊓ (C ⊔ E)``."""
+    kb = _owl(tmp_path, _definition("intersectionOf", "unionOf"))
+    assert main(["query", kb, "is", "a", "D"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "false\n"
+    assert err.startswith("warning: complex-operand: non-named intersection "
+                          "operand: no membership rule for it and no rule "
+                          "deriving the defined class\n")
+
+
+def test_union_with_a_compound_operand_has_no_case_rules(tmp_path, capsys):
+    """``D ≡ A ⊔ B ⊔ (C ⊓ E)`` keeps ``A ⊑ D`` and ``B ⊑ D``, and puts no
+    member of ``D`` into an operand by cases."""
+    kb = _owl(tmp_path, _definition("unionOf", "intersectionOf"))
+    out = tmp_path / "kb.flr"
+    assert main(["translate", "--from", "owl", "--to", "flora", kb,
+                 "-o", str(out), "--no-checkers"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: complex-operand: non-named union operand: no membership "
+        "rule for it and no case rules\n")
+    assert "?X:D :- ?X:A.\n?X:D :- ?X:B.\n" in out.read_text()
+    assert "\\naf" not in out.read_text()
+    assert main(["query", kb, "is", "a", "D"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+@pytest.mark.parametrize("outer, inner, kind", [
+    ("intersectionOf", "unionOf", "IntersectionOf"),
+    ("unionOf", "intersectionOf", "UnionOf")], ids=["intersection", "union"])
+def test_definition_with_a_compound_operand_round_trips(outer, inner, kind,
+                                                         tmp_path, capsys):
+    from owlfl import owl_model as om
+    from owlfl.owl_parser import parse_document
+
+    kb = _owl(tmp_path, _definition(outer, inner))
+    mid, back = tmp_path / "mid.flr", tmp_path / "back.owl"
+    assert main(["translate", "--from", "owl", "--to", "flora", kb,
+                 "-o", str(mid)]) == 0
+    capsys.readouterr()
+    assert main(["translate", "--from", "flora", "--to", "owl", str(mid),
+                 "-o", str(back)]) == 0
+    assert capsys.readouterr() == ("", "")
+    doc, diags = parse_document(back.read_text())
+    assert not diags
+    named = {c: om.Named(om.Iri(f"http://example.org/wine#{c}"))
+             for c in "ABCDE"}
+    compound = getattr(om, {"unionOf": "UnionOf",
+                            "intersectionOf": "IntersectionOf"}[inner])
+    assert om.EquivalentClass(named["D"], getattr(om, kind)((
+        named["A"], named["B"], compound((named["C"], named["E"]))))) \
+        in doc.class_axioms
