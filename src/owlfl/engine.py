@@ -650,14 +650,12 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
 
 def _trigger(lit: FlLit) -> tuple:
     """What the delta plan that starts at a positive body literal is filed
-    under: the literal's relation, the positions of its constant arguments
-    in it and their values (one value for one position).  A literal with a
-    compound class, a list argument or no constant has no positions: any
-    new fact of its relation runs the plan."""
+    under: the literal's relation, the positions of its symbol and literal
+    arguments in it and their values (one value for one position).  Any new
+    fact of the relation runs the plan of a literal with none of them, such
+    as ``?X:(A ; B)``, ``?X:?C`` or ``l([a, b])``."""
     args = _args(lit)
     positions = tuple(p for p, a in enumerate(args) if type(a) in _CONSTANTS)
-    if any(a is None or type(a) is FlList for a in args):
-        positions = ()
     values = tuple(args[p] for p in positions)
     return (_relation_of(lit), positions,
             values[0] if len(values) == 1 else values)

@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from owlfl import engine
 from owlfl.checkers import SYMMETRIC_RULE, TRANSITIVE_RULE
 from owlfl.engine import (
     EngineError, Relation, _compile_conj, _solve, collect_set, holds,
@@ -12,9 +13,9 @@ from owlfl.engine import (
 )
 from owlfl.flogic import (
     Atom, FlAttrValue, FlDifference, FlEquiv, FlIntersection, FlIsA, FlList,
-    FlMember, FlNaf, FlNeq, FlPred, FlProgram, FlRule, FlSignature,
-    FlSubClass, FlSymbol, FlUnion, FlVariable, fact, parse_program,
-    print_rule, print_term,
+    FlLiteralTerm, FlMember, FlNaf, FlNeq, FlPred, FlProgram, FlRule,
+    FlSignature, FlSubClass, FlSymbol, FlUnion, FlVariable, fact,
+    parse_program, print_rule, print_term,
 )
 
 from _helpers import atom
@@ -506,6 +507,27 @@ def test_insert_non_ground_rejected():
     with pytest.raises(EngineError) as e:
         insert_fact(kb, FlIsA(X, atom("RedWine")))
     assert e.value.code == "non-ground-insert"
+
+
+def test_repeated_base_fact_before_saturate_is_not_added():
+    text = "a:C.\nC::D.\na[p -> b].\ng(a, [b, c])."
+    kb = kb_from(text)
+    facts = list(kb.base_facts)
+    for f in facts:
+        insert_fact(kb, f)
+    assert kb.base_facts == facts
+    assert store_facts(kb.store) == store_facts(kb_from(text).store)
+
+
+def test_unstorable_base_fact_fails_in_saturate_after_an_insert():
+    """``a:(B ; C)`` is rejected by ``saturate``, not by an insert made
+    before it."""
+    kb = kb_from("a:(B ; C).")
+    insert_fact(kb, FlIsA(FlSymbol("b"), atom("B")))
+    with pytest.raises(EngineError) as e:
+        saturate(kb)
+    assert (e.value.code, e.value.message) == (
+        "unsupported-rule", "compound class expression in rule head")
 
 
 # --- naive-oracle equivalence ------------------------------------------------
@@ -1081,6 +1103,86 @@ def test_incremental_insert_matches_upfront_load():
     assert time.monotonic() - start < 30.0
 
 
+ONES = {"integer": FlLiteralTerm("1", "_integer"),
+        "symbol": FlSymbol("1", quoted=True), "string": FlLiteralTerm("1")}
+
+
+def trigger_rules():
+    """One rule per kind of literal a delta plan can start at, each heading
+    the class ``T_<kind>`` of its own.  ``compound-sub`` never holds."""
+    x, c, s = FlVariable("X"), FlVariable("C"), FlSymbol
+    bodies = {
+        "attr-value": (FlAttrValue(x, s("p"), s("c")),),
+        "pred-arg": (FlPred("g", (s("c"), x)),),
+        "union": (FlIsA(x, FlUnion(atom("C0"), atom("C1"))),),
+        "intersection": (FlIsA(x, FlIntersection(atom("C1"), atom("C2"))),),
+        "difference": (FlIsA(x, FlDifference(atom("C2"), atom("C3"))),),
+        "variable-class": (FlIsA(x, Atom(c)), FlPred("h", (c,))),
+        "list": (FlPred("l", (FlList((s("a"), s("b"))),)),
+                 FlIsA(x, atom("C0"))),
+        "compound-sub": (FlSubClass(FlUnion(atom("C0"), atom("C1")),
+                                    atom("C2")), FlIsA(x, atom("C3"))),
+        **{f"one-{kind}": (FlAttrValue(x, s("p"), one),)
+           for kind, one in ONES.items()},
+    }
+    return {kind: FlRule(FlIsA(x, atom(f"T_{kind}")), body)
+            for kind, body in bodies.items()}
+
+
+def random_trigger_fact(rng):
+    """A fact that can fire one of ``trigger_rules``, or a near miss."""
+    s = FlSymbol
+    i, c = s(rng.choice(["i0", "i1", "i2"])), rng.choice(CLASSES_C)
+    return rng.choice([
+        FlIsA(i, atom(c)),
+        FlIsA(i, atom(c)),
+        FlSubClass(atom(c), atom(rng.choice(CLASSES_C))),
+        FlAttrValue(i, s(rng.choice("pq")),
+                    rng.choice([s("c"), s("d"), *ONES.values()])),
+        FlPred("g", (s(rng.choice("cd")), i)),
+        FlPred("h", (s(c),)),
+        FlPred("l", (FlList((s("a"), s(rng.choice("bc")))),)),
+    ])
+
+
+def test_insert_matches_upfront_load_for_each_trigger_kind():
+    """Facts inserted one after another under rules that start at constant
+    attribute values and predicate arguments, compound and variable
+    classes, ground lists, a compound ``::`` side, and the integer ``1``,
+    the symbol ``'1'`` and the string ``'1'``, give the store of loading
+    them up front; each trigger fires on an insert."""
+    rng = random.Random(20261020)
+    rules = trigger_rules()
+    fired = dict.fromkeys(rules, 0)
+    start = time.monotonic()
+    for trial in range(200):
+        chosen = [k for k in rules if rng.random() <
+                  (0.3 if k == "difference" else 0.7)]
+        base = [fact(random_trigger_fact(rng))
+                for _ in range(rng.randrange(0, 8))]
+        program = FlProgram(tuple(base) + tuple(rules[k] for k in chosen))
+        kb = load_program(program)
+        store = kb.store
+        inserted = []
+        for _ in range(rng.randrange(1, 6)):
+            f = random_trigger_fact(rng)
+            members = {k: collect_set(kb, "X", FlIsA(X, atom(f"T_{k}")))
+                       for k in chosen}
+            insert_fact(kb, f)
+            inserted.append(fact(f))
+            upfront = load_program(FlProgram(program.rules + tuple(inserted)))
+            assert store_facts(kb.store) == store_facts(upfront.store), \
+                f"trial {trial}: {inserted}"
+            for k in chosen:
+                fired[k] += members[k] != collect_set(
+                    kb, "X", FlIsA(X, atom(f"T_{k}")))
+        if "difference" not in chosen:
+            assert kb.store is store, f"trial {trial}"
+    del fired["compound-sub"]
+    assert all(fired.values()), fired
+    assert time.monotonic() - start < 30.0
+
+
 # --- work in proportion to the new facts -------------------------------------
 
 
@@ -1114,6 +1216,37 @@ def test_insert_does_not_scan_the_kb():
         counts.append(lookups_of_saturate(kb))
         assert holds(kb, FlIsA(FlSymbol("b"), atom("T")))
     assert counts[0] == counts[1] <= 2, counts
+
+
+def plans_of_saturate(kb) -> int:
+    """Saturate ``kb``; the number of join plans started meanwhile."""
+    count = 0
+    solve = engine._solve
+
+    def counting(steps, env, store, delta, i=0):
+        nonlocal count
+        count += i == 0
+        return solve(steps, env, store, delta, i)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_solve", counting)
+        saturate(kb)
+    return count
+
+
+def test_insert_work_does_not_grow_with_the_rules():
+    """An insert runs only the delta plans its new facts can fire: ``z:C3``
+    starts as many plans under 800 rules ``?Y:D<i> :- ?X:C<i>, ?X[r ->
+    ?Y]`` as under 50."""
+    counts = []
+    for n in (50, 800):
+        kb = kb_from("z[r -> w].\n" + "\n".join(
+            f"?Y:D{i} :- ?X:C{i}, ?X[r -> ?Y].\nm{i}:C{i}.\nm{i}[r -> v{i}]."
+            for i in range(n)))
+        saturate(kb)
+        insert_fact(kb, FlIsA(FlSymbol("z"), atom("C3")))
+        counts.append(plans_of_saturate(kb))
+        assert holds(kb, FlIsA(FlSymbol("w"), atom("D3")))
+    assert counts[0] == counts[1], counts
 
 
 def test_member_before_its_list_holds_on_insert_as_up_front():
