@@ -4,14 +4,17 @@ Semi-naive saturation with stratified negation over the finite constant
 domain of the loaded program.  Facts live in one map of relations with hash
 indexes on the argument positions a lookup binds; rule bodies compile once
 into join plans over variable slots, and the plan of a semi-naive pass
-starts at the round's new facts.  A ``member`` literal joins a plan once
-its list is bound, as a negation does once its variables are.  Structural
-rules (subclass transitivity, membership inheritance, universal ``_object``
-membership) and the closure rules of transitive properties are applied to
-each new fact as it is added.  The saturated store is kept on the KB, and
-inserted facts extend it when no rule body holds a negation.  Constraint
-checks solve the ``check_*`` rules with the same join plans and are
-closed-world: no equality inference, distinct values for cardinality.
+starts at the round's new facts.  Each such pass is filed under the
+constants of the literal it starts at, and a round runs only the passes
+whose constants its new facts hold, so an insert's work grows with what it
+can fire, not with the store or the rule count.  A ``member`` literal joins
+a plan once its list is bound, as a negation does once its variables are.
+Structural rules (subclass transitivity, membership inheritance, universal
+``_object`` membership) and the closure rules of transitive properties are
+applied to each new fact as it is added.  The saturated store is kept on
+the KB, and inserted facts extend it when no rule body holds a negation.
+Constraint checks solve the ``check_*`` rules with the same join plans and
+are closed-world: no equality inference, distinct values for cardinality.
 """
 
 from __future__ import annotations
@@ -797,17 +800,16 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
 
 def _compiled_strata(kb: KnowledgeBase) -> List[tuple]:
     """Each stratum's compiled rules, and its delta plans filed by trigger:
-    ``{(relation, positions): {values: [(n, rule, plan), ...]}}``, with
-    ``n`` the plan's place in rule order."""
+    ``{(relation, positions): {values: [(rule, plan), ...]}}``."""
     if kb._compiled is None:
         strata = []
         for stratum in stratify(kb).strata:
             rules = [_Rule(r) for r in stratum if not _closure(r)]
             filed: Dict[tuple, Dict[object, list]] = {}
-            plans = [(rule, *d) for rule in rules for d in rule.deltas]
-            for n, (rule, (rel, positions, values), plan) in enumerate(plans):
-                filed.setdefault((rel, positions), {}).setdefault(
-                    values, []).append((n, rule, plan))
+            for rule in rules:
+                for (rel, positions, values), plan in rule.deltas:
+                    filed.setdefault((rel, positions), {}).setdefault(
+                        values, []).append((rule, plan))
             strata.append((rules, filed))
         kb._compiled = strata
     return kb._compiled
@@ -815,9 +817,9 @@ def _compiled_strata(kb: KnowledgeBase) -> List[tuple]:
 
 def _fired(filed: Dict[tuple, Dict[object, list]],
            delta: Dict[object, Relation]) -> List[tuple]:
-    """The filed delta plans whose trigger a new fact matches, in rule
-    order: the values filed under a relation's positions that are keys of
-    the new facts' index on those positions."""
+    """The filed delta plans whose trigger a new fact matches: each one
+    filed under no positions of a relation with new facts, and each one
+    filed under values that new facts hold at the filed positions."""
     fired: List[tuple] = []
     for (key, positions), by_values in filed.items():
         rel = delta.get(key)
@@ -825,7 +827,6 @@ def _fired(filed: Dict[tuple, Dict[object, list]],
             for values in by_values.keys() & rel.index(positions).keys() \
                     if positions else by_values:
                 fired += by_values[values]
-    fired.sort()
     return fired
 
 
@@ -837,11 +838,11 @@ def _run_stratum(stratum: tuple, store: FactStore,
     reads ``delta`` if given (the store was closed under the stratum before
     those facts came), and otherwise makes one pass over the whole store."""
     rules, filed = stratum
-    runs = [(0, rule, rule.full) for rule in rules] if delta is None \
+    runs = [(rule, rule.full) for rule in rules] if delta is None \
         else _fired(filed, delta)
     while True:
         new: Set[Tuple[object, tuple]] = set()
-        for _, rule, plan in runs:
+        for rule, plan in runs:
             for env in _solve(plan, [None] * len(rule.names), store, delta):
                 new.add((rule.rel, rule.instantiate(env)))
         delta = _assert(store, new, {})
@@ -1175,4 +1176,3 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
         raise EngineError("non-ground-insert",
                           f"not an insertable fact: {print_literal(fact_lit)}")
     return kb
-
