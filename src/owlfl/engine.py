@@ -1134,21 +1134,6 @@ def run_constraint_checks(kb: KnowledgeBase,
 # --- updates -----------------------------------------------------------------
 
 
-def _base_heads(kb: KnowledgeBase) -> List[tuple]:
-    """The base facts as heads: those of the last full ``saturate`` or,
-    before one, of every base fact that has one (``saturate`` rejects the
-    others)."""
-    if kb._heads is not None:
-        return kb._heads
-    heads = []
-    for f in kb.base_facts:
-        try:
-            heads.append(_head(f))
-        except EngineError:
-            pass
-    return heads
-
-
 def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     """Add one ground fact to the base facts.  The next ``saturate`` adds
     it to the saturated store (see there); a fact already among the base
@@ -1163,7 +1148,10 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         head = _head(fact_lit)
         if kb._head_set is None:
-            kb._head_set = set(_base_heads(kb))
+            # the heads of the last full saturate; before one, a base fact
+            # that saturate rejects keeps its None and matches no insert
+            kb._head_set = set(kb._heads or [
+                (_relation_of(f), _args(f)) for f in kb.base_facts])
         if head not in kb._head_set:
             if isinstance(fact_lit, FlSubClass) and kb._negation:
                 # a new edge of inheritance can reorder the strata
