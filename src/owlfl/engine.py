@@ -78,7 +78,9 @@ class Relation:
     def lookup(self, positions: Tuple[int, ...], key) -> Sequence[tuple]:
         """Tuples whose values at ``positions`` equal ``key``."""
         entry = self.indexes.get(positions)
-        return (entry[1] if entry else self.index(positions)).get(key, ())
+        if entry is None:
+            return self.index(positions).get(key, ())
+        return entry[1].get(key, ())
 
 
 class FactStore:
