@@ -1135,7 +1135,7 @@ def random_trigger_fact(rng):
     i, c = s(rng.choice(["i0", "i1", "i2"])), rng.choice(CLASSES_C)
     return rng.choice([
         FlIsA(i, atom(c)),
-        FlIsA(i, atom(c)),
+        FlIsA(i, atom(c)),  # memberships twice as often: most rules read them
         FlSubClass(atom(c), atom(rng.choice(CLASSES_C))),
         FlAttrValue(i, s(rng.choice("pq")),
                     rng.choice([s("c"), s("d"), *ONES.values()])),
