@@ -134,9 +134,7 @@ class KnowledgeBase:
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
         self._pending: List[tuple] = []  # inserted heads, not yet stored
-        # base_facts as (relation, args) heads: the list of the last full
-        # saturate, and the set that inserts dedup against
-        self._heads: Optional[List[tuple]] = None
+        # base_facts as (relation, args) heads, which inserts dedup against
         self._head_set: Optional[Set[tuple]] = None
         self._compiled: Optional[List[tuple]] = None
         self._goals: Dict[tuple, _Goal] = {}  # query plans by shape
@@ -873,8 +871,7 @@ def saturate(kb: KnowledgeBase) -> FactStore:
         delta = _assert(store, pending, {})
     else:
         store, delta = FactStore(kb._closures), None
-        kb._heads = [_head(f) for f in kb.base_facts]
-        _assert(store, kb._heads)
+        _assert(store, [_head(f) for f in kb.base_facts])
     for stratum in strata:
         _run_stratum(stratum, store, delta)
     kb._store = store
@@ -1150,10 +1147,10 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         head = _head(fact_lit)
         if kb._head_set is None:
-            # the heads of the last full saturate; before one, a base fact
-            # that saturate rejects keeps its None and matches no insert
-            kb._head_set = set(kb._heads or [
-                (_relation_of(f), _args(f)) for f in kb.base_facts])
+            # _head's pairs, but a base fact that saturate rejects keeps
+            # its None, matches no insert and raises nothing here
+            kb._head_set = {(_relation_of(f), _args(f))
+                            for f in kb.base_facts}
         if head not in kb._head_set:
             if isinstance(fact_lit, FlSubClass) and kb._negation:
                 # a new edge of inheritance can reorder the strata
