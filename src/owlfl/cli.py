@@ -96,19 +96,16 @@ def _parse_name(arg: str) -> FlTerm:
 
 
 def _known_symbols(kb: KnowledgeBase) -> set:
+    from .engine import _split
     out = set()
     # every term of isa, sub and attr; the symbols of predicate arguments
     for key, rel in kb.store.relations.items():
         for t in rel.facts:
             out.update(t if isinstance(key, str) else
                        (x for x in t if isinstance(x, FlSymbol)))
-    for sig in kb.signatures:
-        if isinstance(sig.cls, Atom):
-            out.add(sig.cls.term)
-        out.add(sig.prop)
-        if isinstance(sig.range, Atom):
-            out.add(sig.range.term)
-    return out
+    consts: List[FlTerm] = []  # every constant of a rule or a signature
+    _split((kb.rules, kb.signatures), consts)
+    return out.union(consts)
 
 
 def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlTerm]) -> bool:

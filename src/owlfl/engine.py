@@ -1,20 +1,21 @@
 """Terminating bottom-up evaluation of F-logic programs.
 
-Semi-naive saturation with stratified negation over the finite constant
-domain of the loaded program.  Facts live in one map of relations with hash
-indexes on the argument positions a lookup binds; rule bodies compile once
-into join plans over variable slots, and the plan of a semi-naive pass
-starts at the round's new facts.  Each such pass is filed under the
-constants of the literal it starts at, and a round runs only the passes
-whose constants its new facts hold, so an insert's work grows with what it
-can fire, not with the store or the rule count.  A ``member`` literal joins
+Semi-naive saturation with stratified negation over the finite constant domain
+of the loaded program.  Facts live in one map of relations with hash indexes
+on the argument positions a lookup binds.  Rule and checker bodies, goals and
+class tests compile into join plans over variable slots once per shape (the
+conjunction with its constants taken out) per process, and every KB shares
+them.  The plan of a semi-naive pass starts at the round's new facts and is
+filed under the constants of the literal it starts at; a round runs only the
+passes whose constants its new facts hold, so an insert's work grows with what
+it can fire, not with the store or the rule count.  A ``member`` literal joins
 a plan once its list is bound, as a negation does once its variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
-applied to each new fact as it is added.  The saturated store is kept on
-the KB, and inserted facts extend it when no rule body holds a negation.
-Constraint checks solve the ``check_*`` rules with the same join plans and
-are closed-world: no equality inference, distinct values for cardinality.
+applied to each new fact as it is added.  The saturated store is kept on the
+KB, and inserted facts extend it when no rule body holds a negation.
+Constraint checks solve the ``check_*`` rules with the same join plans and are
+closed-world: no equality inference, distinct values for cardinality.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ class KnowledgeBase:
         # base_facts as (relation, args) heads, which inserts dedup against
         self._head_set: Optional[Set[tuple]] = None
         self._compiled: Optional[List[tuple]] = None
-        self._goals: Dict[tuple, _Goal] = {}  # query plans by shape
         # a rule body reads a relation under ``\naf`` or a class difference
         self._negation = any(neg for r in rules
                              for _, neg in _reads(r.body, False, []))
@@ -613,6 +613,85 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
     return tuple(steps)
 
 
+_PARAM = object()  # where ``_split`` took a constant out
+
+
+def _split(x, consts: List[FlTerm]):
+    """The shape of a conjunction or a part of one as nested tuples, with
+    ``_PARAM`` in place of each constant, which goes to ``consts``."""
+    kind = type(x)
+    if kind is tuple or kind is list:
+        return tuple([_split(e, consts) for e in x])
+    if kind is FlSymbol or kind is FlLiteralTerm:
+        consts.append(x)
+        return _PARAM
+    if kind is FlVariable:
+        return kind, x.name
+    fields = getattr(kind, "_fields", None)
+    if fields is None:  # a predicate name, a naf style, a bound
+        return x
+    return (kind, *[_split(getattr(x, f), consts) for f in fields])
+
+
+def _build(shape, params: List[str]):
+    """The conjunction of a shape, with a new variable for each constant;
+    their names, which F-logic text cannot spell, go to ``params``."""
+    if shape is _PARAM:
+        params.append(f"#{len(params)}")
+        return FlVariable(params[-1])
+    if type(shape) is not tuple:
+        return shape
+    if shape and isinstance(shape[0], type):
+        return shape[0](*[_build(s, params) for s in shape[1:]])
+    return tuple([_build(s, params) for s in shape])
+
+
+class _Plan:
+    """A shape compiled: the plan of a full pass and the (index, plan) of
+    each delta pass.  Its own variables, sorted, are the ``names`` that take
+    the first ``slots``, and ``first`` has each variable in the order the
+    plan binds it.  A goal is ``unsafe`` if a negated literal has a variable
+    that no positive literal before it binds."""
+
+    def __init__(self, shape: tuple):
+        params: List[str] = []
+        literals = _build(shape, params)
+        self.names = sorted(set().union(*map(literal_vars, literals))
+                            - set(params))
+        self.slots = {v: i for i, v in enumerate(self.names + params)}
+        self.first: Dict[str, int] = {}
+        _compile_conj(literals, self.first, bound=params)  # only for ``first``
+        self.full = _compile_conj(literals, self.slots, bound=params)
+        self.deltas = tuple((i, _compile_conj(literals, self.slots, i, params))
+                            for i, lit in enumerate(literals)
+                            if _relation_of(lit) is not None)
+        bound, self.unsafe = set(params), False
+        for lit in literals:
+            if isinstance(lit, (FlNaf, FlNeq)):
+                self.unsafe |= not literal_vars(lit) <= bound
+            else:
+                bound |= literal_vars(lit)
+
+
+_PLANS: Dict[tuple, _Plan] = {}
+
+
+def _plan(literals: Sequence[FlLit]) -> Tuple[_Plan, list]:
+    """The plan of a conjunction's shape (its constants taken out, each a
+    parameter slot after its own variables) and an environment holding the
+    constants.  An error names them; a shape that fails is not kept."""
+    consts: List[FlTerm] = []
+    shape = _split(literals, consts)
+    plan = _PLANS.get(shape)
+    if plan is None:
+        try:
+            plan = _PLANS[shape] = _Plan(shape)
+        except EngineError:
+            _compile_conj(literals, {})  # the error again, with its constants
+            raise
+    return plan, [None] * len(plan.names) + consts
+
+
 _FAMILY = {FlIsA: ISA, FlSubClass: SUB, FlAttrValue: ATTR}
 
 
@@ -687,22 +766,18 @@ def _closure(rule: FlRule) -> Optional[tuple]:
 
 
 class _Rule:
-    """A rule compiled for saturation: the head relation, the head
-    arguments (a slot per variable), the plan of the first pass and a
-    (trigger, plan) pair per positive body literal for the delta passes
-    that start at it (see ``_trigger``)."""
+    """A rule compiled for saturation: its body's plan and the environment
+    that holds its constants, a (trigger, plan) pair per delta pass (see
+    ``_trigger``), the head relation and the head arguments (a slot per
+    variable)."""
 
     def __init__(self, rule: FlRule):
-        slots: Dict[str, int] = {}
-        self.full = _compile_conj(rule.body, slots)
-        self.deltas = tuple(
-            (_trigger(lit), _compile_conj(rule.body, slots, delta_at=i))
-            for i, lit in enumerate(rule.body)
-            if _relation_of(lit) is not None)
+        self.plan, self.env = _plan(rule.body)
+        self.deltas = tuple((_trigger(rule.body[i]), steps)
+                            for i, steps in self.plan.deltas)
         self.rel, args = _head(rule.head)
-        self.head = tuple(slots.setdefault(t.name, len(slots))
+        self.head = tuple(self.plan.slots[t.name]
                           if isinstance(t, FlVariable) else t for t in args)
-        self.names = sorted(slots, key=slots.get)
 
     def instantiate(self, env: list) -> tuple:
         out = []
@@ -711,7 +786,7 @@ class _Rule:
                 if env[a] is None:
                     raise EngineError(
                         "non-range-restricted",
-                        f"unbound head variable ?{self.names[a]}")
+                        f"unbound head variable ?{self.plan.names[a]}")
                 a = env[a]
             out.append(a)
         return tuple(out)
@@ -838,12 +913,12 @@ def _run_stratum(stratum: tuple, store: FactStore,
     reads ``delta`` if given (the store was closed under the stratum before
     those facts came), and otherwise makes one pass over the whole store."""
     rules, filed = stratum
-    runs = [(rule, rule.full) for rule in rules] if delta is None \
+    runs = [(rule, rule.plan.full) for rule in rules] if delta is None \
         else _fired(filed, delta)
     while True:
         new: Set[Tuple[object, tuple]] = set()
         for rule, plan in runs:
-            for env in _solve(plan, [None] * len(rule.names), store, delta):
+            for env in _solve(plan, list(rule.env), store, delta):
                 new.add((rule.rel, rule.instantiate(env)))
         delta = _assert(store, new, {})
         if not delta:
@@ -880,97 +955,24 @@ def saturate(kb: KnowledgeBase) -> FactStore:
 
 # --- queries -----------------------------------------------------------------
 #
-# A goal compiles once per KB for each shape: the goal with its constants
-# (symbols and literals) taken out.  Each constant becomes a parameter slot
-# that the plan counts as bound and a call fills in, so ``i:C`` shares one
-# plan for every ``i`` and ``C``.
-
-_PARAM = object()  # where ``_split`` took a constant out
-
-
-def _split(x, consts: List[FlTerm]):
-    """The shape of a goal or a part of one as nested tuples, with
-    ``_PARAM`` in place of each constant, which goes to ``consts``."""
-    kind = type(x)
-    if kind is tuple or kind is list:
-        return tuple([_split(e, consts) for e in x])
-    if kind is FlSymbol or kind is FlLiteralTerm:
-        consts.append(x)
-        return _PARAM
-    if kind is FlVariable:
-        return kind, x.name
-    fields = getattr(kind, "_fields", None)
-    if fields is None:  # a predicate name, a naf style, a bound
-        return x
-    return (kind, *[_split(getattr(x, f), consts) for f in fields])
-
-
-def _build(shape, params: List[str]):
-    """The goal of a shape, with a new variable for each constant; their
-    names, which F-logic text cannot spell, go to ``params``."""
-    if shape is _PARAM:
-        params.append(f"#{len(params)}")
-        return FlVariable(params[-1])
-    if type(shape) is not tuple:
-        return shape
-    if shape and isinstance(shape[0], type):
-        return shape[0](*[_build(s, params) for s in shape[1:]])
-    return tuple([_build(s, params) for s in shape])
-
-
-class _Goal:
-    """A goal shape: the goal with a parameter variable per constant, the
-    names of its own variables in sorted order, and its plan once the goal
-    is found safe.  The names take the first slots, the parameters the
-    rest."""
-
-    __slots__ = ("literals", "params", "names", "plan")
-
-    def __init__(self, shape: tuple):
-        self.params: List[str] = []
-        self.literals = _build(shape, self.params)
-        self.names = sorted(set().union(*map(literal_vars, self.literals))
-                            - set(self.params))
-        self.plan: Optional[tuple] = None
-
-    def compile(self, goal: Sequence[FlLit]):
-        """Check that a negated literal's variables are bound by earlier
-        positive ones, then compile; an error prints the ``goal`` given."""
-        bound = set(self.params)
-        for lit in self.literals:
-            lit_vars = literal_vars(lit)
-            if not isinstance(lit, (FlNaf, FlNeq)):
-                bound |= lit_vars
-            elif not lit_vars <= bound:
-                raise EngineError("unsafe-goal",
-                                  "unbound variable under negation in goal")
-        slots = {v: i for i, v in enumerate(self.names + self.params)}
-        try:
-            self.plan = _compile_conj(self.literals, slots, bound=self.params)
-        except EngineError:
-            _compile_conj(goal, {})  # the error again, with its constants
-            raise
+# A goal runs its shape's plan, compiled once per process and shared by every
+# KB (see ``_plan``): ``i:C`` for any ``i`` and ``C`` fills in its constants.
 
 
 def _prepare(kb: KnowledgeBase, goal, output: Optional[str] = None
-             ) -> Tuple[_Goal, Iterable[list]]:
-    """The compiled shape of a literal or conjunction and, lazily, its
-    solutions as slot lists.  A goal without the variable ``output`` is
-    refused before the store is saturated, an unsafe goal after."""
-    literals = tuple(goal) if isinstance(goal, (list, tuple)) else (goal,)
-    consts: List[FlTerm] = []
-    shape = _split(literals, consts)
-    prepared = kb._goals.get(shape)
-    if prepared is None:
-        prepared = kb._goals[shape] = _Goal(shape)
-    if output is not None and output not in prepared.names:
+             ) -> Tuple[_Plan, Iterable[list]]:
+    """The plan of a literal or conjunction and, lazily, its solutions as
+    slot lists.  A goal without the variable ``output`` is refused before
+    the store is saturated, an unsafe goal after."""
+    plan, env = _plan(goal if isinstance(goal, (list, tuple)) else (goal,))
+    if output is not None and output not in plan.names:
         raise EngineError("unsafe-goal",
                           f"?{output} does not occur in the goal")
     store = kb.store
-    if prepared.plan is None:
-        prepared.compile(literals)
-    env = [None] * len(prepared.names) + consts
-    return prepared, _solve(prepared.plan, env, store, None)
+    if plan.unsafe:
+        raise EngineError("unsafe-goal",
+                          "unbound variable under negation in goal")
+    return plan, _solve(plan.full, env, store, None)
 
 
 def _distinct(names: List[str], envs: Iterable[list]):
@@ -1032,9 +1034,9 @@ NATIVE_CHECKERS = frozenset({
 
 
 class _Checker:
-    """A ``check_*`` rule compiled once: the join plan of its body, the
-    slots of its positively bound variables in order of first occurrence,
-    and the template and arguments of its ``format`` literal."""
+    """A ``check_*`` rule compiled: the plan of its body and the environment
+    that holds its constants, the slots of its positively bound variables in
+    the order the plan binds them, and its ``format`` template and args."""
 
     def __init__(self, rule: FlRule):
         self.name = rule.head.name
@@ -1044,17 +1046,16 @@ class _Checker:
             raise EngineError("unsupported-rule", f"{self.name} needs one "
                               "format literal whose variables a positive "
                               "body literal binds")
-        slots: Dict[str, int] = {}
-        self.plan = _compile_conj(rule.body, slots)
-        self.bound = sorted(_arg(FlVariable(v), slots) for v in pos_vars)
-        self.size = len(slots)
+        self.plan, self.env = _plan(rule.body)
+        self.bound = [self.plan.slots[v] for v in self.plan.first
+                      if v in pos_vars]
         self.template = formats[0].message
-        self.args = tuple(_arg(a, slots) for a in formats[0].args)
+        self.args = tuple(_arg(a, self.plan.slots) for a in formats[0].args)
 
     def violations(self, store: FactStore) -> Iterable[ConstraintViolation]:
         """One violation per distinct solution, in printed order."""
         found = {tuple(env[s] for s in self.bound): list(env) for env in
-                 _solve(self.plan, [None] * self.size, store, None)}
+                 _solve(self.plan.full, list(self.env), store, None)}
         for key in sorted(found, key=lambda t: tuple(map(print_term, t))):
             yield ConstraintViolation(self.name, _fmt(
                 self.template, [_value(a, found[key]) for a in self.args]))
@@ -1070,15 +1071,17 @@ def _members(cls: FlClassExpr, store: FactStore) -> List[FlTerm]:
     if type(cls) is Atom:
         found = [x for x, _ in store.relations[ISA].lookup((1,), cls.term)]
     else:
-        step, env = _isa_step(0, cls, {}, False), [None]
-        found = {env[0] for _ in step(env, store, None)}
+        plan, env = _plan((FlIsA(FlVariable("X"), cls),))
+        found = {env[0] for _ in _solve(plan.full, env, store, None)}
     return sorted(found, key=print_term)
 
 
 def _is_member(x: FlTerm, cls: FlClassExpr, store: FactStore) -> bool:
     if type(cls) is Atom:
         return (x, cls.term) in store.isa
-    return any(True for _ in _isa_step(x, cls, {}, False)([], store, None))
+    plan, env = _plan((FlIsA(FlVariable("X"), cls),))
+    env[0] = x
+    return next(_solve(plan.full, env, store, None), None) is not None
 
 
 def run_constraint_checks(kb: KnowledgeBase,

@@ -892,6 +892,26 @@ def test_query_unknown_name_warns_and_exits_0(flr_file, capsys):
     assert "unknown-name" in captured.err
 
 
+def test_query_name_of_a_rule_is_known(tmp_path, capsys):
+    """``D`` occurs only in the rules that ``D ≡ A ⊓ B ⊓ (C ⊔ E)`` lowers
+    to, so asking about it warns of nothing."""
+    kb = _owl(tmp_path, '<owl:Class rdf:about="#D"><owl:equivalentClass>'
+              '<owl:Class><owl:intersectionOf rdf:parseType="Collection">'
+              '<owl:Class rdf:about="#A"/><owl:Class rdf:about="#B"/>'
+              '<owl:Class><owl:unionOf rdf:parseType="Collection">'
+              '<owl:Class rdf:about="#C"/><owl:Class rdf:about="#E"/>'
+              '</owl:unionOf></owl:Class></owl:intersectionOf></owl:Class>'
+              '</owl:equivalentClass></owl:Class>'
+              '<A rdf:about="#a"/><B rdf:about="#a"/>')
+    lowered = ("warning: complex-operand: non-named intersection operand: no "
+               "membership rule for it and no rule deriving the defined "
+               "class\n")
+    for query, out in [(["is", "a", "D"], "false\n"), (["instances", "D"], ""),
+                       (["instances", "_object"], "a\n")]:
+        assert main(["query", kb, *query]) == 0
+        assert capsys.readouterr() == (out, lowered)
+
+
 def test_query_missing_verb_exits_2(flr_file, capsys):
     assert main(["query", flr_file]) == 2
     assert "bad-arguments" in capsys.readouterr().err

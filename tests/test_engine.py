@@ -287,21 +287,28 @@ def test_collect_set_unused_variable_rejected():
             (["a"] if cls == "C" else [])
 
 
-def test_goals_of_one_shape_share_a_plan_not_constants():
+def test_goals_of_one_shape_share_a_plan_not_constants(monkeypatch):
+    monkeypatch.setattr(engine, "_PLANS", {})  # the process's plans
     kb = kb_from("a:C.\nb:D.\nC::E.")
     assert names(collect_set(kb, "X", FlIsA(X, atom("C")))) == ["a"]
     assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["b"]
-    assert len(kb._goals) == 1
+    assert len(engine._PLANS) == 1
     insert_fact(kb, FlIsA(FlSymbol("c"), atom("D")))
     assert names(collect_set(kb, "X", FlIsA(X, atom("E")))) == ["a"]
     assert names(collect_set(kb, "X", FlIsA(X, atom("D")))) == ["b", "c"]
     assert [holds(kb, FlIsA(FlSymbol(i), atom("D"))) for i in "abc"] == \
         [False, True, True]
-    assert len(kb._goals) == 2
+    assert len(engine._PLANS) == 2
 
 
 def test_refused_goal_is_refused_on_every_call():
     kb = kb_from("a:C.\nb:D.")
+    # first another KB compiles the shape, as a rule body and as a goal
+    other = kb_from("h(?X) :- \\naf ?X:E, ?X:F.\nc:F.")
+    assert names(collect_set(other, "X", FlPred("h", (X,)))) == ["c"]
+    with pytest.raises(EngineError) as e:
+        holds(other, [FlNaf((FlIsA(X, atom("E")),)), FlIsA(X, atom("F"))])
+    assert e.value.code == "unsafe-goal"
     unsafe = [FlNaf((FlIsA(X, atom("C")),)), FlIsA(X, atom("D"))]
     for call in [lambda: query_goal(kb, unsafe), lambda: holds(kb, unsafe),
                  lambda: collect_set(kb, "X", unsafe)] * 2:
@@ -1249,6 +1256,41 @@ def test_insert_work_does_not_grow_with_the_rules():
     assert counts[0] == counts[1], counts
 
 
+def test_each_shape_compiles_once_per_process(monkeypatch):
+    """Rules, checkers, goals and class tests of one shape share a plan:
+    a KB of 50 rules ``?Y:D<i> :- ?X:C<i>, ?X[r -> ?Y].`` compiles its few
+    shapes, and KBs of 800 and 200 such rules over other names, which load,
+    saturate, check and answer the same, compile nothing."""
+    monkeypatch.setattr(engine, "_PLANS", {}, raising=False)
+    depth, calls = 0, 0
+    compile_conj = engine._compile_conj
+
+    def counting(*args, **kwargs):
+        nonlocal depth, calls
+        calls += depth == 0
+        depth += 1
+        try:
+            return compile_conj(*args, **kwargs)
+        finally:
+            depth -= 1
+    monkeypatch.setattr(engine, "_compile_conj", counting)
+    counts = []
+    for n, name in [(50, "A"), (800, "B"), (200, "C")]:
+        calls = 0
+        kb = kb_from("\n".join(
+            f"?Y:{name}D{i} :- ?X:{name}C{i}, ?X[r -> ?Y].\n"
+            f"m{i}:{name}C{i}.\nm{i}[r -> v{i}]." for i in range(n)) +
+            f"\n({name}C0 ; {name}C1)[r *=> ({name}D0 ; {name}D1)].\n"
+            f"check_{name} :- ?X:{name}C0, ?X[r -> ?Y], "
+            "format(2, '~w ~w', [?X, ?Y])@_prolog(format).")
+        saturate(kb)
+        assert [v.message for v in run_constraint_checks(kb)] == ["m0 v0"]
+        assert names(collect_set(kb, "X", FlIsA(X, atom(f"{name}D3")))) \
+            == ["v3"]
+        counts.append(calls)
+    assert counts[0] < 50 and counts[1:] == [0, 0], counts
+
+
 def test_member_before_its_list_holds_on_insert_as_up_front():
     """A ``member`` literal written before its list's binder waits for it,
     in a rule, after an insert and in a goal."""
@@ -1272,16 +1314,21 @@ def test_member_before_its_list_holds_on_insert_as_up_front():
 ], ids=["member", "signature", "signature-via"])
 def test_rule_whose_body_reads_no_relation(text, error):
     """Such a rule gets a stratum of its own head: it runs, or its body
-    literal is reported, never a lookup error."""
+    literal is reported, never a lookup error.  A KB whose rule has the
+    same shape with other constants reports its own, on every saturate."""
     kb = kb_from(text)
     if error is None:
         saturate(kb)
         assert sorted(print_term(b["X"]) for b in
                       query_goal(kb, FlPred("h", (X,)))) == ["a", "b"]
         return
-    with pytest.raises(EngineError) as e:
-        saturate(kb)
-    assert (e.value.code, e.value.message) == ("unsupported-literal", error)
+    other = str.maketrans("pD", "qE")
+    for kb, error in [(kb, error), (kb_from(text.translate(other)),
+                                    error.translate(other))] * 2:
+        with pytest.raises(EngineError) as e:
+            saturate(kb)
+        assert (e.value.code, e.value.message) == \
+            ("unsupported-literal", error)
 
 
 @pytest.mark.parametrize("guard_first", [True, False])
