@@ -12,8 +12,10 @@ it can fire, not with the store or the rule count.  A ``member`` literal joins
 a plan once its list is bound, as a negation does once its variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
-applied to each new fact as it is added.  The saturated store is kept on the
-KB, and inserted facts extend it when no rule body holds a negation.
+applied to each new fact as it is added.  The KB holds each base fact once, as
+the (relation, args) tuple the store keeps, so an insert dedups by one lookup.
+The saturated store is kept on the KB, and inserted facts extend it when no
+rule body holds a negation.
 Constraint checks solve the ``check_*`` rules with the same join plans and are
 closed-world: no equality inference, distinct values for cardinality.
 """
@@ -128,15 +130,14 @@ class ConstraintViolation(Node):
 class KnowledgeBase:
     def __init__(self, rules, base_facts, signatures, checker_rules, prefixes):
         self.rules: List[FlRule] = rules
-        self.base_facts: List[FlLit] = base_facts
+        # each base fact once, as its (relation, args) head, in program order
+        self.base_facts: Dict[Tuple[object, tuple], None] = base_facts
         self.signatures: List[FlSignature] = signatures
         self.checker_rules: List[FlRule] = checker_rules
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
         self._store: Optional[FactStore] = None
         self._pending: List[tuple] = []  # inserted heads, not yet stored
-        # base_facts as (relation, args) heads, which inserts dedup against
-        self._head_set: Optional[Set[tuple]] = None
         self._compiled: Optional[List[tuple]] = None
         # a rule body reads a relation under ``\naf`` or a class difference
         self._negation = any(neg for r in rules
@@ -193,9 +194,10 @@ def _is_ground(fact: FlLit) -> bool:
 
 
 def load_program(program: FlProgram) -> KnowledgeBase:
-    """Index rules and facts; reject unsafe or term-inventing rules."""
+    """Index rules and facts; reject unsafe or term-inventing rules and
+    facts the store cannot hold."""
     rules: List[FlRule] = []
-    base_facts: List[FlLit] = []
+    base_facts: Dict[Tuple[object, tuple], None] = {}
     signatures: List[FlSignature] = []
     checker: List[FlRule] = []
     for rule in program.rules:
@@ -210,19 +212,18 @@ def load_program(program: FlProgram) -> KnowledgeBase:
             if isinstance(head, FlSignature):
                 signatures.append(head)
             elif not isinstance(head, FlEquiv):  # equivalences add no facts
-                base_facts.append(head)
+                base_facts[_head(head)] = None
             continue
         if isinstance(head, (FlSignature, FlEquiv)):
             raise EngineError("unsupported-rule",
                               "signatures and equivalences cannot be derived "
                               "by rules")
-        head_vars = literal_vars(head)
-        if isinstance(head, FlPred) and head_vars and \
-                any(isinstance(a, FlList) for a in head.args):
+        if any(isinstance(a, FlList) and literal_vars(a)
+               for a in _args(head)):
             # lists with variables in rule heads would invent new terms
             raise EngineError("function-symbols-unsupported",
                               f"non-ground list in head: {print_literal(head)}")
-        pos_vars = _positive_vars(rule.body)
+        head_vars, pos_vars = literal_vars(head), _positive_vars(rule.body)
         if not head_vars <= pos_vars:
             raise EngineError(
                 "non-range-restricted",
@@ -320,7 +321,7 @@ def _negation_cycle(users: Dict[object, list]):
                       "negation cycle through " + ", ".join(cycle))
 
 
-def _stratify(rules: Sequence[FlRule], facts: Iterable[FlLit]
+def _stratify(rules: Sequence[FlRule], facts: Iterable[Tuple[object, tuple]]
               ) -> Stratification:
     users: Dict[object, List[Tuple[object, bool]]] = {_OBJECT_KEY: []}
     every: List[Tuple[object, bool]] = []  # the readers of every class
@@ -346,10 +347,8 @@ def _stratify(rules: Sequence[FlRule], facts: Iterable[FlLit]
             edge(_class_key(s), _class_key(t) or ANY)
         if _makes_individuals(rule):
             edge(key, _OBJECT_KEY)
-    for f in facts:
-        if isinstance(f, FlSubClass) and isinstance(f.sub, Atom) and \
-                isinstance(f.super, Atom):
-            edge(_class_key(f.sub.term), _class_key(f.super.term))
+    for s, t in (args for rel, args in facts if rel == SUB):
+        edge(_class_key(s), _class_key(t))
     classes = [node for node in users if node[0] == ISA and node != ANY]
     for c in classes:
         users[c].extend(every)
@@ -946,7 +945,7 @@ def saturate(kb: KnowledgeBase) -> FactStore:
         delta = _assert(store, pending, {})
     else:
         store, delta = FactStore(kb._closures), None
-        _assert(store, [_head(f) for f in kb.base_facts])
+        _assert(store, kb.base_facts)
     for stratum in strata:
         _run_stratum(stratum, store, delta)
     kb._store = store
@@ -1137,11 +1136,12 @@ def run_constraint_checks(kb: KnowledgeBase,
 
 
 def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
-    """Add one ground fact to the base facts.  The next ``saturate`` adds
-    it to the saturated store (see there); a fact already among the base
-    facts, a signature or an equivalence leaves the store as it is.  A fact
-    the store cannot hold, or a ``::`` fact that closes a negation cycle, is
-    rejected before the KB changes."""
+    """Add one ground fact to the base facts as its head, which one lookup
+    dedups.  The next ``saturate`` adds it to the saturated store (see
+    there); a fact already among the base facts, a signature or an
+    equivalence leaves the store as it is.  A fact the store cannot hold, or
+    a ``::`` fact that closes a negation cycle, is rejected before the KB
+    changes."""
     if not _is_ground(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
@@ -1149,18 +1149,12 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
         kb.signatures.append(fact_lit)
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         head = _head(fact_lit)
-        if kb._head_set is None:
-            # _head's pairs, but a base fact that saturate rejects keeps
-            # its None, matches no insert and raises nothing here
-            kb._head_set = {(_relation_of(f), _args(f))
-                            for f in kb.base_facts}
-        if head not in kb._head_set:
+        if head not in kb.base_facts:
             if isinstance(fact_lit, FlSubClass) and kb._negation:
                 # a new edge of inheritance can reorder the strata
                 kb._stratification, kb._compiled = _stratify(
-                    kb.rules, (*kb.base_facts, fact_lit)), None
-            kb._head_set.add(head)
-            kb.base_facts.append(fact_lit)
+                    kb.rules, (*kb.base_facts, head)), None
+            kb.base_facts[head] = None
             kb._pending.append(head)
     elif not isinstance(fact_lit, FlEquiv):  # an equivalence adds no facts
         raise EngineError("non-ground-insert",

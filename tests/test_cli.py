@@ -368,6 +368,12 @@ def test_check_unsupported_user_rule_exits_2(rule, tmp_path, capsys):
      "rules"),
     ("p([?X]) :- q(?X).",
      "function-symbols-unsupported: non-ground list in head: p([?X])"),
+    ("a[q -> b]. ?X[p -> [?Y]] :- ?X[q -> ?Y].",
+     "function-symbols-unsupported: non-ground list in head: ?X[p -> [?Y]]"),
+    ("a[q -> b]. [?Y]:c :- ?X[q -> ?Y].",
+     "function-symbols-unsupported: non-ground list in head: [?Y]:c"),
+    ("a:(B ; C).",
+     "unsupported-rule: compound class expression in rule head"),
     ("h(?X) :- p(?X), \\naf q(?Y).",
      "non-range-restricted: negated variables ['Y'] not bound by a positive "
      "body literal"),
@@ -377,7 +383,8 @@ def test_check_unsupported_user_rule_exits_2(rule, tmp_path, capsys):
      "unsafe-goal: unbound variable ?C under negation"),
     ("a:B. h(?C) :- a:(?C ; B), ?C != b.",
      "unsafe-goal: unbound variable in disequality"),
-], ids=["derived-signature", "list-in-head", "negated-variable",
+], ids=["derived-signature", "list-in-head", "list-in-attribute-head",
+        "list-in-isa-head", "compound-class-fact", "negated-variable",
         "head-variable", "variable-under-negation", "disequality-variable"])
 def test_check_rejects_a_rule_the_engine_cannot_run(text, err, tmp_path,
                                                     capsys):
