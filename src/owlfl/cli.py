@@ -103,8 +103,9 @@ def _known_symbols(kb: KnowledgeBase) -> set:
         for t in rel.facts:
             out.update(t if isinstance(key, str) else
                        (x for x in t if isinstance(x, FlSymbol)))
-    consts: List[FlTerm] = []  # every constant of a rule or a signature
-    _split((kb.rules, kb.signatures), consts)
+    # every constant of a rule, a signature or an equivalence
+    consts: List[FlTerm] = []
+    _split((kb.rules, kb.signatures, kb.equivalences), consts)
     return out.union(consts)
 
 

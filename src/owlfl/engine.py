@@ -5,23 +5,31 @@ of the loaded program.  Facts live in one map of relations with hash indexes
 on the argument positions a lookup binds.  Rule and checker bodies, goals and
 class tests compile into join plans over variable slots once per shape (the
 conjunction with its constants taken out) per process, and every KB shares
-them.  The plan of a semi-naive pass starts at the round's new facts and is
-filed under the constants of the literal it starts at; a round runs only the
-passes whose constants its new facts hold, so an insert's work grows with what
-it can fire, not with the store or the rule count.  A ``member`` literal joins
-a plan once its list is bound, as a negation does once its variables are.
+them; a shape's semi-naive plans are compiled when a rule first needs them.
+The plan of a semi-naive pass starts at the round's new facts and is filed
+under the constants of the literal it starts at, and a pass that starts at an
+attribute ``?X[p -> ?Y]`` also under the class C of a body literal ``?X:C``.
+A round runs only the passes whose constants its new facts hold, and a new
+edge only those whose class its subject is a member of (an attribute
+trigger), so an insert's work grows with what it can fire, not with the store
+or the rule count.  A ``member`` literal joins a plan once its list is bound,
+as a negation does once its variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
 applied to each new fact as it is added.  The KB holds each base fact once, as
 the (relation, args) tuple the store keeps, so an insert dedups by one lookup.
 The saturated store is kept on the KB, and inserted facts extend it when no
 rule body holds a negation.
-Constraint checks solve the ``check_*`` rules with the same join plans and are
-closed-world: no equality inference, distinct values for cardinality.
+Queries keep one solution per printed form and sort by it; a symbol works
+its printed form out on its first print and keeps it, so asking again prints
+nothing anew.  Constraint checks solve the ``check_*`` rules with the same
+join plans and are closed-world: no equality inference, distinct values for
+cardinality.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -128,11 +136,13 @@ class ConstraintViolation(Node):
 
 
 class KnowledgeBase:
-    def __init__(self, rules, base_facts, signatures, checker_rules, prefixes):
+    def __init__(self, rules, base_facts, signatures, equivalences,
+                 checker_rules, prefixes):
         self.rules: List[FlRule] = rules
         # each base fact once, as its (relation, args) head, in program order
         self.base_facts: Dict[Tuple[object, tuple], None] = base_facts
         self.signatures: List[FlSignature] = signatures
+        self.equivalences: List[FlEquiv] = equivalences  # they add no facts
         self.checker_rules: List[FlRule] = checker_rules
         self.prefixes = prefixes
         self._stratification: Optional[Stratification] = None
@@ -199,6 +209,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
     rules: List[FlRule] = []
     base_facts: Dict[Tuple[object, tuple], None] = {}
     signatures: List[FlSignature] = []
+    equivalences: List[FlEquiv] = []
     checker: List[FlRule] = []
     for rule in program.rules:
         head = rule.head
@@ -211,7 +222,9 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                                   f"fact with variables: {print_literal(head)}")
             if isinstance(head, FlSignature):
                 signatures.append(head)
-            elif not isinstance(head, FlEquiv):  # equivalences add no facts
+            elif isinstance(head, FlEquiv):
+                equivalences.append(head)
+            else:
                 base_facts[_head(head)] = None
             continue
         if isinstance(head, (FlSignature, FlEquiv)):
@@ -238,7 +251,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                     f"negated variables {sorted(naf_vars - pos_vars)} not "
                     f"bound by a positive body literal")
         rules.append(rule)
-    return KnowledgeBase(rules, base_facts, signatures, checker,
+    return KnowledgeBase(rules, base_facts, signatures, equivalences, checker,
                          dict(program.prefixes))
 
 
@@ -617,7 +630,9 @@ _PARAM = object()  # where ``_split`` took a constant out
 
 def _split(x, consts: List[FlTerm]):
     """The shape of a conjunction or a part of one as nested tuples, with
-    ``_PARAM`` in place of each constant, which goes to ``consts``."""
+    ``_PARAM`` in place of each constant, which goes to ``consts``.  A node
+    is split by its compared fields (``Node._key``), so a predicate's
+    presentational ``quoted`` is left out of its shape."""
     kind = type(x)
     if kind is tuple or kind is list:
         return tuple([_split(e, consts) for e in x])
@@ -629,7 +644,9 @@ def _split(x, consts: List[FlTerm]):
     fields = getattr(kind, "_fields", None)
     if fields is None:  # a predicate name, a naf style, a bound
         return x
-    return (kind, *[_split(getattr(x, f), consts) for f in fields])
+    if len(fields) == 1:  # a lone field is its own key
+        return kind, _split(x._key, consts)
+    return (kind, *[_split(e, consts) for e in x._key])
 
 
 def _build(shape, params: List[str]):
@@ -646,30 +663,40 @@ def _build(shape, params: List[str]):
 
 
 class _Plan:
-    """A shape compiled: the plan of a full pass and the (index, plan) of
-    each delta pass.  Its own variables, sorted, are the ``names`` that take
-    the first ``slots``, and ``first`` has each variable in the order the
-    plan binds it.  A goal is ``unsafe`` if a negated literal has a variable
-    that no positive literal before it binds."""
+    """A shape compiled: the plan of a full pass and, on first use by a rule,
+    the (trigger, plan) of each delta pass.  Its own variables, sorted, are the
+    ``names`` that take the first ``slots``, and ``first`` (compiled on first
+    use by a checker) has each variable in the order the plan binds it.  A
+    goal is ``unsafe`` if a negated literal has a variable that no positive
+    literal before it binds."""
 
     def __init__(self, shape: tuple):
-        params: List[str] = []
-        literals = _build(shape, params)
+        self.params: List[str] = []
+        self.literals = literals = _build(shape, self.params)
         self.names = sorted(set().union(*map(literal_vars, literals))
-                            - set(params))
-        self.slots = {v: i for i, v in enumerate(self.names + params)}
-        self.first: Dict[str, int] = {}
-        _compile_conj(literals, self.first, bound=params)  # only for ``first``
-        self.full = _compile_conj(literals, self.slots, bound=params)
-        self.deltas = tuple((i, _compile_conj(literals, self.slots, i, params))
-                            for i, lit in enumerate(literals)
-                            if _relation_of(lit) is not None)
-        bound, self.unsafe = set(params), False
+                            - set(self.params))
+        self.slots = {v: i for i, v in enumerate(self.names + self.params)}
+        self.full = _compile_conj(literals, self.slots, bound=self.params)
+        bound, self.unsafe = set(self.params), False
         for lit in literals:
             if isinstance(lit, (FlNaf, FlNeq)):
                 self.unsafe |= not literal_vars(lit) <= bound
             else:
                 bound |= literal_vars(lit)
+
+    @cached_property
+    def deltas(self) -> tuple:
+        params = set(self.params)
+        return tuple((_trigger(self.literals, i, self.slots, params),
+                      _compile_conj(self.literals, self.slots, i, self.params))
+                     for i, lit in enumerate(self.literals)
+                     if _relation_of(lit) is not None)
+
+    @cached_property
+    def first(self) -> Dict[str, int]:
+        first: Dict[str, int] = {}
+        _compile_conj(self.literals, first, bound=self.params)
+        return first
 
 
 _PLANS: Dict[tuple, _Plan] = {}
@@ -729,30 +756,45 @@ def _head(lit: FlLit) -> Tuple[object, tuple]:
     return _relation_of(lit), args
 
 
-def _trigger(lit: FlLit) -> tuple:
-    """What the delta plan that starts at a positive body literal is filed
-    under: the literal's relation, the positions of its symbol and literal
-    arguments in it and their values (one value for one position).  Any new
-    fact of the relation runs the plan of a literal with none of them, such
-    as ``?X:(A ; B)``, ``?X:?C`` or ``l([a, b])``."""
+def _trigger(literals: tuple, i: int, slots: Dict[str, int],
+             params: Set[str]) -> tuple:
+    """What the delta plan that starts at the positive literal ``i`` of a
+    shape is filed under, with the slot of each constant in place of its
+    value (see ``_Rule``): the literal's relation, the positions of its
+    constant (symbol or literal) arguments and their slots, and the slot of
+    a class or ``None``.  Any new fact of the relation runs the plan of a
+    literal with no constant argument, such as ``?X:(A ; B)``, ``?X:?C`` or
+    ``l([a, b])``.  The class is that of the first ``?X:C`` literal, C a
+    constant, when the plan starts at an attribute literal with the subject
+    ``?X``; a new edge then runs the plan only if its subject is a member
+    of C."""
+    lit = literals[i]
     args = _args(lit)
-    positions = tuple(p for p, a in enumerate(args) if type(a) in _CONSTANTS)
-    values = tuple(args[p] for p in positions)
+    positions = tuple(p for p, a in enumerate(args)
+                      if type(a) is FlVariable and a.name in params)
+    guard = None
+    if type(lit) is FlAttrValue and type(lit.obj) is FlVariable and \
+            lit.obj.name not in params:
+        guard = next((slots[c.name] for g in literals if type(g) is FlIsA
+                      and g.obj == lit.obj and type(c := _expr_term(g.cls))
+                      is FlVariable and c.name in params), None)
     return (_relation_of(lit), positions,
-            values[0] if len(values) == 1 else values)
+            tuple(slots[args[p].name] for p in positions), guard)
 
 
 def _closure(rule: FlRule) -> Optional[tuple]:
     """(None, P) for ``?X[P -> ?Z] :- ?X[P -> ?Y], ?Y[P -> ?Z]`` with P a
     constant, ((g, 1), None) for ``?X[?P -> ?Z] :- g(?P), ?X[?P -> ?Y],
-    ?Y[?P -> ?Z]``, and None for any other rule.  ``_assert`` keeps such a
-    rule's property closed, so it is never joined."""
+    ?Y[?P -> ?Z]``, either with its two attribute literals in either order,
+    and None for any other rule.  ``_assert`` keeps such a rule's property
+    closed, so it is never joined."""
     head, body = rule.head, rule.body
     if type(head) is not FlAttrValue or len(body) not in (2, 3) or \
             type(body[-1]) is not FlAttrValue:
         return None
-    x, p, y, z = head.obj, head.prop, body[-1].obj, head.value
-    if body[-2:] != (FlAttrValue(x, p, y), FlAttrValue(y, p, z)) or \
+    x, p, z, last = head.obj, head.prop, head.value, body[-1]
+    y = last.value if last.obj == x else last.obj
+    if {*body[-2:]} != {FlAttrValue(x, p, y), FlAttrValue(y, p, z)} or \
             any(type(v) is not FlVariable for v in (x, y, z)) or \
             len({x, y, z, p}) < 4:
         return None
@@ -767,13 +809,18 @@ def _closure(rule: FlRule) -> Optional[tuple]:
 class _Rule:
     """A rule compiled for saturation: its body's plan and the environment
     that holds its constants, a (trigger, plan) pair per delta pass (see
-    ``_trigger``), the head relation and the head arguments (a slot per
+    ``_trigger``; the trigger holds the constants, one value for one
+    position), the head relation and the head arguments (a slot per
     variable)."""
 
     def __init__(self, rule: FlRule):
-        self.plan, self.env = _plan(rule.body)
-        self.deltas = tuple((_trigger(rule.body[i]), steps)
-                            for i, steps in self.plan.deltas)
+        self.plan, env = _plan(rule.body)
+        self.env, self.deltas = env, []
+        for (rel, positions, slots, guard), steps in self.plan.deltas:
+            values = tuple(env[s] for s in slots)
+            self.deltas.append(((
+                rel, positions, values[0] if len(values) == 1 else values,
+                None if guard is None else env[guard]), steps))
         self.rel, args = _head(rule.head)
         self.head = tuple(self.plan.slots[t.name]
                           if isinstance(t, FlVariable) else t for t in args)
@@ -874,33 +921,54 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
 
 def _compiled_strata(kb: KnowledgeBase) -> List[tuple]:
     """Each stratum's compiled rules, and its delta plans filed by trigger:
-    ``{(relation, positions): {values: [(rule, plan), ...]}}``."""
+    ``{(relation, positions, guarded): {values: plans}}``, where ``plans``
+    is a list of (rule, plan) pairs, or a dict of them by class if
+    ``guarded``."""
     if kb._compiled is None:
         strata = []
         for stratum in stratify(kb).strata:
             rules = [_Rule(r) for r in stratum if not _closure(r)]
-            filed: Dict[tuple, Dict[object, list]] = {}
+            filed: Dict[tuple, dict] = {}
             for rule in rules:
-                for (rel, positions, values), plan in rule.deltas:
-                    filed.setdefault((rel, positions), {}).setdefault(
-                        values, []).append((rule, plan))
+                for (rel, positions, values, guard), plan in rule.deltas:
+                    plans = filed.setdefault(
+                        (rel, positions, guard is not None), {})
+                    if guard is not None:
+                        plans = plans.setdefault(values, {})
+                        values = guard
+                    plans.setdefault(values, []).append((rule, plan))
             strata.append((rules, filed))
         kb._compiled = strata
     return kb._compiled
 
 
-def _fired(filed: Dict[tuple, Dict[object, list]],
-           delta: Dict[object, Relation]) -> List[tuple]:
+def _fired(filed: Dict[tuple, dict], delta: Dict[object, Relation],
+           store: FactStore) -> List[tuple]:
     """The filed delta plans whose trigger a new fact matches: each one
-    filed under no positions of a relation with new facts, and each one
-    filed under values that new facts hold at the filed positions."""
+    filed under values that new facts hold at the filed positions (any new
+    fact of the relation, for no positions) and, if it is filed under a
+    class too, whose subject is a member of that class in the store."""
     fired: List[tuple] = []
-    for (key, positions), by_values in filed.items():
+    isa = store.relations[ISA]
+    for (key, positions, guarded), by_values in filed.items():
         rel = delta.get(key)
-        if rel is not None:
-            for values in by_values.keys() & rel.index(positions).keys() \
-                    if positions else by_values:
-                fired += by_values[values]
+        if rel is None:
+            continue
+        index = rel.index(positions) if positions else {(): rel.facts}
+        for values in by_values.keys() & index.keys():
+            plans = by_values[values]
+            if guarded:
+                subjects = {t[0] for t in index[values]}
+                # probe the filed classes, or read the subjects' classes:
+                # whichever reads fewer facts for an average subject
+                if len(plans) * len(store.individuals) <= len(isa.facts):
+                    classes = [c for c in plans
+                               if any((x, c) in isa.facts for x in subjects)]
+                else:
+                    classes = plans.keys() & {
+                        c for x in subjects for _, c in isa.lookup((0,), x)}
+                plans = [run for c in classes for run in plans[c]]
+            fired += plans
     return fired
 
 
@@ -913,7 +981,7 @@ def _run_stratum(stratum: tuple, store: FactStore,
     those facts came), and otherwise makes one pass over the whole store."""
     rules, filed = stratum
     runs = [(rule, rule.plan.full) for rule in rules] if delta is None \
-        else _fired(filed, delta)
+        else _fired(filed, delta, store)
     while True:
         new: Set[Tuple[object, tuple]] = set()
         for rule, plan in runs:
@@ -922,7 +990,7 @@ def _run_stratum(stratum: tuple, store: FactStore,
         delta = _assert(store, new, {})
         if not delta:
             return
-        runs = _fired(filed, delta)
+        runs = _fired(filed, delta, store)
 
 
 def saturate(kb: KnowledgeBase) -> FactStore:
@@ -978,7 +1046,15 @@ def _distinct(names: List[str], envs: Iterable[list]):
     """The solutions whose printed form is new, in order, each as its terms
     (a variable for an unbound name) and their printed forms."""
     k = len(names)
-    printed: Set[tuple] = set()
+    printed: set = set()  # printed forms: one string, or a tuple of them
+    if k == 1:  # no tuple to build before the test
+        for env in envs:
+            t = env[0]
+            key = "?" + names[0] if t is None else print_term(t)
+            if key not in printed:
+                printed.add(key)
+                yield (FlVariable(names[0]) if t is None else t,), (key,)
+        return
     for env in envs:
         terms = tuple(env[:k])
         if None in terms:
@@ -1156,7 +1232,9 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
                     kb.rules, (*kb.base_facts, head)), None
             kb.base_facts[head] = None
             kb._pending.append(head)
-    elif not isinstance(fact_lit, FlEquiv):  # an equivalence adds no facts
+    elif isinstance(fact_lit, FlEquiv):
+        kb.equivalences.append(fact_lit)
+    else:
         raise EngineError("non-ground-insert",
                           f"not an insertable fact: {print_literal(fact_lit)}")
     return kb

@@ -31,7 +31,10 @@ _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(:[A-Za-z_][A-Za-z0-9_]*)?$")
 class FlSymbol(str, FlTerm):
     """A constant: the ``str`` of its name, so joins hash and compare it in
     C.  ``quoted`` (presentation) is left out of equality, so a
-    printed-then-reparsed symbol equals the original."""
+    printed-then-reparsed symbol equals the original.  ``printed`` is its
+    printed form, worked out on its first print and kept."""
+
+    printed: Optional[str] = None
 
     def __new__(cls, name: str, quoted=False):
         if not name:
@@ -215,9 +218,11 @@ def _quote(name: str) -> str:
 
 def print_term(t: FlTerm) -> str:
     if isinstance(t, FlSymbol):
-        if t.quoted or not _PLAIN_NAME.match(t.name):
-            return _quote(t.name)
-        return t.name
+        printed = t.printed
+        if printed is None:
+            printed = t.printed = _quote(t.name) \
+                if t.quoted or not _PLAIN_NAME.match(t.name) else t.name
+        return printed
     if isinstance(t, FlVariable):
         return "?" + t.name
     if isinstance(t, FlLiteralTerm):

@@ -919,6 +919,29 @@ def test_query_name_of_a_rule_is_known(tmp_path, capsys):
         assert capsys.readouterr() == (out, lowered)
 
 
+def test_query_name_of_an_equivalence_only_is_known(tmp_path, capsys):
+    """``E`` occurs only in the equivalence ``D ≡ A ⊓ B ⊓ (C ⊔ E)``, which
+    adds no fact and lowers to no rule naming it; asking about it warns of
+    nothing but the lowering."""
+    kb = _owl(tmp_path, '<owl:Class rdf:about="#D"><owl:equivalentClass>'
+              '<owl:Class><owl:intersectionOf rdf:parseType="Collection">'
+              '<owl:Class rdf:about="#A"/><owl:Class rdf:about="#B"/>'
+              '<owl:Class><owl:unionOf rdf:parseType="Collection">'
+              '<owl:Class rdf:about="#C"/><owl:Class rdf:about="#E"/>'
+              '</owl:unionOf></owl:Class></owl:intersectionOf></owl:Class>'
+              '</owl:equivalentClass></owl:Class><A rdf:about="#a"/>')
+    lowered = ("warning: complex-operand: non-named intersection operand: no "
+               "membership rule for it and no rule deriving the defined "
+               "class\n")
+    for query, out in [(["instances", "E"], ""), (["is", "a", "E"], "false\n"),
+                       (["instances", "C"], "")]:
+        assert main(["query", kb, *query]) == 0
+        assert capsys.readouterr() == (out, lowered)
+    assert main(["query", kb, "instances", "F"]) == 0
+    assert capsys.readouterr() == (
+        "", lowered + "warning: unknown-name: F does not occur in the KB\n")
+
+
 def test_query_missing_verb_exits_2(flr_file, capsys):
     assert main(["query", flr_file]) == 2
     assert "bad-arguments" in capsys.readouterr().err

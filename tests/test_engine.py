@@ -301,6 +301,29 @@ def test_collect_set_sorted_and_deduplicated():
     assert names(collect_set(kb, "X", FlIsA(X, atom("C")))) == ["a", "b"]
 
 
+def test_answers_are_printed_once(monkeypatch):
+    """Each symbol keeps the printed form its first print worked out, so an
+    ``instances`` query asked again sorts and dedups its answers without
+    matching a name against ``flogic._PLAIN_NAME``."""
+    from owlfl import flogic
+    kb = kb_from("b:C.\na:C.\n'x y':C.\n'1':C.\n1:C.")
+    plain, matches = flogic._PLAIN_NAME, 0
+
+    class Counting:
+        def match(self, name):
+            nonlocal matches
+            matches += 1
+            return plain.match(name)
+    monkeypatch.setattr(flogic, "_PLAIN_NAME", Counting())
+    goal = FlIsA(X, atom("C"))
+    answers = names(collect_set(kb, "X", goal))
+    assert answers == ["'1'", "'x y'", "1", "a", "b"]
+    assert matches > 0
+    matches = 0
+    assert names(collect_set(kb, "X", goal)) == answers
+    assert matches == 0
+
+
 def test_collect_set_unused_variable_rejected():
     kb = kb_from("a:C.")
     for cls in ("C", "D"):  # the second call finds the goal's shape compiled
@@ -1300,6 +1323,147 @@ def test_insert_work_does_not_grow_with_the_rules():
     assert counts[0] == counts[1], counts
 
 
+def test_attribute_insert_work_does_not_grow_with_the_rules():
+    """A new edge runs only the delta plans filed under a class of its
+    subject: ``z[r -> w]`` starts as many plans under 800 rules ``?Y:D<i>
+    :- ?X:C<i>, ?X[r -> ?Y]`` as under 50."""
+    counts = []
+    for n in (50, 800):
+        kb = kb_from("z:C3.\n" + "\n".join(
+            f"?Y:D{i} :- ?X:C{i}, ?X[r -> ?Y].\nm{i}:C{i}.\nm{i}[r -> v{i}]."
+            for i in range(n)))
+        saturate(kb)
+        insert_fact(kb, FlAttrValue(FlSymbol("z"), FlSymbol("r"),
+                                    FlSymbol("w")))
+        counts.append(plans_of_saturate(kb))
+        assert holds(kb, FlIsA(FlSymbol("w"), atom("D3")))
+        assert not holds(kb, FlIsA(FlSymbol("w"), atom("D4")))
+    assert counts[0] == counts[1], counts
+
+
+def test_attribute_triggers_match_upfront_load():
+    """Memberships and edges inserted one after another under 1 to 8 rules
+    ``?Y:D<k> :- ?X:C<k>, ?X[q -> ?Y].`` (with ``C<k>`` also derived from
+    ``B<k>``) give the store of loading them up front, both where a new
+    edge's subject is probed for each filed class and where its classes are
+    read from the store (a lookup of ``isa`` by position 0)."""
+    rng = random.Random(20261028)
+    inds = [FlSymbol(f"i{k}") for k in range(5)]
+    paths = {"probe": 0, "read": 0}
+    lookup = Relation.lookup
+    reads = 0
+
+    def counting(rel, positions, key):
+        nonlocal reads
+        reads += rel is isa and positions == (0,)
+        return lookup(rel, positions, key)
+
+    def random_fact(k):
+        x = rng.choice(inds)
+        return rng.choice([
+            FlIsA(x, atom(f"{rng.choice('BC')}{rng.randrange(k)}")),
+            FlAttrValue(x, FlSymbol(rng.choice("pq")), rng.choice(inds)),
+            FlAttrValue(x, FlSymbol("q"), rng.choice(inds))])
+    for trial in range(120):
+        k = rng.choice([1, 2, 8])
+        rules = "\n".join(f"?Y:D{j} :- ?X:C{j}, ?X[q -> ?Y].\n"
+                          f"?X:C{j} :- ?X:B{j}." for j in range(k))
+        program, _ = parse_program(rules)
+        base = tuple(fact(random_fact(k)) for _ in range(rng.randrange(4)))
+        kb = load_program(FlProgram(program.rules + base))
+        saturate(kb)
+        inserted = []
+        for _ in range(rng.randrange(1, 6)):
+            f = random_fact(k)
+            new_edge = isinstance(f, FlAttrValue) and f.prop == "q" and \
+                (f.obj, f.prop, f.value) not in kb.store.attr
+            reads, isa = 0, kb.store.relations["isa"]
+            insert_fact(kb, f)
+            inserted.append(fact(f))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(Relation, "lookup", counting)
+                store = saturate(kb)
+            if new_edge:
+                paths["read" if reads else "probe"] += 1
+            upfront = load_program(FlProgram(program.rules + base +
+                                             tuple(inserted)))
+            assert store_facts(store) == store_facts(upfront.store), \
+                f"trial {trial}: {inserted}"
+    assert all(paths.values()), paths
+
+
+def compile_calls(monkeypatch) -> list:
+    """Count the top-level ``_compile_conj`` calls from now on, in a new
+    process-wide plan cache; the count is the list's one element."""
+    monkeypatch.setattr(engine, "_PLANS", {})
+    calls, depth = [0], [0]
+    compile_conj = engine._compile_conj
+
+    def counting(*args, **kwargs):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return compile_conj(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(engine, "_compile_conj", counting)
+    return calls
+
+
+def test_goals_compile_their_full_plan_only(monkeypatch):
+    """A new goal shape compiles its full plan and nothing else; a rule
+    compiles its full and delta plans, and a checker its full plan and the
+    order it binds in."""
+    kb = kb_from("?X:D :- ?X:C, ?X[r -> ?Y].\na:C.\na[r -> b].\n"
+                 "check_c :- ?X:D, format(2, '~w', [?X])@_prolog(format).")
+    calls = compile_calls(monkeypatch)
+    saturate(kb)
+    assert calls == [3]
+    for goal, expected in [
+            (FlIsA(X, atom("C")), [{"X": FlSymbol("a")}]),
+            ([FlAttrValue(X, FlSymbol("r"), FlVariable("Y")),
+              FlIsA(X, atom("D"))],
+             [{"X": FlSymbol("a"), "Y": FlSymbol("b")}])]:
+        calls[0] = 0
+        assert query_goal(kb, goal) == expected
+        assert calls == [1], goal
+    calls[0] = 0
+    assert [v.message for v in run_constraint_checks(kb)] == ["a"]
+    assert calls == [2]
+
+
+def test_shape_rebuilds_the_conjunction():
+    """``_build`` gives back the literals ``_split`` took apart, with each
+    constant a parameter variable: filled in, they equal the originals,
+    a predicate's ``quoted`` (presentation, left out of the shape) aside."""
+    from owlfl.node import Node
+
+    def fill(x, consts):
+        if type(x) is FlVariable and x.name.startswith("#"):
+            return consts[int(x.name[1:])]
+        if type(x) is tuple:
+            return tuple(fill(e, consts) for e in x)
+        if isinstance(x, Node) and type(x) not in (FlVariable, FlLiteralTerm):
+            return type(x)(*(fill(getattr(x, f), consts) for f in x._fields))
+        return x
+    program, diags = parse_program(
+        "h :- ?X:(A ; (B , (C - D))), ?X[p -> [?Y, 'a b', 1]], C::?Z, "
+        "'q r'(?X, 7), \\naf (?X:E, ?Y != f), not(?X[p -> g]), "
+        "member(?Y, [a, ?X]), ?X[p{0:2} *=> E], "
+        "format(2, '~w', [?X])@_prolog(format).")
+    assert not diags, [d.message for d in diags]
+    body = program.rules[0].body
+    assert any(type(lit) is FlPred and lit.quoted for lit in body)
+    consts = []
+    shape = engine._split(body, consts)
+    params = []
+    rebuilt = engine._build(shape, params)
+    assert len(params) == len(consts) > 10
+    assert fill(rebuilt, consts) == body
+    assert engine._split(FlPred("q r", (X,), quoted=True), []) == \
+        engine._split(FlPred("q r", (X,)), [])
+
+
 def test_each_shape_compiles_once_per_process(monkeypatch):
     """Rules, checkers, goals and class tests of one shape share a plan:
     a KB of 50 rules ``?Y:D<i> :- ?X:C<i>, ?X[r -> ?Y].`` compiles its few
@@ -1456,3 +1620,40 @@ def test_transitive_closure_matches_naive_oracle():
         seen["constant"] += PROPERTY_RULES[0] in text
     assert all(seen.values()), seen
     assert time.monotonic() - start < 30.0
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_transitive_rule_closes_natively_in_either_body_order(swapped,
+                                                              guarded):
+    """The transitive rule, with a constant property or a guard, and its
+    two attribute literals in either order, is closed natively, and its
+    store is the naive oracle's, before and after each inserted edge."""
+    prop = "?P" if guarded else "p"
+    body = [f"?X[{prop} -> ?Y]", f"?Y[{prop} -> ?Z]"][::-1 if swapped else 1]
+    rule = f"?X[{prop} -> ?Z] :- " + ", ".join(
+        ["'TransitiveProperty'(?P)"] * guarded + body) + "."
+    rng = random.Random(28)
+    inds = [f"i{k}" for k in range(6)]
+    for trial in range(30):
+        lines = [rule] + ["'TransitiveProperty'(p)."] * guarded + [
+            f"{rng.choice(inds)}[{rng.choice('pq')} -> {rng.choice(inds)}]."
+            for _ in range(rng.randrange(2, 10))]
+        rng.shuffle(lines)
+        program, diags = parse_program("\n".join(lines))
+        assert not diags
+        kb = load_program(program)
+        assert kb._closures == [(("TransitiveProperty", 1), None) if guarded
+                                else (None, FlSymbol("p"))]
+        inserted = []
+        for k in range(3):
+            if k:
+                f = FlAttrValue(FlSymbol(rng.choice(inds)), FlSymbol("p"),
+                                FlSymbol(rng.choice(inds)))
+                insert_fact(kb, f)
+                inserted.append(fact(f))
+            isa, _, attr = naive_evaluate(
+                FlProgram(program.rules + tuple(inserted)))
+            store = saturate(kb)
+            assert (store.isa, store.attr) == (isa, attr), \
+                f"trial {trial}: {inserted}"
