@@ -11,9 +11,10 @@ under the constants of the literal it starts at, and a pass that starts at an
 attribute ``?X[p -> ?Y]`` also under the class C of a body literal ``?X:C``.
 A round runs only the passes whose constants its new facts hold, and a new
 edge only those whose class its subject is a member of (an attribute
-trigger), so an insert's work grows with what it can fire, not with the store
-or the rule count.  A ``member`` literal joins a plan once its list is bound,
-as a negation does once its variables are.
+trigger, one set probe per class), so an insert starts the join plans it can
+fire and no others, however large the store or the rule set.  A ``member``
+literal joins a plan once its list is bound, as a negation does once its
+variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
 applied to each new fact as it is added.  The KB holds each base fact once, as
@@ -947,9 +948,10 @@ def _fired(filed: Dict[tuple, dict], delta: Dict[object, Relation],
     """The filed delta plans whose trigger a new fact matches: each one
     filed under values that new facts hold at the filed positions (any new
     fact of the relation, for no positions) and, if it is filed under a
-    class too, whose subject is a member of that class in the store."""
+    class too, whose subject is a member of that class in the store (one
+    set probe per subject and filed class)."""
     fired: List[tuple] = []
-    isa = store.relations[ISA]
+    isa = store.isa
     for (key, positions, guarded), by_values in filed.items():
         rel = delta.get(key)
         if rel is None:
@@ -958,15 +960,8 @@ def _fired(filed: Dict[tuple, dict], delta: Dict[object, Relation],
         for values in by_values.keys() & index.keys():
             plans = by_values[values]
             if guarded:
-                subjects = {t[0] for t in index[values]}
-                # probe the filed classes, or read the subjects' classes:
-                # whichever reads fewer facts for an average subject
-                if len(plans) * len(store.individuals) <= len(isa.facts):
-                    classes = [c for c in plans
-                               if any((x, c) in isa.facts for x in subjects)]
-                else:
-                    classes = plans.keys() & {
-                        c for x in subjects for _, c in isa.lookup((0,), x)}
+                classes = {c for x in {t[0] for t in index[values]}
+                           for c in plans if (x, c) in isa}
                 plans = [run for c in classes for run in plans[c]]
             fired += plans
     return fired
