@@ -5,7 +5,8 @@ of the loaded program.  Facts live in one map of relations with hash indexes
 on the argument positions a lookup binds.  Rule and checker bodies, goals and
 class tests compile into join plans over variable slots once per shape (the
 conjunction with its constants taken out) per process, and every KB shares
-them; a shape's semi-naive plans are compiled when a rule first needs them.
+them; a shape's semi-naive plans are compiled when a rule first needs them,
+and a rule's triggers are read from them.
 The plan of a semi-naive pass starts at the round's new facts and is filed
 under the constants of the literal it starts at, and a pass that starts at an
 attribute ``?X[p -> ?Y]`` also under the class C of a body literal ``?X:C``.
@@ -17,7 +18,8 @@ literal joins a plan once its list is bound, as a negation does once its
 variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
-applied to each new fact as it is added.  The KB holds each base fact once, as
+applied to each new fact as it is added; an individual is held as its
+``_object`` membership and nowhere else.  The KB holds each base fact once, as
 the (relation, args) tuple the store keeps, so an insert dedups by one lookup.
 The saturated store is kept on the KB, and inserted facts extend it when no
 rule body holds a negation.
@@ -98,16 +100,15 @@ class Relation:
 class FactStore:
     """Ground facts as relations: ``isa`` (individual, class), ``sub``
     (class, class), ``attr`` (subject, property, value), and one relation
-    per predicate keyed by (name, arity).  ``individuals`` holds every term
-    that is a member, a subject or value of an attribute, or an element of a
-    ``oneOf`` list.  The ``attr`` edges of each property in ``closed`` are
-    kept transitively closed; a member of a ``guards`` relation joins it.
+    per predicate keyed by (name, arity).  Every member, subject or value of
+    an attribute and element of a ``oneOf`` list is a member of ``_object``.
+    The ``attr`` edges of each property in ``closed`` are kept transitively
+    closed; a member of a ``guards`` relation joins it.
     """
 
     def __init__(self, closures: Sequence[tuple] = ()):
         self.relations: Dict[object, Relation] = {
             ISA: Relation(), SUB: Relation(), ATTR: Relation()}
-        self.individuals: Set[FlTerm] = set()
         self.closed: Set[FlTerm] = {p for g, p in closures if g is None}
         self.guards = {g for g, _ in closures if g is not None}
         self.isa: Set[Tuple[FlTerm, FlTerm]] = self.relations[ISA].facts
@@ -555,27 +556,21 @@ def _isa_step(obj, cls: FlClassExpr, slots, use_delta: bool):
         # a new member of either operand can complete the intersection
         return _alt((_isa_step(obj, cls.a, slots, True), b),
                     (a, _isa_step(obj, cls.b, slots, True)))
-    if isinstance(cls, FlDifference):
-        return _alt((_isa_step(obj, cls.a, slots, use_delta),
-                     _not((_isa_step(obj, cls.b, slots, False),))))
-    return _alt()
+    # a difference, the last kind of class expression
+    return _alt((_isa_step(obj, cls.a, slots, use_delta),
+                 _not((_isa_step(obj, cls.b, slots, False),))))
 
 
 def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
                      needs: Set[str]):
     if isinstance(lit, FlIsA):
         return _isa_step(_arg(lit.obj, slots), lit.cls, slots, use_delta)
-    if isinstance(lit, FlSubClass):
-        st, tt = _expr_term(lit.sub), _expr_term(lit.super)
-        if st is None or tt is None:
+    args = _args(lit)
+    if args is not None:  # ``::``, an attribute or a predicate
+        if any(a is None for a in args):  # a compound class in ``::``
             return _alt()
-        return _scan(SUB, (_arg(st, slots), _arg(tt, slots)), use_delta)
-    if isinstance(lit, FlAttrValue):
-        return _scan(ATTR, (_arg(lit.obj, slots), _arg(lit.prop, slots),
-                            _arg(lit.value, slots)), use_delta)
-    if isinstance(lit, FlPred):
-        return _scan((lit.name, len(lit.args)),
-                     tuple(_arg(a, slots) for a in lit.args), use_delta)
+        return _scan(_relation_of(lit), tuple(_arg(a, slots) for a in args),
+                     use_delta)
     if isinstance(lit, FlNaf):
         return _not(_compile_conj(lit.inner, slots, bound=needs),
                     tuple((_arg(FlVariable(v), slots), v)
@@ -761,14 +756,14 @@ def _trigger(literals: tuple, i: int, slots: Dict[str, int],
              params: Set[str]) -> tuple:
     """What the delta plan that starts at the positive literal ``i`` of a
     shape is filed under, with the slot of each constant in place of its
-    value (see ``_Rule``): the literal's relation, the positions of its
-    constant (symbol or literal) arguments and their slots, and the slot of
-    a class or ``None``.  Any new fact of the relation runs the plan of a
-    literal with no constant argument, such as ``?X:(A ; B)``, ``?X:?C`` or
-    ``l([a, b])``.  The class is that of the first ``?X:C`` literal, C a
-    constant, when the plan starts at an attribute literal with the subject
-    ``?X``; a new edge then runs the plan only if its subject is a member
-    of C."""
+    value (see ``_compiled_strata``): the literal's relation, the positions
+    of its constant (symbol or literal) arguments and their slots, and the
+    slot of a class or ``None``.  Any new fact of the relation runs the plan
+    of a literal with no constant argument, such as ``?X:(A ; B)``,
+    ``?X:?C`` or ``l([a, b])``.  The class is that of the first ``?X:C``
+    literal, C a constant, when the plan starts at an attribute literal
+    with the subject ``?X``; a new edge then runs the plan only if its
+    subject is a member of C."""
     lit = literals[i]
     args = _args(lit)
     positions = tuple(p for p, a in enumerate(args)
@@ -808,20 +803,12 @@ def _closure(rule: FlRule) -> Optional[tuple]:
 
 
 class _Rule:
-    """A rule compiled for saturation: its body's plan and the environment
-    that holds its constants, a (trigger, plan) pair per delta pass (see
-    ``_trigger``; the trigger holds the constants, one value for one
-    position), the head relation and the head arguments (a slot per
-    variable)."""
+    """A rule compiled for saturation: its body's plan, whose delta plans
+    give its triggers, the environment that holds its constants, the head
+    relation and the head arguments (a slot per variable)."""
 
     def __init__(self, rule: FlRule):
-        self.plan, env = _plan(rule.body)
-        self.env, self.deltas = env, []
-        for (rel, positions, slots, guard), steps in self.plan.deltas:
-            values = tuple(env[s] for s in slots)
-            self.deltas.append(((
-                rel, positions, values[0] if len(values) == 1 else values,
-                None if guard is None else env[guard]), steps))
+        self.plan, self.env = _plan(rule.body)
         self.rel, args = _head(rule.head)
         self.head = tuple(self.plan.slots[t.name]
                           if isinstance(t, FlVariable) else t for t in args)
@@ -858,7 +845,7 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
     reaches.
     """
     isa, sub, attr = (store.relations[k] for k in (ISA, SUB, ATTR))
-    individuals, closed = store.individuals, store.closed
+    closed = store.closed
 
     def close(x, p, y):
         """Add an edge of ``p`` from x or a node with one into x to y or a
@@ -914,8 +901,7 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
         elif key == ("oneOf", 2) and isinstance(t[1], FlList):
             members = t[1].elements
         for x in members:
-            if x not in individuals:
-                individuals.add(x)
+            if (x, OBJECT) not in isa.facts:
                 work.append((ISA, (x, OBJECT)))
     return added
 
@@ -924,19 +910,23 @@ def _compiled_strata(kb: KnowledgeBase) -> List[tuple]:
     """Each stratum's compiled rules, and its delta plans filed by trigger:
     ``{(relation, positions, guarded): {values: plans}}``, where ``plans``
     is a list of (rule, plan) pairs, or a dict of them by class if
-    ``guarded``."""
+    ``guarded``.  A rule's triggers are its plan's, each slot read in the
+    rule's environment: one value for one position, a tuple for several."""
     if kb._compiled is None:
         strata = []
         for stratum in stratify(kb).strata:
             rules = [_Rule(r) for r in stratum if not _closure(r)]
             filed: Dict[tuple, dict] = {}
             for rule in rules:
-                for (rel, positions, values, guard), plan in rule.deltas:
+                env = rule.env
+                for (rel, positions, slots, guard), plan in rule.plan.deltas:
                     plans = filed.setdefault(
                         (rel, positions, guard is not None), {})
+                    values = env[slots[0]] if len(slots) == 1 else \
+                        tuple(env[s] for s in slots)
                     if guard is not None:
                         plans = plans.setdefault(values, {})
-                        values = guard
+                        values = env[guard]
                     plans.setdefault(values, []).append((rule, plan))
             strata.append((rules, filed))
         kb._compiled = strata

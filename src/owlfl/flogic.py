@@ -226,9 +226,7 @@ def print_term(t: FlTerm) -> str:
     if isinstance(t, FlVariable):
         return "?" + t.name
     if isinstance(t, FlLiteralTerm):
-        if t.type_tag in ("_integer", "_double"):
-            return t.value
-        if t.type_tag == "_boolean":
+        if t.type_tag in ("_integer", "_double", "_boolean"):
             return t.value
         return _quote(t.value)
     if isinstance(t, FlList):

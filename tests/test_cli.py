@@ -269,6 +269,15 @@ def test_translate_missing_file_exits_2(tmp_path, capsys):
                  "-o", str(tmp_path / "o.owl")]) == 2
 
 
+def test_translate_into_a_missing_directory_exits_2(flr_file, tmp_path,
+                                                    capsys):
+    out = tmp_path / "missing" / "out.owl"
+    assert main(["translate", "--from", "flora", "--to", "owl", flr_file,
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: io-error:")
+    assert not out.parent.exists()
+
+
 # --- check -------------------------------------------------------------------
 
 

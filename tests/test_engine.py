@@ -275,6 +275,16 @@ def test_repeated_variables_list_patterns_member_and_neq():
         assert names(collect_set(kb, "X", FlIsA(X, atom(cls)))) == members
 
 
+def test_list_pattern_with_a_constant_element():
+    """A constant element of a list pattern must equal the stored one,
+    whether it is a parameter of the shape (``a``) or kept in the shape
+    (the empty list, which has no constant to take out)."""
+    kb = kb_from("l([a, b]).\nl([c, d]).\nl([a, [e]]).\nl([f, []]).\n"
+                 "l([g, [h]]).\nh(?X) :- l([a, ?X]).\nk(?X) :- l([?X, []]).")
+    assert names(collect_set(kb, "X", FlPred("h", (X,)))) == ["[e]", "b"]
+    assert names(collect_set(kb, "X", FlPred("k", (X,)))) == ["f"]
+
+
 def test_intersection_body_sees_a_late_operand():
     # b:B is derived after the first round, when b:A is old
     kb = kb_from("b:A.\nc:C.\nb:B :- c:C.\n?X:G :- ?X:(A , B).")
@@ -468,6 +478,15 @@ def test_min_cardinality_only_behind_flag():
     assert run_constraint_checks(kb) == []
     v = run_constraint_checks(kb, check_min_cardinality=True)
     assert len(v) == 1
+
+
+def test_checker_with_only_its_format_literal_fires_once():
+    """A checker body of nothing but its ``format`` literal is an empty
+    plan, which holds once."""
+    kb = kb_from("a:C.\n"
+                 "check_always :- format(2, 'always', [])@_prolog(format).")
+    assert [(v.checker, v.message) for v in run_constraint_checks(kb)] == \
+        [("check_always", "always")]
 
 
 def test_some_values_from_check():

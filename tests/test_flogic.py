@@ -92,6 +92,13 @@ def test_print_quoted_symbols_and_lists():
         "oneOf(WineColor, [White,Rose,Red])."
 
 
+def test_print_typed_literals():
+    """Numbers and booleans print bare, strings quoted."""
+    assert [print_term(FlLiteralTerm(v, t)) for v, t in (
+        ("42", "_integer"), ("1.5", "_double"), ("true", "_boolean"),
+        ("en vrac", "_string"))] == ["42", "1.5", "true", "'en vrac'"]
+
+
 def test_print_naf_styles():
     r = FlRule(
         FlIsA(FlVariable("X"), atom("A")),
