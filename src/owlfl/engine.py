@@ -627,7 +627,7 @@ _PARAM = object()  # where ``_split`` took a constant out
 def _split(x, consts: List[FlTerm]):
     """The shape of a conjunction or a part of one as nested tuples, with
     ``_PARAM`` in place of each constant, which goes to ``consts``.  A node
-    is split by its compared fields (``Node._key``), so a predicate's
+    is split by its compared fields (``Node._values``), so a predicate's
     presentational ``quoted`` is left out of its shape."""
     kind = type(x)
     if kind is tuple or kind is list:
@@ -640,9 +640,9 @@ def _split(x, consts: List[FlTerm]):
     fields = getattr(kind, "_fields", None)
     if fields is None:  # a predicate name, a naf style, a bound
         return x
-    if len(fields) == 1:  # a lone field is its own key
-        return kind, _split(x._key, consts)
-    return (kind, *[_split(e, consts) for e in x._key])
+    if len(fields) == 1:  # a lone field is its own value
+        return kind, _split(x._values(x), consts)
+    return (kind, *[_split(e, consts) for e in x._values(x)])
 
 
 def _build(shape, params: List[str]):

@@ -47,6 +47,7 @@ class _Namer:
         self.base = prefixes.get("") or DEFAULT_BASE
         self.prefixes = prefixes
         self.iris: Dict[tuple, om.Iri] = {}
+        self.classes: Dict[str, om.Named] = {}  # IRI -> its one class
 
     def iri(self, sym: FlSymbol) -> om.Iri:
         """Inverse of ``owl_to_fl.Context._new_symbol``, made once per name
@@ -55,6 +56,14 @@ class _Namer:
         if key not in self.iris:
             self.iris[key] = om.Iri(self.absolute(*key))
         return self.iris[key]
+
+    def named(self, sym: FlSymbol) -> om.Named:
+        """The class ``sym`` names, made once per IRI."""
+        iri = self.iri(sym)
+        n = self.classes.get(iri.value)
+        if n is None:
+            n = self.classes[iri.value] = om.Named(iri)
+        return n
 
     def absolute(self, name: str, quoted: bool) -> str:
         """``_object`` is ``owl:Thing``; a declared ``pfx:L`` is ``L`` in the
@@ -85,7 +94,7 @@ class _Namer:
         """Named classes joined by union, intersection and difference from
         ``_object``; None for any other class expression."""
         if isinstance(e, Atom) and isinstance(e.term, FlSymbol):
-            return om.Named(self.iri(e.term))
+            return self.named(e.term)
         if isinstance(e, (FlUnion, FlIntersection)):
             ops = tuple(map(self.cls, _leaves(e, type(e))))
             owl = om.UnionOf if isinstance(e, FlUnion) else om.IntersectionOf
@@ -209,7 +218,7 @@ def _renames(rule: FlRule, of: FlRule) -> bool:
             return False
         if isinstance(a, tuple):
             return len(a) == len(b) and all(map(same, a, b))
-        return same(a._key, b._key) if isinstance(a, Node) else a == b
+        return same(a._values(a), b._values(b)) if isinstance(a, Node) else a == b
     return same(of, rule) and len(set(names.values())) == len(names)
 
 
@@ -333,7 +342,7 @@ class _Recognizer:
                     self.rules[j].head.obj in member_set
             self.claim("oneof-definition", self.gather(i, [cls_sym], fits),
                        om.EquivalentClass(
-                           om.Named(self.namer.iri(cls_sym)),
+                           self.namer.named(cls_sym),
                            om.OneOf(tuple(map(self.namer.iri, members)))),
                        cls=cls_sym.name)
 
@@ -393,7 +402,7 @@ class _Recognizer:
             else:
                 continue
             self.claim(template, self.gather(i, keys, fits), om.EquivalentClass(
-                om.Named(self.namer.iri(name)), cls), **bindings)
+                self.namer.named(name), cls), **bindings)
 
     def pass_avf_dual_pairs(self):
         for i, h in self.facts(FlSignature):
@@ -409,7 +418,7 @@ class _Recognizer:
                                 lambda j: self.shape[j] == dual)
             # one dual rule per signature; a second one is left over
             self.claim("allValuesFrom", group[:2], om.SubClassOf(
-                om.Named(self.namer.iri(cls_sym)),
+                self.namer.named(cls_sym),
                 om.Restriction(self.namer.iri(h.prop),
                                om.AllValuesFrom(filler))),
                 cls=cls_sym.name, prop=h.prop.name)
@@ -459,9 +468,9 @@ class _Recognizer:
                     all(isinstance(a, FlSymbol) for a in h.args):
                 c, p, f = h.args
                 self.claim("someValuesFrom", [i], om.SubClassOf(
-                    om.Named(self.namer.iri(c)),
+                    self.namer.named(c),
                     om.Restriction(self.namer.iri(p), om.SomeValuesFrom(
-                        om.Named(self.namer.iri(f))))),
+                        self.namer.named(f)))),
                     cls=c.name, prop=p.name)
             elif h.name == "hasValue" and len(h.args) == 3 and \
                     isinstance(h.args[0], FlSymbol) and \
@@ -469,7 +478,7 @@ class _Recognizer:
                     isinstance(h.args[2], _VALUE):
                 c, p, v = h.args
                 self.claim("hasValue", [i], om.SubClassOf(
-                    om.Named(self.namer.iri(c)),
+                    self.namer.named(c),
                     om.Restriction(self.namer.iri(p),
                                    om.HasValue(self.namer.value(v)))),
                     cls=c.name, prop=p.name)
@@ -527,7 +536,7 @@ class _Recognizer:
             else:
                 continue
             self.claim("cardinality-restriction", [i], om.SubClassOf(
-                om.Named(self.namer.iri(cls_sym)),
+                self.namer.named(cls_sym),
                 om.Restriction(prop_iri, kind)),
                 cls=cls_sym.name, prop=h.prop.name)
 
@@ -562,15 +571,15 @@ class _Recognizer:
     def pass_subclass_rules(self):
         for i, s in self.open_shapes("isa"):
             _, head_cls, body, nafs = s
-            sup = om.Named(self.namer.iri(head_cls))
+            sup = self.namer.named(head_cls)
             if not nafs:
-                subs = [om.Named(self.namer.iri(b)) for b in body]
+                subs = [self.namer.named(b) for b in body]
                 self.claim("membership-rule", [i], om.SubClassOf(
                     subs[0] if len(subs) == 1 else om.IntersectionOf(
                         tuple(subs)), sup), cls=head_cls.name)
             elif _is_complement(s):
                 self.claim("complement-subclass", [i], om.SubClassOf(
-                    om.ComplementOf(om.Named(self.namer.iri(nafs[0]))), sup),
+                    om.ComplementOf(self.namer.named(nafs[0])), sup),
                     cls=head_cls.name)
 
     def pass_subclass_facts(self):
@@ -578,7 +587,7 @@ class _Recognizer:
             a, b = _atom_sym(h.sub), _atom_sym(h.super)
             if a is not None and b is not None:
                 self.claim("subclass-fact", [i], om.SubClassOf(
-                    om.Named(self.namer.iri(a)), om.Named(self.namer.iri(b))),
+                    self.namer.named(a), self.namer.named(b)),
                     sub=a.name, super=b.name)
 
     def pass_abox(self):

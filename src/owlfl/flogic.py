@@ -6,7 +6,10 @@ user-defined equality (``A :=: B``), plain predicates, negation as failure
 (``\\naf L`` / ``not(...)``) and a handful of builtins.
 
 Printing is canonical and deterministic; ``parse_program`` is the inverse of
-``print_program`` on its image.
+``print_program`` on its image, but for three kinds of typed value, which
+print bare until the text has a typed-literal form: a ``_double`` such as
+``1.5`` and a negative ``_integer`` print in forms the reader rejects, and a
+``_boolean`` reads back as a symbol.
 """
 
 from __future__ import annotations
@@ -412,12 +415,32 @@ def unquote(lexeme: str) -> str:
 # --- parser ------------------------------------------------------------------
 
 
+def _term(lexeme: str) -> FlTerm:
+    """The term a variable, quoted, number or (prefixed) name lexeme
+    spells."""
+    c = lexeme[:1]
+    if c == "?":
+        return FlVariable(lexeme[1:])
+    if c.isdecimal():
+        return FlLiteralTerm(lexeme, "_integer")
+    if c != "'":
+        return FlSymbol(lexeme)
+    name = unquote(lexeme)  # '' names nothing; it is the empty string
+    return FlSymbol(name, quoted=True) if name else FlLiteralTerm("")
+
+
 class _Parser:
+    """A recursive-descent reader that builds each node of a term once per
+    document and shares it: one term per lexeme (a variable, quoted name,
+    number or name) and one ``Atom`` per class term, keyed by the term's
+    identity, as ``'urn:c'`` and ``urn:c`` are equal but two classes."""
+
     def __init__(self, toks: List[str], prefixes: Dict[str, str]):
         self.toks = toks
         self.i = 0
         self.prefixes = dict(prefixes)
-        self.symbols: Dict[str, FlSymbol] = {}  # one per plain name
+        self.terms: Dict[str, FlTerm] = {}  # lexeme -> its one term
+        self.atoms: Dict[int, Atom] = {}  # id(term) -> its one class atom
         self.nafs: List[int] = []  # the token index of each naf read
 
     def expect(self, want: str, kind: bool = False) -> str:
@@ -440,33 +463,31 @@ class _Parser:
         i = self.i
         t = toks[i]
         c = t[:1]
-        if c == "?":
-            self.i = i + 1
-            return FlVariable(t[1:])
-        if c == "'":
-            self.i = i + 1
-            name = unquote(t)
-            if not name:  # '' names nothing; it is the empty string
-                return FlLiteralTerm("")
-            return FlSymbol(name, quoted=True)
         if c == "[":
             self.i = i + 1
             return FlList(self.parse_terms("]"))
-        if c.isdecimal():
-            self.i = i + 1
-            return FlLiteralTerm(t, "_integer")
-        if not (c.isalpha() or c == "_"):
+        if c.isalpha() or c == "_":
+            i += 1
+            if (merge_prefixed or t in self.prefixes) and toks[i] == ":" \
+                    and _kind(toks[i + 1]) == "ident":
+                t = f"{t}:{toks[i + 1]}"
+                i += 2
+        elif c == "?" or c == "'" or c.isdecimal():
+            i += 1
+        else:
             raise FlParseError(f"expected a term, got {t!r}", i)
-        i += 1
-        if (merge_prefixed or t in self.prefixes) and toks[i] == ":" \
-                and _kind(toks[i + 1]) == "ident":
-            t = f"{t}:{toks[i + 1]}"
-            i += 2
         self.i = i
-        sym = self.symbols.get(t)
-        if sym is None:
-            sym = self.symbols[t] = FlSymbol(t)
-        return sym
+        term = self.terms.get(t)
+        if term is None:
+            term = self.terms[t] = _term(t)
+        return term
+
+    def atom(self, term: FlTerm) -> Atom:
+        """The class ``term`` names."""
+        a = self.atoms.get(id(term))
+        if a is None:  # the atom keeps term, so its id stays its own
+            a = self.atoms[id(term)] = Atom(term)
+        return a
 
     def parse_terms(self, close: str) -> Tuple[FlTerm, ...]:
         """Terms separated by ``,`` up to the token ``close``, consumed."""
@@ -483,7 +504,7 @@ class _Parser:
 
     def parse_class_expr(self) -> FlClassExpr:
         if self.toks[self.i] != "(":
-            return Atom(self.parse_term(merge_prefixed=True))
+            return self.atom(self.parse_term(merge_prefixed=True))
         self.i += 1
         a = self.parse_class_expr()
         op = self.toks[self.i]
@@ -533,7 +554,7 @@ class _Parser:
                 rng = self.parse_class_expr()
                 items.append(
                     FlSignature(
-                        cls if cls is not None else Atom(subject),
+                        cls if cls is not None else self.atom(subject),
                         prop, rng, card, via,
                     )
                 )
@@ -611,7 +632,7 @@ class _Parser:
             self.i += 1
             return [FlNeq(subj_term, self.parse_term(merge_prefixed=True))]
 
-        left = subj_expr if subj_expr is not None else Atom(subj_term)
+        left = subj_expr if subj_expr is not None else self.atom(subj_term)
 
         if t == ":=:":
             self.i += 1

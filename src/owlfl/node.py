@@ -10,13 +10,17 @@ Defining a class compiles no code.  Its ``__init__`` is the template for its
 number of fields with the parameters renamed to the fields, so it takes
 positional and keyword arguments as a hand-written one would.  The template
 stores each argument through its slot's descriptor, past the refusing
-``__setattr__``, and keeps the field tuple in ``_key`` for ``==`` and
-``hash``; a node of one field uses that field as its key.
+``__setattr__``; a node holds its fields and nothing else.  ``==`` and
+``hash`` read the compared fields from the slots through ``_values``, an
+``operator.attrgetter``: it gives their tuple, or the value itself for a
+class that compares one field.
 """
+
+from operator import attrgetter
 
 
 class Node:
-    __slots__ = ("_key",)  # the compared field values
+    __slots__ = ()
     _defaults = ()
     _compared = None
     _validate = None
@@ -26,10 +30,11 @@ class Node:
         cls._fields = tuple(name for c in reversed(cls.__mro__)
                             if c is not Node
                             for name in c.__dict__.get("__slots__", ()))
-        if len(cls._fields) == 1:  # a lone field is its own key
-            cls._key = getattr(cls, cls._fields[0])
-            cls.__eq__, cls.__hash__ = _eq_one, _hash_one
         if cls._fields:
+            compared = cls._fields[:cls._compared]
+            cls._values = attrgetter(*compared)
+            if len(compared) == 1:
+                cls.__eq__, cls.__hash__ = _eq_one, _hash_one
             cls.__init__ = _initializer(cls)
 
     def __setattr__(self, name, value):
@@ -40,11 +45,11 @@ class Node:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key == other._key
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._values(self))
 
     def __repr__(self):
         return fields_repr(self, self._fields)
@@ -55,21 +60,18 @@ def fields_repr(obj, fields) -> str:
         f"{name}={getattr(obj, name)!r}" for name in fields) + ")"
 
 
-_put_key = Node._key.__set__
-
-
 def _eq_one(self, other):
     if other.__class__ is self.__class__:
-        a, b = self._key, other._key
+        a, b = self._values(self), other._values(other)
         return a is b or a == b  # as the 1-tuples compare
     return NotImplemented
 
 
 def _hash_one(self):
-    return hash((self._key,))
+    return hash((self._values(self),))
 
 
-def _init1(p, _, check):  # its one field is its key
+def _init1(p, check):
     def init(self, a):
         p[0](self, a)
         if check:
@@ -77,47 +79,43 @@ def _init1(p, _, check):  # its one field is its key
     return init
 
 
-def _init2(p, key, check):
+def _init2(p, check):
     def init(self, a, b):
         p[0](self, a)
         p[1](self, b)
-        key(self, (a, b))
         if check:
             check(self)
     return init
 
 
-def _init3(p, key, check):
+def _init3(p, check):
     def init(self, a, b, c):
         p[0](self, a)
         p[1](self, b)
         p[2](self, c)
-        key(self, (a, b, c))
         if check:
             check(self)
     return init
 
 
-def _init4(p, key, check):
+def _init4(p, check):
     def init(self, a, b, c, d):
         p[0](self, a)
         p[1](self, b)
         p[2](self, c)
         p[3](self, d)
-        key(self, (a, b, c, d))
         if check:
             check(self)
     return init
 
 
-def _init5(p, key, check):
+def _init5(p, check):
     def init(self, a, b, c, d, e):
         p[0](self, a)
         p[1](self, b)
         p[2](self, c)
         p[3](self, d)
         p[4](self, e)
-        key(self, (a, b, c, d, e))
         if check:
             check(self)
     return init
@@ -127,12 +125,9 @@ _TEMPLATES = (None, _init1, _init2, _init3, _init4, _init5)
 
 
 def _initializer(cls):
-    fields, n = cls._fields, cls._compared
-    key = _put_key if n is None else \
-        (lambda self, values: _put_key(self, values[:n]))
+    fields = cls._fields
     init = _TEMPLATES[len(fields)](
-        tuple(getattr(cls, name).__set__ for name in fields), key,
-        cls._validate)
+        tuple(getattr(cls, name).__set__ for name in fields), cls._validate)
     # the template's parameters are its only locals
     init.__code__ = init.__code__.replace(co_varnames=("self",) + fields)
     init.__defaults__ = cls._defaults

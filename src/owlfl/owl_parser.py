@@ -151,6 +151,7 @@ class _DocParser:
         # worked out once per document
         self._resolved: Dict[str, Iri] = {}
         self._named: Dict[str, Iri] = {}
+        self._classes: Dict[str, Named] = {}  # IRI -> its one class
 
     # -- helpers
 
@@ -203,6 +204,13 @@ class _DocParser:
             self._named[name] = iri
         return iri
 
+    def named(self, iri: Iri) -> Named:
+        """The class ``iri`` names, made once per IRI."""
+        n = self._classes.get(iri.value)
+        if n is None:
+            n = self._classes[iri.value] = Named(iri)
+        return n
+
     def subject(self, el: ET.Element) -> Iri:
         ref = el.get(_ID, el.get(_ABOUT))
         return self.fresh_blank() if ref is None else self.resolve(ref)
@@ -219,7 +227,7 @@ class _DocParser:
             if expr is not None:
                 return expr
             if about is not None:
-                return Named(self.resolve(about))
+                return self.named(self.resolve(about))
         self.warn("unknown-construct", f"unsupported class expression <{tag}>")
         return None
 
@@ -228,7 +236,7 @@ class _DocParser:
         else each of its child elements that parses."""
         res = self.resource(el)
         if res is not None:
-            yield Named(res)
+            yield self.named(res)
             return
         for child in el:
             expr = self.parse_class_expr(child)
@@ -289,7 +297,7 @@ class _DocParser:
         expr = next(self.class_operands(el), None)
         if expr is None:
             self.warn("unknown-construct", "missing restriction filler")
-            return Named(Iri(THING))
+            return self.named(Iri(THING))
         return expr
 
     def _literal(self, el: ET.Element) -> OwlLiteral:
@@ -303,15 +311,16 @@ class _DocParser:
 
     def parse_class(self, el: ET.Element):
         subj = self.subject(el)
+        cls = self.named(subj)
         defined = self.parse_class_body_expr(el)
         if defined is not None:
-            self.doc.class_axioms.append(EquivalentClass(Named(subj), defined))
+            self.doc.class_axioms.append(EquivalentClass(cls, defined))
         for child in el:
             ctag = child.tag
             if ctag in _DEFINITION_TAGS:
                 continue  # consumed above
             if ctag in _CLASS_AXIOMS:
-                self.doc.class_axioms.extend(_CLASS_AXIOMS[ctag](Named(subj), e)
+                self.doc.class_axioms.extend(_CLASS_AXIOMS[ctag](cls, e)
                                              for e in self.class_operands(child))
             elif ctag == _DISJOINT_WITH:
                 res = self.resource(child)

@@ -1,9 +1,16 @@
+import os
 import random
+import sys
 import time
 
 import pytest
 
-from owlfl.cli import main
+from owlfl import load_program, parse_document, translate_ontology
+from owlfl.cli import _warn_unknown, main
+from owlfl.flogic import FlSymbol
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+import gen  # noqa: E402
 
 OWL_DOC = """<?xml version="1.0"?>
 <rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -949,6 +956,38 @@ def test_query_name_of_an_equivalence_only_is_known(tmp_path, capsys):
     assert main(["query", kb, "instances", "F"]) == 0
     assert capsys.readouterr() == (
         "", lowered + "warning: unknown-name: F does not occur in the KB\n")
+
+
+def test_query_name_check_reads_no_more_tuples_in_a_larger_kb(capsys):
+    """Checking the asked names of a query reads as many stored tuples from
+    a 960-class KB as from a 60-class one; a class, an individual, a
+    property and ``_object`` are known, and an absent name is not."""
+    reads = []
+
+    class Counted(set):
+        def __iter__(self):
+            for t in set.__iter__(self):
+                reads.append(t)
+                yield t
+
+    counts = []
+    for n in (60, 960):
+        made = gen.mixed_kb(random.Random(n), n, 2 * n, plant=False)
+        kb = load_program(translate_ontology(parse_document(made.text)[0])[0])
+        store = kb.store
+        for rel in store.relations.values():
+            rel.facts = Counted(rel.facts)
+        store.isa, store.sub, store.attr = (
+            store.relations[k].facts for k in ("isa", "sub", "attr"))
+        reads.clear()
+        for name in (made.classes[-1], made.individuals[-1], "part",
+                     "_object"):
+            assert not _warn_unknown(kb, [FlSymbol(name)])
+        assert _warn_unknown(kb, [FlSymbol("absent")])
+        counts.append(len(reads))
+    assert counts[0] == counts[1] <= 1
+    assert capsys.readouterr().err == 2 * (
+        "warning: unknown-name: absent does not occur in the KB\n")
 
 
 def test_query_missing_verb_exits_2(flr_file, capsys):

@@ -459,3 +459,25 @@ READER_DIGESTS = {
 @pytest.mark.parametrize("seed", sorted(READER_DIGESTS))
 def test_reader_on_mutated_text_is_unchanged(seed):
     assert reader_digest(seed) == READER_DIGESTS[seed]
+
+
+def test_reader_builds_each_term_once():
+    """One ``Atom`` per class term and one term per lexeme for a whole
+    document; an equal quoted and plain name stay two atoms."""
+    text = "".join(f"?X:D{i} :- ?X:C, ?Y[p -> ?X], ?Y:'C'.\n"
+                   for i in range(10))
+    program, diags = parse_program(text + "x:'urn:c'.\ny:urn:c.\n")
+    assert diags == []
+    rules = program.rules[:10]
+    heads = [r.head for r in rules]
+    bodies = [r.body for r in rules]
+    assert len({id(b[0].cls) for b in bodies}) == 1
+    assert len({id(b[2].cls) for b in bodies}) == 1
+    assert bodies[0][0].cls is not bodies[0][2].cls
+    assert len({id(h.obj) for h in heads} | {id(b[0].obj) for b in bodies}
+               | {id(b[1].value) for b in bodies}) == 1
+    assert len({id(b[1].obj) for b in bodies}) == 1
+    assert len({id(b[1].prop) for b in bodies}) == 1
+    quoted, plain = (r.head.cls for r in program.rules[10:])
+    assert quoted == plain and quoted is not plain
+    assert (quoted.term.quoted, plain.term.quoted) == (True, False)

@@ -7,6 +7,7 @@ fields.  ``FlPred.quoted`` is presentation only, left out of equality and
 hash.  ``OntologyDocument`` and ``FlProgram`` are mutable and unhashable.
 """
 
+import gc
 import inspect
 import itertools
 
@@ -138,6 +139,10 @@ def _ident(case):
     return case[0].__name__
 
 
+def _ident_node(node):
+    return type(node).__name__
+
+
 def _make(cls, fields):
     return cls(*(v for _, v in fields))
 
@@ -204,6 +209,16 @@ def test_same_fields_other_class_unequal():
         nodes = [cls(*args) for cls in classes]
         for a, b in itertools.combinations(nodes, 2):
             assert a != b and b != a and not a == b, (a, b)
+
+
+@pytest.mark.parametrize("node", [ISA, FlAttrValue(X, S, T),
+                                  FlPred("p", (S,), True)], ids=_ident_node)
+def test_a_node_holds_its_fields_alone(node):
+    """A node refers to its field values and its class, and to no tuple of
+    the compared fields beside them."""
+    held = [r for r in gc.get_referents(node) if r is not type(node)]
+    assert sorted(map(id, held)) == \
+        sorted(id(getattr(node, name)) for name in node._fields)
 
 
 def test_quoted_is_presentation_only():

@@ -47,6 +47,26 @@ def test_map_xml_type_unknown_warns():
     assert diag is not None and diag.severity == "warning"
 
 
+def test_one_named_class_per_iri():
+    """Every mention of a class in a document is the one ``Named`` of its
+    IRI, and so is each class that the way back from F-logic names."""
+    doc, _ = doc_of('<owl:Class rdf:about="#A"><rdfs:subClassOf '
+                    'rdf:resource="#B"/></owl:Class>'
+                    '<owl:Class rdf:about="#C"><rdfs:subClassOf '
+                    'rdf:resource="#B"/><rdfs:subClassOf rdf:resource="#A"/>'
+                    '</owl:Class>'
+                    '<owl:Class rdf:about="#B"><owl:equivalentClass>'
+                    '<owl:Class rdf:about="#A"/></owl:equivalentClass>'
+                    '</owl:Class>')
+    for axioms in (doc.class_axioms,
+                   translate_program(translate_ontology(doc)[0])[0]
+                   .class_axioms):
+        named = [getattr(ax, f) for ax in axioms for f in ax._fields
+                 if isinstance(getattr(ax, f), om.Named)]
+        assert len(named) >= 6
+        assert len({id(n) for n in named}) == len(set(named)) == 3
+
+
 # --- class axioms ------------------------------------------------------------
 
 
