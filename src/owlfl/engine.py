@@ -18,9 +18,11 @@ literal joins a plan once its list is bound, as a negation does once its
 variables are.
 Structural rules (subclass transitivity, membership inheritance, universal
 ``_object`` membership) and the closure rules of transitive properties are
-applied to each new fact as it is added; an individual is held as its
-``_object`` membership and nowhere else.  The KB holds each base fact once, as
-the (relation, args) tuple the store keeps, so an insert dedups by one lookup.
+native.  A fresh store takes its base facts a relation at a time and closes
+them in bulk, by reachability; a fact derived or inserted later is closed
+against the store as it is added.  An individual is held as its ``_object``
+membership and nowhere else.  The KB holds each base fact once, as the
+(relation, args) tuple the store keeps, so an insert dedups by one lookup.
 The saturated store is kept on the KB, and inserted facts extend it when no
 rule body holds a negation.
 Queries keep one solution per printed form and sort by it; a symbol works
@@ -60,7 +62,8 @@ class Relation:
     """A set of ground tuples with hash indexes on argument positions.
 
     The index on a tuple of positions is built by the first lookup that
-    binds exactly those positions and kept up to date by ``add``.
+    binds exactly those positions, or handed over whole by ``take``, and
+    kept up to date by ``add``.
     """
 
     __slots__ = ("facts", "indexes")
@@ -95,6 +98,13 @@ class Relation:
         if entry is None:
             return self.index(positions).get(key, ())
         return entry[1].get(key, ())
+
+    def take(self, position: int, index: Dict[object, List[tuple]]):
+        """Add the tuples of ``index``, which files every tuple the relation
+        is to hold once by its value at ``position``, and keep it as the
+        index on that position."""
+        self.facts.update(*index.values())
+        self.indexes[(position,)] = (itemgetter(position), index)
 
 
 class FactStore:
@@ -165,7 +175,7 @@ class KnowledgeBase:
 # --- loading -----------------------------------------------------------------
 
 
-_CONSTANTS = (FlSymbol, FlLiteralTerm)
+_CONSTANTS = frozenset({FlSymbol, FlLiteralTerm})
 
 
 def _literal_vars(x, out: Set[str]):
@@ -194,27 +204,51 @@ def _positive_vars(body: Sequence[FlLit]) -> Set[str]:
     return out
 
 
+# what a part of a fact can be without holding a variable: a constant, or
+# the plain value of a name, a cardinality bound or a flag
+_PLAIN = _CONSTANTS | {str, int, bool, type(None)}
+
+
 def _is_ground(fact: FlLit) -> bool:
-    """Whether a fact has no variables; constant parts skip the walk."""
+    """Whether a fact has no variables; a part that is plain, a named class
+    or a tuple of plain values skips the walk."""
     for part in fact._fields:
         x = getattr(fact, part)
         if type(x) is Atom:
             x = x.term
-        if type(x) not in _CONSTANTS:
+        elif type(x) is tuple and _PLAIN.issuperset(map(type, x)):
+            continue
+        if type(x) not in _PLAIN:
             return not literal_vars(fact)
     return True
 
 
 def load_program(program: FlProgram) -> KnowledgeBase:
     """Index rules and facts; reject unsafe or term-inventing rules and
-    facts the store cannot hold."""
+    facts the store cannot hold.  A membership, an attribute value or a
+    ``::`` fact whose parts are all constants (nearly every fact) is filed
+    by the type of its head; each signature is kept once."""
     rules: List[FlRule] = []
     base_facts: Dict[Tuple[object, tuple], None] = {}
-    signatures: List[FlSignature] = []
+    signatures: Dict[FlSignature, None] = {}
     equivalences: List[FlEquiv] = []
     checker: List[FlRule] = []
     for rule in program.rules:
         head = rule.head
+        if not rule.body:
+            kind = type(head)
+            if kind is FlAttrValue:
+                args = head.obj, head.prop, head.value
+            elif kind is FlIsA and type(head.cls) is Atom:
+                args = head.obj, head.cls.term
+            elif kind is FlSubClass and type(head.sub) is Atom and \
+                    type(head.super) is Atom:
+                args = head.sub.term, head.super.term
+            else:
+                args = ()
+            if args and _CONSTANTS.issuperset(map(type, args)):
+                base_facts[_FAMILY[kind], args] = None
+                continue
         if is_checker_rule(rule):
             checker.append(rule)
             continue
@@ -223,7 +257,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                 raise EngineError("non-range-restricted",
                                   f"fact with variables: {print_literal(head)}")
             if isinstance(head, FlSignature):
-                signatures.append(head)
+                signatures[head] = None  # checked once, however often stated
             elif isinstance(head, FlEquiv):
                 equivalences.append(head)
             else:
@@ -253,8 +287,8 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                     f"negated variables {sorted(naf_vars - pos_vars)} not "
                     f"bound by a positive body literal")
         rules.append(rule)
-    return KnowledgeBase(rules, base_facts, signatures, equivalences, checker,
-                         dict(program.prefixes))
+    return KnowledgeBase(rules, base_facts, list(signatures), equivalences,
+                         checker, dict(program.prefixes))
 
 
 # --- stratification ----------------------------------------------------------
@@ -311,15 +345,43 @@ def _makes_individuals(rule: FlRule) -> bool:
     return any(not isinstance(t, FlVariable) or t not in bound for t in terms)
 
 
-def _reach(start, edges) -> Set:
-    """The nodes a path of one edge or more leads to from ``start``;
-    ``edges`` maps a node to its (node, label) pairs."""
-    seen, work = set(), [start]
-    while work:
-        new = {node for node, _ in edges.get(work.pop(), ())} - seen
-        seen |= new
-        work.extend(new)
-    return seen
+def _reaches(edges: Dict[object, list]) -> Dict[object, Set]:
+    """The nodes a path of one edge or more leads to from each node with an
+    edge; ``edges`` maps a node to its (node, label) pairs.  The nodes are
+    walked in depth-first postorder, and a walk that comes to a node already
+    walked takes that node's set whole, so along a chain each set is one
+    union of the next one's."""
+    order: List[object] = []
+    found: Set[object] = set()
+    for root in edges:
+        if root in found:
+            continue
+        found.add(root)
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            node, out = stack[-1]
+            for nxt, _ in out:
+                if nxt not in found:
+                    found.add(nxt)
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    done: Dict[object, Set] = {}
+    for start in order:
+        seen, work = set(), [start]
+        while work:
+            node = work.pop()
+            if node in done:
+                seen |= done[node]
+                continue
+            new = {n for n, _ in edges.get(node, ())} - seen
+            seen |= new
+            work.extend(new)
+        if seen:
+            done[start] = seen
+    return done
 
 
 def _negation_cycle(users: Dict[object, list]):
@@ -329,9 +391,10 @@ def _negation_cycle(users: Dict[object, list]):
     for src, readers in users.items():
         for dst, _ in readers:
             back[dst].append((src, False))
+    down, up = _reaches(users), _reaches(back)
     dst = next(dst for src, readers in users.items() for dst, neg in readers
-               if neg and src in _reach(dst, users))
-    cycle = sorted(map(str, _reach(dst, users) & _reach(dst, back)))
+               if neg and src in down.get(dst, ()))
+    cycle = sorted(map(str, down[dst] & up[dst]))
     raise EngineError("non-stratified-program",
                       "negation cycle through " + ", ".join(cycle))
 
@@ -829,10 +892,63 @@ class _Rule:
 # --- saturation --------------------------------------------------------------
 
 
-def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
-            added: Optional[Dict[object, Relation]] = None):
-    """Add facts and their structural consequences; return ``added`` with
-    the new ones put in it by relation, if it is given.
+def _transitive(attr: Relation, p: FlTerm) -> List[tuple]:
+    """The ``attr`` edges of ``p``'s transitive closure: one from each node
+    to every node a path of ``p`` edges leads to."""
+    edges: Dict[FlTerm, list] = {}
+    for x, _, y in attr.lookup((1,), p):
+        edges.setdefault(x, []).append((y, p))
+    return [(x, p, y) for x, ends in _reaches(edges).items() for y in ends]
+
+
+def _load(store: FactStore, facts: Iterable[Tuple[object, tuple]]):
+    """Load the base facts into a fresh store, each relation as one set, and
+    close them in bulk: ``sub`` by reachability, each class's members into
+    every class above it, every member, attribute end and ``oneOf`` element
+    into ``_object``, and each closed property transitively.  The closure
+    files the ``isa`` tuples by class and the ``sub`` tuples by either
+    class, and those filings are the indexes ``_assert`` probes."""
+    rels = store.relations
+    for key, t in facts:
+        rel = rels.get(key)
+        if rel is None:
+            rel = rels[key] = Relation()
+        rel.facts.add(t)
+    isa, sub, attr = (rels[k] for k in (ISA, SUB, ATTR))
+    closed = store.closed
+    for g in store.guards & rels.keys():
+        closed.update(p for p, in rels[g].facts)
+    for p in closed:
+        for t in _transitive(attr, p):
+            attr.add(t)
+    objects = {x for x, _ in isa.facts}
+    objects.update(map(itemgetter(0), attr.facts),
+                   map(itemgetter(2), attr.facts))
+    for _, items in rels.get(("oneOf", 2), Relation()).facts:
+        if isinstance(items, FlList):
+            objects.update(items.elements)
+    members: Dict[FlTerm, Set[FlTerm]] = {OBJECT: objects}
+    for x, c in isa.facts:
+        members.setdefault(c, set()).add(x)
+    above: Dict[FlTerm, list] = {}
+    for a, c in sub.facts:
+        above.setdefault(a, []).append((c, None))
+    sub.take(0, {a: [(a, c) for c in cs]
+                 for a, cs in _reaches(above).items()})
+    below = sub.index((1,))
+    by_class: Dict[FlTerm, List[tuple]] = {}
+    for c in members.keys() | below.keys():
+        found = members.get(c, set()).union(
+            *[members[b] for b, _ in below.get(c, ()) if b in members])
+        if found:
+            by_class[c] = [(x, c) for x in found]
+    isa.take(1, by_class)
+
+
+def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
+            ) -> Dict[object, Relation]:
+    """Add facts to a closed store with their structural consequences, and
+    return the new ones by relation.
 
     Each fact is closed against the store once, when it is added, so
     ``sub`` stays transitively closed and ``isa`` closed under it.  A new
@@ -841,11 +957,12 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
     its lower one.  A new ``isa`` fact adds the superclasses of its class,
     and a new individual gets its ``_object`` membership.  The ``attr``
     edges of a closed property are kept closed the way ``sub`` is; when a
-    guard first closes a property, each node gets an edge to every node it
-    reaches.
+    guard first closes a property, its closure is added as ``_load`` adds
+    it.
     """
     isa, sub, attr = (store.relations[k] for k in (ISA, SUB, ATTR))
     closed = store.closed
+    added: Dict[object, Relation] = {}
 
     def close(x, p, y):
         """Add an edge of ``p`` from x or a node with one into x to y or a
@@ -863,8 +980,6 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
             rel = added[key] = Relation()
         rel.add(t)
         return True
-    if added is None:  # the base facts: nothing reads what was new
-        add = store.add
 
     work = list(facts)
     while work:
@@ -891,13 +1006,8 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]],
                 close(*t)
         elif key in store.guards and t[0] not in closed:
             closed.add(t[0])
-            edges: Dict[FlTerm, list] = {}
-            for x, p, y in attr.facts:
-                if p == t[0]:
-                    edges.setdefault(x, []).append((y, p))
-            for x in edges:
-                for y in _reach(x, edges):
-                    add(ATTR, (x, t[0], y))
+            for e in _transitive(attr, t[0]):
+                add(ATTR, e)
         elif key == ("oneOf", 2) and isinstance(t[1], FlList):
             members = t[1].elements
         for x in members:
@@ -972,7 +1082,7 @@ def _run_stratum(stratum: tuple, store: FactStore,
         for rule, plan in runs:
             for env in _solve(plan, list(rule.env), store, delta):
                 new.add((rule.rel, rule.instantiate(env)))
-        delta = _assert(store, new, {})
+        delta = _assert(store, new)
         if not delta:
             return
         runs = _fired(filed, delta, store)
@@ -982,11 +1092,13 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     """The KB's saturated store: its least model, computed stratum by
     stratum.
 
-    The store is kept on the KB.  Facts inserted since it was built are
-    added to it in place, and the rules run from them only, when no rule
-    body reads a relation under negation: the program then has a single
-    stratum and its least model only grows with more facts.  A program with
-    negation is saturated again from its base facts instead.
+    A fresh store is loaded in bulk (``_load``), and each stratum's rules
+    add their derivations through ``_assert``.  The store is kept on the
+    KB.  Facts inserted since it was built are added to it in place by
+    ``_assert``, and the rules run from them only, when no rule body reads
+    a relation under negation: the program then has a single stratum and
+    its least model only grows with more facts.  A program with negation is
+    saturated again from its base facts instead.
     """
     store, pending = kb._store, kb._pending
     if store is not None and not pending:
@@ -995,10 +1107,10 @@ def saturate(kb: KnowledgeBase) -> FactStore:
     # an error below leaves no half-updated store behind
     kb._store, kb._pending = None, []
     if store is not None and not kb._negation:
-        delta = _assert(store, pending, {})
+        delta = _assert(store, pending)
     else:
         store, delta = FactStore(kb._closures), None
-        _assert(store, kb.base_facts)
+        _load(store, kb.base_facts)
     for stratum in strata:
         _run_stratum(stratum, store, delta)
     kb._store = store
@@ -1200,14 +1312,15 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
     """Add one ground fact to the base facts as its head, which one lookup
     dedups.  The next ``saturate`` adds it to the saturated store (see
     there); a fact already among the base facts, a signature or an
-    equivalence leaves the store as it is.  A fact the store cannot hold, or
-    a ``::`` fact that closes a negation cycle, is rejected before the KB
-    changes."""
+    equivalence leaves the store as it is, and a signature the KB already
+    holds leaves the KB as it is.  A fact the store cannot hold, or a ``::``
+    fact that closes a negation cycle, is rejected before the KB changes."""
     if not _is_ground(fact_lit):
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
     if isinstance(fact_lit, FlSignature):
-        kb.signatures.append(fact_lit)
+        if fact_lit not in kb.signatures:
+            kb.signatures.append(fact_lit)
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         head = _head(fact_lit)
         if head not in kb.base_facts:

@@ -148,9 +148,10 @@ class _DocParser:
         self.diagnostics: List[Diagnostic] = []
         self._blank_counter = 0
         # the IRI of each reference and of each element or attribute name,
-        # worked out once per document
+        # worked out once per document, and one checked Iri per IRI value
         self._resolved: Dict[str, Iri] = {}
         self._named: Dict[str, Iri] = {}
+        self._iris: Dict[str, Iri] = {}
         self._classes: Dict[str, Named] = {}  # IRI -> its one class
 
     # -- helpers
@@ -164,6 +165,13 @@ class _DocParser:
     def fresh_blank(self) -> Iri:
         self._blank_counter += 1
         return Iri(namespace(self.base) + f"_:b{self._blank_counter}")
+
+    def iri(self, value: str) -> Iri:
+        """The one ``Iri`` of ``value`` in this document."""
+        iri = self._iris.get(value)
+        if iri is None:
+            iri = self._iris[value] = Iri(value)
+        return iri
 
     def resolve(self, ref: str) -> Iri:
         """Resolve an rdf:ID / rdf:about / rdf:resource value."""
@@ -181,10 +189,10 @@ class _DocParser:
             value = value[1:]
         pfx, colon, local = value.partition(":")
         if colon and pfx in self.prefixes:
-            return Iri(namespace(self.prefixes[pfx]) + local)
+            return self.iri(namespace(self.prefixes[pfx]) + local)
         if not fragment and is_absolute(value):
-            return Iri(value)
-        return Iri(namespace(self.base) + value)
+            return self.iri(value)
+        return self.iri(namespace(self.base) + value)
 
     def resource(self, el: ET.Element) -> Optional[Iri]:
         """The resolved rdf:resource of ``el``, if it has one."""
@@ -198,7 +206,7 @@ class _DocParser:
         if iri is None:
             if name.startswith("{"):
                 ns, local = name[1:].split("}", 1)
-                iri = Iri(namespace(ns) + local)
+                iri = self.iri(namespace(ns) + local)
             else:
                 iri = self.resolve(name)
             self._named[name] = iri
@@ -297,7 +305,7 @@ class _DocParser:
         expr = next(self.class_operands(el), None)
         if expr is None:
             self.warn("unknown-construct", "missing restriction filler")
-            return self.named(Iri(THING))
+            return self.named(self.iri(THING))
         return expr
 
     def _literal(self, el: ET.Element) -> OwlLiteral:

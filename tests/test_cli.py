@@ -310,6 +310,30 @@ def test_check_cardinality_and_min_flag(tmp_path, capsys):
     assert main(["check", "--min-cardinality", str(kb)]) == 1
 
 
+def test_check_reports_a_signature_stated_twice_once(tmp_path, capsys):
+    """Two identical maxCardinality restrictions lower to two equal
+    signatures; the KB keeps one, so the violation prints once, in the
+    document and when the same signature is inserted again."""
+    restriction = ('<rdfs:subClassOf><owl:Restriction>'
+                   '<owl:onProperty rdf:resource="#p"/>'
+                   '<owl:maxCardinality>1</owl:maxCardinality>'
+                   '</owl:Restriction></rdfs:subClassOf>')
+    doc = tmp_path / "twice.owl"
+    doc.write_text(OWL_DOC.replace(
+        '<rdfs:subClassOf rdf:resource="#Wine"/>', 2 * restriction).replace(
+        "</rdf:RDF>", '<RedWine rdf:about="#a"><p rdf:resource="#b1"/>'
+        '<p rdf:resource="#b2"/></RedWine></rdf:RDF>'))
+    message = ("[OWL2FLORA] cardinality constraint violation: KB is "
+               "inconsistent with the constraints: a.p has 2 distinct "
+               "values, allowed {0:1}\n")
+    assert main(["check", str(doc)]) == 1
+    assert capsys.readouterr().out == message
+    again = tmp_path / "again.flr"
+    again.write_text("RedWine[p{0:1} *=> _object].\n")
+    assert main(["check", str(doc), str(again)]) == 1
+    assert capsys.readouterr().out == message
+
+
 def test_check_merges_owl_and_flora_inputs(owl_file, tmp_path, capsys):
     abox = tmp_path / "abox.flr"
     abox.write_text("alex:Male.\nalex:Female.\n")

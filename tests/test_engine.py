@@ -538,6 +538,20 @@ def test_insert_duplicate_is_idempotent():
     assert store_facts(kb.store) == before
 
 
+def test_a_signature_is_held_and_checked_once():
+    """A signature stated twice, or inserted again, is one signature, and
+    its bound is checked once."""
+    kb = kb_from("C[p{0:1} *=> _object].\nC[p{0:1} *=> _object].\n"
+                 "a:C.\na[p -> b1].\na[p -> b2].")
+    assert len(kb.signatures) == 1
+    insert_fact(kb, FlSignature(atom("C"), FlSymbol("p"), atom("_object"),
+                                (0, 1)))
+    assert len(kb.signatures) == 1
+    assert [v.message for v in run_constraint_checks(kb)] == [
+        "[OWL2FLORA] cardinality constraint violation: KB is inconsistent "
+        "with the constraints: a.p has 2 distinct values, allowed {0:1}"]
+
+
 def test_equivalence_fact_adds_no_facts():
     kb = kb_from("a:Vin.\nWine :=: Vin.")
     assert store_facts(kb.store) == store_facts(kb_from("a:Vin.").store)
@@ -1658,3 +1672,84 @@ def test_transitive_rule_closes_natively_in_either_body_order(swapped,
             store = saturate(kb)
             assert (store.isa, store.attr) == (isa, attr), \
                 f"trial {trial}: {inserted}"
+
+
+def random_base_facts(rng):
+    """A program of base facts of every stored shape, over few classes so
+    that ``::`` cycles and self-edges come often, with ``_object`` on either
+    side of ``::``; memberships; attribute edges of a guarded property
+    ``p`` (its ``'TransitiveProperty'`` fact present or not), of a property
+    ``q`` that a constant rule closes, and of an open one ``r``; list-valued
+    attributes; ``oneOf`` lists; and other predicate facts."""
+    classes = [FlSymbol(f"C{k}") for k in range(4)] + [FlSymbol("_object")]
+    inds = [FlSymbol(f"i{k}") for k in range(6)]
+    lines = [print_rule(TRANSITIVE_RULE),
+             "?X[q -> ?Z] :- ?X[q -> ?Y], ?Y[q -> ?Z]."]
+    if rng.random() < 0.5:
+        lines.append("'TransitiveProperty'(p).")
+    heads = []
+    for _ in range(rng.randrange(4, 40)):
+        kind = rng.randrange(7)
+        i, j = rng.choice(inds), rng.choice(inds)
+        c, d = rng.choice(classes), rng.choice(classes)
+        if kind == 0:
+            heads.append(FlIsA(i, Atom(c)))
+        elif kind == 1:
+            heads.append(FlSubClass(Atom(c), Atom(d)))
+        elif kind == 2:
+            heads.append(FlAttrValue(i, FlSymbol(rng.choice("pqr")), j))
+        elif kind == 3:
+            heads.append(FlAttrValue(i, FlSymbol("r"), FlList((j, FlSymbol(
+                "w0")))))
+        elif kind == 4:
+            heads.append(FlPred("oneOf", (c, FlList(tuple(rng.sample(
+                inds + [FlSymbol("w1")], 2))))))
+        elif kind == 5:
+            heads.append(FlPred("below", (c, d)))
+        else:
+            heads.append(FlAttrValue(i, FlSymbol("label"),
+                                     FlLiteralTerm(f"l{rng.randrange(3)}")))
+    program, diags = parse_program("\n".join(lines))
+    assert not diags
+    return FlProgram(program.rules + tuple(map(fact, heads)))
+
+
+def test_bulk_load_equals_closing_fact_by_fact():
+    """A fresh store loaded in bulk holds, relation by relation, what
+    ``_assert`` builds adding the same base facts one at a time, in shuffled
+    order, to an empty store; the indexes the bulk load leaves hold what an
+    index built from the facts holds."""
+    rng = random.Random(20261021)
+    seen = {"cycle": 0, "object-below": 0, "guarded": 0, "unguarded": 0,
+            "list-value": 0, "oneOf": 0}
+    obj = FlSymbol("_object")
+    for trial in range(300):
+        kb = load_program(random_base_facts(rng))
+        facts = list(kb.base_facts)
+        bulk = engine.FactStore(kb._closures)
+        engine._load(bulk, facts)
+        rng.shuffle(facts)
+        one = engine.FactStore(kb._closures)
+        for f in facts:
+            engine._assert(one, [f])
+        assert {k: r.facts for k, r in bulk.relations.items()} == \
+            {k: r.facts for k, r in one.relations.items()}, f"trial {trial}"
+        assert bulk.closed == one.closed, f"trial {trial}"
+        for rel in bulk.relations.values():
+            for positions, (_, index) in rel.indexes.items():
+                built = Relation()
+                built.facts = rel.facts
+                assert {k: sorted(v, key=repr) for k, v in index.items()} \
+                    == {k: sorted(v, key=repr) for k, v in
+                        built.index(positions).items()}, f"trial {trial}"
+        assert {(engine.ISA, (1,)), (engine.SUB, (0,)), (engine.SUB, (1,))} \
+            <= {(k, p) for k, r in bulk.relations.items() for p in r.indexes}
+        seen["cycle"] += any((c, c) in bulk.sub for c, _ in bulk.sub)
+        seen["object-below"] += any(c == obj for c, _ in bulk.sub)
+        guarded = FlSymbol("p") in bulk.closed
+        seen["guarded" if guarded else "unguarded"] += any(
+            p == FlSymbol("p") for _, p, _ in bulk.attr)
+        seen["list-value"] += any(isinstance(v, FlList)
+                                  for _, _, v in bulk.attr)
+        seen["oneOf"] += ("oneOf", 2) in bulk.relations
+    assert all(seen.values()), seen

@@ -67,6 +67,35 @@ def test_one_named_class_per_iri():
         assert len({id(n) for n in named}) == len(set(named)) == 3
 
 
+def test_one_iri_per_iri_value():
+    """A name written ``#Wine``, ``Wine``, as the full IRI or as an element
+    name is the one ``Iri`` of its value."""
+    doc, _ = doc_of('<owl:Class rdf:about="#RedWine"><rdfs:subClassOf '
+                    'rdf:resource="Wine"/></owl:Class>'
+                    '<owl:Class rdf:about="http://example.org/wine#Rose">'
+                    '<rdfs:subClassOf rdf:resource="#Wine"/></owl:Class>'
+                    '<owl:Class rdf:about="#White"><rdfs:subClassOf '
+                    'rdf:resource="http://example.org/wine#Wine"/>'
+                    '</owl:Class>'
+                    '<Wine rdf:about="#w1"/><RedWine rdf:about="w2"/>')
+    found = []
+
+    def walk(x):
+        if isinstance(x, om.Iri):
+            found.append(x)
+        elif isinstance(x, (list, tuple)):
+            for e in x:
+                walk(e)
+        elif hasattr(x, "_fields"):
+            for f in x._fields:
+                walk(getattr(x, f))
+
+    walk(doc.class_axioms + doc.assertions)
+    wine = [x for x in found if x == iri("Wine")]
+    assert len(wine) == 4 and len({id(x) for x in wine}) == 1
+    assert len({id(x) for x in found}) == len(set(found)) == 6
+
+
 # --- class axioms ------------------------------------------------------------
 
 
