@@ -6,7 +6,9 @@ on the argument positions a lookup binds.  Rule and checker bodies, goals and
 class tests compile into join plans over variable slots once per shape (the
 conjunction with its constants taken out) per process, and every KB shares
 them; a shape's semi-naive plans are compiled when a rule first needs them,
-and a rule's triggers are read from them.
+and a rule's triggers are read from them.  Each step is compiled for the
+variables bound before it, so a scan's index and key are fixed at compile
+time.
 The plan of a semi-naive pass starts at the round's new facts and is filed
 under the constants of the literal it starts at, and a pass that starts at an
 attribute ``?X[p -> ?Y]`` also under the class C of a body literal ``?X:C``.
@@ -460,7 +462,9 @@ def stratify(kb: KnowledgeBase) -> Stratification:
 # A conjunction compiles once into a tuple of steps over an environment: a
 # list with one slot per variable, ``None`` while unbound.  A step is a
 # generator function of (env, store, delta) that binds slots for each of its
-# solutions in turn, yields, and unbinds them once exhausted.  A body
+# solutions in turn, yields, and unbinds them once exhausted.  Which slots
+# are bound when a step starts is fixed when it is compiled, so a scan reads
+# its key and writes its free slots with no test of the env.  A body
 # argument compiles to its slot (a variable), to a tuple of arguments (a
 # list with variables in it) or to itself (any other term).
 
@@ -491,47 +495,87 @@ def _match(a, value: FlTerm, env, bound: List[int]) -> bool:
     return a == value
 
 
-def _scan(rel_key, args: tuple, use_delta: bool):
-    """A positive literal over a stored relation, or over the round's new
-    facts of it.  The bound arguments select the index to probe."""
-    slots = [a for a in args if type(a) is int]
-    # every argument is a ground term or a variable occurring once
-    simple = len(slots) == len(set(slots)) and tuple not in map(type, args)
+def _key(args: list, whole: bool = False):
+    """A function of an env giving the values of ``args``, each a slot or a
+    ground term, as a tuple; one argument's value alone unless ``whole``."""
+    if len(args) > whole and all(type(a) is int for a in args):
+        return itemgetter(*args)
+    if len(args) == 1 and not whole:
+        return lambda env, c=args[0]: c
+    return lambda env: tuple([env[a] if type(a) is int else a for a in args])
 
-    def run(env, store, delta):
-        rel = (delta if use_delta else store.relations).get(rel_key)
-        if rel is None:
-            return
-        positions, key, free = [], [], []
-        for p, a in enumerate(args):
-            v = _value(a, env)
-            if v is None:
-                free.append((p, a))
-            else:
-                positions.append(p)
-                key.append(v)
-        if not free:
-            if tuple(key) in rel.facts:
+
+def _scan(rel_key, terms: tuple, slots: Dict[str, int], use_delta: bool,
+          bound: Set[str], maybe: Set[str], negated: bool = False):
+    """A positive literal over a stored relation, or over the round's new
+    facts of it; with ``negated``, the negation of one whose arguments are
+    all bound.  Its bound positions are fixed here: ``bound`` holds the
+    variables that every path to the step binds, ``maybe`` those that some
+    paths bind.  With every argument bound the step tests one tuple; with
+    some, it probes their index with a key read from the env by
+    ``itemgetter`` and writes each free variable's slot.  A list with
+    variables, a variable repeated in the literal and one in ``maybe`` are
+    unified by ``_match``."""
+    args = [_arg(t, slots) for t in terms]
+    names = [t.name for t in terms if type(t) is FlVariable]
+    positions, key, free, matched = [], [], [], []
+    for p, (t, a) in enumerate(zip(terms, args)):
+        if type(a) not in (int, tuple) or type(a) is int and t.name in bound:
+            positions.append(p)
+            key.append(a)
+        elif type(a) is tuple or t.name in maybe or names.count(t.name) > 1:
+            matched.append((p, a))
+        else:
+            free.append((p, a))
+    positions = tuple(positions)
+    if not free and not matched:
+        whole = _key(key, True)
+
+        def test(env, store, delta):
+            rel = (delta if use_delta else store.relations).get(rel_key)
+            if (rel is not None and whole(env) in rel.facts) != negated:
                 yield
-            return
-        facts = rel.lookup(tuple(positions),
-                           key[0] if len(key) == 1 else tuple(key)) \
-            if positions else rel.facts
-        if simple:
-            for t in facts:
+        return test
+    get = _key(key)
+    if len(free) == 1 and not matched:
+        (p, s), = free
+
+        def one(env, store, delta):
+            rel = (delta if use_delta else store.relations).get(rel_key)
+            if rel is None:
+                return
+            for t in rel.lookup(positions, get(env)) if positions \
+                    else rel.facts:
+                env[s] = t[p]
+                yield
+            env[s] = None
+        return one
+    if not matched:
+        def run(env, store, delta):
+            rel = (delta if use_delta else store.relations).get(rel_key)
+            if rel is None:
+                return
+            for t in rel.lookup(positions, get(env)) if positions \
+                    else rel.facts:
                 for p, s in free:
                     env[s] = t[p]
                 yield
             for _, s in free:
                 env[s] = None
+        return run
+    matched = sorted(matched + free)
+
+    def unify(env, store, delta):
+        rel = (delta if use_delta else store.relations).get(rel_key)
+        if rel is None:
             return
-        for t in facts:
-            bound: List[int] = []
-            if all(_match(a, t[p], env, bound) for p, a in free):
+        for t in rel.lookup(positions, get(env)) if positions else rel.facts:
+            new: List[int] = []
+            if all(_match(a, t[p], env, new) for p, a in matched):
                 yield
-            for s in bound:
+            for s in new:
                 env[s] = None
-    return run
+    return unify
 
 
 def _alt(*plans):
@@ -605,39 +649,54 @@ def _expr_term(e: FlClassExpr) -> Optional[FlTerm]:
     return e.term if isinstance(e, Atom) else None
 
 
-def _isa_step(obj, cls: FlClassExpr, slots, use_delta: bool):
+def _isa_step(obj: FlTerm, cls: FlClassExpr, slots, use_delta: bool,
+              bound: Set[str], maybe: Set[str]):
+    """A membership in a class expression.  Every branch binds the object;
+    the second operand of an intersection or difference runs after the
+    first, so it has the object bound and the first's variables in
+    ``maybe``."""
     if isinstance(cls, Atom):
-        return _scan(ISA, (obj, _arg(cls.term, slots)), use_delta)
+        return _scan(ISA, (obj, cls.term), slots, use_delta, bound, maybe)
     if isinstance(cls, FlUnion):
-        return _alt((_isa_step(obj, cls.a, slots, use_delta),),
-                    (_isa_step(obj, cls.b, slots, use_delta),))
+        return _alt((_isa_step(obj, cls.a, slots, use_delta, bound, maybe),),
+                    (_isa_step(obj, cls.b, slots, use_delta, bound, maybe),))
+    after = bound | literal_vars(obj), maybe | literal_vars(cls.a)
     if isinstance(cls, FlIntersection):
-        a, b = (_isa_step(obj, cls.a, slots, False),
-                _isa_step(obj, cls.b, slots, False))
+        a, b = (_isa_step(obj, cls.a, slots, False, bound, maybe),
+                _isa_step(obj, cls.b, slots, False, *after))
         if not use_delta:
             return _alt((a, b))
         # a new member of either operand can complete the intersection
-        return _alt((_isa_step(obj, cls.a, slots, True), b),
-                    (a, _isa_step(obj, cls.b, slots, True)))
+        return _alt((_isa_step(obj, cls.a, slots, True, bound, maybe), b),
+                    (a, _isa_step(obj, cls.b, slots, True, *after)))
     # a difference, the last kind of class expression
-    return _alt((_isa_step(obj, cls.a, slots, use_delta),
-                 _not((_isa_step(obj, cls.b, slots, False),))))
+    return _alt((_isa_step(obj, cls.a, slots, use_delta, bound, maybe),
+                 _not((_isa_step(obj, cls.b, slots, False, *after),))))
 
 
 def _compile_literal(lit: FlLit, slots: Dict[str, int], use_delta: bool,
-                     needs: Set[str]):
+                     needs: Set[str], bound: Set[str], maybe: Set[str]):
+    """The step of a literal, given the variables bound before it (see
+    ``_scan``)."""
     if isinstance(lit, FlIsA):
-        return _isa_step(_arg(lit.obj, slots), lit.cls, slots, use_delta)
+        return _isa_step(lit.obj, lit.cls, slots, use_delta, bound, maybe)
     args = _args(lit)
     if args is not None:  # ``::``, an attribute or a predicate
         if any(a is None for a in args):  # a compound class in ``::``
             return _alt()
-        return _scan(_relation_of(lit), tuple(_arg(a, slots) for a in args),
-                     use_delta)
+        return _scan(_relation_of(lit), args, slots, use_delta, bound, maybe)
     if isinstance(lit, FlNaf):
-        return _not(_compile_conj(lit.inner, slots, bound=needs),
+        inner = lit.inner
+        args = _args(inner[0]) if len(inner) == 1 else None
+        if args and all(type(a) in _CONSTANTS or type(a) is FlVariable and
+                        a.name in bound for a in args):
+            # one literal, every argument bound: a negated set probe
+            return _scan(_relation_of(inner[0]), args, slots, False, bound,
+                         maybe, True)
+        # its variables that may be unbound are checked when it runs
+        return _not(_compile_conj(inner, slots, bound=bound | needs),
                     tuple((_arg(FlVariable(v), slots), v)
-                          for v in sorted(needs)))
+                          for v in sorted(needs - bound)))
     if isinstance(lit, FlNeq):
         return _neq(_arg(lit.a, slots), _arg(lit.b, slots))
     if isinstance(lit, FlMember):
@@ -654,9 +713,13 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
     bound (by ``bound`` or a literal before it); it goes in once they are,
     or at the end.  A variable that occurs in no literal but one negation
     is local to it.  The literal at ``delta_at`` reads only the new facts of
-    the round and goes first, so the pass starts from them."""
+    the round and goes first, so the pass starts from them.  Each step is
+    compiled for the variables bound before it: ``bound`` (the parameters)
+    and those of the positive literals placed earlier, of which a compound
+    class membership binds its object on every path and its class's
+    variables only on some."""
     steps, waiting = [], []
-    bound = set(bound)
+    bound, maybe = set(bound), set()
     order = range(len(literals))
     if delta_at is not None:
         order = [delta_at, *order[:delta_at], *order[delta_at + 1:]]
@@ -675,11 +738,15 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
         while ready := [w for w in waiting if w[2] <= bound]:
             waiting.remove(ready[0])
             lit, needs, _, j = ready[0]
-            steps.append(_compile_literal(lit, slots, j == delta_at, needs))
-            if isinstance(lit, (FlSubClass, FlAttrValue, FlPred, FlMember)) \
-                    or (isinstance(lit, FlIsA) and isinstance(lit.cls, Atom)):
+            steps.append(_compile_literal(lit, slots, j == delta_at, needs,
+                                          bound, maybe))
+            if isinstance(lit, FlIsA) and not isinstance(lit.cls, Atom):
+                bound |= literal_vars(lit.obj)
+                maybe |= needs
+            elif isinstance(lit, (FlSubClass, FlAttrValue, FlPred, FlMember,
+                                  FlIsA)):
                 bound |= needs
-    steps.extend(_compile_literal(lit, slots, False, needs)
+    steps.extend(_compile_literal(lit, slots, False, needs, bound, maybe)
                  for lit, needs, _, _ in waiting)
     return tuple(steps)
 
@@ -1251,8 +1318,7 @@ def _members(cls: FlClassExpr, store: FactStore) -> List[FlTerm]:
 def _is_member(x: FlTerm, cls: FlClassExpr, store: FactStore) -> bool:
     if type(cls) is Atom:
         return (x, cls.term) in store.isa
-    plan, env = _plan((FlIsA(FlVariable("X"), cls),))
-    env[0] = x
+    plan, env = _plan((FlIsA(x, cls),))  # ``x`` is a parameter of the goal
     return next(_solve(plan.full, env, store, None), None) is not None
 
 

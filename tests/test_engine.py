@@ -522,6 +522,20 @@ def test_range_violation():
     assert run_constraint_checks(ok) == []
 
 
+@pytest.mark.parametrize("range_, bad, good", [
+    ("(A ; B)", "v", "a"), ("(_object - A)", "a", "v")])
+def test_range_check_on_a_compound_class_tests_the_value(range_, bad, good):
+    """The tested value is a constant of the class test's goal, so its
+    plan reads it as bound: a plan that took its slot as free would pass
+    any value, since ``A`` and ``_object - A`` both have members here."""
+    text = f"C[p *=> {range_}].\nc:C.\na:A.\nc[p -> ~w]."
+    v = run_constraint_checks(kb_from(text.replace("~w", bad)))
+    assert [x.message for x in v] == [
+        f"[OWL2FLORA] signature range violation: c.p value {bad} is not in "
+        f"class {range_}"]
+    assert run_constraint_checks(kb_from(text.replace("~w", good))) == []
+
+
 # --- insertion ---------------------------------------------------------------
 
 
@@ -995,7 +1009,10 @@ def test_prepared_goals_match_the_old_query_code(make):
     with random constants, on one KB at a time, so most calls reuse a plan
     compiled for other constants; the same answers in the same order, and
     the same errors, as solving each goal from scratch.  An insert between
-    the calls changes the answers but not the plans."""
+    the calls changes the answers but not the plans.  The oracle compiles
+    its goal with the same ``_compile_conj`` and ``_solve``, so it cannot
+    catch a step that binds the wrong slots;
+    ``test_goals_match_an_enumerating_oracle`` does."""
     from owlfl.cli import M, QUERIES, _sub
     rng = random.Random(20261019)
     for trial in range(60):
@@ -1022,6 +1039,199 @@ def test_prepared_goals_match_the_old_query_code(make):
             for var in ("X", "M"):
                 assert outcome(collect_set, kb, var, goal) == \
                     outcome(oracle_collect_set, kb, var, goal), where
+
+
+# --- goals against an enumerating oracle ------------------------------------
+
+GOAL_A, GOAL_INDS = ["A0", "A1", "A2"], ["i0", "i1", "i2", "i3"]
+
+# goal fragments; a goal joins one to three of them, so their variables meet
+GOAL_PARTS = [
+    "?X:{a}", "?X[p -> ?Y]", "?X[p -> ?X]", "?X[?P -> ?Y]", "?X:?C",
+    "{a}::?C", "?C::{a}", "?X:({a} ; {b})", "?X:({a} , {b})",
+    "?X:({a} - {b})", "?X:(?C ; {a}), ?Y:?C", "?X:{a}, \\naf ?X:{b}",
+    "?X[p -> ?Y], \\naf ?Y[q -> ?X]", "?X[p -> ?Y], \\naf (?X:{a}, ?Y:{b})",
+    "?X:{a}, ?X != {i}", "?X:{a}, ?Y:{b}, ?X != ?Y", "l(?L), member(?X, ?L)",
+    "l([?X, ?Y])", "?Y:{a}, member(?X, [?Y, {i}])",
+    # a negation or disequality before the literal that binds its variable
+    "\\naf ?X:{a}, ?X:{b}", "?X != {i}, ?X:{a}",
+]
+UNSAFE_PARTS = 2
+
+
+def _fill(rng, text, classes):
+    return text.format(a=rng.choice(classes), b=rng.choice(classes),
+                       c=rng.choice(classes), i=rng.choice(GOAL_INDS),
+                       j=rng.choice(GOAL_INDS), k=rng.randrange(2))
+
+
+def random_goal_program(rng, negation):
+    """Memberships, ``::`` edges, ``p`` values and ``l/1`` lists over the
+    ``A`` classes; positive rules among them with an intersection and a
+    union body; with ``negation``, rules into ``B0`` and ``B1`` that negate
+    ``A`` memberships and ``q`` values."""
+    lines = [_fill(rng, rng.choice(["{i}:{a}.", "{a}::{b}.", "{i}[p -> {j}].",
+                                    "l([{i}, {j}])."]), GOAL_A)
+             for _ in range(rng.randrange(4, 12))]
+    rules = ["?X:{a} :- ?X:({b} , {c}).", "?X:{a} :- ?X:({b} ; {c}).",
+             "?Y:{a} :- ?X[p -> ?Y], ?X:{b}.", "?X[q -> ?Y] :- ?X[p -> ?Y]."]
+    if negation:
+        rules += ["?X:B{k} :- ?X:{a}, \\naf ?X:{b}.",
+                  "?X:B{k} :- ?X[p -> ?Y], \\naf ?Y[q -> ?X]."]
+    lines += [_fill(rng, rng.choice(rules), GOAL_A)
+              for _ in range(rng.randrange(1, 5))]
+    program, diags = parse_program("\n".join(lines))
+    assert not diags
+    return program
+
+
+def _store_terms(store):
+    """Every term in the store's facts, list elements included."""
+    out, work = set(), [a for rel in store.relations.values()
+                        for t in rel.facts for a in t]
+    while work:
+        t = work.pop()
+        if t not in out:
+            out.add(t)
+            work.extend(t.elements if isinstance(t, FlList) else ())
+    return sorted(out, key=print_term)
+
+
+def _ground(t, b):
+    if isinstance(t, FlVariable):
+        return b[t.name]
+    if isinstance(t, FlList):
+        return FlList(tuple(_ground(e, b) for e in t.elements))
+    return t
+
+
+def _in_class(x, cls, b, store):
+    if isinstance(cls, Atom):
+        return (x, _ground(cls.term, b)) in store.isa
+    a, c = (_in_class(x, e, b, store) for e in (cls.a, cls.b))
+    return a or c if isinstance(cls, FlUnion) else \
+        a and c if isinstance(cls, FlIntersection) else a and not c
+
+
+def _oracle_holds(lit, b, store):
+    """Whether a literal holds in the store with its variables as in
+    ``b``."""
+    if isinstance(lit, FlIsA):
+        return _in_class(_ground(lit.obj, b), lit.cls, b, store)
+    if isinstance(lit, FlSubClass):
+        return (_ground(lit.sub.term, b), _ground(lit.super.term, b)) \
+            in store.sub
+    if isinstance(lit, FlAttrValue):
+        return tuple(_ground(t, b) for t in (lit.obj, lit.prop, lit.value)) \
+            in store.attr
+    if isinstance(lit, FlPred):
+        rel = store.relations.get((lit.name, len(lit.args)))
+        return rel is not None and \
+            tuple(_ground(t, b) for t in lit.args) in rel.facts
+    if isinstance(lit, FlNaf):
+        return not all(_oracle_holds(x, b, store) for x in lit.inner)
+    if isinstance(lit, FlNeq):
+        return _ground(lit.a, b) != _ground(lit.b, b)
+    items = _ground(lit.collection, b)  # a ``member`` literal
+    return isinstance(items, FlList) and _ground(lit.item, b) in items.elements
+
+
+def enumerated_solutions(store, literals):
+    """Every assignment of the literals' variables to the store's terms
+    under which each literal holds; a partial assignment is dropped once a
+    literal whose variables it all binds fails."""
+    names = []
+    for lit in literals:
+        names += sorted(literal_vars(lit) - set(names))
+    terms, out = _store_terms(store), []
+
+    def extend(b):
+        if len(b) == len(names):
+            out.append(dict(b))
+            return
+        var = names[len(b)]
+        for t in terms:
+            b[var] = t
+            if all(_oracle_holds(lit, b, store) for lit in literals
+                   if var in literal_vars(lit) <= b.keys()):
+                extend(b)
+            del b[var]
+    if all(_oracle_holds(lit, {}, store) for lit in literals
+           if not literal_vars(lit)):
+        extend({})
+    return out
+
+
+def _unsafe(literals):
+    """Whether a negation or disequality has a variable that no positive
+    literal before it has."""
+    seen = set()
+    for lit in literals:
+        if isinstance(lit, (FlNaf, FlNeq)) and not literal_vars(lit) <= seen:
+            return True
+        seen |= literal_vars(lit)
+    return False
+
+
+@pytest.mark.parametrize("negation", [False, True])
+def test_goals_match_an_enumerating_oracle(negation):
+    """``query_goal``, ``collect_set`` and ``holds`` against an oracle that
+    tries every assignment of a goal's variables over the terms of the
+    saturated store and tests each literal; it compiles no plan, so a step
+    that takes a bound slot for free or a free one for bound shows.  Facts
+    inserted between the goals reach the rules' delta plans (an
+    intersection body among them) and, with ``negation``, a fresh
+    saturation; the store must stay a model of every rule by the same
+    oracle."""
+    rng = random.Random(20261021 + negation)
+    answered, refused = [0] * len(GOAL_PARTS), 0
+    derived_by_insert = 0
+    for trial in range(60):
+        program = random_goal_program(rng, negation)
+        rules = [r for r in program.rules if r.body]
+        meets = [r for r in rules if isinstance(
+            getattr(r.body[0], "cls", None), FlIntersection)]
+        kb = load_program(program)
+        classes = GOAL_A + ["B0", "B1", "_object"]
+        for step in range(12):
+            if step % 4 == 3:
+                before = set(kb.store.isa)
+                insert_fact(kb, parse_program(_fill(rng, rng.choice(
+                    ["{i}:{a}.", "{i}[p -> {j}]."]), GOAL_A))[0].rules[0].head)
+                derived_by_insert += any(
+                    (b["X"], r.head.cls.term) not in before for r in meets
+                    for b in enumerated_solutions(kb.store, r.body))
+            store = kb.store
+            for r in rules:
+                for b in enumerated_solutions(store, r.body):
+                    assert _oracle_holds(r.head, b, store), (trial, r, b)
+            parts = rng.sample(range(len(GOAL_PARTS)), rng.randrange(1, 4))
+            text = ", ".join(_fill(rng, GOAL_PARTS[k], classes)
+                             for k in parts)
+            goal = parse_program(f"g :- {text}.")[0].rules[0].body
+            names = sorted(set().union(*map(literal_vars, goal)))
+            var = rng.choice(names)
+            where = (trial, step, text)
+            if _unsafe(goal):
+                for call in (lambda: query_goal(kb, goal),
+                             lambda: holds(kb, goal),
+                             lambda: collect_set(kb, var, goal)):
+                    with pytest.raises(EngineError, match="^unsafe-goal: "):
+                        call()
+                refused += 1
+                continue
+            expected = {tuple(print_term(b[v]) for v in names)
+                        for b in enumerated_solutions(store, goal)}
+            got = [tuple(print_term(s[v]) for v in names)
+                   for s in query_goal(kb, goal)]
+            assert sorted(got) == sorted(expected), where
+            assert holds(kb, goal) == bool(expected), where
+            assert [print_term(t) for t in collect_set(kb, var, goal)] == \
+                sorted({row[names.index(var)] for row in expected}), where
+            for k in parts:
+                answered[k] += bool(expected)
+    assert all(answered[:-UNSAFE_PARTS]) and refused, (answered, refused)
+    assert negation or derived_by_insert
 
 
 CLASSES_C = ["C0", "C1", "C2", "C3"]
