@@ -11,7 +11,7 @@ _EXPORTS = {
     "diagnostics": "Diagnostic ERROR EngineError INFO WARNING",
     "engine": "ConstraintViolation FactStore KnowledgeBase collect_set holds "
               "insert_fact load_program query_goal run_constraint_checks "
-              "saturate stratify",
+              "saturate stratify unknown_names",
     "fl_to_owl": "TemplateMatch recognize_templates",
     "flogic": "FlProgram FlRule parse_program print_program",
     "owl_model": "OntologyDocument",

@@ -5,11 +5,14 @@ The translator appends the checker rules to the programs it emits.  The
 engine solves each rule as written, except the cardinality and
 inverse-functional rules, which it runs natively with their templates from
 ``MESSAGES``.  A range violation has no rule here; its message is
-``RANGE_MSG``.
+``RANGE_MSG``.  ``CLOSURES`` maps each characteristic that a closure rule
+implements to its predicate and rule, for the OWL->F-logic translator to
+lower and the recognizer to claim back.
 """
 
 from __future__ import annotations
 
+from . import owl_model as om
 from .flogic import FlFormat, FlPred, FlRule, parse_rules
 
 # The checker-predicate definitions appended to translated programs.  Rules
@@ -47,6 +50,11 @@ TRANSITIVE_RULE, SYMMETRIC_RULE = parse_rules(r"""
 ?X[?P -> ?Z] :- 'TransitiveProperty'(?P), ?X[?P -> ?Y], ?Y[?P -> ?Z].
 ?X[?P -> ?Y] :- 'SymmetricProperty'(?P), ?Y[?P -> ?X].
 """)
+
+# transitive first: the recognizer claims them in this order, which orders
+# the axioms it writes
+CLOSURES = {om.TRANSITIVE: ("TransitiveProperty", TRANSITIVE_RULE),
+            om.SYMMETRIC: ("SymmetricProperty", SYMMETRIC_RULE)}
 
 RANGE_MSG = ("[OWL2FLORA] signature range violation: ~w.~w value ~w is not "
              "in class ~w")

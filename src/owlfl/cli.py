@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from .diagnostics import Diagnostic, ERROR, WARNING, EngineError, has_errors
 from .flogic import (
     Atom, FlIsA, FlLiteralTerm, FlNeq, FlProgram, FlSubClass, FlSymbol,
-    FlTerm, FlVariable, OBJECT, parse_program, print_program, print_term,
-    unquote,
+    FlTerm, FlVariable, parse_program, print_program, print_term, unquote,
 )
 from .owl_parser import parse_document
 from .owl_to_fl import TranslationOptions, translate_ontology
@@ -96,37 +95,11 @@ def _parse_name(arg: str) -> FlTerm:
     return FlSymbol(arg)
 
 
-# per stored relation, the positions whose terms need not be members of
-# ``_object``: a class, and an attribute's property
-_NOT_MEMBERS = {"isa": (1,), "sub": (0, 1), "attr": (1,)}
-
-
-def _stored(kb: KnowledgeBase, name: FlTerm) -> bool:
-    """Whether a stored fact holds ``name``, found by set probes: a term of
-    ``isa`` or ``attr`` is a member of ``_object``, and a class, a property
-    or a symbol argument of a predicate is a key of the index on its
-    position.  Saturation builds most of those indexes; a missing one is
-    built here, once."""
-    store = kb.store
-    if (name, OBJECT) in store.isa:
-        return True
-    for key, rel in store.relations.items():
-        positions = _NOT_MEMBERS.get(key) or (
-            range(key[1]) if isinstance(name, FlSymbol) else ())
-        if any(name in rel.index((i,)) for i in positions):
-            return True
-    return False
-
-
 def _warn_unknown(kb: KnowledgeBase, names: Sequence[FlTerm]) -> bool:
-    """Warn of each name that occurs nowhere in the KB: in no stored fact
-    and as no constant of a rule, a signature or an equivalence."""
-    from .engine import _split
-    unknown = [n for n in names if not _stored(kb, n)]
-    if unknown:
-        consts: List[FlTerm] = []
-        _split((kb.rules, kb.signatures, kb.equivalences), consts)
-        unknown = [n for n in unknown if n not in consts]
+    """Warn of each name that occurs nowhere in the KB (see
+    ``engine.unknown_names``); whether any did."""
+    from .engine import unknown_names
+    unknown = unknown_names(kb, names)
     for n in unknown:
         _report([Diagnostic(WARNING, "unknown-name",
                             f"{print_term(n)} does not occur in the KB")])

@@ -128,12 +128,6 @@ class FactStore:
         self.attr: Set[Tuple[FlTerm, FlTerm, FlTerm]] = \
             self.relations[ATTR].facts
 
-    def add(self, key, t: tuple) -> bool:
-        rel = self.relations.get(key)
-        if rel is None:
-            rel = self.relations[key] = Relation()
-        return rel.add(t)
-
     def size(self) -> int:
         return sum(len(rel.facts) for rel in self.relations.values())
 
@@ -150,12 +144,15 @@ class ConstraintViolation(Node):
 
 
 class KnowledgeBase:
+    """A loaded program.  Each base fact, as the (relation, args) tuple the
+    store keeps, and each signature is held once, as a dict key in program
+    order; its strata, compiled rules and saturated store are made lazily."""
+
     def __init__(self, rules, base_facts, signatures, equivalences,
                  checker_rules, prefixes):
         self.rules: List[FlRule] = rules
-        # each base fact once, as its (relation, args) head, in program order
         self.base_facts: Dict[Tuple[object, tuple], None] = base_facts
-        self.signatures: List[FlSignature] = signatures
+        self.signatures: Dict[FlSignature, None] = signatures
         self.equivalences: List[FlEquiv] = equivalences  # they add no facts
         self.checker_rules: List[FlRule] = checker_rules
         self.prefixes = prefixes
@@ -289,7 +286,7 @@ def load_program(program: FlProgram) -> KnowledgeBase:
                     f"negated variables {sorted(naf_vars - pos_vars)} not "
                     f"bound by a positive body literal")
         rules.append(rule)
-    return KnowledgeBase(rules, base_facts, list(signatures), equivalences,
+    return KnowledgeBase(rules, base_facts, signatures, equivalences,
                          checker, dict(program.prefixes))
 
 
@@ -349,7 +346,7 @@ def _makes_individuals(rule: FlRule) -> bool:
 
 def _reaches(edges: Dict[object, list]) -> Dict[object, Set]:
     """The nodes a path of one edge or more leads to from each node with an
-    edge; ``edges`` maps a node to its (node, label) pairs.  The nodes are
+    edge; ``edges`` maps a node to the list of its successors.  The nodes are
     walked in depth-first postorder, and a walk that comes to a node already
     walked takes that node's set whole, so along a chain each set is one
     union of the next one's."""
@@ -362,7 +359,7 @@ def _reaches(edges: Dict[object, list]) -> Dict[object, Set]:
         stack = [(root, iter(edges[root]))]
         while stack:
             node, out = stack[-1]
-            for nxt, _ in out:
+            for nxt in out:
                 if nxt not in found:
                     found.add(nxt)
                     stack.append((nxt, iter(edges.get(nxt, ()))))
@@ -378,7 +375,7 @@ def _reaches(edges: Dict[object, list]) -> Dict[object, Set]:
             if node in done:
                 seen |= done[node]
                 continue
-            new = {n for n, _ in edges.get(node, ())} - seen
+            new = set(edges.get(node, ())) - seen
             seen |= new
             work.extend(new)
         if seen:
@@ -389,11 +386,12 @@ def _reaches(edges: Dict[object, list]) -> Dict[object, Set]:
 def _negation_cycle(users: Dict[object, list]):
     """Raise ``non-stratified-program`` naming the relations of a strongly
     connected component that holds a negated edge."""
+    succ = {src: [dst for dst, _ in readers] for src, readers in users.items()}
     back: Dict[object, list] = {node: [] for node in users}
-    for src, readers in users.items():
-        for dst, _ in readers:
-            back[dst].append((src, False))
-    down, up = _reaches(users), _reaches(back)
+    for src, dsts in succ.items():
+        for dst in dsts:
+            back[dst].append(src)
+    down, up = _reaches(succ), _reaches(back)
     dst = next(dst for src, readers in users.items() for dst, neg in readers
                if neg and src in down.get(dst, ()))
     cycle = sorted(map(str, down[dst] & up[dst]))
@@ -964,7 +962,7 @@ def _transitive(attr: Relation, p: FlTerm) -> List[tuple]:
     to every node a path of ``p`` edges leads to."""
     edges: Dict[FlTerm, list] = {}
     for x, _, y in attr.lookup((1,), p):
-        edges.setdefault(x, []).append((y, p))
+        edges.setdefault(x, []).append(y)
     return [(x, p, y) for x, ends in _reaches(edges).items() for y in ends]
 
 
@@ -999,7 +997,7 @@ def _load(store: FactStore, facts: Iterable[Tuple[object, tuple]]):
         members.setdefault(c, set()).add(x)
     above: Dict[FlTerm, list] = {}
     for a, c in sub.facts:
-        above.setdefault(a, []).append((c, None))
+        above.setdefault(a, []).append(c)
     sub.take(0, {a: [(a, c) for c in cs]
                  for a, cs in _reaches(above).items()})
     below = sub.index((1,))
@@ -1027,7 +1025,8 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
     guard first closes a property, its closure is added as ``_load`` adds
     it.
     """
-    isa, sub, attr = (store.relations[k] for k in (ISA, SUB, ATTR))
+    rels = store.relations
+    isa, sub, attr = (rels[k] for k in (ISA, SUB, ATTR))
     closed = store.closed
     added: Dict[object, Relation] = {}
 
@@ -1040,7 +1039,10 @@ def _assert(store: FactStore, facts: Iterable[Tuple[object, tuple]]
                 add(ATTR, (w, p, z))
 
     def add(key, t) -> bool:
-        if not store.add(key, t):
+        rel = rels.get(key)
+        if rel is None:
+            rel = rels[key] = Relation()
+        if not rel.add(t):
             return False
         rel = added.get(key)
         if rel is None:
@@ -1254,6 +1256,28 @@ def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:
     return [values[k] for k in sorted(values)]
 
 
+# per stored relation, the positions whose terms need not be members of
+# ``_object``: a class, and an attribute's property
+_NOT_MEMBERS = {ISA: (1,), SUB: (0, 1), ATTR: (1,)}
+
+
+def unknown_names(kb: KnowledgeBase, names: Sequence[FlTerm]
+                  ) -> List[FlTerm]:
+    """The names in no stored fact and no rule, signature or equivalence.  A
+    stored name is a member of ``_object`` or a key of the index on a class,
+    property or predicate argument position (built on first use and kept);
+    only the names not stored are looked for in the rest, by one ``_split``."""
+    store = kb.store
+    unknown = [n for n in names if (n, OBJECT) not in store.isa and not any(
+        n in rel.index((i,)) for key, rel in store.relations.items()
+        for i in _NOT_MEMBERS.get(key) or (
+            range(key[1]) if isinstance(n, FlSymbol) else ()))]
+    consts: List[FlTerm] = []
+    if unknown:
+        _split((kb.rules, tuple(kb.signatures), kb.equivalences), consts)
+    return [n for n in unknown if n not in consts]
+
+
 # --- constraint checking -----------------------------------------------------
 
 
@@ -1385,8 +1409,7 @@ def insert_fact(kb: KnowledgeBase, fact_lit: FlLit) -> KnowledgeBase:
         raise EngineError("non-ground-insert",
                           f"fact is not ground: {print_literal(fact_lit)}")
     if isinstance(fact_lit, FlSignature):
-        if fact_lit not in kb.signatures:
-            kb.signatures.append(fact_lit)
+        kb.signatures[fact_lit] = None
     elif isinstance(fact_lit, (FlIsA, FlSubClass, FlAttrValue, FlPred)):
         head = _head(fact_lit)
         if head not in kb.base_facts:

@@ -18,7 +18,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import owl_model as om
-from .checkers import SYMMETRIC_RULE, TRANSITIVE_RULE, is_checker_rule
+from .checkers import CLOSURES, is_checker_rule
 from .diagnostics import Diagnostic, ERROR, INFO, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
@@ -424,9 +424,7 @@ class _Recognizer:
                 cls=cls_sym.name, prop=h.prop.name)
 
     def pass_characteristics(self):
-        for kind, pred_name, closure in (
-                (om.TRANSITIVE, "TransitiveProperty", TRANSITIVE_RULE),
-                (om.SYMMETRIC, "SymmetricProperty", SYMMETRIC_RULE)):
+        for kind, (pred_name, closure) in CLOSURES.items():
             prop_facts = [(i, h.args[0]) for i, h in self.facts(FlPred)
                           if h.name == pred_name and len(h.args) == 1
                           and isinstance(h.args[0], FlSymbol)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import owl_model as om
-from .checkers import CHECKER_RULES, SYMMETRIC_RULE, TRANSITIVE_RULE
+from .checkers import CHECKER_RULES, CLOSURES
 from .diagnostics import Diagnostic, ERROR, WARNING
 from .flogic import (
     Atom, FlAttrValue, FlClassExpr, FlDifference, FlEquiv, FlIntersection,
@@ -245,11 +245,6 @@ def translate_restriction(cls: om.Iri, r: om.Restriction,
 # --- property axioms ---------------------------------------------------------
 
 
-# a characteristic a generic rule closes: its predicate and that rule
-_CLOSURES = {om.TRANSITIVE: ("TransitiveProperty", TRANSITIVE_RULE),
-             om.SYMMETRIC: ("SymmetricProperty", SYMMETRIC_RULE)}
-
-
 def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]:
     rules: List[FlRule] = []
     if isinstance(ax, (om.Domain, om.Range)) and ax.cls.value == THING:
@@ -298,8 +293,8 @@ def translate_property_axiom(ax: om.PropertyAxiom, ctx: Context) -> List[FlRule]
                                               card=(1, 1))))
             else:
                 rules.append(fact(FlPred("inverseFunctional", (p,))))
-        elif ax.kind in _CLOSURES:
-            pred, closure = _CLOSURES[ax.kind]
+        elif ax.kind in CLOSURES:
+            pred, closure = CLOSURES[ax.kind]
             rules.append(fact(FlPred(pred, (p,), quoted=True)))
             if ax.kind not in ctx.closures:  # one closure rule per program
                 ctx.closures.add(ax.kind)

@@ -1963,3 +1963,42 @@ def test_bulk_load_equals_closing_fact_by_fact():
                                   for _, _, v in bulk.attr)
         seen["oneOf"] += ("oneOf", 2) in bulk.relations
     assert all(seen.values()), seen
+
+
+def test_an_unbound_answer_variable_answers_as_itself():
+    """A union branch that leaves ``?C`` unbound answers with ``?C``."""
+    kb = kb_from("a:B. b:B. a:D.")
+    c = FlVariable("C")
+    got = query_goal(kb, [FlIsA(FlSymbol("a"), FlUnion(Atom(c), atom("B"))),
+                          FlIsA(FlVariable("Y"), atom("B"))])
+    assert sorted((print_term(b["C"]), print_term(b["Y"])) for b in got) == [
+        ("?C", "a"), ("?C", "b"), ("B", "a"), ("B", "b"), ("D", "a"),
+        ("D", "b"), ("_object", "a"), ("_object", "b")]
+    assert [b["C"] for b in got if type(b["C"]) is FlVariable] == [c, c]
+
+
+def test_insert_refuses_a_literal_that_is_no_fact():
+    kb = kb_from("a:B.")
+    before = store_facts(kb.store)
+    with pytest.raises(EngineError) as e:
+        insert_fact(kb, FlNeq(FlSymbol("a"), FlSymbol("b")))
+    assert (e.value.code, e.value.message) == (
+        "non-ground-insert", "not an insertable fact: a != b")
+    assert store_facts(kb.store) == before
+
+
+def test_unknown_names_probe_the_store_and_add_no_relation():
+    """A name is known from a stored fact, a rule or a signature; the
+    answer keeps the order of the names asked, and asking adds no relation
+    to the store."""
+    kb = kb_from("a:C.\na[p -> b].\nhasValue(C, p, v).\n"
+                 "?X:E :- ?X:C, ?X[p -> w].\nK[q *=> R].")
+    store = kb.store
+    keys = set(store.relations)
+    names = [FlSymbol(n) for n in
+             ("zz", "a", "C", "p", "v", "w", "q", "_object", "absent")]
+    assert engine.unknown_names(kb, names) == [FlSymbol("zz"),
+                                               FlSymbol("absent")]
+    assert engine.unknown_names(kb, []) == []
+    assert set(store.relations) == keys
+    assert kb.store is store

@@ -308,3 +308,20 @@ def test_no_silent_drops_accounting():
         else:
             rules = translate_assertion(ax, ctx)
         assert rules or ctx.diagnostics, ax
+
+
+def test_existential_in_a_compound_superclass_is_reported():
+    """(A and B) under (C or some p.D): the reader yields no compound
+    subclass, so the document is built here."""
+    doc = om.OntologyDocument(prefixes={"": BASE})
+    doc.class_axioms.append(om.SubClassOf(
+        om.IntersectionOf((named("A"), named("B"))),
+        om.UnionOf((named("C"), om.Restriction(
+            iri("p"), om.SomeValuesFrom(named("D")))))))
+    program, diags = translate_ontology(
+        doc, TranslationOptions(emit_checkers=False))
+    assert statements(program) == []
+    assert [(d.severity, d.code, d.message) for d in diags] == [
+        ("error", "untranslatable-existential",
+         "existential restriction in the subsuming set cannot be "
+         "translated")]
