@@ -29,7 +29,10 @@ The saturated store is kept on the KB, and inserted facts extend it when no
 rule body holds a negation.
 Queries keep one solution per printed form and sort by it; a symbol works
 its printed form out on its first print and keeps it, so asking again prints
-nothing anew.  Constraint checks solve the ``check_*`` rules with the same
+nothing anew.  A goal is answered in one pass over its solutions: a plan of
+one step is that step's generator, the answers of one variable are printed
+and deduplicated as they are read, and a ground goal stops at its first
+solution.  Constraint checks solve the ``check_*`` rules with the same
 join plans and are closed-world: no equality inference, distinct values for
 cardinality.
 """
@@ -460,11 +463,13 @@ def stratify(kb: KnowledgeBase) -> Stratification:
 # A conjunction compiles once into a tuple of steps over an environment: a
 # list with one slot per variable, ``None`` while unbound.  A step is a
 # generator function of (env, store, delta) that binds slots for each of its
-# solutions in turn, yields, and unbinds them once exhausted.  Which slots
-# are bound when a step starts is fixed when it is compiled, so a scan reads
-# its key and writes its free slots with no test of the env.  A body
-# argument compiles to its slot (a variable), to a tuple of arguments (a
-# list with variables in it) or to itself (any other term).
+# solutions in turn, yields the env, and unbinds them once exhausted.
+# ``_solve`` hands back the last step's generator as it is, so a plan of one
+# step yields its solutions with no generator around it.  Which slots are
+# bound when a step starts is fixed when it is compiled, so a scan reads its
+# key and writes its free slots with no test of the env.  A body argument
+# compiles to its slot (a variable), to a tuple of arguments (a list with
+# variables in it) or to itself (any other term).
 
 
 def _value(a, env) -> Optional[FlTerm]:
@@ -532,7 +537,7 @@ def _scan(rel_key, terms: tuple, slots: Dict[str, int], use_delta: bool,
         def test(env, store, delta):
             rel = (delta if use_delta else store.relations).get(rel_key)
             if (rel is not None and whole(env) in rel.facts) != negated:
-                yield
+                yield env
         return test
     get = _key(key)
     if len(free) == 1 and not matched:
@@ -545,7 +550,7 @@ def _scan(rel_key, terms: tuple, slots: Dict[str, int], use_delta: bool,
             for t in rel.lookup(positions, get(env)) if positions \
                     else rel.facts:
                 env[s] = t[p]
-                yield
+                yield env
             env[s] = None
         return one
     if not matched:
@@ -557,7 +562,7 @@ def _scan(rel_key, terms: tuple, slots: Dict[str, int], use_delta: bool,
                     else rel.facts:
                 for p, s in free:
                     env[s] = t[p]
-                yield
+                yield env
             for _, s in free:
                 env[s] = None
         return run
@@ -570,7 +575,7 @@ def _scan(rel_key, terms: tuple, slots: Dict[str, int], use_delta: bool,
         for t in rel.lookup(positions, get(env)) if positions else rel.facts:
             new: List[int] = []
             if all(_match(a, t[p], env, new) for p, a in matched):
-                yield
+                yield env
             for s in new:
                 env[s] = None
     return unify
@@ -581,8 +586,7 @@ def _alt(*plans):
     intersection or difference, none for a literal that never holds."""
     def run(env, store, delta):
         for plan in plans:
-            for _ in _solve(plan, env, store, delta):
-                yield
+            yield from _solve(plan, env, store, delta)
     return run
 
 
@@ -594,8 +598,8 @@ def _not(plan: tuple, check: tuple = ()):
             if env[s] is None:
                 raise EngineError("unsafe-goal",
                                   f"unbound variable ?{name} under negation")
-        if not any(True for _ in _solve(plan, list(env), store, None)):
-            yield
+        if next(_solve(plan, list(env), store, None), None) is None:
+            yield env
     return run
 
 
@@ -605,7 +609,7 @@ def _neq(a, b):
         if x is None or y is None:
             raise EngineError("unsafe-goal", "unbound variable in disequality")
         if x != y:
-            yield
+            yield env
     return run
 
 
@@ -615,7 +619,7 @@ def _member(item, coll):
         for e in items.elements if isinstance(items, FlList) else ():
             bound: List[int] = []
             if _match(item, e, env, bound):
-                yield
+                yield env
             for s in bound:
                 env[s] = None
     return run
@@ -623,14 +627,17 @@ def _member(item, coll):
 
 def _solve(steps: tuple, env: list, store: FactStore, delta,
            i: int = 0) -> Iterable[list]:
-    if not steps:
-        yield env
-        return
+    """The solutions of the steps from ``i`` on: the env, each time they
+    have all bound it.  The last step's generator is returned as it is, so
+    a plan of one step runs in no generator but its own."""
+    if i + 1 >= len(steps):
+        return steps[i](env, store, delta) if steps else iter((env,))
+    return _join(steps, env, store, delta, i)
+
+
+def _join(steps: tuple, env: list, store: FactStore, delta, i: int):
     for _ in steps[i](env, store, delta):
-        if i + 1 == len(steps):
-            yield env
-        else:
-            yield from _solve(steps, env, store, delta, i + 1)
+        yield from _solve(steps, env, store, delta, i + 1)
 
 
 def _arg(t: FlTerm, slots: Dict[str, int]):
@@ -750,27 +757,37 @@ def _compile_conj(literals: Sequence[FlLit], slots: Dict[str, int],
 
 
 _PARAM = object()  # where ``_split`` took a constant out
+_NAMED = Atom, _PARAM  # the shape of a named class
 
 
 def _split(x, consts: List[FlTerm]):
     """The shape of a conjunction or a part of one as nested tuples, with
     ``_PARAM`` in place of each constant, which goes to ``consts``.  A node
     is split by its compared fields (``Node._values``), so a predicate's
-    presentational ``quoted`` is left out of its shape."""
+    presentational ``quoted`` is left out of its shape.  A constant, a
+    variable and a named class are split in their parent's loop, with no
+    call of their own."""
     kind = type(x)
     if kind is tuple or kind is list:
-        return tuple([_split(e, consts) for e in x])
-    if kind is FlSymbol or kind is FlLiteralTerm:
-        consts.append(x)
-        return _PARAM
-    if kind is FlVariable:
-        return kind, x.name
-    fields = getattr(kind, "_fields", None)
-    if fields is None:  # a predicate name, a naf style, a bound
-        return x
-    if len(fields) == 1:  # a lone field is its own value
-        return kind, _split(x._values(x), consts)
-    return (kind, *[_split(e, consts) for e in x._values(x)])
+        shape, parts = [], x
+    elif (fields := getattr(kind, "_fields", None)) is None:
+        return x  # a predicate name, a naf style, a bound
+    else:  # a lone field is its own value
+        shape = [kind]
+        parts = (x._values(x),) if len(fields) == 1 else x._values(x)
+    for e in parts:
+        kind = type(e)
+        if kind in _CONSTANTS:
+            consts.append(e)
+            shape.append(_PARAM)
+        elif kind is FlVariable:
+            shape.append((kind, e.name))
+        elif kind is Atom and type(e.term) is FlSymbol:
+            consts.append(e.term)
+            shape.append(_NAMED)
+        else:
+            shape.append(_split(e, consts))
+    return tuple(shape)
 
 
 def _build(shape, params: List[str]):
@@ -1208,36 +1225,40 @@ def _prepare(kb: KnowledgeBase, goal, output: Optional[str] = None
     return plan, _solve(plan.full, env, store, None)
 
 
-def _distinct(names: List[str], envs: Iterable[list]):
+def _distinct(names: List[str], envs: Iterable[list]) -> Dict[tuple, tuple]:
     """The solutions whose printed form is new, in order, each as its terms
-    (a variable for an unbound name) and their printed forms."""
-    k = len(names)
-    printed: set = set()  # printed forms: one string, or a tuple of them
-    if k == 1:  # no tuple to build before the test
-        for env in envs:
-            t = env[0]
-            key = "?" + names[0] if t is None else print_term(t)
-            if key not in printed:
-                printed.add(key)
-                yield (FlVariable(names[0]) if t is None else t,), (key,)
-        return
+    (a variable for an unbound name) by their printed forms."""
+    k, found = len(names), {}
     for env in envs:
         terms = tuple(env[:k])
         if None in terms:
             terms = tuple(FlVariable(v) if t is None else t
                           for v, t in zip(names, terms))
-        key = tuple(map(print_term, terms))
-        if key not in printed:
-            printed.add(key)
-            yield terms, key
+        found.setdefault(tuple(map(print_term, terms)), terms)
+    return found
+
+
+def _by_print(name: str, envs: Iterable[list]) -> Dict[str, FlTerm]:
+    """``_distinct`` for a goal whose one variable is ``name``: its values by
+    printed form, in order, each printed and deduplicated as it is read."""
+    values: Dict[str, FlTerm] = {}
+    for t in map(itemgetter(0), envs):
+        t = FlVariable(name) if t is None else t
+        values.setdefault(print_term(t), t)
+    return values
 
 
 def query_goal(kb: KnowledgeBase, goal) -> List[Binding]:
     """All substitutions satisfying a literal or conjunction of literals,
-    one per printed form."""
+    one per printed form; a ground goal's is its first solution's."""
     prepared, envs = _prepare(kb, goal)
-    return [dict(zip(prepared.names, terms))
-            for terms, _ in _distinct(prepared.names, envs)]
+    names = prepared.names
+    if len(names) == 1:
+        return [{names[0]: t} for t in _by_print(names[0], envs).values()]
+    if not names:
+        return [{}] if next(envs, None) is not None else []
+    return [dict(zip(names, terms))
+            for terms in _distinct(names, envs).values()]
 
 
 def holds(kb: KnowledgeBase, goal) -> bool:
@@ -1248,11 +1269,16 @@ def holds(kb: KnowledgeBase, goal) -> bool:
 def collect_set(kb: KnowledgeBase, template_var: str, goal) -> List[FlTerm]:
     """Deduplicated values of one variable over all solutions, sorted by
     printed form; of values that print alike, the one in the last solution
-    that ``query_goal`` keeps."""
+    that ``query_goal`` keeps.  When the goal has no other variable, each
+    value is printed and deduplicated as its solution is read."""
     prepared, envs = _prepare(kb, goal, template_var)
-    i = prepared.names.index(template_var)
-    values = {key[i]: terms[i]
-              for terms, key in _distinct(prepared.names, envs)}
+    names = prepared.names
+    if len(names) == 1:
+        values = _by_print(template_var, envs)
+    else:
+        i = names.index(template_var)
+        values = {key[i]: terms[i]
+                  for key, terms in _distinct(names, envs).items()}
     return [values[k] for k in sorted(values)]
 
 

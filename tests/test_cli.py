@@ -622,11 +622,13 @@ def test_malformed_inputs_never_trace_back(tmp_path, capsys):
             src.write_text(content)
         lang = "flora" if name.endswith(".flr") else "owl"
         other = "owl" if lang == "flora" else "flora"
+        # each command writes a new file: on ext4, closing a truncated
+        # non-empty file waits for its data to be flushed
         for argv, want in (
                 (["translate", "--from", lang, "--to", other, str(src),
-                  "-o", str(tmp_path / "out")], cross_code),
+                  "-o", str(tmp_path / f"{name}.{other}")], cross_code),
                 (["translate", "--from", lang, "--to", lang, str(src),
-                  "-o", str(tmp_path / "out")], code),
+                  "-o", str(tmp_path / f"{name}.{lang}")], code),
                 (["check", str(src)], code),
                 (["query", str(src), "instances", "C"], code),
                 (["insert", str(src), "x:C."], code)):

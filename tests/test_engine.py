@@ -431,6 +431,32 @@ def test_holds_agrees_with_query_goal():
     with pytest.raises(EngineError) as e:
         holds(kb, FlNaf((FlIsA(X, atom("C")),)))
     assert e.value.code == "unsafe-goal"
+    # the string 'a' and the quoted symbol 'a' are unequal but print alike:
+    # the answers the old query code keeps, for goals of one and of three
+    # literals; a ground goal answers [{}] or [], as holds says
+    kb = kb_from("s[p -> 'a'].\ns[q -> t].\ns[q -> u].\nt[r -> 'a'].")
+    s, p, a = FlSymbol("s"), FlSymbol("p"), FlLiteralTerm("a")
+    insert_fact(kb, FlAttrValue(s, p, a))
+    insert_fact(kb, FlAttrValue(FlSymbol("u"), FlSymbol("r"), a))
+    Y = FlVariable("Y")
+    ground = [FlAttrValue(s, p, a), FlAttrValue(s, p, FlSymbol("a", True)),
+              FlAttrValue(s, FlSymbol("q"), FlSymbol("t"))]
+    goals = [FlAttrValue(s, p, X),
+             [FlAttrValue(s, FlSymbol("q"), Y),
+              FlAttrValue(Y, FlSymbol("r"), X), FlIsA(X, atom("_object"))],
+             [FlAttrValue(s, p, X), FlAttrValue(s, FlSymbol("q"), Y)],
+             ground[0], ground, FlAttrValue(s, p, FlSymbol("b"))]
+    assert [len(query_goal(kb, g)) for g in goals[:3]] == [1, 2, 2]
+    assert [query_goal(kb, g) for g in goals[3:]] == [[{}], [{}], []]
+    assert names(collect_set(kb, "X", goals[0])) == \
+        names(collect_set(kb, "X", goals[1])) == ["'a'"]
+    for g in goals:
+        assert outcome(query_goal, kb, g) == outcome(oracle_query_goal, kb, g)
+        assert holds(kb, g) == bool(query_goal(kb, g)) == oracle_holds(kb, g)
+    for g, var in [(goals[0], "X"), (goals[1], "X"), (goals[1], "Y"),
+                   (goals[2], "X")]:
+        assert outcome(collect_set, kb, var, g) == \
+            outcome(oracle_collect_set, kb, var, g)
 
 
 def test_union_and_difference_goals():
